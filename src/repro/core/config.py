@@ -33,11 +33,6 @@ class GraphPrompterConfig:
         Data-graph convolution: ``"sage"`` (paper) or ``"gat"`` (Fig. 4).
     sampling_method:
         ``"random_walk"`` (paper) or ``"bfs"``.
-    sampling_engine:
-        ``"vectorized"`` (CSR frontier gathers, the hot path) or
-        ``"legacy"`` (per-node Python loops).  Bit-identical outputs —
-        the legacy engine exists as the reference for the sampler
-        equivalence suite and for perf A/B runs (``repro bench``).
     use_reconstruction:
         Stage 1 — learn edge weights (Eqs. 2–3) instead of raw subgraphs.
     use_selection_layers:
@@ -75,7 +70,7 @@ class GraphPrompterConfig:
         Default shard count of the serving layer's
         :class:`~repro.shard.ShardedGraphStore` (1 = monolithic).
         Sharding never changes predictions — sampling over the sharded
-        store is bit-identical to the monolithic engines.
+        store is bit-identical to the monolithic sampler.
     num_workers:
         Default worker count of the serving layer's
         :class:`~repro.shard.WorkerPool` (1 = in-process).
@@ -133,17 +128,11 @@ class GraphPrompterConfig:
         after one branch.
     tensor_backend:
         Compute backend for no-grad inference (:mod:`repro.nn.backend`):
-        ``"numpy"`` (exact reference, bit-identical, the default),
-        ``"fused"`` (sorted-segment reduceat message passing),
-        ``"blocked"`` (threaded row-blocked gemm) or ``"fast"``
-        (fused + blocked).  Training always runs on the exact default
-        path regardless of this setting; non-default backends agree with
-        it to float rounding, not bit-for-bit (see ``docs/backends.md``).
-    inference_dtype:
-        Compute precision of no-grad inference: ``"float64"`` (exact,
-        default) or ``"float32"`` (~1e-6 relative error, roughly half
-        the memory traffic).  Like ``tensor_backend``, scoped to
-        inference only — stored weights stay float64.
+        ``"numpy"`` (exact float64 reference, bit-identical, the default)
+        or ``"fused"`` (CSR-matmul message passing computed in float32,
+        agreeing with the exact path to ~1e-6 relative error).  Training
+        always runs on the exact default path and stored weights stay
+        float64 regardless of this setting (see ``docs/backends.md``).
     pool_quantization:
         At-rest encoding of per-session candidate-pool embeddings:
         ``"none"`` (float64 ndarray, default) or ``"int8"`` (per-row
@@ -168,7 +157,6 @@ class GraphPrompterConfig:
     max_subgraph_nodes: int = 20
     conv: str = "sage"
     sampling_method: str = "random_walk"
-    sampling_engine: str = "vectorized"
     use_reconstruction: bool = True
     use_selection_layers: bool = True
     use_knn: bool = True
@@ -199,7 +187,6 @@ class GraphPrompterConfig:
     obs_metrics_enabled: bool = True
     obs_trace_every: int = 0
     tensor_backend: str = "numpy"
-    inference_dtype: str = "float64"
     pool_quantization: str = "none"
     seed: int = 0
 
@@ -215,8 +202,6 @@ class GraphPrompterConfig:
             raise ValueError(f"unknown conv {self.conv!r}")
         if self.sampling_method not in ("random_walk", "bfs"):
             raise ValueError(f"unknown sampler {self.sampling_method!r}")
-        if self.sampling_engine not in ("vectorized", "legacy"):
-            raise ValueError(f"unknown sampling engine {self.sampling_engine!r}")
         if self.knn_metric not in ("cosine", "euclidean", "manhattan"):
             raise ValueError(f"unknown knn metric {self.knn_metric!r}")
         if self.cache_policy not in ("lfu", "lru", "fifo"):
@@ -256,11 +241,8 @@ class GraphPrompterConfig:
                 raise ValueError(f"{name} must be positive")
         if self.obs_trace_every < 0:
             raise ValueError("obs_trace_every must be non-negative")
-        if self.tensor_backend not in ("numpy", "fused", "blocked", "fast"):
+        if self.tensor_backend not in ("numpy", "fused"):
             raise ValueError(f"unknown tensor backend {self.tensor_backend!r}")
-        if self.inference_dtype not in ("float64", "float32"):
-            raise ValueError(
-                f"unknown inference dtype {self.inference_dtype!r}")
         if self.pool_quantization not in ("none", "int8"):
             raise ValueError(
                 f"unknown pool quantization {self.pool_quantization!r}")

@@ -96,15 +96,12 @@ class GraphPrompterModel(Module):
                                      num_layers=self.config.num_task_layers,
                                      rng=rng)
         # Inference compute backend (docs/backends.md).  ``None`` means the
-        # exact default path — no backend scoping, zero overhead.  A
-        # configured backend is activated only around no-grad forwards, so
-        # training is always exact float64 regardless of config.
-        if (self.config.tensor_backend == "numpy"
-                and self.config.inference_dtype == "float64"):
-            self._backend = None
-        else:
-            self._backend = make_backend(self.config.tensor_backend,
-                                         dtype=self.config.inference_dtype)
+        # exact default path — no backend scoping, zero overhead.  The fused
+        # backend computes in float32 and is activated only around no-grad
+        # forwards, so training is always exact float64 regardless of config.
+        self._backend = (None if self.config.tensor_backend == "numpy"
+                         else make_backend(self.config.tensor_backend,
+                                           dtype=np.float32))
 
     def _backend_scope(self):
         """Context activating the configured inference backend, if any.

@@ -57,7 +57,6 @@ class PromptGenerator:
             max_nodes=self.config.max_subgraph_nodes,
             rng=self._rng_for(datapoint),
             method=self.config.sampling_method,
-            engine=self.config.sampling_engine,
         )
 
     def subgraphs_for(self, datapoints: list[Datapoint]) -> list[Subgraph]:

@@ -9,9 +9,8 @@ Assembly is *arena-style*: total node/edge counts are computed first, the
 output arrays are allocated (or borrowed from a :class:`BatchArena`) once,
 and every subgraph is written into its slice in a single pass — no
 intermediate per-subgraph lists, no ``np.concatenate`` of dozens of
-fragments.  The original concatenate-based assembly survives as
-:meth:`SubgraphBatch.from_subgraphs_concat`, the byte-identity reference
-for the equivalence suite and the ``repro bench`` batching microbenchmark.
+fragments.  The equivalence suite pins it byte for byte to the original
+list-append assembly kept in ``tests/reference_paths.py``.
 """
 
 from __future__ import annotations
@@ -105,8 +104,7 @@ class SubgraphBatch:
         """Assemble a batch in one preallocated pass.
 
         ``arena`` supplies reusable buffers (serving hot path); without one,
-        arrays are freshly allocated.  Either way the result is byte-
-        identical to :meth:`from_subgraphs_concat`.
+        arrays are freshly allocated.  The two results are byte-identical.
         """
         with span("batch_assembly"):
             return cls._from_subgraphs_impl(subgraphs, arena)
@@ -193,46 +191,4 @@ class SubgraphBatch:
             edge_graph_index=edge_graph_index,
             centers=centers,
             num_graphs=n,
-        )
-
-    @classmethod
-    def from_subgraphs_concat(cls, subgraphs: list[Subgraph]) -> "SubgraphBatch":
-        """Original list-append + ``np.concatenate`` assembly.
-
-        Kept as the behavioural reference: the equivalence suite asserts the
-        arena path is byte-identical, and ``repro bench`` times the two
-        against each other.
-        """
-        any_weights, any_rel_features = _validate(subgraphs)
-        features, srcs, dsts, rels, weights, rel_feats = [], [], [], [], [], []
-        graph_index, edge_graph_index, centers = [], [], []
-        offset = 0
-        for i, sub in enumerate(subgraphs):
-            features.append(sub.node_features)
-            srcs.append(sub.src + offset)
-            dsts.append(sub.dst + offset)
-            rels.append(sub.rel)
-            if any_weights:
-                if sub.edge_weights is not None:
-                    weights.append(sub.edge_weights)
-                else:
-                    weights.append(np.ones(sub.num_edges))
-            if any_rel_features and sub.rel_features is not None:
-                rel_feats.append(sub.rel_features)
-            graph_index.append(np.full(sub.num_nodes, i, dtype=np.int64))
-            edge_graph_index.append(np.full(sub.num_edges, i, dtype=np.int64))
-            centers.append(sub.centers + offset)
-            offset += sub.num_nodes
-        return cls(
-            node_features=np.concatenate(features, axis=0),
-            src=np.concatenate(srcs),
-            dst=np.concatenate(dsts),
-            rel=np.concatenate(rels),
-            edge_weights=np.concatenate(weights) if any_weights else None,
-            rel_features=(np.concatenate(rel_feats, axis=0)
-                          if any_rel_features else None),
-            graph_index=np.concatenate(graph_index),
-            edge_graph_index=np.concatenate(edge_graph_index),
-            centers=centers,
-            num_graphs=len(subgraphs),
         )

@@ -74,8 +74,8 @@ class SAGEConv(Module):
         every kernel reproduces the exact op order of the autodiff path
         above, so inference outputs are bit-identical — just without
         per-op tensor wrapping and backward-closure bookkeeping.
-        Accelerated backends swap in fused aggregation / blocked gemm /
-        float32 compute within their documented tolerance.
+        The accelerated backend swaps in fused aggregation and float32
+        compute within its documented tolerance.
         """
         B = get_backend()
         hd = data_of(h)

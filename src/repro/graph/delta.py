@@ -12,8 +12,8 @@ edge/node updates without rebuilding the CSR per write:
 The read surface is drop-in for the CSR (``neighbors`` /
 ``gather_neighbors`` / ``degree`` / ``visited_scratch`` /
 ``release_scratch``, plus ``neighbor_edges`` on the directed view), which
-is what lets both sampling engines — and subgraph induction — run
-unmodified over a mutated graph.
+is what lets both samplers — and subgraph induction — run unmodified over
+a mutated graph.
 
 Canonical row order (the bit-identity contract)
 -----------------------------------------------

@@ -10,7 +10,7 @@ Live updates: the container is immutable until the first write.
 :meth:`Graph.apply_updates` (or the granular :meth:`add_nodes` /
 :meth:`add_edges` / :meth:`remove_edges`) mutates in place through
 :class:`~repro.graph.delta.DeltaAdjacency` overlays, keeping every read —
-both samplers, both engines, subgraph induction — bit-identical to a
+both samplers and subgraph induction — bit-identical to a
 from-scratch rebuild over the live edge list.  Edge ids are append-only
 and stable: removed edges keep their array positions (tombstoned, never
 served), so datapoints and datasets referencing edges by id stay valid

@@ -9,31 +9,22 @@ Two strategies are provided:
   seed, absorb its neighbours, hop to a random neighbour, repeat ``l`` times,
   stop early when the subgraph hits the preset node limit.
 
-Each strategy has two *engines* selected by the ``engine`` argument
-(``config.sampling_engine`` upstream):
+Both expand frontiers on the CSR adjacency: one ``indptr``-slice gather per
+hop (:meth:`CSRAdjacency.gather_neighbors`) followed by boolean-mask
+membership tests and a canonical (sorted) dedup, with vectorized
+cap-overflow subsampling; random-walk absorption is budget-chunked so hub
+rows cost O(cap), not O(degree).  ``tests/reference_paths.py`` keeps the
+original per-node Python-set samplers, and the equivalence suites pin these
+to them **bit for bit**: for the same graph, seeds, hops, cap and RNG state
+they visit nodes in the same order, draw the same random numbers, and
+return the same array.
 
-* ``"vectorized"`` (default) — CSR frontier expansion: one
-  ``indptr``-slice gather per hop (:meth:`CSRAdjacency.gather_neighbors`)
-  followed by boolean-mask membership tests and a canonical (sorted)
-  dedup, with vectorized cap-overflow subsampling; random-walk absorption
-  is budget-chunked so hub rows cost O(cap), not O(degree).  This is the
-  serving hot path.
-* ``"legacy"`` — the original per-node Python-set implementation, kept as
-  the behavioural reference for the equivalence suite
-  (``tests/test_sampling_equivalence.py``).
-
-The two engines are **bit-identical**: for the same graph, seeds, hops, cap
-and RNG state they visit nodes in the same order, draw the same random
-numbers, and return the same array.  This is what lets
-``deterministic_sampling`` serving flip engines without changing a single
-prediction.
-
-Cap-overflow policy (both engines): when a BFS hop overflows ``max_nodes``,
-a uniform random subset of the *newly discovered* frontier is dropped when
-an ``rng`` is supplied.  Without an RNG the truncation is **order-stable**:
-the overflow nodes with the largest node ids are dropped, so the result
-depends only on the node-id set — never on hash ordering, discovery order,
-or the Python build.
+Cap-overflow policy: when a BFS hop overflows ``max_nodes``, a uniform
+random subset of the *newly discovered* frontier is dropped when an ``rng``
+is supplied.  Without an RNG the truncation is **order-stable**: the
+overflow nodes with the largest node ids are dropped, so the result depends
+only on the node-id set — never on hash ordering, discovery order, or the
+Python build.
 
 :func:`sample_data_graph` wraps either strategy and returns the re-indexed
 :class:`~repro.graph.subgraph.Subgraph` for one datapoint.
@@ -51,84 +42,16 @@ __all__ = [
     "bfs_neighborhood",
     "random_walk_neighborhood",
     "sample_data_graph",
-    "SAMPLING_ENGINES",
 ]
-
-SAMPLING_ENGINES = ("vectorized", "legacy")
 
 #: Below this row size the walk absorption uses a scalar scan — numpy
 #: kernel dispatch costs more than looping over a handful of ints.
 _SCALAR_ABSORB_MAX = 48
 
 
-def _check_args(num_hops: int, engine: str) -> None:
+def _check_hops(num_hops: int) -> None:
     if num_hops < 0:
         raise ValueError("num_hops must be non-negative")
-    if engine not in SAMPLING_ENGINES:
-        raise ValueError(f"unknown sampling engine {engine!r}; "
-                         f"use one of {SAMPLING_ENGINES}")
-
-
-# ----------------------------------------------------------------------
-# BFS
-# ----------------------------------------------------------------------
-def bfs_neighborhood(
-    graph: Graph,
-    seeds: np.ndarray,
-    num_hops: int,
-    max_nodes: int = 64,
-    rng: np.random.Generator | None = None,
-    engine: str = "vectorized",
-) -> np.ndarray:
-    """Exact l-hop neighbourhood of ``seeds``, truncated at ``max_nodes``.
-
-    When a frontier would overflow the cap, a uniform random subset of it is
-    kept (requires ``rng``; falls back to order-stable truncation that drops
-    the largest node ids of the overflowing frontier).
-    """
-    _check_args(num_hops, engine)
-    if engine == "legacy":
-        return _bfs_legacy(graph, seeds, num_hops, max_nodes, rng)
-    return _bfs_vectorized(graph, seeds, num_hops, max_nodes, rng)
-
-
-def _bfs_legacy(graph, seeds, num_hops, max_nodes, rng) -> np.ndarray:
-    """Reference implementation: per-node Python loops over a visited set.
-
-    Every frontier is canonicalised by node id before use, so expansion —
-    and in particular which nodes a cap-overflow drop removes — depends
-    only on the graph and the RNG state, never on hash ordering, edge
-    insertion order, or the Python build.
-    """
-    seeds = np.asarray(seeds, dtype=np.int64)
-    visited: set[int] = set(int(s) for s in seeds)
-    frontier = sorted(visited)
-    for _ in range(num_hops):
-        if len(visited) >= max_nodes:
-            break
-        discovered: set[int] = set()
-        for node in frontier:
-            for nb in graph.neighbors(node):
-                nb = int(nb)
-                if nb not in visited:
-                    visited.add(nb)
-                    discovered.add(nb)
-        next_frontier = sorted(discovered)
-        if len(visited) > max_nodes:
-            overflow = len(visited) - max_nodes
-            if rng is not None:
-                drop = rng.choice(len(next_frontier), size=overflow, replace=False)
-                dropped = {next_frontier[i] for i in drop}
-            else:
-                # Order-stable deterministic truncation: drop the largest
-                # node ids among the new frontier.
-                dropped = set(next_frontier[len(next_frontier) - overflow:])
-            visited -= dropped
-            next_frontier = [n for n in next_frontier if n not in dropped]
-        frontier = next_frontier
-        if not frontier:
-            break
-    return np.array(sorted(visited), dtype=np.int64)
 
 
 def _first_occurrences(values: np.ndarray) -> np.ndarray:
@@ -152,8 +75,23 @@ def _sorted_distinct(values: np.ndarray) -> np.ndarray:
     return ordered[keep]
 
 
-def _bfs_vectorized(graph, seeds, num_hops, max_nodes, rng) -> np.ndarray:
-    """CSR frontier expansion; bit-identical to :func:`_bfs_legacy`."""
+# ----------------------------------------------------------------------
+# BFS
+# ----------------------------------------------------------------------
+def bfs_neighborhood(
+    graph: Graph,
+    seeds: np.ndarray,
+    num_hops: int,
+    max_nodes: int = 64,
+    rng: np.random.Generator | None = None,
+) -> np.ndarray:
+    """Exact l-hop neighbourhood of ``seeds``, truncated at ``max_nodes``.
+
+    When a frontier would overflow the cap, a uniform random subset of it is
+    kept (requires ``rng``; falls back to order-stable truncation that drops
+    the largest node ids of the overflowing frontier).
+    """
+    _check_hops(num_hops)
     adj = graph.undirected_adjacency
     frontier = np.unique(np.asarray(seeds, dtype=np.int64))
     visited = adj.visited_scratch()
@@ -167,8 +105,8 @@ def _bfs_vectorized(graph, seeds, num_hops, max_nodes, rng) -> np.ndarray:
                 break
             neighbors = adj.gather_neighbors(frontier)
             fresh = neighbors[~visited[neighbors]]
-            # Canonical (sorted-by-id) frontier, matching the legacy
-            # engine; a plain value sort, no order bookkeeping.
+            # Canonical (sorted-by-id) frontier: a plain value sort, no
+            # order bookkeeping.
             new_nodes = _sorted_distinct(fresh)
             visited[new_nodes] = True
             touched.append(new_nodes)
@@ -176,8 +114,7 @@ def _bfs_vectorized(graph, seeds, num_hops, max_nodes, rng) -> np.ndarray:
             if count > max_nodes:
                 overflow = count - max_nodes
                 if rng is not None:
-                    # Same draw as the legacy engine: choice over canonical
-                    # frontier positions.
+                    # One draw: choice over canonical frontier positions.
                     keep = np.ones(new_nodes.size, dtype=bool)
                     keep[rng.choice(new_nodes.size, size=overflow,
                                     replace=False)] = False
@@ -209,7 +146,6 @@ def random_walk_neighborhood(
     num_hops: int,
     max_nodes: int = 64,
     rng: np.random.Generator | None = None,
-    engine: str = "vectorized",
 ) -> np.ndarray:
     """Random-walk subgraph sampler from Sec. IV-A1.
 
@@ -217,41 +153,12 @@ def random_walk_neighborhood(
     neighbour, absorb *its* neighbours (duplicates removed), repeat
     ``num_hops`` times; terminate early once ``max_nodes`` distinct nodes are
     collected.
-    """
-    _check_args(num_hops, engine)
-    if engine == "legacy":
-        return _random_walk_legacy(graph, seeds, num_hops, max_nodes, rng)
-    return _random_walk_vectorized(graph, seeds, num_hops, max_nodes, rng)
-
-
-def _random_walk_legacy(graph, seeds, num_hops, max_nodes, rng) -> np.ndarray:
-    """Reference implementation: per-neighbour Python loop over a set."""
-    rng = rng or np.random.default_rng()
-    seeds = np.asarray(seeds, dtype=np.int64)
-    visited: set[int] = set(int(s) for s in seeds)
-
-    for seed in seeds:
-        current = int(seed)
-        for _ in range(num_hops):
-            neighbors = graph.neighbors(current)
-            for nb in neighbors:
-                if len(visited) >= max_nodes:
-                    break
-                visited.add(int(nb))
-            if len(visited) >= max_nodes or neighbors.size == 0:
-                break
-            current = int(neighbors[rng.integers(neighbors.size)])
-    return np.array(sorted(visited), dtype=np.int64)
-
-
-def _random_walk_vectorized(graph, seeds, num_hops, max_nodes, rng) -> np.ndarray:
-    """Multi-seed walk with vectorized neighbour absorption.
 
     The per-hop RNG draws (which neighbour to hop to) are state-dependent
-    and stay sequential — exactly matching the legacy engine's draw order —
-    while the O(degree) absorption step becomes mask + dedup + prefix-take
-    numpy kernels.
+    and stay sequential, while the O(degree) absorption step is mask +
+    dedup + prefix-take numpy kernels.
     """
+    _check_hops(num_hops)
     rng = rng or np.random.default_rng()
     adj = graph.undirected_adjacency
     seeds = np.asarray(seeds, dtype=np.int64)
@@ -265,7 +172,7 @@ def _random_walk_vectorized(graph, seeds, num_hops, max_nodes, rng) -> np.ndarra
     # stay under.  Row fetches go through the adjacency *surface*
     # (``neighbors``) rather than raw ``indptr``/``indices`` so any
     # CSR-compatible provider — in particular the sharded store — can
-    # drive the same engine.
+    # drive the same walk.
     row_of = adj.neighbors
     draw = rng.integers
     append = collected.append
@@ -297,12 +204,12 @@ def _random_walk_vectorized(graph, seeds, num_hops, max_nodes, rng) -> np.ndarra
                         if added:
                             append(np.array(added, dtype=np.int64))
                     else:
-                        # Legacy absorbs one neighbour at a time until the
+                        # The walk absorbs one neighbour at a time until the
                         # cap: equivalent to scanning the row in order and
                         # taking unseen distinct neighbours until the
                         # budget runs out.  Chunking bounds the scan by the
                         # budget, so a million-neighbour hub row costs
-                        # O(budget), exactly like the legacy early-break.
+                        # O(budget), like a per-neighbour early break.
                         pos = 0
                         while count < max_nodes and pos < size:
                             chunk_len = max(4 * (max_nodes - count), 256)
@@ -315,7 +222,7 @@ def _random_walk_vectorized(graph, seeds, num_hops, max_nodes, rng) -> np.ndarra
                             if new_nodes.size > max_nodes - count:
                                 # Cap binds mid-chunk: fall back to
                                 # discovery order to keep the same prefix
-                                # as the legacy engine.
+                                # as a per-neighbour scan.
                                 new_nodes = _first_occurrences(
                                     fresh)[:max_nodes - count]
                             visited[new_nodes] = True
@@ -341,7 +248,6 @@ def sample_data_graph(
     max_nodes: int = 64,
     rng: np.random.Generator | None = None,
     method: str = "random_walk",
-    engine: str = "vectorized",
 ) -> Subgraph:
     """Contextualise one datapoint into its data graph ``G_i^D`` (Eq. 1)."""
     if method == "random_walk":
@@ -357,7 +263,6 @@ def sample_data_graph(
         relation = None
     else:
         raise TypeError(f"unsupported datapoint type {type(datapoint)!r}")
-    node_set = sampler(graph, datapoint.nodes, num_hops, max_nodes, rng,
-                       engine=engine)
+    node_set = sampler(graph, datapoint.nodes, num_hops, max_nodes, rng)
     return induced_subgraph(graph, node_set, datapoint.nodes,
                             center_relation=relation)

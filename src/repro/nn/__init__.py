@@ -2,8 +2,8 @@
 
 Compute kernels are routed through a pluggable backend seam
 (:mod:`repro.nn.backend`): the default backend is bit-identical thinly
-wrapped numpy; accelerated backends (float32, blocked gemm, fused
-message passing) are opt-in per config. See ``docs/backends.md``.
+wrapped numpy; the accelerated ``fused`` backend (float32 fused message
+passing) is opt-in per config. See ``docs/backends.md``.
 """
 
 from . import functional

@@ -9,25 +9,18 @@ passing is built from — is routed through a process-global
 used before the seam existed, so default runs are **bit-identical** to the
 pre-backend code and every equivalence suite stays green.
 
-The accelerated backends are opt-in (``config.tensor_backend`` /
-``config.inference_dtype``) and trade bit-identity for speed within a
-documented tolerance:
+The one accelerated backend, :class:`FusedBackend` (``"fused"``), replaces
+the ``np.add.at`` / ``np.maximum.at`` scatter loops with CSR-matmul (or,
+without scipy, sort + ``reduceat``) segment kernels and fuses the SAGE/GAT
+message-passing aggregations (gather → weight → scatter in one pass, no
+unsorted intermediate).  It trades bit-identity for speed within a
+documented tolerance.
 
-* :class:`FusedBackend` (``"fused"``) replaces ``np.add.at`` /
-  ``np.maximum.at`` scatter loops with sort + ``reduceat`` segment
-  kernels and fuses the SAGE/GAT message-passing aggregations (gather →
-  weight → scatter-mean in one sorted pass, no unsorted intermediate).
-* :class:`BlockedBackend` (``"blocked"``) adds a blocked/threaded gemm:
-  large matmuls are split into row blocks dispatched on a thread pool
-  (BLAS releases the GIL), falling back to plain ``@`` for small shapes
-  or single-core hosts.
-* ``"fast"`` composes both.
-
-Any backend can additionally run at ``float32`` compute precision
-(``config.inference_dtype="float32"``): :meth:`Backend.tensor` then
-coerces tensor payloads to float32 and :meth:`Backend.param` casts the
+Any backend can run at ``float32`` compute precision: :meth:`Backend.tensor`
+then coerces tensor payloads to float32 and :meth:`Backend.param` casts the
 (float64) model weights on the way into each kernel, making inference
-float32 end-to-end.
+float32 end-to-end.  ``config.tensor_backend="fused"`` selects the fused
+kernels at float32.
 
 Accelerated backends are meant for ``no_grad()`` inference; the model
 activates its configured backend only around no-grad forwards, so
@@ -39,8 +32,6 @@ contract, tolerance rules, and a worked example — lives in
 from __future__ import annotations
 
 import contextlib
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -53,8 +44,6 @@ __all__ = [
     "Backend",
     "NumpyBackend",
     "FusedBackend",
-    "BlockedBackend",
-    "FastBackend",
     "BACKENDS",
     "get_backend",
     "set_backend",
@@ -391,86 +380,10 @@ class FusedBackend(Backend):
         return out
 
 
-def _usable_cores() -> int:
-    """Affinity-aware core count (mirrors ``repro.shard.workers``)."""
-    try:
-        return len(os.sched_getaffinity(0)) or 1
-    except (AttributeError, OSError):  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
-
-
-class BlockedBackend(Backend):
-    """Blocked/threaded gemm over the reference kernels.
-
-    Row-blocks of the left operand are dispatched to a shared thread pool
-    (numpy's BLAS releases the GIL inside ``matmul``), writing each block
-    straight into the preallocated output.  Small matmuls — and any shape
-    on a single-core host — take the plain ``@`` path: thread dispatch
-    costs more than it buys there.  Each output row is the same dot
-    product either way, so blocking is numerically benign, but BLAS
-    kernel selection may differ per shape — the backend is therefore
-    declared non-exact and gated by tolerance like the other accelerated
-    paths.
-    """
-
-    name = "blocked"
-    exact = False
-    #: Minimum left-operand rows (and flop estimate) before blocking pays.
-    min_rows = 512
-    min_flops = 1 << 21
-
-    _pool: ThreadPoolExecutor | None = None
-
-    @classmethod
-    def _executor(cls) -> ThreadPoolExecutor:
-        if cls._pool is None:
-            cls._pool = ThreadPoolExecutor(
-                max_workers=min(4, _usable_cores()),
-                thread_name_prefix="repro-gemm")
-        return cls._pool
-
-    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Row-blocked threaded gemm; plain ``@`` under the size cutoffs."""
-        if a.dtype != self.dtype:
-            a = a.astype(self.dtype, copy=False)
-        if b.dtype != self.dtype:
-            b = b.astype(self.dtype, copy=False)
-        cores = _usable_cores()
-        if (cores < 2 or a.ndim != 2 or b.ndim != 2
-                or a.shape[0] < self.min_rows
-                or a.shape[0] * a.shape[1] * b.shape[1] < self.min_flops):
-            return a @ b
-        blocks = min(cores, 4)
-        bounds = np.linspace(0, a.shape[0], blocks + 1).astype(int)
-        out = np.empty((a.shape[0], b.shape[1]), dtype=self.dtype)
-        futures = [
-            self._executor().submit(
-                np.matmul, a[lo:hi], b, out=out[lo:hi])
-            for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo
-        ]
-        for future in futures:
-            future.result()
-        return out
-
-
-class FastBackend(FusedBackend):
-    """``fused`` segment kernels + ``blocked`` gemm in one backend —
-    the encoding fast path (pair it with ``inference_dtype="float32"``
-    for the full win)."""
-
-    name = "fast"
-    exact = False
-
-    matmul = BlockedBackend.matmul
-    _executor = BlockedBackend._executor
-    min_rows = BlockedBackend.min_rows
-    min_flops = BlockedBackend.min_flops
-
-
-#: Registry keyed by ``config.tensor_backend``.
+#: Backend names :func:`make_backend` and :func:`use_backend` accept.
 BACKENDS = {
     cls.name: cls
-    for cls in (NumpyBackend, FusedBackend, BlockedBackend, FastBackend)
+    for cls in (NumpyBackend, FusedBackend)
 }
 
 _DEFAULT = NumpyBackend()
@@ -513,8 +426,7 @@ def make_backend(name: str, dtype=np.float64) -> Backend:
     """Instantiate a registered backend at the given compute dtype.
 
     The exact default — ``("numpy", float64)`` — returns the shared
-    default instance, so config-driven resolution costs nothing on the
-    bit-identical path.
+    default instance, so resolving it by name allocates nothing.
     """
     if name not in BACKENDS:
         raise ValueError(

@@ -15,9 +15,9 @@ Compute-heavy forward kernels (gemm, transcendentals, reductions,
 gather/scatter) are routed through the process-global backend from
 :mod:`repro.nn.backend`.  The default :class:`~repro.nn.backend.NumpyBackend`
 reproduces the exact expressions this module used before the seam existed,
-so default runs stay bit-identical; accelerated backends (float32, blocked
-gemm, fused segment kernels) are opt-in and scoped to no-grad inference by
-the model.  Backward closures always use plain float64 numpy — gradients
+so default runs stay bit-identical; the accelerated ``fused`` backend
+(float32 fused segment kernels) is opt-in and scoped to no-grad inference
+by the model.  Backward closures always use plain float64 numpy — gradients
 never flow through an accelerated backend.
 """
 

@@ -172,6 +172,8 @@ def stage_profile(delta: dict) -> dict:
 
     ``{stage: {"seconds": s, "share": s/total}}``, sorted by share
     descending — the attribution a violated latency SLO points at.
+    Stages record self time (see :func:`repro.obs.tracing.span`), so a
+    stage's share excludes the stages nested inside it.
     """
     entry = delta.get(STAGE_METRIC)
     if entry is None:

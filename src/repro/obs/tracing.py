@@ -17,6 +17,12 @@ tracing safe to leave on in the serving path:
   each of them (thread-local, nesting-safe) while also feeding the
   ambient registry's ``repro_stage_seconds`` histogram — one mechanism
   for live traces, scraped metrics, and the perf harness alike.
+
+* **Self time.**  Spans nest (``encode`` wraps ``sample``,
+  ``batch_assembly`` and ``forward``), so each records its *self* time:
+  its duration minus the spans nested in it on the same thread.  Stage
+  totals therefore add up to the covered time instead of counting a
+  nested stage once more in every enclosing one.
 """
 
 from __future__ import annotations
@@ -138,26 +144,35 @@ def batch_scope(traces: list):
 
 @contextmanager
 def span(stage: str):
-    """Time a block: feed the stage histogram + every active trace.
+    """Time a block: feed its self time to the stage histogram + traces.
 
     The single profiling hook shared by the sampler, the arena batcher,
     the fused forward, the shard fan-out, and the serving loop — so
     ``repro bench``, live scrapes, and sampled traces all read the same
-    numbers.  Costs one thread-local read and one branch when metrics
-    are disabled and nothing is traced.
+    numbers.  The recorded value is the block's duration minus the spans
+    nested in it on this thread.  Costs one thread-local read and one
+    branch when metrics are disabled and nothing is traced.
     """
     registry = get_registry()
     traces = getattr(_ACTIVE, "traces", [])
     if not registry.enabled and not traces:
         yield
         return
+    # This thread's open spans: seconds covered by each one's children.
+    stack = getattr(_ACTIVE, "nested", None)
+    if stack is None:
+        stack = _ACTIVE.nested = []
+    stack.append(0.0)
     start = time.perf_counter()
     try:
         yield
     finally:
         duration = time.perf_counter() - start
+        self_s = duration - stack.pop()
+        if stack:
+            stack[-1] += duration
         if registry.enabled:
             registry.histogram(STAGE_METRIC, STAGE_HELP,
-                               ("stage",)).observe(duration, stage=stage)
+                               ("stage",)).observe(self_s, stage=stage)
         for trace in traces:
-            trace.add_span(stage, duration)
+            trace.add_span(stage, self_s)

@@ -2,8 +2,8 @@
 
 This subsystem pins the repo's perf trajectory the way the test suite pins
 behaviour: :mod:`repro.perf.hotpaths` defines paired microbenchmarks
-(legacy vs. vectorized sampling, concat vs. arena batching, autodiff vs.
-fused no-grad encoding, per-query vs. micro-batched serving QPS),
+(exact vs. fused-backend encoding, fp64 vs. int8 pool bytes, per-query vs.
+micro-batched serving QPS, plus the shard, mutation and gateway profiles),
 :mod:`repro.perf.microbench` provides the calibrated best-of-N timer, and
 ``repro bench`` (:func:`bench_main`) runs everything, writes
 ``BENCH_hotpaths.json``, and — given ``--baseline`` — fails when any

@@ -1,25 +1,19 @@
-"""Hot-path microbenchmarks: sampling, batching, encoding, serving QPS.
+"""Hot-path microbenchmarks: accelerated encoding, pool bytes, serving QPS.
 
-Each benchmark times the *same work* through the legacy path and the
-vectorized/fused path, so the reported number is a hardware-portable
-**speedup ratio** rather than an absolute wall-clock (absolute times are
-also recorded for local trend reading).  ``repro bench`` writes the
-results to ``BENCH_hotpaths.json``; CI re-runs the quick profile and fails
-when any speedup regresses more than ``tolerance``× against the committed
-baseline (see :func:`check_regression`).
+Each benchmark times the *same work* through two paths, so the reported
+number is a hardware-portable **speedup ratio** rather than an absolute
+wall-clock (absolute times are also recorded for local trend reading).
+``repro bench`` writes the results to ``BENCH_hotpaths.json``; CI re-runs
+the quick profile and fails when any speedup regresses more than
+``tolerance``× against the committed baseline (see
+:func:`check_regression`).  The served workloads' per-layer costs are
+measured end to end by ``perfbench/`` instead.
 
 Benchmarked pairs
 -----------------
-* ``sampling_bfs`` / ``sampling_random_walk`` — legacy per-node Python
-  samplers vs. CSR frontier engines (bit-identical outputs, see
-  ``tests/test_sampling_equivalence.py``).
-* ``batching_arena`` — list-append + ``np.concatenate`` batch assembly vs.
-  single-pass arena assembly with reused buffers.
-* ``encoding_nograd`` — autodiff-graph encoder forward vs. the fused
-  ``no_grad`` numpy forward.
-* ``encoding_fast`` — the fused-numpy no-grad forward vs. the ``"fast"``
-  tensor backend at float32 (CSR-matmul message passing + blocked gemm,
-  see :mod:`repro.nn.backend`), on a serving-shaped fat micro-batch.
+* ``encoding_fast`` — the exact numpy no-grad forward vs. the ``"fused"``
+  tensor backend (CSR-matmul message passing at float32, see
+  :mod:`repro.nn.backend`), on a serving-shaped fat micro-batch.
 * ``pool_bytes_per_session`` — at-rest candidate-pool bytes, fp64 ndarray
   vs. int8 per-row-scale quantization (ratio under the ``speedup`` key so
   the standard floor gate applies; not a timing).
@@ -58,7 +52,7 @@ import numpy as np
 from ..core import GraphPrompterConfig, GraphPrompterModel, sample_episode
 from ..datasets import Dataset, EDGE_TASK
 from ..datasets.synthetic import synthetic_knowledge_graph
-from ..gnn import BatchArena, SubgraphBatch
+from ..gnn import SubgraphBatch
 from ..graph import EdgeInput, sample_data_graph
 from ..graph.sampling import bfs_neighborhood, random_walk_neighborhood
 from ..nn import no_grad
@@ -73,43 +67,26 @@ SCHEMA_VERSION = 1
 #: ``quick`` the CI smoke scale, ``smoke`` a seconds-fast scale for the
 #: test suite.
 #:
-#: The sampling benchmarks run on a *dense* uniform multigraph (mean degree
-#: in the hundreds) with production-sized node caps: that is the regime the
-#: CSR engines target — the paper picks random walks precisely because
-#: exact expansion explodes on large dense source graphs, and per-node
-#: Python loops are at their worst there.  Sparse/tiny neighbourhoods stay
-#: at parity (the engines fall back to scalar scans); the equivalence
-#: suite covers those, the perf harness pins the dense regime.
+#: The shard and mutation sampling benchmarks run on a *dense* uniform
+#: multigraph (mean degree in the hundreds) with production-sized node
+#: caps: the paper picks random walks precisely because exact expansion
+#: explodes on large dense source graphs, so that is where halo and
+#: overlay read costs show.
 PROFILES = {
-    "full": dict(sample_nodes=8000, sample_edges=1_000_000,
-                 sample_calls=32, bfs_hops=2, bfs_cap=256,
-                 rw_hops=3, rw_cap=1024,
-                 nodes=4000, edges=24000, relations=8, feature_dim=32,
-                 num_hops=2, max_nodes=48,
-                 batch_subgraphs=192, batch_cap=20,
-                 encode_subgraphs=16, hidden_dim=32,
+    "full": dict(nodes=4000, edges=24000, relations=8, feature_dim=32,
+                 max_nodes=48, hidden_dim=32,
                  fast_subgraphs=64, fast_cap=96, fast_hidden=64,
                  pool_shots=3,
                  serve_sessions=6, serve_queries=10, serve_batch=16,
                  num_ways=5, min_runtime_s=0.1),
-    "quick": dict(sample_nodes=4000, sample_edges=400_000,
-                  sample_calls=24, bfs_hops=2, bfs_cap=256,
-                  rw_hops=3, rw_cap=1024,
-                  nodes=1500, edges=9000, relations=8, feature_dim=32,
-                  num_hops=2, max_nodes=48,
-                  batch_subgraphs=96, batch_cap=20,
-                  encode_subgraphs=16, hidden_dim=32,
+    "quick": dict(nodes=1500, edges=9000, relations=8, feature_dim=32,
+                  max_nodes=48, hidden_dim=32,
                   fast_subgraphs=48, fast_cap=96, fast_hidden=64,
                   pool_shots=3,
                   serve_sessions=4, serve_queries=6, serve_batch=16,
                   num_ways=5, min_runtime_s=0.05),
-    "smoke": dict(sample_nodes=600, sample_edges=60_000,
-                  sample_calls=8, bfs_hops=2, bfs_cap=128,
-                  rw_hops=2, rw_cap=512,
-                  nodes=300, edges=1800, relations=6, feature_dim=16,
-                  num_hops=2, max_nodes=24,
-                  batch_subgraphs=24, batch_cap=20,
-                  encode_subgraphs=8, hidden_dim=16,
+    "smoke": dict(nodes=300, edges=1800, relations=6, feature_dim=16,
+                  max_nodes=24, hidden_dim=16,
                   fast_subgraphs=16, fast_cap=24, fast_hidden=16,
                   pool_shots=2,
                   serve_sessions=2, serve_queries=3, serve_batch=4,
@@ -147,12 +124,12 @@ PROFILES = {
 }
 
 
-def _pair(legacy_s: float, fast_s: float, legacy_key: str,
+def _pair(base_s: float, fast_s: float, base_key: str,
           fast_key: str) -> dict:
     return {
-        legacy_key: legacy_s,
+        base_key: base_s,
         fast_key: fast_s,
-        "speedup": legacy_s / fast_s if fast_s > 0 else float("inf"),
+        "speedup": base_s / fast_s if fast_s > 0 else float("inf"),
     }
 
 
@@ -172,131 +149,41 @@ def _dense_sampling_graph(p: dict):
                  node_features=np.zeros((n, 2)), name="bench-dense")
 
 
-def _sampling_benchmarks(p: dict) -> dict:
-    graph = _dense_sampling_graph(p)
-    rng_np = np.random.default_rng(1)
-    seeds = rng_np.integers(0, graph.num_nodes, size=p["sample_calls"])
-    graph.undirected_adjacency  # build the CSR outside the timed region
-
-    def run(sampler, engine, hops, cap):
-        # One shared RNG per measurement: generator *construction* is
-        # engine-independent caller cost, the draws inside the sampler are
-        # what differs.
-        rng = np.random.default_rng(0)
-
-        def call():
-            for seed in seeds:
-                sampler(graph, np.array([seed]), hops, cap, rng,
-                        engine=engine)
-        return call
-
-    out = {}
-    for name, sampler, hops, cap in (
-            ("sampling_bfs", bfs_neighborhood, p["bfs_hops"], p["bfs_cap"]),
-            ("sampling_random_walk", random_walk_neighborhood,
-             p["rw_hops"], p["rw_cap"])):
-        legacy = time_callable(run(sampler, "legacy", hops, cap),
-                               min_runtime_s=p["min_runtime_s"], repeats=5)
-        fast = time_callable(run(sampler, "vectorized", hops, cap),
-                             min_runtime_s=p["min_runtime_s"], repeats=5)
-        out[name] = _pair(legacy.per_call_s, fast.per_call_s,
-                          "legacy_s", "vectorized_s")
-        out[name]["calls_per_measurement"] = int(seeds.size)
-    return out
-
-
-def _make_subgraphs(graph, count: int, p: dict):
+def _make_subgraphs(graph, count: int, num_hops: int, max_nodes: int):
     rng_np = np.random.default_rng(2)
     heads = rng_np.integers(0, graph.num_nodes, size=count)
     tails = rng_np.integers(0, graph.num_nodes, size=count)
     return [
         sample_data_graph(graph, EdgeInput(int(u), int(v), relation=0),
-                          num_hops=p["num_hops"], max_nodes=p["max_nodes"],
+                          num_hops=num_hops, max_nodes=max_nodes,
                           rng=np.random.default_rng(i))
         for i, (u, v) in enumerate(zip(heads, tails))
     ]
 
 
-def _batching_benchmark(p: dict) -> dict:
-    # Node-task subgraphs at the config-default cap: the Table-3-style
-    # serving shape where per-subgraph assembly overhead — not feature
-    # memcpy — dominates, i.e. what the arena exists to eliminate.
-    from ..datasets.synthetic import synthetic_citation_graph
-    from ..graph import NodeInput
-
-    graph = synthetic_citation_graph(p["nodes"], 10,
-                                     feature_dim=p["feature_dim"],
-                                     avg_degree=12.0, rng=0)
-    rng_np = np.random.default_rng(2)
-    subgraphs = [
-        sample_data_graph(graph, NodeInput(int(u)), num_hops=1,
-                          max_nodes=p["batch_cap"],
-                          rng=np.random.default_rng(i))
-        for i, u in enumerate(rng_np.integers(0, graph.num_nodes,
-                                              size=p["batch_subgraphs"]))
-    ]
-    arena = BatchArena()
-    SubgraphBatch.from_subgraphs(subgraphs, arena=arena)  # pre-grow buffers
-    legacy = time_callable(
-        lambda: SubgraphBatch.from_subgraphs_concat(subgraphs),
-        min_runtime_s=p["min_runtime_s"], repeats=5)
-    fast = time_callable(
-        lambda: SubgraphBatch.from_subgraphs(subgraphs, arena=arena),
-        min_runtime_s=p["min_runtime_s"], repeats=5)
-    result = _pair(legacy.per_call_s, fast.per_call_s, "concat_s", "arena_s")
-    result["subgraphs_per_batch"] = p["batch_subgraphs"]
-    return {"batching_arena": result}
-
-
-def _encoding_benchmark(graph, p: dict) -> dict:
-    config = GraphPrompterConfig(hidden_dim=p["hidden_dim"])
-    model = GraphPrompterModel(graph.feature_dim, graph.num_relations, config)
-    model.eval()
-    batch = SubgraphBatch.from_subgraphs(
-        _make_subgraphs(graph, p["encode_subgraphs"], p))
-
-    def grad_path():
-        model.encode_batch(batch)
-
-    def nograd_path():
-        with no_grad():
-            model.encode_batch(batch)
-
-    # The encoder ratio is the noisiest of the suite (allocator and cache
-    # state dependent): use more repeats so best-of-k converges.
-    grad = time_callable(grad_path, min_runtime_s=p["min_runtime_s"],
-                         repeats=5)
-    fast = time_callable(nograd_path, min_runtime_s=p["min_runtime_s"],
-                         repeats=5)
-    result = _pair(grad.per_call_s, fast.per_call_s, "grad_s", "nograd_s")
-    result["subgraphs_per_batch"] = p["encode_subgraphs"]
-    return {"encoding_nograd": result}
-
-
 def _encoding_fast_benchmark(graph, p: dict) -> dict:
-    """The accelerated tensor backend vs. the fused-numpy no-grad path.
+    """The fused tensor backend vs. the exact numpy no-grad path.
 
     Both sides run the same no-grad encoder forward; the fast side swaps
-    in the ``"fast"`` backend (CSR-matmul message passing — sorted-segment
-    reduceat when scipy is absent — plus blocked gemm) at float32.  The workload is larger than
-    ``encoding_nograd``'s — serving-shaped fat micro-batches, where the
-    scatter kernels and gemms dominate Python overhead — because that is
-    the regime the accelerated backend targets.  No environment keys are
-    recorded: the win comes from fused kernels and float32 bandwidth,
-    not threading, so the ratio must hold on 1-core CI runners too.
+    in the ``"fused"`` backend (CSR-matmul message passing — sorted-segment
+    reduceat when scipy is absent — at float32).  The workload is a
+    serving-shaped fat micro-batch, where the scatter kernels and gemms
+    dominate Python overhead, because that is the regime the accelerated
+    backend targets.  No environment keys are recorded: the win comes from
+    fused kernels and float32 bandwidth, not threading, so the ratio must
+    hold on 1-core CI runners too.
     """
-    fp = dict(p, num_hops=2, max_nodes=p["fast_cap"])
     config = GraphPrompterConfig(hidden_dim=p["fast_hidden"])
     model = GraphPrompterModel(graph.feature_dim, graph.num_relations,
                                config)
-    fast_model = GraphPrompterModel(
-        graph.feature_dim, graph.num_relations,
-        config.ablate(tensor_backend="fast", inference_dtype="float32"))
+    fast_model = GraphPrompterModel(graph.feature_dim, graph.num_relations,
+                                    config.ablate(tensor_backend="fused"))
     fast_model.load_state_dict(model.state_dict())
     model.eval()
     fast_model.eval()
     batch = SubgraphBatch.from_subgraphs(
-        _make_subgraphs(graph, p["fast_subgraphs"], fp))
+        _make_subgraphs(graph, p["fast_subgraphs"], num_hops=2,
+                        max_nodes=p["fast_cap"]))
 
     def exact_path():
         with no_grad():
@@ -311,7 +198,7 @@ def _encoding_fast_benchmark(graph, p: dict) -> dict:
     fast = time_callable(fast_path, min_runtime_s=p["min_runtime_s"],
                          repeats=5)
     result = _pair(exact.per_call_s, fast.per_call_s, "numpy_f64_s",
-                   "fast_f32_s")
+                   "fused_f32_s")
     result["subgraphs_per_batch"] = p["fast_subgraphs"]
     result["hidden_dim"] = p["fast_hidden"]
     return {"encoding_fast": result}
@@ -843,9 +730,6 @@ def run_benchmarks(profile: str = "full") -> dict:
         benchmarks.update(_gateway_benchmarks(p))
     else:
         graph = _benchmark_graph(p)
-        benchmarks.update(_sampling_benchmarks(p))
-        benchmarks.update(_batching_benchmark(p))
-        benchmarks.update(_encoding_benchmark(graph, p))
         benchmarks.update(_encoding_fast_benchmark(graph, p))
         benchmarks.update(_pool_bytes_benchmark(graph, p))
         benchmarks.update(_serving_benchmark(graph, p))

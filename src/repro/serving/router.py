@@ -9,7 +9,7 @@ embedding rows back into the caller's submission order.
 
 Why results cannot change: serving always samples with per-datapoint
 deterministic RNG (``deterministic_sampling``), sampling over the sharded
-store is bit-identical to the monolithic engines, and batched encoding is
+store is bit-identical to the monolithic sampler, and batched encoding is
 batch-composition-invariant — so regrouping a micro-batch by shard and
 encoding the groups on different workers (even different processes, each
 with its own model replica rebuilt from the same state dict) produces

@@ -22,7 +22,7 @@ keeps the batching policy testable), but the encoding hot path can scale
 routes every micro-batch through a :class:`ShardRouter` — the graph is
 split into shards (:mod:`repro.shard`), each batch is fanned out per shard
 to a process worker pool, and the rows are merged back in submission
-order.  Sharded sampling is bit-identical to the monolithic engines and
+order.  Sharded sampling is bit-identical to the monolithic sampler and
 encoding is batch-composition-invariant, so sharded/parallel serving
 returns exactly the same predictions — it is a pure throughput lever.
 ``clock`` is injectable for TTL tests.

@@ -14,7 +14,7 @@ bit-identical to the monolithic adjacency's, whatever ``K``.
 consume (``undirected_adjacency``, ``adjacency.neighbor_edges``,
 ``node_features[...]``, ``rel``, ``relation_features``), which is what
 lets ``bfs_neighborhood`` / ``random_walk_neighborhood`` /
-``sample_data_graph`` run unchanged — both engines — on a sharded graph.
+``sample_data_graph`` run unchanged on a sharded graph.
 
 What is sharded vs. replicated: adjacency structure and the node-feature
 payload (the O(|V|·d) + O(|E|) bulk) are keyed by owner shard; small

@@ -7,7 +7,7 @@ bit-identical to a from-scratch rebuild over the live edge list:
 
 * undirected rows (``neighbors`` / ``gather_neighbors`` / ``degree``),
 * directed rows + relation payload (``neighbor_edges`` → ``rel``),
-* both samplers × both engines with matched RNG streams,
+* both samplers and their legacy references with matched RNG streams,
 * subgraph induction (``sample_data_graph`` content equality),
 * the K-shard store (K ∈ {1, 2, 4}) fed the same updates through
   ``ShardedGraphStore.apply_updates``.
@@ -28,8 +28,12 @@ from repro.graph.sampling import (
     sample_data_graph,
 )
 from repro.shard import ShardedGraphStore
+from reference_paths import bfs_legacy, random_walk_legacy
 
-ENGINES = ("vectorized", "legacy")
+#: Each sampler followed by its legacy reference; every call takes its own
+#: draw from the trial RNG, in this order.
+SAMPLERS = (bfs_neighborhood, bfs_legacy,
+            random_walk_neighborhood, random_walk_legacy)
 SHARD_KS = (1, 2, 4)
 
 
@@ -118,17 +122,13 @@ def assert_reads_equal(graph: Graph, ref: Graph, context: str) -> None:
 
 def assert_sampling_equal(graph, ref, rng: np.random.Generator,
                           context: str) -> None:
-    """Both samplers × both engines, matched draws, on any graph-like."""
+    """Both samplers and their references, matched draws, on any graph-like."""
     seeds = rng.integers(0, ref.num_nodes, size=2)
-    for sampler in (bfs_neighborhood, random_walk_neighborhood):
-        for engine in ENGINES:
-            draw = int(rng.integers(2**31))
-            got = sampler(graph, seeds, 2, 16,
-                          np.random.default_rng(draw), engine=engine)
-            want = sampler(ref, seeds, 2, 16,
-                           np.random.default_rng(draw), engine=engine)
-            assert np.array_equal(got, want), (context, sampler.__name__,
-                                               engine)
+    for sampler in SAMPLERS:
+        draw = int(rng.integers(2**31))
+        got = sampler(graph, seeds, 2, 16, np.random.default_rng(draw))
+        want = sampler(ref, seeds, 2, 16, np.random.default_rng(draw))
+        assert np.array_equal(got, want), (context, sampler.__name__)
 
 
 def assert_induction_equal(graph, ref, rng: np.random.Generator,

@@ -307,6 +307,28 @@ class TestSpansAndTracer:
         assert hist.count(stage="unit_test_stage") == 1
         assert [s.name for s in trace.spans] == ["unit_test_stage"]
 
+    def test_nested_span_records_self_time(self, monkeypatch):
+        """The outer stage records its duration minus the inner one's, in
+        the histogram and in traces alike."""
+        from types import SimpleNamespace
+
+        from repro.obs import TraceContext, tracing
+
+        # Clock reads: outer enters, inner enters, inner leaves, outer leaves.
+        ticks = iter([0.0, 1.0, 4.0, 10.0])
+        monkeypatch.setattr(tracing, "time",
+                            SimpleNamespace(perf_counter=lambda: next(ticks)))
+        reg = MetricsRegistry()
+        trace = TraceContext("t0")
+        with scoped_registry(reg), batch_scope([trace]):
+            with span("outer"):
+                with span("inner"):
+                    pass
+        hist = reg.histogram("repro_stage_seconds")
+        assert hist.total(stage="inner") == 3.0
+        assert hist.total(stage="outer") == 7.0
+        assert trace.stage_seconds() == {"inner": 3.0, "outer": 7.0}
+
     def test_span_disabled_registry_no_traces_records_nothing(self):
         reg = MetricsRegistry(enabled=False)
         with scoped_registry(reg):

@@ -9,9 +9,7 @@ from repro.perf import (PROFILES, baseline_profile_section, check_regression,
                         run_benchmarks, time_callable)
 
 EXPECTED_BENCHMARKS = {
-    "sampling_bfs", "sampling_random_walk", "batching_arena",
-    "encoding_nograd", "encoding_fast", "pool_bytes_per_session",
-    "serving_microbatch",
+    "encoding_fast", "pool_bytes_per_session", "serving_microbatch",
 }
 
 
@@ -65,9 +63,9 @@ class TestRunBenchmarks:
     def test_profiles_cover_expected_scales(self):
         assert set(PROFILES) == {"full", "quick", "smoke", "shard",
                                  "mutate", "gateway"}
-        assert (PROFILES["full"]["sample_edges"]
-                > PROFILES["quick"]["sample_edges"]
-                > PROFILES["smoke"]["sample_edges"])
+        assert (PROFILES["full"]["edges"]
+                > PROFILES["quick"]["edges"]
+                > PROFILES["smoke"]["edges"])
 
 
 class TestCheckRegression:
@@ -160,7 +158,7 @@ class TestBenchCLI:
 
     def test_bench_fails_on_regression(self, tmp_path, capsys):
         baseline = {"schema": 2, "profiles": {"smoke": {"benchmarks": {
-            "sampling_bfs": {"speedup": 1e9}}}}}
+            "pool_bytes_per_session": {"speedup": 1e9}}}}}
         path = tmp_path / "impossible.json"
         path.write_text(json.dumps(baseline))
         code = cli_main(["bench", "--profile", "smoke", "--no-write",
@@ -181,7 +179,7 @@ class TestBenchCLI:
         """output == baseline must not clobber the baseline (which would
         also turn the check into a self-comparison)."""
         baseline = {"schema": 2, "profiles": {"smoke": {"benchmarks": {
-            "sampling_bfs": {"speedup": 1e9}}}}}
+            "pool_bytes_per_session": {"speedup": 1e9}}}}}
         path = tmp_path / "baseline.json"
         path.write_text(json.dumps(baseline))
         code = cli_main(["bench", "--profile", "smoke",
@@ -192,22 +190,22 @@ class TestBenchCLI:
     def test_bench_floor_gate(self, tmp_path, capsys):
         # A floor far below any plausible measurement passes and says so.
         assert cli_main(["bench", "--profile", "smoke", "--no-write",
-                         "--floor", "sampling_bfs=0.0001"]) == 0
+                         "--floor", "pool_bytes_per_session=0.0001"]) == 0
         assert "floor" in capsys.readouterr().out
         # An impossible floor fails, naming the benchmark — unlike
         # --baseline, the gate cannot drift when baselines regenerate.
         assert cli_main(["bench", "--profile", "smoke", "--no-write",
-                         "--floor", "sampling_bfs=1e9"]) == 1
+                         "--floor", "pool_bytes_per_session=1e9"]) == 1
         err = capsys.readouterr().err
-        assert "PERF FLOOR" in err and "sampling_bfs" in err
+        assert "PERF FLOOR" in err and "pool_bytes_per_session" in err
 
     def test_bench_floor_rejects_bad_specs(self, capsys):
         # Malformed spec: usage error before any benchmark runs.
         assert cli_main(["bench", "--profile", "smoke", "--no-write",
-                         "--floor", "sampling_bfs"]) == 2
+                         "--floor", "pool_bytes_per_session"]) == 2
         assert "NAME=VALUE" in capsys.readouterr().err
         assert cli_main(["bench", "--profile", "smoke", "--no-write",
-                         "--floor", "sampling_bfs=fast"]) == 2
+                         "--floor", "pool_bytes_per_session=fast"]) == 2
         assert "NAME=VALUE" in capsys.readouterr().err
         # A floor naming a benchmark that never ran is a failure, not a
         # silently green gate.

@@ -3,10 +3,9 @@
 Three families of guarantees pinned here:
 
 * the CSR frontier samplers are **bit-identical** to the legacy per-node
-  Python samplers for the same graph / seeds / hops / cap / RNG state
-  (50 random graphs × seeds, plus targeted edge cases) — the property
-  ``deterministic_sampling`` serving relies on to flip engines without
-  changing a single prediction;
+  Python samplers of ``reference_paths`` for the same graph / seeds /
+  hops / cap / RNG state (50 random graphs × seeds, plus targeted edge
+  cases);
 * arena batch assembly is **byte-identical** to the legacy list-append +
   concatenate assembly, with and without reusable arena buffers;
 * the fused no-grad inference forward is **bit-identical** to the
@@ -20,10 +19,15 @@ from repro.core import GraphPrompterConfig, GraphPrompterModel
 from repro.gnn import BatchArena, SubgraphBatch
 from repro.graph import EdgeInput, Graph, NodeInput, sample_data_graph
 from repro.graph.sampling import bfs_neighborhood, random_walk_neighborhood
+from repro.graph.subgraph import induced_subgraph
 from repro.nn import Tensor, no_grad
+from reference_paths import bfs_legacy, from_subgraphs_concat, random_walk_legacy
 
 BATCH_FIELDS = ("node_features", "src", "dst", "rel", "edge_weights",
                 "rel_features", "graph_index", "edge_graph_index")
+#: Each vectorized sampler with its legacy reference.
+SAMPLER_PAIRS = ((bfs_neighborhood, bfs_legacy),
+                 (random_walk_neighborhood, random_walk_legacy))
 
 
 def random_graph(trial: int, max_nodes: int = 200) -> Graph:
@@ -44,7 +48,7 @@ def random_seeds(graph: Graph, trial: int) -> np.ndarray:
 
 
 class TestSamplerEngineEquivalence:
-    """Vectorized vs. legacy engines over 50 random graphs × seeds."""
+    """Vectorized samplers vs. the legacy references, 50 random graphs × seeds."""
 
     @pytest.mark.parametrize("trial", range(50))
     def test_bfs_bit_identical_with_rng(self, trial):
@@ -52,12 +56,12 @@ class TestSamplerEngineEquivalence:
         seeds = random_seeds(graph, trial)
         for num_hops in (0, 1, 2, 3):
             for cap in (4, 9, 33, 10_000):
-                legacy = bfs_neighborhood(
+                legacy = bfs_legacy(
                     graph, seeds, num_hops, cap,
-                    np.random.default_rng(trial), engine="legacy")
+                    np.random.default_rng(trial))
                 fast = bfs_neighborhood(
                     graph, seeds, num_hops, cap,
-                    np.random.default_rng(trial), engine="vectorized")
+                    np.random.default_rng(trial))
                 np.testing.assert_array_equal(legacy, fast)
 
     @pytest.mark.parametrize("trial", range(50))
@@ -66,25 +70,23 @@ class TestSamplerEngineEquivalence:
         seeds = random_seeds(graph, trial)
         for num_hops in (0, 1, 2, 3):
             for cap in (4, 9, 33, 130, 10_000):
-                legacy = random_walk_neighborhood(
+                legacy = random_walk_legacy(
                     graph, seeds, num_hops, cap,
-                    np.random.default_rng(trial), engine="legacy")
+                    np.random.default_rng(trial))
                 fast = random_walk_neighborhood(
                     graph, seeds, num_hops, cap,
-                    np.random.default_rng(trial), engine="vectorized")
+                    np.random.default_rng(trial))
                 np.testing.assert_array_equal(legacy, fast)
 
     @pytest.mark.parametrize("trial", range(20))
     def test_bfs_rngless_truncation_order_stable(self, trial):
-        """Without an RNG the cap drop is by largest node id — engine- and
+        """Without an RNG the cap drop is by largest node id — sampler- and
         discovery-order-independent."""
         graph = random_graph(trial)
         seeds = random_seeds(graph, trial)
         for cap in (4, 9, 33):
-            legacy = bfs_neighborhood(graph, seeds, 2, cap, None,
-                                      engine="legacy")
-            fast = bfs_neighborhood(graph, seeds, 2, cap, None,
-                                    engine="vectorized")
+            legacy = bfs_legacy(graph, seeds, 2, cap, None)
+            fast = bfs_neighborhood(graph, seeds, 2, cap, None)
             np.testing.assert_array_equal(legacy, fast)
 
     def test_star_hub_overflow(self):
@@ -94,65 +96,51 @@ class TestSamplerEngineEquivalence:
         hub_dst = np.arange(1, n, dtype=np.int64)
         graph = Graph(n, hub_src, hub_dst,
                       node_features=np.zeros((n, 2)))
-        for fn in (bfs_neighborhood, random_walk_neighborhood):
-            legacy = fn(graph, np.array([0]), 2, 64,
-                        np.random.default_rng(3), engine="legacy")
+        for fn, reference in SAMPLER_PAIRS:
+            legacy = reference(graph, np.array([0]), 2, 64,
+                               np.random.default_rng(3))
             fast = fn(graph, np.array([0]), 2, 64,
-                      np.random.default_rng(3), engine="vectorized")
+                      np.random.default_rng(3))
             np.testing.assert_array_equal(legacy, fast)
 
+    def test_parallel_edge_hub(self):
+        """A hub row led by one neighbour repeated over several absorb
+        chunks: chunks with nothing unseen must be skipped in row order."""
+        n = 400
+        src = np.zeros(1000 + n - 2, dtype=np.int64)
+        dst = np.concatenate([np.ones(1000, dtype=np.int64),
+                              np.arange(2, n, dtype=np.int64)])
+        graph = Graph(n, src, dst, node_features=np.zeros((n, 2)))
+        for fn, reference in SAMPLER_PAIRS:
+            for cap in (8, 64, 10_000):
+                legacy = reference(graph, np.array([0]), 2, cap,
+                                   np.random.default_rng(3))
+                fast = fn(graph, np.array([0]), 2, cap,
+                          np.random.default_rng(3))
+                np.testing.assert_array_equal(legacy, fast)
+
     def test_sample_data_graph_engines_agree(self):
+        """The datapoint wrapper == legacy node set + induction."""
         graph = random_graph(7)
         dp = NodeInput(3)
-        for method in ("bfs", "random_walk"):
-            a = sample_data_graph(graph, dp, num_hops=2, max_nodes=12,
-                                  rng=np.random.default_rng(0),
-                                  method=method, engine="legacy")
+        for method, reference in (("bfs", bfs_legacy),
+                                  ("random_walk", random_walk_legacy)):
+            a = induced_subgraph(graph, reference(
+                graph, dp.nodes, 2, 12, np.random.default_rng(0)), dp.nodes)
             b = sample_data_graph(graph, dp, num_hops=2, max_nodes=12,
                                   rng=np.random.default_rng(0),
-                                  method=method, engine="vectorized")
+                                  method=method)
             np.testing.assert_array_equal(a.nodes, b.nodes)
             np.testing.assert_array_equal(a.src, b.src)
             np.testing.assert_array_equal(a.dst, b.dst)
-
-    def test_unknown_engine_rejected(self):
-        graph = random_graph(0)
-        with pytest.raises(ValueError, match="engine"):
-            bfs_neighborhood(graph, np.array([0]), 1, engine="turbo")
 
     def test_scratch_mask_left_clean(self):
         """The borrowed visited scratch must be fully reset after a call."""
         graph = random_graph(11)
         adj = graph.undirected_adjacency
         for fn in (bfs_neighborhood, random_walk_neighborhood):
-            fn(graph, np.array([1]), 3, 8, np.random.default_rng(0),
-               engine="vectorized")
+            fn(graph, np.array([1]), 3, 8, np.random.default_rng(0))
             assert not adj.visited_scratch().any()
-
-    @pytest.mark.parametrize("method", ["random_walk", "bfs"])
-    def test_deterministic_sampling_engine_flip(self, method):
-        """Under ``deterministic_sampling`` the engine flag must not change
-        a single sampled subgraph — the serving bit-compat contract."""
-        from repro.core.prompt_generator import PromptGenerator
-
-        graph = random_graph(23)
-        datapoints = [NodeInput(i % graph.num_nodes) for i in range(12)]
-        datapoints += [EdgeInput(1, 2, relation=0), EdgeInput(3, 0, relation=2)]
-        subgraph_sets = {}
-        for engine in ("legacy", "vectorized"):
-            config = GraphPrompterConfig(
-                sampling_method=method, sampling_engine=engine,
-                num_hops=2, max_subgraph_nodes=10,
-                deterministic_sampling=True)
-            generator = PromptGenerator(graph, config, rng=0,
-                                        deterministic=True, salt=7)
-            subgraph_sets[engine] = generator.subgraphs_for(datapoints)
-        for a, b in zip(subgraph_sets["legacy"], subgraph_sets["vectorized"]):
-            np.testing.assert_array_equal(a.nodes, b.nodes)
-            np.testing.assert_array_equal(a.src, b.src)
-            np.testing.assert_array_equal(a.dst, b.dst)
-            np.testing.assert_array_equal(a.rel, b.rel)
-            np.testing.assert_array_equal(a.centers, b.centers)
 
 
 def _kg_subgraphs(count: int = 12, trial: int = 0):
@@ -199,7 +187,7 @@ class TestArenaBatchingEquivalence:
             if i % 2 else s
             for i, s in enumerate(subs)
         ]
-        reference = SubgraphBatch.from_subgraphs_concat(subs)
+        reference = from_subgraphs_concat(subs)
         fresh = SubgraphBatch.from_subgraphs(subs)
         _assert_batches_byte_identical(reference, fresh)
         arena = BatchArena()
@@ -235,7 +223,7 @@ class TestArenaBatchingEquivalence:
         with pytest.raises(ValueError, match="relation features"):
             SubgraphBatch.from_subgraphs(subs + [no_rel])
         with pytest.raises(ValueError, match="relation features"):
-            SubgraphBatch.from_subgraphs_concat(subs + [no_rel])
+            from_subgraphs_concat(subs + [no_rel])
 
 
 class TestFusedInferenceEquivalence:

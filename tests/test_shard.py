@@ -7,9 +7,9 @@ Pins the contracts of :mod:`repro.shard` and its serving integration:
 * store — the CSR-compatible query surface (``neighbors`` /
   ``gather_neighbors`` / ``degree``) answers exactly like the monolithic
   adjacency, for any K and either strategy;
-* sampling — BFS and random-walk over the sharded view are bit-identical
-  to the monolithic engines (same RNG state), across ≥20 random graphs ×
-  seeds × K ∈ {1, 2, 4};
+* sampling — BFS and random-walk (and their legacy references) over the
+  sharded view are bit-identical to the monolithic graph (same RNG state),
+  across ≥20 random graphs × seeds × K ∈ {1, 2, 4};
 * serving — ``PromptServer(num_shards=..., num_workers=...)`` returns the
   same predictions as the monolithic server (confidences equal up to the
   encoder's batch-shape float wobble) and surfaces per-shard counters.
@@ -42,6 +42,7 @@ from repro.shard import (
     partition_nodes,
 )
 from repro.shard.workers import usable_cores
+from reference_paths import bfs_legacy, random_walk_legacy
 
 SHARD_COUNTS = (1, 2, 4)
 
@@ -323,20 +324,21 @@ class TestShardedSamplingBitIdentity:
                      for K in SHARD_COUNTS}
             for seed in range(3):
                 seeds = np.array([(7 * seed + gi) % graph.num_nodes])
-                for sampler, hops, cap in (
-                        (bfs_neighborhood, 2, 24),
-                        (random_walk_neighborhood, 3, 24)):
-                    for engine in ("vectorized", "legacy"):
+                for samplers, hops, cap in (
+                        ((bfs_neighborhood, bfs_legacy), 2, 24),
+                        ((random_walk_neighborhood, random_walk_legacy),
+                         3, 24)):
+                    for sampler in samplers:
                         reference = sampler(
                             graph, seeds, hops, cap,
-                            np.random.default_rng(seed), engine=engine)
+                            np.random.default_rng(seed))
                         for K, view in views.items():
                             out = sampler(
                                 view, seeds, hops, cap,
-                                np.random.default_rng(seed), engine=engine)
+                                np.random.default_rng(seed))
                             assert np.array_equal(out, reference), (
                                 f"graph {gi} K={K} {strategy} "
-                                f"{sampler.__name__} {engine} seed {seed}")
+                                f"{sampler.__name__} seed {seed}")
 
     def test_sampled_subgraph_identical(self):
         graph = synthetic_knowledge_graph(100, 5, 600, feature_dim=8, rng=2)
