@@ -5,7 +5,12 @@ from .datapoints import Datapoint, EdgeInput, NodeInput
 from .delta import AppliedUpdate, DeltaAdjacency, GraphUpdate
 from .graph import Graph
 from .interop import from_networkx, to_networkx
-from .sampling import bfs_neighborhood, random_walk_neighborhood, sample_data_graph
+from .sampling import (
+    bfs_neighborhood,
+    random_walk_neighborhood,
+    sample_data_graph,
+    sample_node_set,
+)
 from .subgraph import Subgraph, induced_subgraph
 
 __all__ = [
@@ -24,4 +29,5 @@ __all__ = [
     "bfs_neighborhood",
     "random_walk_neighborhood",
     "sample_data_graph",
+    "sample_node_set",
 ]

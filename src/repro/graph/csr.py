@@ -4,28 +4,30 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["CSRAdjacency", "gather_csr_rows"]
+__all__ = ["CSRAdjacency", "csr_row_positions"]
 
 
-def gather_csr_rows(indptr: np.ndarray, data: np.ndarray,
-                    rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenated ``data`` rows of a CSR; returns ``(values, lengths)``.
+def csr_row_positions(indptr: np.ndarray,
+                      rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat data positions of the concatenated CSR ``rows``; returns
+    ``(positions, lengths)``.
 
-    Flat positions: slot i of row r reads ``data[starts[r] + i -
-    first_slot_of_r]``; folding the starts and the row firsts into one
-    repeat keeps this at three kernels total.  Shared by the adjacency
-    gather, the shard partitioner's row extraction, and the sharded
-    store's per-shard gathers.
+    Slot i of row r sits at ``starts[r] + i - first_slot_of_r``; folding
+    the starts and the row firsts into one repeat keeps this at three
+    kernels total.  One position array then indexes every per-slot
+    payload of the CSR (destinations and edge ids alike).  Shared by the
+    adjacency gathers, the shard partitioner's row extraction, and the
+    sharded store's per-shard gathers.
     """
     rows = np.asarray(rows, dtype=np.int64)
     starts = indptr[rows]
     lens = indptr[rows + 1] - starts
     total = int(lens.sum())
     if total == 0:
-        return np.empty(0, dtype=data.dtype), lens
+        return np.empty(0, dtype=np.int64), lens
     cum = np.cumsum(lens)
     shifts = np.repeat(starts - cum + lens, lens)
-    return data[np.arange(total, dtype=np.int64) + shifts], lens
+    return np.arange(total, dtype=np.int64) + shifts, lens
 
 
 class CSRAdjacency:
@@ -89,7 +91,19 @@ class CSRAdjacency:
         if frontier.size == 1:
             node = frontier[0]
             return self.indices[self.indptr[node]:self.indptr[node + 1]]
-        return gather_csr_rows(self.indptr, self.indices, frontier)[0]
+        return self.indices[csr_row_positions(self.indptr, frontier)[0]]
+
+    def gather_neighbor_edges(
+            self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                             np.ndarray]:
+        """Batched :meth:`neighbor_edges`: ``(dsts, eids, lens)``.
+
+        ``dsts``/``eids`` concatenate the rows in ``rows`` order (CSR order
+        within each row) and ``lens`` holds each row's length — one
+        position computation indexes both payloads.
+        """
+        positions, lens = csr_row_positions(self.indptr, rows)
+        return self.indices[positions], self.edge_ids[positions], lens
 
     def visited_scratch(self) -> np.ndarray:
         """Check out an all-``False`` boolean scratch of length ``num_nodes``.

@@ -7,11 +7,12 @@ with one relation (``|V_i| = 2, |E_i| = 1``).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["NodeInput", "EdgeInput", "Datapoint"]
+__all__ = ["NodeInput", "EdgeInput", "Datapoint", "validate_datapoint"]
 
 
 @dataclass(frozen=True)
@@ -47,3 +48,33 @@ class EdgeInput:
 
 
 Datapoint = NodeInput | EdgeInput
+
+
+def validate_datapoint(datapoint, num_nodes: int, num_relations: int) -> None:
+    """Raise ``ValueError`` unless ``datapoint`` is servable on a graph.
+
+    It must be a :class:`NodeInput` or an :class:`EdgeInput`, every node
+    id an integer in ``[0, num_nodes)``, and the relation ``None`` or an
+    integer in ``[0, num_relations)``.
+    """
+    if isinstance(datapoint, NodeInput):
+        ids = (datapoint.node,)
+    elif isinstance(datapoint, EdgeInput):
+        ids = (datapoint.head, datapoint.tail)
+    else:
+        raise ValueError(f"datapoint must be a NodeInput or an EdgeInput, "
+                         f"not {type(datapoint).__name__}")
+    for value in ids:
+        if not _index_in(value, num_nodes):
+            raise ValueError(f"node id {value!r} outside [0, {num_nodes})")
+    relation = datapoint.relation
+    if relation is not None and not _index_in(relation, num_relations):
+        raise ValueError(
+            f"relation {relation!r} outside [0, {num_relations})")
+
+
+def _index_in(value, size: int) -> bool:
+    try:
+        return 0 <= operator.index(value) < size
+    except TypeError:
+        return False

@@ -11,9 +11,9 @@ edge/node updates without rebuilding the CSR per write:
 
 The read surface is drop-in for the CSR (``neighbors`` /
 ``gather_neighbors`` / ``degree`` / ``visited_scratch`` /
-``release_scratch``, plus ``neighbor_edges`` on the directed view), which
-is what lets both samplers — and subgraph induction — run unmodified over
-a mutated graph.
+``release_scratch``, plus ``neighbor_edges`` / ``gather_neighbor_edges``
+on the directed view), which is what lets both samplers — and subgraph
+induction — run unmodified over a mutated graph.
 
 Canonical row order (the bit-identity contract)
 -----------------------------------------------
@@ -49,11 +49,12 @@ tiers rows by temperature: every dirty-row read bumps a per-row counter
 contiguous **side store** (``_side_dst`` / ``_side_eid``).  Promoted rows
 read as pure slices again, and a frontier whose dirty rows are all
 promoted is gathered with one fused scatter over base + side storage —
-no Python per-row loop.  Writes demote (the side copy is dropped and the
-row returns to the delta tier), so write-heavy rows never pay the
-re-materialisation churn.  Promotion is read-transparent: a promoted row
-is bit-identical to its assembled delta form, which the differential
-suites assert at every step.
+no Python per-row loop (``gather_neighbor_edges`` scatters promoted rows
+the same way and assembles only the still-unpromoted ones per row).
+Writes demote (the side copy is dropped and the row returns to the delta
+tier), so write-heavy rows never pay the re-materialisation churn.
+Promotion is read-transparent: a promoted row is bit-identical to its
+assembled delta form, which the differential suites assert at every step.
 """
 
 from __future__ import annotations
@@ -73,21 +74,32 @@ def _as_ids(values) -> np.ndarray:
     return np.asarray(values, dtype=np.int64).reshape(-1)
 
 
-def _scatter_rows(src: np.ndarray, starts: np.ndarray, lens: np.ndarray,
-                  out: np.ndarray, out_starts: np.ndarray) -> None:
-    """Copy ``src[starts[i]:starts[i]+lens[i]]`` into
-    ``out[out_starts[i]:out_starts[i]+lens[i]]`` for all ``i`` with three
-    vector kernels (same repeat trick as ``gather_csr_rows``)."""
+def _segment_positions(starts: np.ndarray, lens: np.ndarray,
+                       out_starts: np.ndarray) -> tuple[np.ndarray,
+                                                        np.ndarray]:
+    """Flat ``(source, destination)`` positions of the segment copy
+    ``src[starts[i]:starts[i]+lens[i]]`` →
+    ``out[out_starts[i]:out_starts[i]+lens[i]]`` for all ``i``, with the
+    same repeat trick as :func:`~repro.graph.csr.csr_row_positions`."""
     if starts.size == 0:
-        return
+        return _EMPTY, _EMPTY
     cum = np.cumsum(lens)
     total = int(cum[-1])
     if total == 0:
-        return
+        return _EMPTY, _EMPTY
     inner = cum - lens  # exclusive prefix: segment start in flat space
     flat = np.arange(total, dtype=np.int64)
-    out[flat + np.repeat(out_starts - inner, lens)] = (
-        src[flat + np.repeat(starts - inner, lens)])
+    return (flat + np.repeat(starts - inner, lens),
+            flat + np.repeat(out_starts - inner, lens))
+
+
+def _scatter_rows(src: np.ndarray, starts: np.ndarray, lens: np.ndarray,
+                  out: np.ndarray, out_starts: np.ndarray) -> None:
+    """Copy ``src[starts[i]:starts[i]+lens[i]]`` into
+    ``out[out_starts[i]:out_starts[i]+lens[i]]`` for all ``i``."""
+    src_pos, out_pos = _segment_positions(starts, lens, out_starts)
+    if src_pos.size:
+        out[out_pos] = src[src_pos]
 
 
 @dataclass(frozen=True)
@@ -320,6 +332,16 @@ class DeltaAdjacency:
         self._side_len[node] = length
         self._promotions += 1
 
+    def _count_reads(self, hot: np.ndarray) -> None:
+        """One read of each dirty row in ``hot``: bump the unpromoted ones'
+        counters and promote those that reach ``promote_after``."""
+        cold = hot[self._side_start[hot] < 0]
+        if cold.size:
+            np.add.at(self._reads, cold, 1)
+            due = np.unique(cold[self._reads[cold] >= self.promote_after])
+            for node in due.tolist():
+                self._promote(node)
+
     def _note_write(self, row: int) -> None:
         """A write cools the row: reset its read streak and demote it."""
         self._reads[row] = 0
@@ -459,6 +481,59 @@ class DeltaAdjacency:
                 return self._side_dst[start:end], self._side_eid[start:end]
         return self._assemble_edges(node)
 
+    def gather_neighbor_edges(
+            self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                             np.ndarray]:
+        """Batched :meth:`neighbor_edges`: ``(dsts, eids, lens)``.
+
+        Clean rows slice the base CSR, promoted dirty rows the side store
+        (one fused scatter per storage, dst and eid sharing the
+        positions), and unpromoted dirty rows are assembled per row.  Read
+        counters and promotions advance exactly as one
+        :meth:`neighbor_edges` call per row would advance them.
+        """
+        if self.lane_mid is not None:
+            raise TypeError("neighbor_edges is a directed-view query")
+        rows = np.asarray(rows, dtype=np.int64)
+        dirty = self._dirty[rows]
+        if not dirty.any():
+            return self.base.gather_neighbor_edges(rows)
+        hot = rows[dirty]
+        if self.tier_enabled:
+            self._count_reads(hot)
+        base = self.base
+        clean = ~dirty
+        clean_rows = rows[clean]
+        clean_starts = base.indptr[clean_rows]
+        side_starts = self._side_start[hot]
+        promoted = side_starts >= 0
+        hot_lens = self._side_len[hot]
+        assembled = [self._assemble_edges(node)
+                     for node in hot[~promoted].tolist()]
+        if assembled:
+            hot_lens[~promoted] = [dst.size for dst, _ in assembled]
+        lens = np.empty(rows.size, dtype=np.int64)
+        lens[clean] = base.indptr[clean_rows + 1] - clean_starts
+        lens[dirty] = hot_lens
+        ends = np.cumsum(lens)
+        out_starts = ends - lens
+        dsts = np.empty(int(ends[-1]), dtype=np.int64)
+        eids = np.empty(dsts.size, dtype=np.int64)
+        src_pos, out_pos = _segment_positions(clean_starts, lens[clean],
+                                              out_starts[clean])
+        dsts[out_pos] = base.indices[src_pos]
+        eids[out_pos] = base.edge_ids[src_pos]
+        hot_starts = out_starts[dirty]
+        src_pos, out_pos = _segment_positions(
+            side_starts[promoted], hot_lens[promoted], hot_starts[promoted])
+        dsts[out_pos] = self._side_dst[src_pos]
+        eids[out_pos] = self._side_eid[src_pos]
+        for start, (dst, eid) in zip(hot_starts[~promoted].tolist(),
+                                     assembled):
+            dsts[start:start + dst.size] = dst
+            eids[start:start + dst.size] = eid
+        return dsts, eids, lens
+
     def gather_neighbors(self, frontier: np.ndarray) -> np.ndarray:
         """Concatenated rows of ``frontier``, frontier order.
 
@@ -474,13 +549,7 @@ class DeltaAdjacency:
             return self.base.gather_neighbors(frontier)
         if self.tier_enabled:
             hot = frontier[dirty]
-            cold = hot[self._side_start[hot] < 0]
-            if cold.size:
-                np.add.at(self._reads, cold, 1)
-                due = np.unique(
-                    cold[self._reads[cold] >= self.promote_after])
-                for node in due.tolist():
-                    self._promote(node)
+            self._count_reads(hot)
             if (self._side_start[hot] >= 0).all():
                 return self._gather_tiered(frontier, dirty)
         rows = [self._row(int(node)) if hit else self.neighbors(int(node))

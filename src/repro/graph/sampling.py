@@ -27,7 +27,9 @@ only on the node-id set — never on hash ordering, discovery order, or the
 Python build.
 
 :func:`sample_data_graph` wraps either strategy and returns the re-indexed
-:class:`~repro.graph.subgraph.Subgraph` for one datapoint.
+:class:`~repro.graph.subgraph.Subgraph` for one datapoint;
+:func:`sample_node_set` stops at its node set (dependency tracking needs
+no edges).
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ __all__ = [
     "bfs_neighborhood",
     "random_walk_neighborhood",
     "sample_data_graph",
+    "sample_node_set",
 ]
 
 #: Below this row size the walk absorption uses a scalar scan — numpy
@@ -239,8 +242,34 @@ def random_walk_neighborhood(
 
 
 # ----------------------------------------------------------------------
-# Datapoint wrapper
+# Datapoint wrappers
 # ----------------------------------------------------------------------
+def sample_node_set(
+    graph: Graph,
+    datapoint: Datapoint,
+    num_hops: int = 1,
+    max_nodes: int = 64,
+    rng: np.random.Generator | None = None,
+    method: str = "random_walk",
+) -> np.ndarray:
+    """Sorted distinct node set of one datapoint's data graph (Eq. 1).
+
+    Exactly the ``nodes`` of the :func:`sample_data_graph` call with the
+    same arguments and RNG state, without inducing its edges.
+    """
+    # Samplers are looked up as module globals on every call, so a wrapper
+    # installed on this module sees each sampling call.
+    if method == "random_walk":
+        sampler = random_walk_neighborhood
+    elif method == "bfs":
+        sampler = bfs_neighborhood
+    else:
+        raise ValueError(f"unknown sampling method {method!r}")
+    if not isinstance(datapoint, (EdgeInput, NodeInput)):
+        raise TypeError(f"unsupported datapoint type {type(datapoint)!r}")
+    return sampler(graph, datapoint.nodes, num_hops, max_nodes, rng)
+
+
 def sample_data_graph(
     graph: Graph,
     datapoint: Datapoint,
@@ -250,19 +279,7 @@ def sample_data_graph(
     method: str = "random_walk",
 ) -> Subgraph:
     """Contextualise one datapoint into its data graph ``G_i^D`` (Eq. 1)."""
-    if method == "random_walk":
-        sampler = random_walk_neighborhood
-    elif method == "bfs":
-        sampler = bfs_neighborhood
-    else:
-        raise ValueError(f"unknown sampling method {method!r}")
-
-    if isinstance(datapoint, EdgeInput):
-        relation = datapoint.relation
-    elif isinstance(datapoint, NodeInput):
-        relation = None
-    else:
-        raise TypeError(f"unsupported datapoint type {type(datapoint)!r}")
-    node_set = sampler(graph, datapoint.nodes, num_hops, max_nodes, rng)
+    node_set = sample_node_set(graph, datapoint, num_hops, max_nodes, rng,
+                               method)
     return induced_subgraph(graph, node_set, datapoint.nodes,
-                            center_relation=relation)
+                            center_relation=datapoint.relation)

@@ -90,37 +90,26 @@ def induced_subgraph(
     mapped to local ids.  Each original directed edge inside the node set is
     emitted in both directions so that message passing reaches the head from
     the tail and vice versa.
+
+    The out-rows of the sorted node set come from one batched gather
+    (``gather_neighbor_edges``) instead of a scan of the full edge list:
+    subgraphs are tiny (tens of nodes) while source graphs are not.  A
+    node's local id is its position in the sorted set, so one
+    ``searchsorted`` answers both membership and re-indexing.
     """
     node_set = np.asarray(node_set, dtype=np.int64)
     unique_nodes = np.unique(node_set)
-    local_of = {int(g): i for i, g in enumerate(unique_nodes)}
+    last = unique_nodes.size - 1
 
-    # Walk the CSR rows of the node set instead of scanning the full edge
-    # list: subgraphs are tiny (tens of nodes) while source graphs are not.
-    adj = graph.adjacency
-    src_parts, dst_parts, rel_parts = [], [], []
-    for u in unique_nodes:
-        dsts, eids = adj.neighbor_edges(int(u))
-        if dsts.size == 0:
-            continue
-        inside = np.isin(dsts, unique_nodes)
-        if not inside.any():
-            continue
-        kept_dsts = dsts[inside]
-        kept_eids = eids[inside]
-        src_parts.append(np.full(kept_dsts.size, local_of[int(u)],
-                                 dtype=np.int64))
-        dst_parts.append(np.array([local_of[int(v)] for v in kept_dsts],
-                                  dtype=np.int64))
-        rel_parts.append(graph.rel[kept_eids])
-    if src_parts:
-        src_local = np.concatenate(src_parts)
-        dst_local = np.concatenate(dst_parts)
-        rel = np.concatenate(rel_parts)
-    else:
-        src_local = np.array([], dtype=np.int64)
-        dst_local = np.array([], dtype=np.int64)
-        rel = np.array([], dtype=np.int64)
+    dsts, eids, lens = graph.adjacency.gather_neighbor_edges(unique_nodes)
+    pos = np.searchsorted(unique_nodes, dsts)
+    # Destinations past the largest member land at ``size``: clamp them
+    # onto a real slot so the equality test rejects them.
+    inside = unique_nodes[np.minimum(pos, last)] == dsts
+    src_local = np.repeat(np.arange(unique_nodes.size, dtype=np.int64),
+                          lens)[inside]
+    dst_local = pos[inside]
+    rel = graph.rel[eids[inside]]
 
     # Symmetrise for message passing.
     src_sym = np.concatenate([src_local, dst_local])
@@ -128,11 +117,10 @@ def induced_subgraph(
     rel_sym = np.concatenate([rel, rel])
 
     centers = np.asarray(centers, dtype=np.int64)
-    try:
-        centers_local = np.array([local_of[int(c)] for c in centers],
-                                 dtype=np.int64)
-    except KeyError as exc:
-        raise ValueError(f"center node {exc} not inside the node set") from exc
+    centers_local = np.searchsorted(unique_nodes, centers)
+    for center, local in zip(centers.tolist(), centers_local.tolist()):
+        if local > last or unique_nodes[local] != center:
+            raise ValueError(f"center node {center} not inside the node set")
 
     rel_features = None
     if graph.relation_features is not None:

@@ -296,6 +296,8 @@ class ServingGateway:
         Returns an :class:`Overloaded` (shed — final, resolve
         immediately) or an :class:`asyncio.Future` resolving to the
         request's :class:`GatewayResult`.  Must run inside an event loop.
+        A malformed datapoint raises ``ValueError`` here, before the
+        tenant ledger counts it as submitted.
         """
         if self._closed:
             raise RuntimeError("gateway is closed")
@@ -305,6 +307,7 @@ class ServingGateway:
             raise KeyError(
                 f"unknown session {session_id!r} — open_session() it on "
                 f"this gateway first (or it was closed)") from None
+        self.server.validate(datapoint)
         ledger = self.ledger(tenant_id, priority)
         now = self.clock()
         ledger.record_submit(now)

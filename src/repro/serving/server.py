@@ -42,7 +42,7 @@ from ..core.inference import GraphPrompterPipeline
 from ..core.model import GraphPrompterModel
 from ..core.prompt_augmenter import PromptAugmenter
 from ..datasets.base import Dataset
-from ..graph.datapoints import Datapoint
+from ..graph.datapoints import Datapoint, validate_datapoint
 from ..graph.delta import AppliedUpdate, GraphUpdate
 from ..obs.metrics import (
     BATCH_SIZE_BUCKETS,
@@ -323,10 +323,12 @@ class PromptServer:
         """Every node the datapoints' sampled subgraphs visit.
 
         Sampling is deterministic per datapoint, so re-running the (cheap)
-        sampler reproduces exactly the node sets the encoder consumed —
-        and a mutation that touches none of them cannot change any of the
-        session's subgraphs, which is what makes dependency-scoped
-        invalidation sound.  Empty (free) when the graph is immutable.
+        node-set sampler reproduces exactly the node sets the encoder
+        consumed — and a mutation that touches none of them cannot change
+        any of the session's subgraphs, which is what makes
+        dependency-scoped invalidation sound.  Only node sets are needed,
+        so no subgraph is induced here.  Empty (free) when the graph is
+        immutable.
 
         This does sample each datapoint a second time (the first is
         inside the encode pass) rather than threading node sets out of
@@ -340,8 +342,7 @@ class PromptServer:
         generator = self.pipeline.generator
         dependencies: set[int] = set()
         for datapoint in datapoints:
-            dependencies.update(
-                generator.subgraph_for(datapoint).nodes.tolist())
+            dependencies.update(generator.node_set_for(datapoint).tolist())
         return dependencies
 
     def update_graph(self, update: GraphUpdate,
@@ -458,18 +459,30 @@ class PromptServer:
     # ------------------------------------------------------------------
     # Request path
     # ------------------------------------------------------------------
+    def validate(self, datapoint: Datapoint) -> None:
+        """Raise ``ValueError`` unless ``datapoint`` is servable on the
+        live graph (see :func:`~repro.graph.datapoints.validate_datapoint`).
+
+        Entry points call this before enqueueing, so a malformed request
+        fails alone at submit instead of failing its whole micro-batch.
+        """
+        graph = self.dataset.graph
+        validate_datapoint(datapoint, graph.num_nodes, graph.num_relations)
+
     def submit(self, session_id: str, datapoint: Datapoint,
                trace=None) -> int:
         """Enqueue one query for ``session_id``; returns its ticket.
 
         Raises ``KeyError`` when the session is unknown (never opened,
-        evicted, or expired) — callers re-open and resubmit.  ``trace``
-        optionally attaches a sampled
+        evicted, or expired) — callers re-open and resubmit — and
+        ``ValueError`` for a malformed datapoint (:meth:`validate`).
+        ``trace`` optionally attaches a sampled
         :class:`~repro.obs.TraceContext` that rides the queue and
         collects the batch tick's per-stage spans.
         """
         self._sweep_sessions()
         self.sessions.get(session_id)  # liveness check + recency touch
+        self.validate(datapoint)
         return self.scheduler.submit(session_id, datapoint, trace=trace)
 
     def result(self, request_id: int) -> ServeResult | None:

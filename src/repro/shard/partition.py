@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..graph.csr import CSRAdjacency, gather_csr_rows
+from ..graph.csr import CSRAdjacency, csr_row_positions
 from ..graph.graph import Graph
 
 __all__ = [
@@ -181,9 +181,8 @@ class ShardBuildContext:
         lut[ghosts] = owned.size + np.arange(ghosts.size, dtype=np.int64)
         csr = CSRAdjacency(local_nodes.size, lut[ssrc], lut[sdst])
 
-        d_slots, d_lens = gather_csr_rows(self.d_indptr, self.d_indices,
-                                          owned)
-        d_edge_ids, _ = gather_csr_rows(self.d_indptr, self.d_eids, owned)
+        d_pos, d_lens = csr_row_positions(self.d_indptr, owned)
+        d_slots, d_edge_ids = self.d_indices[d_pos], self.d_eids[d_pos]
         d_indptr = np.concatenate(
             [[0], np.cumsum(d_lens)]).astype(np.int64)
 

@@ -2,7 +2,8 @@
 
 :class:`ShardedGraphStore` exposes the same query surface as
 :class:`~repro.graph.csr.CSRAdjacency` — ``neighbors`` /
-``gather_neighbors`` / ``degree`` / ``visited_scratch`` — over a
+``gather_neighbors`` / ``degree`` / ``visited_scratch``, plus the
+directed ``neighbor_edges`` / ``gather_neighbor_edges`` — over a
 K-way :class:`~repro.shard.partition.ShardPlan`.  Every row fetch is
 routed to the owner shard's local CSR and the local destination ids are
 translated back to global ids through the shard's ghost table, so callers
@@ -11,10 +12,11 @@ bit-identical to the monolithic adjacency's, whatever ``K``.
 
 :class:`ShardedGraphView` wraps a store in the duck-type surface of
 :class:`~repro.graph.graph.Graph` that sampling and subgraph induction
-consume (``undirected_adjacency``, ``adjacency.neighbor_edges``,
-``node_features[...]``, ``rel``, ``relation_features``), which is what
-lets ``bfs_neighborhood`` / ``random_walk_neighborhood`` /
-``sample_data_graph`` run unchanged on a sharded graph.
+consume (``undirected_adjacency``, ``adjacency.neighbor_edges`` /
+``adjacency.gather_neighbor_edges``, ``node_features[...]``, ``rel``,
+``relation_features``), which is what lets ``bfs_neighborhood`` /
+``random_walk_neighborhood`` / ``sample_data_graph`` run unchanged on a
+sharded graph.
 
 What is sharded vs. replicated: adjacency structure and the node-feature
 payload (the O(|V|·d) + O(|E|) bulk) are keyed by owner shard; small
@@ -47,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..graph.delta import AppliedUpdate, _scatter_rows
+from ..graph.delta import AppliedUpdate, _scatter_rows, _segment_positions
 from ..graph.graph import Graph
 from .partition import ShardBuildContext, ShardPlan, partition_graph
 
@@ -459,6 +461,40 @@ class ShardedGraphStore:
         lo, hi = shard.d_indptr[local], shard.d_indptr[local + 1]
         return shard.d_indices[lo:hi], shard.d_edge_ids[lo:hi]
 
+    def gather_neighbor_edges(
+            self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                             np.ndarray]:
+        """Batched :meth:`neighbor_edges`: ``(dsts, eids, lens)``.
+
+        One grouped gather per owner shard, scattered back into ``rows``
+        order; each shard is counted once per row it serves, exactly as
+        the per-row fetches would count.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        owners = self.owner[rows]
+        locals_ = self.local_id[rows]
+        lens = np.empty(rows.size, dtype=np.int64)
+        starts = np.empty(rows.size, dtype=np.int64)
+        members = [(int(k), owners == k) for k in np.unique(owners)]
+        for k, member in members:
+            indptr = self.shards[k].d_indptr
+            loc = locals_[member]
+            starts[member] = indptr[loc]
+            lens[member] = indptr[loc + 1] - starts[member]
+        ends = np.cumsum(lens)
+        out_starts = ends - lens
+        total = int(ends[-1]) if ends.size else 0
+        dsts = np.empty(total, dtype=np.int64)
+        eids = np.empty(total, dtype=np.int64)
+        for k, member in members:
+            shard = self.shards[k]
+            self._count(k, int(member.sum()))
+            src_pos, out_pos = _segment_positions(
+                starts[member], lens[member], out_starts[member])
+            dsts[out_pos] = shard.d_indices[src_pos]
+            eids[out_pos] = shard.d_edge_ids[src_pos]
+        return dsts, eids, lens
+
     def gather_node_features(self, nodes: np.ndarray) -> np.ndarray:
         """Feature rows of global ``nodes``, assembled across shards."""
         nodes = np.asarray(nodes, dtype=np.int64)
@@ -481,6 +517,11 @@ class _ShardedDirectedAdjacency:
 
     def neighbor_edges(self, node: int) -> tuple[np.ndarray, np.ndarray]:
         return self._store.neighbor_edges(node)
+
+    def gather_neighbor_edges(
+            self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                             np.ndarray]:
+        return self._store.gather_neighbor_edges(rows)
 
 
 class _ShardedNodeRows:

@@ -7,6 +7,11 @@ now runs vectorized.  They exist only to be compared against:
   samplers; :func:`repro.graph.sampling.bfs_neighborhood` and
   :func:`~repro.graph.sampling.random_walk_neighborhood` must return the
   same array for the same graph, seeds, hops, cap and RNG state;
+* :func:`induced_subgraph_loop` — per-row induction (one
+  ``neighbor_edges`` call, one ``np.isin`` and one dict lookup per node);
+  :func:`repro.graph.subgraph.induced_subgraph` must return the same
+  :class:`~repro.graph.subgraph.Subgraph` field for field, and advance
+  overlay read counters and halo-fetch counters the same way;
 * :func:`from_subgraphs_concat` — list-append + ``np.concatenate`` batch
   assembly; :meth:`repro.gnn.SubgraphBatch.from_subgraphs` must be
   byte-identical to it.
@@ -77,6 +82,68 @@ def random_walk_legacy(graph, seeds, num_hops, max_nodes, rng) -> np.ndarray:
                 break
             current = int(neighbors[rng.integers(neighbors.size)])
     return np.array(sorted(visited), dtype=np.int64)
+
+
+def induced_subgraph_loop(graph, node_set, centers,
+                          center_relation=None) -> Subgraph:
+    """Reference implementation: walk the node set's out-rows one by one."""
+    node_set = np.asarray(node_set, dtype=np.int64)
+    unique_nodes = np.unique(node_set)
+    local_of = {int(g): i for i, g in enumerate(unique_nodes)}
+
+    # Walk the CSR rows of the node set instead of scanning the full edge
+    # list: subgraphs are tiny (tens of nodes) while source graphs are not.
+    adj = graph.adjacency
+    src_parts, dst_parts, rel_parts = [], [], []
+    for u in unique_nodes:
+        dsts, eids = adj.neighbor_edges(int(u))
+        if dsts.size == 0:
+            continue
+        inside = np.isin(dsts, unique_nodes)
+        if not inside.any():
+            continue
+        kept_dsts = dsts[inside]
+        kept_eids = eids[inside]
+        src_parts.append(np.full(kept_dsts.size, local_of[int(u)],
+                                 dtype=np.int64))
+        dst_parts.append(np.array([local_of[int(v)] for v in kept_dsts],
+                                  dtype=np.int64))
+        rel_parts.append(graph.rel[kept_eids])
+    if src_parts:
+        src_local = np.concatenate(src_parts)
+        dst_local = np.concatenate(dst_parts)
+        rel = np.concatenate(rel_parts)
+    else:
+        src_local = np.array([], dtype=np.int64)
+        dst_local = np.array([], dtype=np.int64)
+        rel = np.array([], dtype=np.int64)
+
+    # Symmetrise for message passing.
+    src_sym = np.concatenate([src_local, dst_local])
+    dst_sym = np.concatenate([dst_local, src_local])
+    rel_sym = np.concatenate([rel, rel])
+
+    centers = np.asarray(centers, dtype=np.int64)
+    try:
+        centers_local = np.array([local_of[int(c)] for c in centers],
+                                 dtype=np.int64)
+    except KeyError as exc:
+        raise ValueError(f"center node {exc} not inside the node set") from exc
+
+    rel_features = None
+    if graph.relation_features is not None:
+        rel_features = graph.relation_features[rel_sym]
+
+    return Subgraph(
+        nodes=unique_nodes,
+        src=src_sym,
+        dst=dst_sym,
+        rel=rel_sym,
+        node_features=graph.node_features[unique_nodes],
+        centers=centers_local,
+        center_relation=center_relation,
+        rel_features=rel_features,
+    )
 
 
 def from_subgraphs_concat(subgraphs: list[Subgraph]) -> SubgraphBatch:

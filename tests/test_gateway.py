@@ -13,6 +13,7 @@ from repro.core import (
 )
 from repro.datasets import Dataset, EDGE_TASK
 from repro.datasets.synthetic import synthetic_knowledge_graph
+from repro.graph import EdgeInput, NodeInput
 from repro.serving import (
     AdmissionController,
     DeadlineAwareScheduler,
@@ -574,6 +575,38 @@ class TestGateway:
         assert ok.ok
         tenant = stats.tenants[0]
         assert tenant.errors == 1 and tenant.completed == 1
+
+    def test_malformed_datapoint_rejected_before_ledgers(self, served):
+        """A malformed query raises at ``submit_nowait`` — before the tenant
+        ledger counts it — while a valid query from another tenant rides
+        the next batch and is answered."""
+        dataset, config, model = served
+        graph = dataset.graph
+        episode = sample_episode(dataset, num_ways=3, num_queries=4, rng=16)
+        bad_inputs = (EdgeInput(-1, 5), EdgeInput(graph.num_nodes + 5, 5),
+                      EdgeInput(0, 1, relation=graph.num_relations),
+                      NodeInput(graph.num_nodes), "0,1")
+
+        async def main(bad):
+            gateway = self._gateway(model, dataset, max_batch_size=4)
+            gateway.open_session("tenant-ok", "good", episode)
+            gateway.open_session("tenant-bad", "bad", episode)
+            future = gateway.submit_nowait("good", episode.queries[0])
+            with pytest.raises(ValueError):
+                gateway.submit_nowait("bad", bad)
+            await gateway.flush()
+            stats = gateway.stats
+            await gateway.close()
+            return future.result(), stats
+
+        for bad in bad_inputs:
+            outcome, stats = run(main(bad))
+            assert outcome.ok, bad
+            ledgers = {t.tenant_id: t for t in stats.tenants}
+            assert ledgers["tenant-ok"].completed == 1
+            assert ledgers["tenant-bad"].submitted == 0
+            for tenant in ledgers.values():
+                assert tenant.submitted == tenant.admitted + tenant.shed
 
     def test_unknown_session_raises_descriptive_keyerror(self, served):
         dataset, config, model = served

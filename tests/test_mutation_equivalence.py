@@ -6,11 +6,17 @@ graphs and seeds.  After **every** step the mutated graph's reads must be
 bit-identical to a from-scratch rebuild over the live edge list:
 
 * undirected rows (``neighbors`` / ``gather_neighbors`` / ``degree``),
-* directed rows + relation payload (``neighbor_edges`` → ``rel``),
+* directed rows + relation payload (``neighbor_edges`` and the batched
+  ``gather_neighbor_edges`` → ``rel``),
 * both samplers and their legacy references with matched RNG streams,
-* subgraph induction (``sample_data_graph`` content equality),
+* subgraph induction (``sample_data_graph`` content equality, and the
+  batched inducer against the per-row loop oracle on the same surface),
 * the K-shard store (K ∈ {1, 2, 4}) fed the same updates through
   ``ShardedGraphStore.apply_updates``.
+
+Batched induction must also advance the overlay's read counters and
+promotions, and the sharded store's halo-fetch count, exactly as the
+per-row loop does.
 
 Plus regression tests for the ``visited_scratch`` free-list across
 ``add_nodes`` / ``compact`` (masks sized to the old graph must be retired,
@@ -27,8 +33,9 @@ from repro.graph.sampling import (
     random_walk_neighborhood,
     sample_data_graph,
 )
+from repro.graph.subgraph import induced_subgraph
 from repro.shard import ShardedGraphStore
-from reference_paths import bfs_legacy, random_walk_legacy
+from reference_paths import bfs_legacy, induced_subgraph_loop, random_walk_legacy
 
 #: Each sampler followed by its legacy reference; every call takes its own
 #: draw from the trial RNG, in this order.
@@ -100,11 +107,35 @@ def random_step(graph: Graph, rng: np.random.Generator) -> str:
     return op
 
 
+def assert_directed_gather_equal(graph, ref: Graph, frontier: np.ndarray,
+                                 context) -> None:
+    """``gather_neighbor_edges`` == the rebuild's, and == the surface's own
+    per-row ``neighbor_edges`` (exact edge ids), frontier order."""
+    adj = graph.adjacency
+    dsts, eids, lens = adj.gather_neighbor_edges(frontier)
+    ref_dsts, ref_eids, ref_lens = ref.adjacency.gather_neighbor_edges(
+        frontier)
+    assert np.array_equal(lens, ref_lens), (context, "gather lens")
+    assert np.array_equal(dsts, ref_dsts), (context, "gather dsts")
+    assert np.array_equal(graph.rel[eids],
+                          ref.rel[ref_eids]), (context, "gather rel")
+    rows = [adj.neighbor_edges(int(u)) for u in frontier]
+    assert lens.tolist() == [d.size for d, _ in rows], context
+    assert np.array_equal(eids, np.concatenate(
+        [e for _, e in rows] + [eids[:0]])), (context, "gather eids")
+
+
 def assert_reads_equal(graph: Graph, ref: Graph, context: str) -> None:
     """Monolithic overlay reads == rebuild reads, all nodes."""
     assert graph.num_nodes == ref.num_nodes
     assert graph.num_live_edges == ref.num_edges
     assert np.array_equal(graph.degree(), ref.degree()), context
+    # Before the per-row pass: freshly written rows are still unpromoted,
+    # so this frontier mixes clean, promoted and assembled rows.
+    gather_rng = np.random.default_rng(1)
+    assert_directed_gather_equal(
+        graph, ref, gather_rng.integers(0, graph.num_nodes, size=13),
+        (context, "cold"))
     for node in range(graph.num_nodes):
         assert np.array_equal(graph.neighbors(node),
                               ref.neighbors(node)), (context, node)
@@ -118,6 +149,9 @@ def assert_reads_equal(graph: Graph, ref: Graph, context: str) -> None:
     assert np.array_equal(
         graph.undirected_adjacency.gather_neighbors(frontier),
         ref.undirected_adjacency.gather_neighbors(frontier)), context
+    assert_directed_gather_equal(
+        graph, ref, gather_rng.integers(0, graph.num_nodes, size=13),
+        (context, "warm"))
 
 
 def assert_sampling_equal(graph, ref, rng: np.random.Generator,
@@ -148,6 +182,16 @@ def assert_induction_equal(graph, ref, rng: np.random.Generator,
                 getattr(got, field),
                 getattr(want, field)), (context,
                                         type(datapoint).__name__, field)
+        # Both sides above run the batched inducer; pin it to the per-row
+        # oracle on the same surface too.
+        oracle = induced_subgraph_loop(graph, got.nodes, datapoint.nodes,
+                                       center_relation=datapoint.relation)
+        for field in ("nodes", "src", "dst", "rel", "node_features",
+                      "centers"):
+            x, y = getattr(got, field), getattr(oracle, field)
+            assert x.dtype == y.dtype and x.shape == y.shape, (
+                context, "oracle", field)
+            assert x.tobytes() == y.tobytes(), (context, "oracle", field)
 
 
 # ----------------------------------------------------------------------
@@ -217,12 +261,81 @@ def test_sharded_mutation_matches_rebuild(strategy, seed):
             assert np.array_equal(
                 store.gather_neighbors(frontier),
                 ref.undirected_adjacency.gather_neighbors(frontier)), context
+            assert_directed_gather_equal(view, ref, frontier, context)
             assert np.array_equal(store.gather_node_features(frontier),
                                   ref.node_features[frontier]), context
             assert_sampling_equal(view, ref, np.random.default_rng(
                 [seed, step, k]), context)
             assert_induction_equal(view, ref, np.random.default_rng(
                 [seed, step, k, 1]), context)
+
+
+def _mutated_twins(seed: int, promote_after: int) -> list[Graph]:
+    """Two identical mutated graphs (same script, same overlay state)."""
+    twins = []
+    for _ in range(2):
+        rng = np.random.default_rng([31, seed])
+        graph = make_base_graph("dense", rng)
+        graph.tier_promote_after = promote_after
+        graph.adjacency  # build pre-write: the overlay wraps it in place
+        k = max(graph.num_edges // 8, 8)
+        graph.add_edges(rng.integers(0, graph.num_nodes, size=k),
+                        rng.integers(0, graph.num_nodes, size=k),
+                        rng.integers(0, graph.num_relations, size=k))
+        _, _, _, live = graph.live_edges()
+        graph.remove_edges(rng.choice(live, size=6, replace=False))
+        twins.append(graph)
+    return twins
+
+
+@pytest.mark.parametrize("promote_after", [1, 2, 3])
+@pytest.mark.parametrize("seed", range(2))
+def test_induction_advances_overlay_counters_like_the_loop(seed,
+                                                          promote_after):
+    """Batched induction reads each row once, like the per-row loop: read
+    counters, promotions and side-store usage stay in lockstep."""
+    fast, slow = _mutated_twins(seed, promote_after)
+    rng = np.random.default_rng([32, seed])
+    for step in range(6):
+        if step == 3:  # a write demotes rows mid-stream
+            for graph in (fast, slow):
+                graph.add_edges([0, 1], [2, 3])
+        node_set = rng.choice(fast.num_nodes, size=14, replace=False)
+        centers = node_set[:2]
+        got = induced_subgraph(fast, node_set, centers)
+        want = induced_subgraph_loop(slow, node_set, centers)
+        for field in ("nodes", "src", "dst", "rel", "centers"):
+            assert np.array_equal(getattr(got, field),
+                                  getattr(want, field)), (step, field)
+        assert (fast.adjacency.overlay_stats()
+                == slow.adjacency.overlay_stats()), step
+        assert np.array_equal(fast.adjacency._reads,
+                              slow.adjacency._reads), step
+    assert fast.adjacency.overlay_stats()["promotions"] > 0
+
+
+@pytest.mark.parametrize("num_shards", [2, 4])
+def test_sharded_induction_counts_halo_like_the_loop(num_shards):
+    """One grouped gather per owner shard still counts one halo fetch per
+    remote row, as the per-row fetches did."""
+    rng = np.random.default_rng(33)
+    graph = make_base_graph("dense", rng)
+    store = ShardedGraphStore.from_graph(graph, num_shards, "greedy")
+    view = store.view()
+    total = 0
+    for home in range(num_shards):
+        store.home_shard = home
+        node_set = rng.choice(graph.num_nodes, size=12, replace=False)
+        store.reset_counters()
+        got = induced_subgraph(view, node_set, node_set[:1])
+        fetched = store.halo_fetches
+        store.reset_counters()
+        want = induced_subgraph_loop(view, node_set, node_set[:1])
+        assert fetched == store.halo_fetches, home
+        assert np.array_equal(got.src, want.src)
+        assert np.array_equal(got.rel, want.rel)
+        total += fetched
+    assert total > 0
 
 
 def test_sharded_update_rebuilds_only_touched_shards():

@@ -1,11 +1,15 @@
 """Equivalence suite: vectorized hot paths == legacy reference paths.
 
-Three families of guarantees pinned here:
+Four families of guarantees pinned here:
 
 * the CSR frontier samplers are **bit-identical** to the legacy per-node
   Python samplers of ``reference_paths`` for the same graph / seeds /
   hops / cap / RNG state (50 random graphs × seeds, plus targeted edge
   cases);
+* batched subgraph induction (one ``gather_neighbor_edges`` call plus
+  ``searchsorted`` membership) returns the **same** ``Subgraph`` as the
+  per-row loop of ``reference_paths`` — every field's dtype, shape and
+  bytes — and raises the same centre-not-in-set error;
 * arena batch assembly is **byte-identical** to the legacy list-append +
   concatenate assembly, with and without reusable arena buffers;
 * the fused no-grad inference forward is **bit-identical** to the
@@ -21,10 +25,17 @@ from repro.graph import EdgeInput, Graph, NodeInput, sample_data_graph
 from repro.graph.sampling import bfs_neighborhood, random_walk_neighborhood
 from repro.graph.subgraph import induced_subgraph
 from repro.nn import Tensor, no_grad
-from reference_paths import bfs_legacy, from_subgraphs_concat, random_walk_legacy
+from reference_paths import (
+    bfs_legacy,
+    from_subgraphs_concat,
+    induced_subgraph_loop,
+    random_walk_legacy,
+)
 
 BATCH_FIELDS = ("node_features", "src", "dst", "rel", "edge_weights",
                 "rel_features", "graph_index", "edge_graph_index")
+SUBGRAPH_FIELDS = ("nodes", "src", "dst", "rel", "node_features", "centers",
+                   "edge_weights", "rel_features")
 #: Each vectorized sampler with its legacy reference.
 SAMPLER_PAIRS = ((bfs_neighborhood, bfs_legacy),
                  (random_walk_neighborhood, random_walk_legacy))
@@ -141,6 +152,97 @@ class TestSamplerEngineEquivalence:
         for fn in (bfs_neighborhood, random_walk_neighborhood):
             fn(graph, np.array([1]), 3, 8, np.random.default_rng(0))
             assert not adj.visited_scratch().any()
+
+
+def assert_subgraphs_identical(got, want, context=None) -> None:
+    """Every ``Subgraph`` field equal in dtype, shape and bytes."""
+    for field in SUBGRAPH_FIELDS:
+        x, y = getattr(got, field), getattr(want, field)
+        assert (x is None) == (y is None), (context, field)
+        if x is not None:
+            assert x.dtype == y.dtype, (context, field)
+            assert x.shape == y.shape, (context, field)
+            assert x.tobytes() == y.tobytes(), (context, field)
+    assert got.center_relation == want.center_relation, context
+
+
+def induction_node_sets(graph: Graph, trial: int):
+    """(node set, centres) pairs: both samplers, singletons, full range."""
+    seeds = random_seeds(graph, trial)
+    for sampler in (bfs_neighborhood, random_walk_neighborhood):
+        for num_hops, cap in ((1, 4), (2, 16), (3, 10_000)):
+            node_set = sampler(graph, seeds, num_hops, cap,
+                               np.random.default_rng(trial))
+            yield node_set, seeds
+            # Unsorted, duplicated input canonicalises the same way.
+            yield np.concatenate([node_set[::-1], node_set[:2]]), seeds[:1]
+    for node in (0, graph.num_nodes - 1, int(seeds[0])):
+        yield np.array([node]), np.array([node])
+    yield np.arange(graph.num_nodes), seeds
+
+
+class TestInductionEquivalence:
+    """Batched induction vs. the per-row loop oracle, field for field."""
+
+    @pytest.mark.parametrize("trial", range(50))
+    def test_induction_bit_identical(self, trial):
+        base = random_graph(trial)
+        r = np.random.default_rng(2000 + trial)
+        with_rel = Graph(base.num_nodes, base.src, base.dst, rel=base.rel,
+                         node_features=base.node_features,
+                         num_relations=base.num_relations,
+                         relation_features=r.normal(
+                             size=(base.num_relations, 3)))
+        for graph in (base, with_rel):
+            for node_set, centers in induction_node_sets(graph, trial):
+                want = induced_subgraph_loop(graph, node_set, centers,
+                                             center_relation=1)
+                got = induced_subgraph(graph, node_set, centers,
+                                       center_relation=1)
+                assert_subgraphs_identical(got, want, (trial, node_set))
+
+    @pytest.mark.parametrize("trial", range(50))
+    def test_gather_neighbor_edges_matches_rows(self, trial):
+        """The batched CSR gather == per-row ``neighbor_edges``, frontier
+        order, duplicates and empty rows included."""
+        graph = random_graph(trial)
+        adj = graph.adjacency
+        frontier = np.random.default_rng(trial).integers(
+            0, graph.num_nodes, size=17)
+        for rows in (frontier, frontier[:1], frontier[:0]):
+            dsts, eids, lens = adj.gather_neighbor_edges(rows)
+            parts = [adj.neighbor_edges(int(u)) for u in rows]
+            assert lens.tolist() == [d.size for d, _ in parts]
+            want_dsts = np.concatenate([d for d, _ in parts] + [dsts[:0]])
+            want_eids = np.concatenate([e for _, e in parts] + [eids[:0]])
+            assert dsts.tobytes() == want_dsts.tobytes()
+            assert eids.tobytes() == want_eids.tobytes()
+
+    def test_corner_rows(self):
+        """Self-loops, parallel edges, empty rows, and destinations below,
+        between and above the node set's members."""
+        src = np.array([0, 0, 0, 1, 3, 3, 1, 5, 2, 7, 7])
+        dst = np.array([0, 1, 1, 0, 6, 1, 7, 1, 9, 7, 3])
+        graph = Graph(10, src, dst, rel=np.arange(11) % 3,
+                      node_features=np.arange(20.0).reshape(10, 2),
+                      relation_features=np.eye(3))
+        for node_set, centers in (([0, 1, 3], [1]), ([3, 5, 8], [5, 3]),
+                                  ([0, 1, 2, 3, 4], [4]), ([7], [7]),
+                                  ([4, 8], [8]), ([1, 3, 7], [3])):
+            want = induced_subgraph_loop(graph, node_set, centers)
+            got = induced_subgraph(graph, node_set, centers)
+            assert_subgraphs_identical(got, want, node_set)
+
+    def test_center_outside_node_set_message(self):
+        graph = Graph(20, np.arange(19), np.arange(1, 20),
+                      node_features=np.zeros((20, 2)))
+        node_set = np.array([2, 9, 11])
+        for centers in ([5], [1], [12], [19], [9, 5], [0, 5], [-1]):
+            with pytest.raises(ValueError) as want:
+                induced_subgraph_loop(graph, node_set, centers)
+            with pytest.raises(ValueError) as got:
+                induced_subgraph(graph, node_set, centers)
+            assert str(got.value) == str(want.value), centers
 
 
 def _kg_subgraphs(count: int = 12, trial: int = 0):

@@ -12,6 +12,7 @@ from repro.core import (
 )
 from repro.datasets import Dataset, EDGE_TASK
 from repro.datasets.synthetic import synthetic_knowledge_graph
+from repro.graph import EdgeInput, NodeInput
 from repro.serving import (
     MicroBatchScheduler,
     PromptServer,
@@ -239,6 +240,27 @@ class TestPromptServer:
         episode = sample_episode(dataset, num_ways=3, num_queries=4, rng=13)
         with pytest.raises(KeyError):
             server.submit("never-opened", episode.queries[0])
+
+    def test_malformed_datapoint_rejected_at_submit(self, served):
+        """A malformed query raises at submit and never joins a batch, so
+        a valid co-batched query from another session is still answered."""
+        dataset, config, model = served
+        graph = dataset.graph
+        episode = sample_episode(dataset, num_ways=3, num_queries=4, rng=15)
+        bad_inputs = (EdgeInput(-1, 5), EdgeInput(graph.num_nodes + 5, 5),
+                      EdgeInput(0, 1, relation=graph.num_relations),
+                      EdgeInput(0, 1, relation=-2), NodeInput(2.5),
+                      NodeInput(graph.num_nodes), (0, 1), None)
+        for bad in bad_inputs:
+            server = PromptServer(model, dataset, max_batch_size=4, rng=0)
+            server.open_session("good", episode)
+            server.open_session("bad", episode)
+            ticket = server.submit("good", episode.queries[0])
+            with pytest.raises(ValueError):
+                server.submit("bad", bad)
+            (result,) = server.drain()
+            assert result.request_id == ticket and result.ok, bad
+            assert server.stats.queries == 1
 
     def test_lru_session_eviction(self, served):
         dataset, config, model = served
