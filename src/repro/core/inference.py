@@ -23,6 +23,7 @@ import numpy as np
 from ..datasets.base import Dataset
 from ..eval.metrics import safe_accuracy
 from ..nn import Tensor, no_grad
+from ..obs.tracing import span
 from .config import GraphPrompterConfig
 from .episodes import Episode
 from .model import GraphPrompterModel
@@ -196,9 +197,10 @@ class GraphPrompterPipeline:
         augmenter = augmenter if augmenter is not None else self.augmenter
         adaptive = config.use_knn or config.use_selection_layers
         if adaptive:
-            selected = self.selector.select(
-                candidate_emb, candidate_importance, query_emb,
-                query_importance, pool_labels, shots)
+            with span("select"):
+                selected = self.selector.select(
+                    candidate_emb, candidate_importance, query_emb,
+                    query_importance, pool_labels, shots)
         else:
             # Pool already holds exactly the random k-shot prompts.
             selected = np.arange(candidate_emb.shape[0])
@@ -208,7 +210,8 @@ class GraphPrompterPipeline:
             prompt_emb = prompt_emb * candidate_importance[selected, None]
 
         if config.use_augmenter and len(augmenter):
-            cache_emb, cache_labels = augmenter.cached_prompts()
+            with span("augment"):
+                cache_emb, cache_labels = augmenter.cached_prompts()
             prompt_emb = np.concatenate([prompt_emb, cache_emb], axis=0)
             prompt_labels = np.concatenate([prompt_labels, cache_labels])
 
@@ -218,11 +221,13 @@ class GraphPrompterPipeline:
 
         inserted = 0
         if config.use_augmenter:
-            augmenter.record_hits(query_emb, shots)
-            # Once a query becomes a cached prompt it plays a prompt's role,
-            # so store it importance-weighted like the selected prompts.
-            stored = query_emb
-            if config.use_selection_layers:
-                stored = query_emb * query_importance[:, None]
-            inserted = augmenter.update(stored, preds, confs)
+            with span("augment"):
+                augmenter.record_hits(query_emb, shots)
+                # Once a query becomes a cached prompt it plays a prompt's
+                # role, so store it importance-weighted like the selected
+                # prompts.
+                stored = query_emb
+                if config.use_selection_layers:
+                    stored = query_emb * query_importance[:, None]
+                inserted = augmenter.update(stored, preds, confs)
         return preds, confs, inserted

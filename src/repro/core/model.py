@@ -190,20 +190,26 @@ class GraphPrompterModel(Module):
         Label nodes are initialised with the mean embedding of their true
         prompts, then refined by the attention GNN together with prompt and
         query nodes; the logit is the scaled cosine similarity between the
-        refined query and label embeddings.
+        refined query and label embeddings.  Under ``no_grad`` the GNN runs
+        its dense (data × label) kernel, byte-identical to the edge-list
+        forward that training differentiates.
         """
         prompt_labels = np.asarray(prompt_labels, dtype=np.int64)
         if prompt_embeddings.shape[0] != prompt_labels.shape[0]:
             raise ValueError("one label per prompt embedding required")
         graph = build_task_graph(prompt_labels, query_embeddings.shape[0],
                                  num_ways)
-        with self._backend_scope():
+        with span("task_gnn"), self._backend_scope():
             label_init = scatter_mean(prompt_embeddings, prompt_labels,
                                       num_ways)
             h0 = Tensor.concatenate(
                 [prompt_embeddings, query_embeddings, label_init], axis=0)
-            h = self.task_gnn(h0, graph.src, graph.dst, graph.attr,
-                              graph.num_nodes)
+            if is_grad_enabled():
+                h = self.task_gnn(h0, graph.src, graph.dst, graph.attr,
+                                  graph.num_nodes)
+            else:
+                h = Tensor(self.task_gnn.forward_grid(h0.data,
+                                                      graph.attr_grid))
             query_h = h.gather_rows(graph.query_ids)
             label_h = h.gather_rows(graph.label_ids)
             return F.pairwise_cosine(query_h, label_h) * self.config.temperature

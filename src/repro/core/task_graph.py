@@ -25,19 +25,41 @@ __all__ = ["TaskGraph", "build_task_graph"]
 class TaskGraph:
     """Edge structure + node index bookkeeping of one episode's task graph.
 
-    Node ordering is ``[prompts | queries | labels]``.
+    Node ordering is ``[prompts | queries | labels]``.  The graph is a
+    complete (data × label) bipartite grid, so ``attr_grid`` — one
+    attribute per (data node, label) pair — determines it; the edge list
+    is that grid flattened row by row (edge ``i·m + j`` joins data node
+    ``i`` to label ``j``).
     """
 
-    src: np.ndarray          # data-node endpoint of each edge
-    dst: np.ndarray          # label-node endpoint of each edge
-    attr: np.ndarray         # T / F / ? attribute id per edge
+    attr_grid: np.ndarray    # (prompts + queries, ways) T / F / ? ids
     num_prompts: int
     num_queries: int
     num_ways: int
 
     @property
+    def num_data(self) -> int:
+        return self.num_prompts + self.num_queries
+
+    @property
     def num_nodes(self) -> int:
-        return self.num_prompts + self.num_queries + self.num_ways
+        return self.num_data + self.num_ways
+
+    @property
+    def src(self) -> np.ndarray:
+        """Data-node endpoint of each edge."""
+        return np.repeat(np.arange(self.num_data), self.num_ways)
+
+    @property
+    def dst(self) -> np.ndarray:
+        """Label-node endpoint of each edge."""
+        return self.num_data + np.tile(np.arange(self.num_ways),
+                                       self.num_data)
+
+    @property
+    def attr(self) -> np.ndarray:
+        """T / F / ? attribute id of each edge."""
+        return self.attr_grid.reshape(-1)
 
     @property
     def prompt_ids(self) -> np.ndarray:
@@ -49,7 +71,7 @@ class TaskGraph:
 
     @property
     def label_ids(self) -> np.ndarray:
-        return self.num_prompts + self.num_queries + np.arange(self.num_ways)
+        return self.num_data + np.arange(self.num_ways)
 
 
 def build_task_graph(prompt_labels: np.ndarray, num_queries: int,
@@ -71,27 +93,15 @@ def build_task_graph(prompt_labels: np.ndarray, num_queries: int,
         raise ValueError("task graph needs at least one query")
 
     num_prompts = int(prompt_labels.shape[0])
-    label_base = num_prompts + num_queries
-
-    # Prompt ↔ label edges.
-    p_src = np.repeat(np.arange(num_prompts), num_ways)
-    p_dst = label_base + np.tile(np.arange(num_ways), num_prompts)
-    p_attr = np.where(
-        np.repeat(prompt_labels, num_ways) == np.tile(np.arange(num_ways),
-                                                      num_prompts),
+    attr_grid = np.full((num_prompts + num_queries, num_ways),
+                        EDGE_ATTR_QUERY, dtype=np.int64)
+    attr_grid[:num_prompts] = np.where(
+        prompt_labels[:, None] == np.arange(num_ways),
         EDGE_ATTR_PROMPT_TRUE,
         EDGE_ATTR_PROMPT_FALSE,
     )
-
-    # Query ↔ label edges.
-    q_src = np.repeat(num_prompts + np.arange(num_queries), num_ways)
-    q_dst = label_base + np.tile(np.arange(num_ways), num_queries)
-    q_attr = np.full(num_queries * num_ways, EDGE_ATTR_QUERY)
-
     return TaskGraph(
-        src=np.concatenate([p_src, q_src]),
-        dst=np.concatenate([p_dst, q_dst]),
-        attr=np.concatenate([p_attr, q_attr]),
+        attr_grid=attr_grid,
         num_prompts=num_prompts,
         num_queries=num_queries,
         num_ways=num_ways,

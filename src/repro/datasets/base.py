@@ -12,11 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..graph import EdgeInput, Graph, NodeInput
+from ..graph.datapoints import EDGE_TASK, NODE_TASK
 
 __all__ = ["Dataset", "NODE_TASK", "EDGE_TASK"]
-
-NODE_TASK = "node"
-EDGE_TASK = "edge"
 
 
 class Dataset:

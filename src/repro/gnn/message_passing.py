@@ -33,7 +33,7 @@ def data_of(value) -> np.ndarray:
     """Unwrap a :class:`Tensor` (or coerce array-likes) to its ndarray.
 
     The single Tensor-unwrapping rule of the fused no-grad forwards in
-    :mod:`repro.gnn.sage` / :mod:`repro.gnn.gat` / :mod:`repro.gnn.task_gnn`.
+    :mod:`repro.gnn.sage` and :mod:`repro.gnn.gat`.
     """
     return value.data if isinstance(value, Tensor) else np.asarray(value)
 

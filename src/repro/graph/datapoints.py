@@ -12,7 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["NodeInput", "EdgeInput", "Datapoint", "validate_datapoint"]
+__all__ = ["NodeInput", "EdgeInput", "Datapoint", "validate_datapoint",
+           "NODE_TASK", "EDGE_TASK"]
+
+NODE_TASK = "node"
+EDGE_TASK = "edge"
 
 
 @dataclass(frozen=True)
@@ -50,11 +54,17 @@ class EdgeInput:
 Datapoint = NodeInput | EdgeInput
 
 
-def validate_datapoint(datapoint, num_nodes: int, num_relations: int) -> None:
-    """Raise ``ValueError`` unless ``datapoint`` is servable on a graph.
+#: The datapoint type each classification task takes.
+_TASK_INPUTS = {NODE_TASK: NodeInput, EDGE_TASK: EdgeInput}
 
-    It must be a :class:`NodeInput` or an :class:`EdgeInput`, every node
-    id an integer in ``[0, num_nodes)``, and the relation ``None`` or an
+
+def validate_datapoint(datapoint, num_nodes: int, num_relations: int,
+                       task: str) -> None:
+    """Raise ``ValueError`` unless ``datapoint`` is servable for a task.
+
+    It must be the ``task``'s input type — a :class:`NodeInput` on a node
+    task, an :class:`EdgeInput` on an edge task — every node id an
+    integer in ``[0, num_nodes)``, and the relation ``None`` or an
     integer in ``[0, num_relations)``.
     """
     if isinstance(datapoint, NodeInput):
@@ -64,6 +74,10 @@ def validate_datapoint(datapoint, num_nodes: int, num_relations: int) -> None:
     else:
         raise ValueError(f"datapoint must be a NodeInput or an EdgeInput, "
                          f"not {type(datapoint).__name__}")
+    expected = _TASK_INPUTS[task]
+    if not isinstance(datapoint, expected):
+        raise ValueError(f"a {task} task takes {expected.__name__} "
+                         f"datapoints, not {type(datapoint).__name__}")
     for value in ids:
         if not _index_in(value, num_nodes):
             raise ValueError(f"node id {value!r} outside [0, {num_nodes})")

@@ -212,13 +212,6 @@ class Backend:
         return self.scatter_add(values[src] * alpha.reshape(-1, 1),
                                 dst, num_nodes)
 
-    def scatter_weighted(self, messages: np.ndarray, alpha: np.ndarray,
-                         dst: np.ndarray, num_nodes: int) -> np.ndarray:
-        """Weighted scatter-sum of pre-built per-edge ``messages`` (the
-        task-graph attention aggregation)."""
-        return self.scatter_add(messages * alpha.reshape(-1, 1),
-                                dst, num_nodes)
-
 
 class NumpyBackend(Backend):
     """The exact reference backend: thinly wrapped numpy, bit-identical
@@ -360,23 +353,6 @@ class FusedBackend(Backend):
         order, uniq, starts = _segment_layout(dst, num_nodes)
         messages = values[src[order]] * alpha[order].reshape(-1, 1)
         out[uniq] = np.add.reduceat(messages, starts, axis=0)
-        return out
-
-    def scatter_weighted(self, messages: np.ndarray, alpha: np.ndarray,
-                         dst: np.ndarray, num_nodes: int) -> np.ndarray:
-        """Scatter rows scaled by per-edge weights in one CSR matmul."""
-        out = np.zeros((num_nodes, messages.shape[1]),
-                       dtype=messages.dtype)
-        if dst.size == 0:
-            return out
-        if _sparse is not None:
-            edge_ids = np.arange(dst.size, dtype=np.int64)
-            alpha = alpha.astype(messages.dtype, copy=False)
-            return self._csr(alpha, edge_ids, dst, num_nodes,
-                             dst.size) @ messages
-        order, uniq, starts = _segment_layout(dst, num_nodes)
-        weighted = messages[order] * alpha[order].reshape(-1, 1)
-        out[uniq] = np.add.reduceat(weighted, starts, axis=0)
         return out
 
 

@@ -461,13 +461,15 @@ class PromptServer:
     # ------------------------------------------------------------------
     def validate(self, datapoint: Datapoint) -> None:
         """Raise ``ValueError`` unless ``datapoint`` is servable on the
-        live graph (see :func:`~repro.graph.datapoints.validate_datapoint`).
+        live graph for the dataset's task (see
+        :func:`~repro.graph.datapoints.validate_datapoint`).
 
         Entry points call this before enqueueing, so a malformed request
         fails alone at submit instead of failing its whole micro-batch.
         """
         graph = self.dataset.graph
-        validate_datapoint(datapoint, graph.num_nodes, graph.num_relations)
+        validate_datapoint(datapoint, graph.num_nodes, graph.num_relations,
+                           self.dataset.task)
 
     def submit(self, session_id: str, datapoint: Datapoint,
                trace=None) -> int:

@@ -14,15 +14,26 @@ now runs vectorized.  They exist only to be compared against:
   overlay read counters and halo-fetch counters the same way;
 * :func:`from_subgraphs_concat` — list-append + ``np.concatenate`` batch
   assembly; :meth:`repro.gnn.SubgraphBatch.from_subgraphs` must be
-  byte-identical to it.
+  byte-identical to it;
+* :func:`task_attention_edges` — the per-edge no-grad forward of one
+  task-graph attention layer (row gathers per edge, ``ufunc.at``
+  scatters per destination); :func:`task_logits_edges` runs
+  :meth:`repro.core.GraphPrompterModel.task_logits` with it.  The dense
+  (data × label) kernel of
+  :meth:`repro.gnn.TaskGraphGNN.forward_grid` must be byte-identical.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.core.task_graph import build_task_graph
 from repro.gnn.batch import SubgraphBatch, _validate
+from repro.gnn.message_passing import data_of, scatter_mean
 from repro.graph.subgraph import Subgraph
+from repro.nn import Tensor, no_grad
+from repro.nn import functional as F
+from repro.nn.backend import get_backend
 
 
 def bfs_legacy(graph, seeds, num_hops, max_nodes, rng) -> np.ndarray:
@@ -185,3 +196,62 @@ def from_subgraphs_concat(subgraphs: list[Subgraph]) -> SubgraphBatch:
         centers=centers,
         num_graphs=len(subgraphs),
     )
+
+
+def task_attention_edges(layer, h, src, dst, attr, num_nodes) -> np.ndarray:
+    """Reference implementation: one task-attention layer, edge by edge.
+
+    ``layer`` is a ``_TaskAttentionLayer``; ``src``/``dst``/``attr`` the
+    symmetrised edge list.  This was the layer's no-grad forward before
+    the dense grid kernel; the weighted scatter is written out as the
+    ``scatter_add`` it always reduced to on the exact backend.
+    """
+    B = get_backend()
+    hd = data_of(h)
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    attr = np.asarray(attr, dtype=np.int64)
+    queries = B.matmul(hd, B.param(layer.query_proj.weight.data))
+    keys = B.matmul(hd, B.param(layer.key_proj.weight.data))
+    values = B.matmul(hd, B.param(layer.value_proj.weight.data))
+    scale = 1.0 / np.sqrt(layer.dim)
+    logits = ((queries[dst] * keys[src]).sum(axis=-1) * scale
+              + B.param(layer.attr_bias.data)[attr])
+    alpha = B.segment_softmax(logits, dst, num_nodes)
+    messages = values[src] + B.param(layer.attr_embedding.weight.data)[attr]
+    aggregated = B.scatter_add(messages * alpha.reshape(-1, 1), dst,
+                               num_nodes)
+    out = (B.matmul(aggregated, B.param(layer.out_proj.weight.data))
+           + B.param(layer.out_proj.bias.data))
+    x = hd + out
+    # LayerNorm, mirroring nn.LayerNorm op-for-op (sum/len mean, **0.5).
+    mu = x.sum(axis=-1, keepdims=True) / float(x.shape[-1])
+    centered = x - mu
+    var = ((centered * centered).sum(axis=-1, keepdims=True)
+           / float(x.shape[-1]))
+    normed = centered / (var + layer.norm.eps) ** 0.5
+    return (normed * B.param(layer.norm.gamma.data)
+            + B.param(layer.norm.beta.data))
+
+
+def task_logits_edges(model, prompt_embeddings, prompt_labels,
+                      query_embeddings, num_ways) -> np.ndarray:
+    """``model.task_logits`` under ``no_grad``, every task-GNN layer run
+    by :func:`task_attention_edges` on the symmetrised edge list."""
+    graph = build_task_graph(prompt_labels, query_embeddings.shape[0],
+                             num_ways)
+    src = np.concatenate([graph.src, graph.dst])
+    dst = np.concatenate([graph.dst, graph.src])
+    attr = np.concatenate([graph.attr, graph.attr])
+    with no_grad():
+        prompts, queries = Tensor(prompt_embeddings), Tensor(query_embeddings)
+        label_init = scatter_mean(
+            prompts, np.asarray(prompt_labels, dtype=np.int64), num_ways)
+        h = Tensor.concatenate([prompts, queries, label_init], axis=0).data
+        for layer in model.task_gnn._modules_list:
+            h = task_attention_edges(layer, h, src, dst, attr,
+                                     graph.num_nodes)
+        h = Tensor(h)
+        logits = F.pairwise_cosine(h.gather_rows(graph.query_ids),
+                                   h.gather_rows(graph.label_ids))
+        return (logits * model.config.temperature).data

@@ -585,7 +585,7 @@ class TestGateway:
         episode = sample_episode(dataset, num_ways=3, num_queries=4, rng=16)
         bad_inputs = (EdgeInput(-1, 5), EdgeInput(graph.num_nodes + 5, 5),
                       EdgeInput(0, 1, relation=graph.num_relations),
-                      NodeInput(graph.num_nodes), "0,1")
+                      NodeInput(graph.num_nodes), NodeInput(0), "0,1")
 
         async def main(bad):
             gateway = self._gateway(model, dataset, max_batch_size=4)

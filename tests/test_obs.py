@@ -428,7 +428,8 @@ class TestGatewayObservability:
             stages = trace.stage_seconds()
             for stage in ("admission", "sample", "batch_assembly",
                           "forward", "shard_encode", "encode", "predict",
-                          "queue_wait", "total"):
+                          "select", "task_gnn", "augment", "queue_wait",
+                          "total"):
                 assert stage in stages, (
                     f"{trace.trace_id} missing {stage}: {stages}")
             assert trace.meta["outcome"] == "ok"

@@ -1,6 +1,6 @@
 """Equivalence suite: vectorized hot paths == legacy reference paths.
 
-Four families of guarantees pinned here:
+Five families of guarantees pinned here:
 
 * the CSR frontier samplers are **bit-identical** to the legacy per-node
   Python samplers of ``reference_paths`` for the same graph / seeds /
@@ -13,8 +13,13 @@ Four families of guarantees pinned here:
 * arena batch assembly is **byte-identical** to the legacy list-append +
   concatenate assembly, with and without reusable arena buffers;
 * the fused no-grad inference forward is **bit-identical** to the
-  autodiff-graph forward for both convolution types and the task GNN.
+  autodiff-graph forward for both convolution types and the task GNN;
+* the task GNN's dense (data × label) no-grad kernel is **byte-identical**
+  to the per-edge forward of ``reference_paths`` and to the autodiff
+  path, over a product grid of ways × prompts × cache rows × queries.
 """
+
+from itertools import product
 
 import numpy as np
 import pytest
@@ -23,6 +28,7 @@ from repro.core import GraphPrompterConfig, GraphPrompterModel
 from repro.gnn import BatchArena, SubgraphBatch
 from repro.graph import EdgeInput, Graph, NodeInput, sample_data_graph
 from repro.graph.sampling import bfs_neighborhood, random_walk_neighborhood
+from repro.gnn.task_gnn import _sum_sources
 from repro.graph.subgraph import induced_subgraph
 from repro.nn import Tensor, no_grad
 from reference_paths import (
@@ -30,6 +36,7 @@ from reference_paths import (
     from_subgraphs_concat,
     induced_subgraph_loop,
     random_walk_legacy,
+    task_logits_edges,
 )
 
 BATCH_FIELDS = ("node_features", "src", "dst", "rel", "edge_weights",
@@ -361,3 +368,83 @@ class TestFusedInferenceEquivalence:
         assert out._backward is None
         assert out._parents == ()
         assert not out.requires_grad
+
+
+def task_episode_id(case) -> str:
+    return "ways{}-shots{}-cache{}-queries{}".format(*case)
+
+
+@pytest.fixture
+def task_episode(request):
+    """A model with random task-GNN weights, and one episode's inputs.
+
+    Every task-GNN weight is drawn at random — the zero-initialised
+    output projection would otherwise hide the attention path from the
+    logits.  With cache rows, the selected prompts cover every label but
+    the last and the cache rows carry uneven labels, so the last label
+    node starts from a zero embedding (it has no true prompt).
+    """
+    ways, per_class, cache_rows, queries = request.param
+    r = np.random.default_rng([ways, per_class, cache_rows, queries])
+    dim = 16
+    model = GraphPrompterModel(6, 4, GraphPrompterConfig(hidden_dim=dim))
+    model.eval()
+    for param in model.task_gnn.parameters():
+        param.data[:] = r.normal(size=param.data.shape)
+    if cache_rows:
+        labels = np.concatenate([np.repeat(np.arange(ways - 1), per_class),
+                                 r.integers(0, ways - 1, size=cache_rows)])
+    else:
+        labels = np.repeat(np.arange(ways), per_class)
+    prompts = r.normal(size=(labels.size, dim))
+    return model, prompts, labels, r.normal(size=(queries, dim)), ways
+
+
+def assert_task_logits_identical(model, prompts, labels, queries, ways):
+    """Dense no-grad logits == per-edge oracle == autodiff path, by bytes."""
+    autodiff = model.task_logits(Tensor(prompts), labels, Tensor(queries),
+                                 ways).data
+    with no_grad():
+        dense = model.task_logits(Tensor(prompts), labels, Tensor(queries),
+                                  ways).data
+    oracle = task_logits_edges(model, prompts, labels, queries, ways)
+    assert dense.dtype == oracle.dtype == autodiff.dtype == np.float64
+    assert dense.shape == oracle.shape == autodiff.shape == (len(queries),
+                                                              ways)
+    assert dense.tobytes() == oracle.tobytes()
+    assert dense.tobytes() == autodiff.tobytes()
+
+
+class TestTaskAttentionEquivalence:
+    """Dense task-GNN kernel vs. the per-edge oracle and autodiff path."""
+
+    @pytest.mark.parametrize(
+        "task_episode",
+        product([2, 3, 5, 9, 20, 50], [1, 3], [0, 3], [1, 4, 16]),
+        indirect=True, ids=task_episode_id)
+    def test_dense_kernel_bit_identical(self, task_episode):
+        assert_task_logits_identical(*task_episode)
+
+    @pytest.mark.parametrize("task_episode", [(9, 1, 3, 4)], indirect=True,
+                             ids=task_episode_id)
+    def test_all_zero_embeddings(self, task_episode):
+        """Zeros flow through every op, so signs of zero must match too."""
+        model, prompts, labels, queries, ways = task_episode
+        assert_task_logits_identical(model, np.zeros_like(prompts), labels,
+                                     np.zeros_like(queries), ways)
+
+    @pytest.mark.parametrize("shape", [(2, 1), (9, 1), (50, 1), (9, 1, 1),
+                                       (9, 2), (50, 16), (20, 1, 16),
+                                       (3, 50, 16)])
+    def test_source_sum_matches_add_at(self, shape):
+        """The kernel's per-destination sum adds sources in ``np.add.at``'s
+        order and zero — including one-element rows, which numpy's
+        leading-axis reduction would sum pairwise."""
+        r = np.random.default_rng(len(shape) * 100 + shape[0])
+        grids = [r.normal(size=shape) for _ in range(10)]
+        for values in grids + [np.full(shape, -0.0)]:
+            want = np.zeros((1,) + shape[1:])
+            np.add.at(want, np.zeros(shape[0], dtype=np.int64), values)
+            got = _sum_sources(values)
+            assert got.shape == want[0].shape
+            assert got.tobytes() == want[0].tobytes()

@@ -10,9 +10,10 @@ from repro.core import (
     Pretrainer,
     sample_episode,
 )
-from repro.datasets import Dataset, EDGE_TASK
+from repro.datasets import Dataset, EDGE_TASK, NODE_TASK
 from repro.datasets.synthetic import synthetic_knowledge_graph
 from repro.graph import EdgeInput, NodeInput
+from repro.graph.datapoints import validate_datapoint
 from repro.serving import (
     MicroBatchScheduler,
     PromptServer,
@@ -250,7 +251,7 @@ class TestPromptServer:
         bad_inputs = (EdgeInput(-1, 5), EdgeInput(graph.num_nodes + 5, 5),
                       EdgeInput(0, 1, relation=graph.num_relations),
                       EdgeInput(0, 1, relation=-2), NodeInput(2.5),
-                      NodeInput(graph.num_nodes), (0, 1), None)
+                      NodeInput(graph.num_nodes), NodeInput(0), (0, 1), None)
         for bad in bad_inputs:
             server = PromptServer(model, dataset, max_batch_size=4, rng=0)
             server.open_session("good", episode)
@@ -261,6 +262,16 @@ class TestPromptServer:
             (result,) = server.drain()
             assert result.request_id == ticket and result.ok, bad
             assert server.stats.queries == 1
+
+    def test_datapoint_type_must_match_task(self):
+        """A node task takes only NodeInputs and an edge task only
+        EdgeInputs: a mismatched type would fail its whole micro-batch."""
+        validate_datapoint(NodeInput(0), 5, 2, NODE_TASK)
+        validate_datapoint(EdgeInput(0, 1), 5, 2, EDGE_TASK)
+        with pytest.raises(ValueError, match="node task takes NodeInput"):
+            validate_datapoint(EdgeInput(0, 1), 5, 2, NODE_TASK)
+        with pytest.raises(ValueError, match="edge task takes EdgeInput"):
+            validate_datapoint(NodeInput(0), 5, 2, EDGE_TASK)
 
     def test_lru_session_eviction(self, served):
         dataset, config, model = served
