@@ -29,9 +29,7 @@ ledger table (admitted/shed/QPS/p95 wait/deadline misses).
 from __future__ import annotations
 
 import asyncio
-import time
 
-from ..core import GraphPrompterModel, sample_episode
 from ..obs import MetricsRegistry
 from ..serving import Overloaded, Priority, PromptServer, ServingGateway
 from ..serving.qos import (
@@ -39,7 +37,14 @@ from ..serving.qos import (
     SHED_QUOTA_EXHAUSTED,
     SHED_RATE_LIMITED,
 )
-from .common import ExperimentContext, TableResult, default_config
+from .common import ExperimentContext, TableResult
+from .replay import (
+    replay,
+    replay_gateway,
+    require_identical,
+    sample_episodes,
+    served_model,
+)
 
 __all__ = ["serve_bench_gateway", "serve_gateway_demo"]
 
@@ -52,108 +57,62 @@ TENANT_MIX = (
     ("globex-batch", Priority.BATCH, 2),
     ("initech-background", Priority.BACKGROUND, 1),
 )
+NUM_SESSIONS = sum(sessions for _, _, sessions in TENANT_MIX)
 
 
-def _load_model(context: ExperimentContext, source: str, target: str):
-    config = default_config()
-    state = context.pretrained_state(source)
-    dataset = context.dataset(target)
-    model = GraphPrompterModel(dataset.graph.feature_dim,
-                               dataset.graph.num_relations, config)
-    model.load_state_dict(state)
-    return model, dataset
+async def _run_rounds(gateway, episodes: dict, rounds: int, per_round: int):
+    """Open the tenant mix's sessions, then replay ``per_round`` queries
+    per session per round, flushing between rounds.
 
-
-def _tenant_sessions(num_ways: int, queries: int, seed: int, dataset):
-    """One (tenant, priority, session_id, episode) row per session."""
-    plan = []
-    index = 0
-    for tenant_id, priority, sessions in TENANT_MIX:
-        for _ in range(sessions):
-            episode = sample_episode(dataset, num_ways=num_ways,
-                                     num_queries=queries,
-                                     rng=seed * 1000 + index)
-            plan.append((tenant_id, priority, f"session-{index}", episode))
-            index += 1
-    return plan
-
-
-def _replay_direct(model, dataset, plan, admitted, seed: int) -> dict:
-    """Per-query reference predictions for the admitted subset.
-
-    Opens the same sessions in the same order on a cold server (same rng
-    seed → same per-session Augmenter streams), then serves each
-    session's admitted queries one by one in their original order.
+    Returns ``(outcomes, admitted, elapsed seconds)``: ``outcomes`` lists
+    ``((session, query index), GatewayResult | Overloaded)`` in submission
+    order, ``admitted`` the admitted ``(key, prediction)`` pairs.
     """
-    server = PromptServer(model, dataset, max_batch_size=1, rng=seed)
-    for _, _, session_id, episode in plan:
-        server.open_session(session_id, episode)
-    episodes = {session_id: episode
-                for _, _, session_id, episode in plan}
-    reference: dict[tuple[str, int], int] = {}
-    for session_id, query_index in admitted:
-        server.submit(session_id,
-                      episodes[session_id].queries[query_index])
-        (result,) = server.drain()
-        reference[(session_id, query_index)] = result.prediction
-    return reference
-
-
-async def _run_rounds(gateway, plan, rounds: int, per_round: int):
-    """Submit ``per_round`` queries per session per round, flush between.
-
-    Returns (outcomes, admitted order, elapsed seconds): ``outcomes`` maps
-    (session, query index) → GatewayResult | Overloaded, ``admitted``
-    lists the admitted keys in submission order.
-    """
-    outcomes: dict[tuple[str, int], object] = {}
-    admitted: list[tuple[str, int]] = []
-    futures: dict[tuple[str, int], asyncio.Future] = {}
-    start = time.perf_counter()
-    for round_id in range(rounds):
-        for offset in range(per_round):
-            query_index = round_id * per_round + offset
-            for _, _, session_id, episode in plan:
-                key = (session_id, query_index)
-                submitted = gateway.submit_nowait(
-                    session_id, episode.queries[query_index])
-                if isinstance(submitted, Overloaded):
-                    outcomes[key] = submitted
-                else:
-                    futures[key] = submitted
-                    admitted.append(key)
-        await gateway.flush()
-    await gateway.flush()
-    elapsed = time.perf_counter() - start
-    for key, future in futures.items():
-        if not future.done():
-            raise RuntimeError(
-                f"request {key} never resolved — the gateway must never "
-                f"hang an admitted request")
-        outcomes[key] = future.result()
+    owners = [(tenant_id, priority)
+              for tenant_id, priority, sessions in TENANT_MIX
+              for _ in range(sessions)]
+    for (tenant_id, priority), (session_id, episode) in zip(
+            owners, episodes.items()):
+        gateway.open_session(tenant_id, session_id, episode,
+                             priority=priority)
+    ticks = [[(session_id, round_id * per_round + offset)
+              for offset in range(per_round) for session_id in episodes]
+             for round_id in range(rounds)]
+    outcomes, elapsed = await replay_gateway(gateway, episodes, ticks)
+    admitted = [(key, outcome.prediction) for key, outcome in outcomes
+                if not isinstance(outcome, Overloaded)]
     return outcomes, admitted, elapsed
 
 
-def _check_identical(outcomes, admitted, reference) -> None:
-    for key in admitted:
-        prediction = outcomes[key].prediction
-        if prediction != reference[key]:
-            raise RuntimeError(
-                f"gateway prediction diverged from direct serving at "
-                f"{key}: {prediction} != {reference[key]} — admission and "
-                f"priority batching must never change answers")
+def _require_direct_identity(model, dataset, episodes: dict, admitted,
+                             seed: int) -> None:
+    """Admitted gateway answers == one-by-one serving on a cold server.
+
+    Opens the same sessions in the same order (same rng seed → same
+    per-session Augmenter streams), then serves each admitted query alone
+    in its original order.
+    """
+    server = PromptServer(model, dataset, max_batch_size=1, rng=seed)
+    for session_id, episode in episodes.items():
+        server.open_session(session_id, episode)
+    results, _ = replay(server, episodes, [[key] for key, _ in admitted])
+    require_identical(
+        [(key, r.prediction) for (key, _), r in zip(admitted, results)],
+        admitted,
+        "gateway answers vs direct per-query serving (admission and "
+        "priority batching must never change answers)")
 
 
 def serve_bench_gateway(context: ExperimentContext,
                         source: str = "wiki", target: str = "nell",
                         num_ways: int = 5, seed: int = 0) -> TableResult:
     """Gateway equivalence + 2×-overload QoS bench (raises on violation)."""
-    model, dataset = _load_model(context, source, target)
+    model, dataset = served_model(context, source, target)
     rounds = 2 if context.fast else 3
     per_round = 3 if context.fast else 6
     queries = rounds * per_round
-    plan = _tenant_sessions(num_ways, queries, seed, dataset)
-    num_sessions = len(plan)
+    episodes = sample_episodes(dataset, NUM_SESSIONS, num_ways, queries,
+                               seed * 1000)
     interactive_budget_s = model.config.gateway_deadline_interactive_s
 
     headers = ["Phase", "Tenant", "Class", "Submitted", "Admitted",
@@ -186,15 +145,11 @@ def serve_bench_gateway(context: ExperimentContext,
         server = PromptServer(model, dataset, rng=seed)
         gateway = ServingGateway(server, max_queue=4096, max_batch_size=8,
                                  auto_drain=False)
-        for tenant_id, priority, session_id, episode in plan:
-            gateway.open_session(tenant_id, session_id, episode,
-                                 priority=priority)
-        outcomes, admitted, elapsed = await _run_rounds(
-            gateway, plan, rounds, per_round)
-        if len(admitted) != queries * num_sessions:
+        _, admitted, elapsed = await _run_rounds(gateway, episodes, rounds,
+                                                 per_round)
+        if len(admitted) != queries * NUM_SESSIONS:
             raise RuntimeError("equivalence phase must admit everything")
-        reference = _replay_direct(model, dataset, plan, admitted, seed)
-        _check_identical(outcomes, admitted, reference)
+        _require_direct_identity(model, dataset, episodes, admitted, seed)
         tenant_rows("equivalence", gateway.stats,
                     len(admitted) / elapsed)
         data["phases"]["equivalence"]["identical"] = True
@@ -205,7 +160,7 @@ def serve_bench_gateway(context: ExperimentContext,
         # ------------------------------------------------------------------
         # Each round offers rounds × per_round × sessions requests against
         # an admission queue sized to half of that: 2×-capacity overload.
-        max_queue = max(num_sessions * per_round // 2, 4)
+        max_queue = max(NUM_SESSIONS * per_round // 2, 4)
         server = PromptServer(model, dataset, rng=seed)
         # A private registry for this phase: its live shed counters are
         # the source of the per-reason breakdown below, so they must not
@@ -214,14 +169,10 @@ def serve_bench_gateway(context: ExperimentContext,
         gateway = ServingGateway(server, max_queue=max_queue,
                                  max_batch_size=8, auto_drain=False,
                                  registry=registry)
-        for tenant_id, priority, session_id, episode in plan:
-            gateway.open_session(tenant_id, session_id, episode,
-                                 priority=priority)
-        outcomes, admitted, elapsed = await _run_rounds(
-            gateway, plan, rounds, per_round)
+        _, admitted, elapsed = await _run_rounds(gateway, episodes, rounds,
+                                                 per_round)
         stats = gateway.stats
-        reference = _replay_direct(model, dataset, plan, admitted, seed)
-        _check_identical(outcomes, admitted, reference)
+        _require_direct_identity(model, dataset, episodes, admitted, seed)
 
         interactive = [t for t in stats.tenants
                        if t.priority == Priority.INTERACTIVE]
@@ -259,7 +210,7 @@ def serve_bench_gateway(context: ExperimentContext,
         tenant_rows("2x-overload", stats, len(admitted) / elapsed)
         data["phases"]["2x-overload"].update({
             "identical": True, "max_queue": max_queue,
-            "offered": queries * num_sessions,
+            "offered": queries * NUM_SESSIONS,
             "admitted": len(admitted),
             "interactive_wait_p95_s": worst_wait,
             "interactive_budget_s": interactive_budget_s,
@@ -281,7 +232,7 @@ def serve_bench_gateway(context: ExperimentContext,
                           for reason, count in breakdown.items())])
     return TableResult(
         title=(f"serve-bench-gateway: {len(TENANT_MIX)} tenants / "
-               f"{sum(s for _, _, s in TENANT_MIX)} sessions × "
+               f"{NUM_SESSIONS} sessions × "
                f"{rounds * per_round} queries, {num_ways}-way {target}"),
         headers=headers, rows=rows, data=data)
 
@@ -290,11 +241,12 @@ def serve_gateway_demo(context: ExperimentContext,
                        source: str = "wiki", target: str = "nell",
                        num_ways: int = 5, seed: int = 0) -> TableResult:
     """CLI demo: rate-limited mixed-tenant traffic through the gateway."""
-    model, dataset = _load_model(context, source, target)
+    model, dataset = served_model(context, source, target)
     rounds = 2
     per_round = 2 if context.fast else 4
     queries = rounds * per_round
-    plan = _tenant_sessions(num_ways, queries, seed, dataset)
+    episodes = sample_episodes(dataset, NUM_SESSIONS, num_ways, queries,
+                               seed * 1000)
 
     async def run():
         server = PromptServer(model, dataset, rng=seed)
@@ -306,11 +258,8 @@ def serve_gateway_demo(context: ExperimentContext,
                                  tenant_rate_qps=50.0,
                                  tenant_burst=float(2 * per_round + 1),
                                  auto_drain=False)
-        for tenant_id, priority, session_id, episode in plan:
-            gateway.open_session(tenant_id, session_id, episode,
-                                 priority=priority)
         outcomes, admitted, elapsed = await _run_rounds(
-            gateway, plan, rounds, per_round)
+            gateway, episodes, rounds, per_round)
         stats = gateway.stats
         await gateway.close()
         return outcomes, admitted, elapsed, stats
@@ -336,8 +285,7 @@ def serve_gateway_demo(context: ExperimentContext,
             "qps": tenant.qps, "wait_p95_s": tenant.wait_p95_s,
             "deadline_misses": tenant.deadline_misses,
         }
-    shed_kinds = sorted({outcome.reason
-                         for outcome in outcomes.values()
+    shed_kinds = sorted({outcome.reason for _, outcome in outcomes
                          if isinstance(outcome, Overloaded)})
     rows.append(["(total)", "-", len(outcomes), len(admitted),
                  len(outcomes) - len(admitted),

@@ -49,7 +49,7 @@ import tempfile
 
 import numpy as np
 
-from ..core import GraphPrompterModel, sample_episode
+from ..core import GraphPrompterModel
 from ..datasets import Dataset, load_dataset
 from ..graph import GraphUpdate
 from ..nn import load_state, save_state
@@ -63,6 +63,7 @@ from ..serving import (
     Unavailable,
 )
 from .common import ExperimentContext, TableResult, default_config
+from .replay import replay, require_identical, sample_episodes, served_model
 
 __all__ = ["serve_bench_recovery"]
 
@@ -70,17 +71,18 @@ __all__ = ["serve_bench_recovery"]
 NUM_ROUNDS = 3
 
 
-def _touching_update(graph, episodes, rng: np.random.Generator,
+def _touching_update(graph, episodes: dict, rng: np.random.Generator,
                      num_add: int, num_remove: int,
                      num_new_nodes: int = 0) -> GraphUpdate:
     """A seeded mutation guaranteed to invalidate *every* session.
 
     One added edge is anchored at each episode's first candidate node, so
     each session's dependent-node set intersects the touched region; the
-    rest is uniform noise like :func:`..serving.random_graph_update`.
+    rest is uniform noise like
+    :func:`~repro.experiments.serving.random_graph_update`.
     """
     seeds = np.array(sorted({int(ep.candidates[0].nodes[0])
-                             for ep in episodes}), dtype=np.int64)
+                             for ep in episodes.values()}), dtype=np.int64)
     total_nodes = graph.num_nodes + num_new_nodes
     extra = max(num_add - seeds.size, 0)
     add_src = np.concatenate(
@@ -110,13 +112,8 @@ def _build_workload(target: str, seed: int, num_ways: int,
     base = load_dataset(target)
     dataset = Dataset(base.graph.rebuild(), base.task, name=base.name,
                       rng=seed)
-    episodes = [
-        sample_episode(dataset, num_ways=num_ways,
-                       num_queries=queries_per_session,
-                       rng=seed * 1000 + i)
-        for i in range(num_sessions)
-    ]
-    return dataset, episodes
+    return dataset, sample_episodes(dataset, num_sessions, num_ways,
+                                    queries_per_session, seed * 1000)
 
 
 def _make_server(model, dataset, seed: int, num_shards: int,
@@ -126,12 +123,11 @@ def _make_server(model, dataset, seed: int, num_shards: int,
                         worker_backend="serial", persist=persist)
 
 
-def _serve_round(server: PromptServer, episodes, round_id: int):
-    per_round = episodes[0].num_queries // NUM_ROUNDS
-    for q in range(round_id * per_round, (round_id + 1) * per_round):
-        for i, episode in enumerate(episodes):
-            server.submit(f"session-{i}", episode.queries[q])
-    return server.drain()
+def _serve_round(server: PromptServer, episodes: dict, round_id: int):
+    per_round = next(iter(episodes.values())).num_queries // NUM_ROUNDS
+    queries = range(round_id * per_round, (round_id + 1) * per_round)
+    tick = [(session_id, q) for q in queries for session_id in episodes]
+    return replay(server, episodes, [tick])[0]
 
 
 def _final_round(server: PromptServer, episodes) -> list[tuple]:
@@ -149,8 +145,8 @@ def _pre_crash_timeline(server: PromptServer, episodes,
     WAL-logs it and dies; the reference run applies it and keeps going.
     """
     graph = server.dataset.graph
-    for i, episode in enumerate(episodes):
-        server.open_session(f"session-{i}", episode)
+    for session_id, episode in episodes.items():
+        server.open_session(session_id, episode)
     rng = np.random.default_rng(seed + 777)
     grow = max(graph.num_live_edges // 30, 6)
     _serve_round(server, episodes, 0)
@@ -182,12 +178,14 @@ def _inject_torn_tail(persist: PersistentStore, graph, episodes,
 
 def _run_doomed(model, target: str, store_dir: str, seed: int,
                 num_ways: int, num_sessions: int,
-                queries_per_session: int, num_shards: int) -> None:
+                queries_per_session: int, num_shards: int,
+                sigkill: bool = False) -> None:
     """The pre-crash process: stops at the write-ahead point.
 
     After this returns, ``store_dir`` holds exactly what a ``kill -9``
     between ``log_update``'s fsync and the in-memory apply leaves behind
-    (plus a torn tail from a third, never-acknowledged update).
+    (plus a torn tail from a third, never-acknowledged update).  With
+    ``sigkill`` the process ``kill -9``s itself at that point instead.
     """
     dataset, episodes = _build_workload(target, seed, num_ways,
                                         num_sessions, queries_per_session)
@@ -197,6 +195,8 @@ def _run_doomed(model, target: str, store_dir: str, seed: int,
     update = _pre_crash_timeline(server, episodes, seed)
     persist.log_update(update, base_version=dataset.graph.version)
     # -- crash point: the update is durable but was never applied. --
+    if sigkill:
+        os.kill(os.getpid(), signal.SIGKILL)
     _inject_torn_tail(persist, dataset.graph, episodes, seed)
     server.close()
 
@@ -207,18 +207,12 @@ def _crash_child(store_dir: str, model_path: str, target: str, seed: int,
     """Subprocess entry point: run the doomed timeline, then ``kill -9``
     ourselves at the write-ahead point — no torn-tail simulation needed,
     the crash is real."""
-    config = default_config(mutable_graph=True)
-    dataset, episodes = _build_workload(target, seed, num_ways,
-                                        num_sessions, queries_per_session)
-    model = GraphPrompterModel(dataset.graph.feature_dim,
-                               dataset.graph.num_relations, config)
+    graph = load_dataset(target).graph
+    model = GraphPrompterModel(graph.feature_dim, graph.num_relations,
+                               default_config(mutable_graph=True))
     load_state(model, model_path)
-    persist = PersistentStore(store_dir)
-    server = _make_server(model, dataset, seed, num_shards,
-                          persist=persist)
-    update = _pre_crash_timeline(server, episodes, seed)
-    persist.log_update(update, base_version=dataset.graph.version)
-    os.kill(os.getpid(), signal.SIGKILL)
+    _run_doomed(model, target, store_dir, seed, num_ways, num_sessions,
+                queries_per_session, num_shards, sigkill=True)
 
 
 def _spawn_crash_child(store_dir: str, model_path: str, target: str,
@@ -252,8 +246,9 @@ async def _failover_phase(model, target: str, store_dir: str, seed: int,
         return ServingGateway(server, auto_drain=False)
 
     rs = ReplicaSet(factory, num_replicas=2, store=store)
-    _, episodes = _build_workload(target, seed, num_ways, 4,
+    _, sessions = _build_workload(target, seed, num_ways, 4,
                                   queries_per_session)
+    episodes = list(sessions.values())
     tenants = [f"tenant-{i}" for i in range(len(episodes))]
     for i, tenant in enumerate(tenants):
         rs.open_session(tenant, f"{tenant}-s", episodes[i],
@@ -279,7 +274,7 @@ async def _failover_phase(model, target: str, store_dir: str, seed: int,
 
     first = await serve_all(0)
     await rs.update_graph(_touching_update(
-        rs.replicas[0].server.dataset.graph, episodes,
+        rs.replicas[0].server.dataset.graph, sessions,
         np.random.default_rng(seed + 777), 6, 3))
 
     # In-flight requests on the victim at the moment it dies.
@@ -320,15 +315,9 @@ def serve_bench_recovery(context: ExperimentContext,
                          source: str = "wiki", target: str = "nell",
                          num_ways: int = 5, seed: int = 0) -> TableResult:
     """Crash/recovery differential + replica failover (raises on breach)."""
-    config = default_config(mutable_graph=True)
-    state = context.pretrained_state(source)
+    model, base = served_model(context, source, target, mutable_graph=True)
     num_sessions = 3 if context.fast else 4
     queries_per_session = 6 if context.fast else 12
-    base = context.dataset(target)
-
-    model = GraphPrompterModel(base.graph.feature_dim,
-                               base.graph.num_relations, config)
-    model.load_state_dict(state)
 
     configs = [("monolithic", 1), ("2-shard", 2)]
     if not context.fast:
@@ -383,23 +372,22 @@ def serve_bench_recovery(context: ExperimentContext,
             recovered = _final_round(recovered_server, ref_episodes)
             recovered_server.close()
 
-            identical = recovered == reference
-            data["cells"][label] = {
-                "crash": crash, "num_shards": num_shards,
-                "replayed": replayed, "sessions": restored_sessions,
-                "graph_version": version, "identical": identical,
-            }
-            rows.append([label, crash, replayed, restored_sessions,
-                         version, "yes" if identical else "NO"])
             if restored_sessions != num_sessions:
                 raise RuntimeError(
                     f"recovery re-opened {restored_sessions} sessions, "
                     f"expected {num_sessions} — session manifests lost")
-            if not identical:
-                raise RuntimeError(
-                    f"recovered serving diverged from the uninterrupted "
-                    f"run ({label}) — snapshot, WAL replay, or session "
-                    f"re-open is not bit-faithful")
+            require_identical(
+                reference, recovered,
+                f"recovered serving ({label}) vs the uninterrupted run "
+                f"(snapshot, WAL replay or session re-open is not "
+                f"bit-faithful)")
+            data["cells"][label] = {
+                "crash": crash, "num_shards": num_shards,
+                "replayed": replayed, "sessions": restored_sessions,
+                "graph_version": version, "identical": True,
+            }
+            rows.append([label, crash, replayed, restored_sessions,
+                         version, "yes"])
 
         failover = asyncio.run(_failover_phase(
             model, target, os.path.join(tmp, "store-failover"), seed,

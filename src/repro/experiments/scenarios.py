@@ -44,10 +44,8 @@ import json
 import math
 import os
 import sys
-import time
 from dataclasses import dataclass, field
 
-from ..core import GraphPrompterModel, sample_episode
 from ..obs import MetricsRegistry, scrape
 from ..obs.slo import (
     LatencyQuantileSLO,
@@ -71,7 +69,8 @@ from ..workload import (
     ZipfQueries,
     ZipfTenants,
 )
-from .common import ExperimentContext, TableResult, default_config
+from .common import ExperimentContext, TableResult
+from .replay import replay_gateway, sample_episodes, served_model
 
 __all__ = [
     "SCENARIOS",
@@ -215,7 +214,7 @@ def _build_trace(scenario: Scenario, seed: int, fast: bool) -> WorkloadTrace:
     return WorkloadTrace(generator.take(num_events))
 
 
-def _outcome_token(index: int, event, outcome) -> str:
+def _outcome_token(index: int, key: tuple, outcome) -> str:
     """Canonical per-event line for the admitted-outcome fingerprint."""
     if isinstance(outcome, Overloaded):
         status = f"shed:{outcome.reason}"
@@ -223,7 +222,8 @@ def _outcome_token(index: int, event, outcome) -> str:
         status = f"ok:{outcome.prediction}"
     else:
         status = "error"
-    return f"{index}|{event.session}|{event.query}|{status}"
+    session, query = key
+    return f"{index}|{session}|{query}|{status}"
 
 
 async def _drive(gateway: ServingGateway, trace: WorkloadTrace,
@@ -231,38 +231,30 @@ async def _drive(gateway: ServingGateway, trace: WorkloadTrace,
                  registry: MetricsRegistry):
     """Replay the trace in virtual-time ticks; snapshot at window edges.
 
-    Returns ``(outcomes, snapshots, elapsed_s)`` — outcomes in
-    submission order, each resolved to Overloaded or GatewayResult.
+    Returns ``(outcomes, snapshots, elapsed_s)`` — outcomes as
+    ``((session, query), Overloaded | GatewayResult)`` pairs in
+    submission order.
     """
     last_tick = int(trace.duration_s / scenario.tick_s)
     window_every = max(1, math.ceil((last_tick + 1) / scenario.windows))
     next_boundary = window_every
     snapshots = [registry.snapshot()]
-    pending: list[tuple] = []
-    start = time.perf_counter()
-    for tick, events in trace.ticks(scenario.tick_s):
-        for event in events:
-            outcome = gateway.submit_nowait(
-                event.session, episodes[event.session].queries[event.query])
-            pending.append((event, outcome))
-        await gateway.flush()
-        while tick + 1 >= next_boundary:
+    numbered = list(trace.ticks(scenario.tick_s))
+
+    def snapshot_windows(index: int) -> None:
+        nonlocal next_boundary
+        while numbered[index][0] + 1 >= next_boundary:
             snapshots.append(registry.snapshot())
             next_boundary += window_every
-    await gateway.flush()
-    elapsed = time.perf_counter() - start
+
+    outcomes, elapsed = await replay_gateway(
+        gateway, episodes,
+        [[(event.session, event.query) for event in events]
+         for _, events in numbered],
+        after_tick=snapshot_windows)
     # Final boundary: the last window closes at end-of-trace (a window
     # that happens to be empty just burns at zero).
     snapshots.append(registry.snapshot())
-    outcomes = []
-    for event, outcome in pending:
-        if isinstance(outcome, asyncio.Future):
-            if not outcome.done():
-                raise RuntimeError(
-                    f"request for {event.session} never resolved — the "
-                    f"gateway must never hang an admitted request")
-            outcome = outcome.result()
-        outcomes.append((event, outcome))
     return outcomes, snapshots, elapsed
 
 
@@ -277,11 +269,10 @@ def _one_run(model, dataset, scenario: Scenario, seed: int, fast: bool,
                              max_batch_size=8, auto_drain=False,
                              registry=registry)
     plan = trace.sessions()
+    sampled = sample_episodes(dataset, len(plan), 5, scenario.num_queries,
+                              seed * 1000)
     episodes = {}
-    for index, (tenant, priority, session) in enumerate(plan):
-        episode = sample_episode(dataset, num_ways=5,
-                                 num_queries=scenario.num_queries,
-                                 rng=seed * 1000 + index)
+    for (tenant, priority, session), episode in zip(plan, sampled.values()):
         episodes[session] = episode
         gateway.open_session(tenant, session, episode,
                              priority=PRIORITY_MAP[priority])
@@ -296,8 +287,8 @@ def _one_run(model, dataset, scenario: Scenario, seed: int, fast: bool,
     outcomes, snapshots, elapsed = asyncio.run(run())
 
     digest = hashlib.sha256()
-    for index, (event, outcome) in enumerate(outcomes):
-        digest.update(_outcome_token(index, event, outcome).encode())
+    for index, (key, outcome) in enumerate(outcomes):
+        digest.update(_outcome_token(index, key, outcome).encode())
         digest.update(b"\n")
     final = snapshots[-1]
     verdict = evaluate(build_slos(scenario, relax), snapshots)
@@ -408,12 +399,7 @@ def run_matrix(context: ExperimentContext, names: list[str] | None = None,
     if unknown:
         raise ValueError(f"unknown scenario(s) {unknown}; "
                          f"known: {', '.join(SCENARIOS)}")
-    config = default_config()
-    state = context.pretrained_state(source)
-    dataset = context.dataset(target)
-    model = GraphPrompterModel(dataset.graph.feature_dim,
-                               dataset.graph.num_relations, config)
-    model.load_state_dict(state)
+    model, dataset = served_model(context, source, target)
 
     entries: dict[str, dict] = {}
     verdicts = []

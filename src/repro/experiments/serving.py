@@ -12,7 +12,7 @@ interleaved queries from several concurrent episodes — is replayed through
 Reported per batch size: queries/sec over the whole workload, the speedup
 vs. per-query serving, p50/p95 micro-batch service latency, and whether
 predictions stayed identical to the per-query run (they must — batching is
-a pure throughput optimization).
+a pure throughput optimization, so a mismatch raises).
 
 ``serve-bench-mutating`` interleaves live graph updates
 (:meth:`PromptServer.update_graph`) with query rounds: edges are added and
@@ -38,57 +38,38 @@ smoke fails loudly.  The summary table surfaces the per-shard counters
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
-from ..core import GraphPrompterModel, sample_episode
 from ..datasets.base import Dataset
 from ..graph import GraphUpdate
 from ..serving import PromptServer
-from .common import ExperimentContext, TableResult, default_config
+from .common import ExperimentContext, TableResult
+from .replay import (
+    replay,
+    replay_workload,
+    require_identical,
+    sample_episodes,
+    served_model,
+)
 
-__all__ = ["replay_workload", "serve_bench", "serve_bench_sharded",
-           "serve_bench_mutating", "random_graph_update"]
-
-
-def replay_workload(server: PromptServer, episodes) -> tuple[list, float]:
-    """One session per episode, round-robin submit, drain; timed.
-
-    Round-robin arrival means every micro-batch mixes queries from many
-    tenants — the cross-session coalescing case both benches measure.
-    """
-    for i, episode in enumerate(episodes):
-        server.open_session(f"session-{i}", episode)
-    start = time.perf_counter()
-    for q in range(episodes[0].num_queries):
-        for i, episode in enumerate(episodes):
-            server.submit(f"session-{i}", episode.queries[q])
-    results = server.drain()
-    return results, time.perf_counter() - start
+__all__ = ["serve_bench", "serve_bench_sharded", "serve_bench_mutating",
+           "random_graph_update"]
 
 
 def serve_bench(context: ExperimentContext,
                 batch_sizes=(1, 4, 16),
                 source: str = "wiki", target: str = "nell",
                 num_ways: int = 5, seed: int = 0) -> TableResult:
-    """Cross-session micro-batching throughput on one fixed workload."""
-    config = default_config()
-    state = context.pretrained_state(source)
-    dataset = context.dataset(target)
+    """Cross-session micro-batching throughput on one fixed workload.
+
+    Raises ``RuntimeError`` when any batch size changes a prediction
+    relative to the first (per-query) row.
+    """
+    model, dataset = served_model(context, source, target)
     num_sessions = 4 if context.fast else 8
     queries_per_session = 6 if context.fast else 24
-
-    model = GraphPrompterModel(dataset.graph.feature_dim,
-                               dataset.graph.num_relations, config)
-    model.load_state_dict(state)
-
-    episodes = [
-        sample_episode(dataset, num_ways=num_ways,
-                       num_queries=queries_per_session,
-                       rng=seed * 1000 + i)
-        for i in range(num_sessions)
-    ]
+    episodes = sample_episodes(dataset, num_sessions, num_ways,
+                               queries_per_session, seed * 1000)
 
     headers = ["Batch", "Queries/s", "Speedup", "p50 ms", "p95 ms",
                "Mean batch", "Identical"]
@@ -102,26 +83,25 @@ def serve_bench(context: ExperimentContext,
         results, elapsed = replay_workload(server, episodes)
 
         qps = len(results) / elapsed
-        if baseline_qps is None:
-            baseline_qps = qps
         service_ms = 1000.0 * np.asarray([r.service_s for r in results])
         p50, p95 = np.percentile(service_ms, [50, 95])
         predictions = [(r.session_id, r.prediction) for r in results]
-        identical = reference is None or predictions == reference
         if reference is None:
-            reference = predictions
+            reference, baseline_qps = predictions, qps
+        require_identical(
+            reference, predictions,
+            f"serve-bench batch {batch_size} vs batch {batch_sizes[0]}")
 
         data["cells"][batch_size] = {
             "qps": qps, "speedup": qps / baseline_qps,
             "p50_ms": float(p50), "p95_ms": float(p95),
             "mean_batch": server.stats.mean_batch_size,
-            "identical": identical, "results": results,
+            "identical": True, "results": results,
         }
         rows.append([batch_size, f"{qps:.1f}",
                      f"{qps / baseline_qps:.2f}x",
                      f"{p50:.2f}", f"{p95:.2f}",
-                     f"{server.stats.mean_batch_size:.1f}",
-                     "yes" if identical else "NO"])
+                     f"{server.stats.mean_batch_size:.1f}", "yes"])
     return TableResult(
         title=(f"serve-bench: {num_sessions} sessions × "
                f"{queries_per_session} queries, {num_ways}-way {target}"),
@@ -135,8 +115,7 @@ def random_graph_update(graph, rng: np.random.Generator,
 
     Added edges draw uniform endpoints (including any nodes added by the
     same update); removals draw uniformly from the live edge ids.  Shared
-    by the mutating serve bench, the perf harness's mutate profile, and
-    the differential test suite.
+    by ``serve-bench-mutating`` and perfbench's mutating workload.
     """
     total_nodes = graph.num_nodes + num_new_nodes
     _, _, _, live_ids = graph.live_edges()
@@ -162,9 +141,7 @@ def serve_bench_mutating(context: ExperimentContext,
     predictions differ from a server cold-rebuilt over the final live
     edge list — the property the CI mutation-smoke job asserts.
     """
-    config = default_config(mutable_graph=True)
-    state = context.pretrained_state(source)
-    base = context.dataset(target)
+    model, base = served_model(context, source, target, mutable_graph=True)
     # Private graph copy: the context's dataset cache is shared across
     # experiments and must never observe this bench's mutations.
     dataset = Dataset(base.graph.rebuild(), base.task,
@@ -175,35 +152,23 @@ def serve_bench_mutating(context: ExperimentContext,
     num_rounds = 3
     per_round = queries_per_session // num_rounds
     grow = max(graph.num_live_edges // (20 if context.fast else 40), 8)
-
-    model = GraphPrompterModel(graph.feature_dim, graph.num_relations,
-                               config)
-    model.load_state_dict(state)
-
-    episodes = [
-        sample_episode(dataset, num_ways=num_ways,
-                       num_queries=queries_per_session,
-                       rng=seed * 1000 + i)
-        for i in range(num_sessions)
-    ]
+    episodes = sample_episodes(dataset, num_sessions, num_ways,
+                               queries_per_session, seed * 1000)
 
     server = PromptServer(model, dataset, max_batch_size=8, rng=seed)
-    for i, episode in enumerate(episodes):
-        server.open_session(f"session-{i}", episode)
+    for session_id, episode in episodes.items():
+        server.open_session(session_id, episode)
 
     update_rng = np.random.default_rng(seed + 77)
     headers = ["Round", "Queries/s", "+Edges", "-Edges", "+Nodes",
                "Stale sessions", "Overlay %"]
     rows = []
-    data = {"rounds": [], "identical": None}
+    data = {"rounds": []}
     mut_rng = np.random.default_rng(update_rng.integers(2**32))
     for round_id in range(num_rounds):
-        start = time.perf_counter()
-        for q in range(round_id * per_round, (round_id + 1) * per_round):
-            for i, episode in enumerate(episodes):
-                server.submit(f"session-{i}", episode.queries[q])
-        results = server.drain()
-        elapsed = time.perf_counter() - start
+        queries = range(round_id * per_round, (round_id + 1) * per_round)
+        tick = [(session_id, q) for q in queries for session_id in episodes]
+        results, elapsed = replay(server, episodes, [tick])
         qps = len(results) / elapsed
 
         # Mutate between rounds (the last round leaves the graph as the
@@ -231,26 +196,20 @@ def serve_bench_mutating(context: ExperimentContext,
     cold_dataset = Dataset(graph.rebuild(), base.task,
                            name=f"{base.name}-cold", rng=seed)
     cold = PromptServer(model, cold_dataset, max_batch_size=8, rng=seed)
+    checks = {f"check-{i}": episode
+              for i, episode in enumerate(episodes.values())}
     predictions = {}
     for tag, srv in (("mutated", server), ("cold", cold)):
-        for i, episode in enumerate(episodes):
-            srv.open_session(f"check-{i}", episode)
-        start = time.perf_counter()
-        for q in range(queries_per_session):
-            for i, episode in enumerate(episodes):
-                srv.submit(f"check-{i}", episode.queries[q])
-        results = srv.drain()
+        results, elapsed = replay_workload(srv, checks)
         predictions[tag] = [(r.session_id, r.prediction) for r in results]
-        data[f"{tag}_qps"] = len(results) / (time.perf_counter() - start)
-    identical = predictions["mutated"] == predictions["cold"]
-    data["identical"] = identical
+        data[f"{tag}_qps"] = len(results) / elapsed
+    require_identical(
+        predictions["cold"], predictions["mutated"],
+        "mutating serving vs the cold rebuild (delta overlay, shard "
+        "routing or epoch invalidation served stale graph state)")
+    data["identical"] = True
     data["stale_evictions"] = server.stats.stale_evictions
     data["graph_version"] = server.stats.graph_version
-    if not identical:
-        raise RuntimeError(
-            "mutating serving diverged from the cold rebuild — delta "
-            "overlay, shard routing, or epoch invalidation served stale "
-            "graph state")
     rows.append(["check", f"{data['mutated_qps']:.1f}", "-", "-", "-",
                  "-", "identical: yes"])
     return TableResult(
@@ -269,22 +228,11 @@ def serve_bench_sharded(context: ExperimentContext,
     differ from the unsharded run — the property the CI shard-smoke job
     asserts.
     """
-    config = default_config()
-    state = context.pretrained_state(source)
-    dataset = context.dataset(target)
+    model, dataset = served_model(context, source, target)
     num_sessions = 3 if context.fast else 6
     queries_per_session = 5 if context.fast else 16
-
-    model = GraphPrompterModel(dataset.graph.feature_dim,
-                               dataset.graph.num_relations, config)
-    model.load_state_dict(state)
-
-    episodes = [
-        sample_episode(dataset, num_ways=num_ways,
-                       num_queries=queries_per_session,
-                       rng=seed * 1000 + i)
-        for i in range(num_sessions)
-    ]
+    episodes = sample_episodes(dataset, num_sessions, num_ways,
+                               queries_per_session, seed * 1000)
 
     # The CI smoke runs the serial fallback rows; "auto" exercises the
     # process pool wherever the host has cores for it.
@@ -315,17 +263,15 @@ def serve_bench_sharded(context: ExperimentContext,
         predictions = [(r.session_id, r.prediction) for r in results]
         if reference is None:
             reference = predictions
-        identical = predictions == reference
-        if not identical:
-            raise RuntimeError(
-                f"sharded serving diverged from the unsharded run "
-                f"({label}: {num_shards} shards / {num_workers} workers / "
-                f"{backend}) — sharding must never change predictions")
+        require_identical(
+            reference, predictions,
+            f"sharded serving ({label}: {num_shards} shards / "
+            f"{num_workers} workers / {backend}) vs the unsharded run")
         shard_counters = stats.shards
         requests = "/".join(str(c.requests) for c in shard_counters) or "-"
         busy_ms = 1000.0 * sum(c.worker_busy_s for c in shard_counters)
         data["cells"][label] = {
-            "qps": qps, "identical": identical,
+            "qps": qps, "identical": True,
             "num_shards": num_shards, "num_workers": num_workers,
             "backend": effective,
             "shards": [
@@ -335,8 +281,7 @@ def serve_bench_sharded(context: ExperimentContext,
                 for c in shard_counters],
         }
         rows.append([label, num_shards, num_workers, effective,
-                     f"{qps:.1f}", "yes" if identical else "NO",
-                     requests, stats.halo_fetches,
+                     f"{qps:.1f}", "yes", requests, stats.halo_fetches,
                      f"{busy_ms:.1f}" if shard_counters else "-"])
     return TableResult(
         title=(f"serve-bench-sharded: {num_sessions} sessions × "

@@ -1,11 +1,4 @@
-"""Scatter/segment primitives shared by all GNN layers.
-
-Each differentiable :class:`~repro.nn.Tensor` primitive has a raw-ndarray
-twin (``*_data``) used by the fused no-grad inference path: identical
-arithmetic, identical op order — therefore bit-identical outputs — but no
-tensor wrapping, and dtype-preserving (float32 inputs stay float32 instead
-of silently upcasting the whole attention path to float64).
-"""
+"""Scatter/segment primitives shared by all GNN layers."""
 
 from __future__ import annotations
 
@@ -19,8 +12,6 @@ __all__ = [
     "segment_softmax",
     "segment_count",
     "data_of",
-    "scatter_sum_data",
-    "segment_softmax_data",
 ]
 
 
@@ -79,32 +70,3 @@ def segment_softmax(scores: Tensor, index: np.ndarray, num_segments: int) -> Ten
     eps = np.asarray(1e-16, dtype=scores.data.dtype)
     return exps / (denom.gather_rows(index).reshape(-1) + eps)
 
-
-# ----------------------------------------------------------------------
-# Raw-ndarray twins — the fused no-grad inference path
-# ----------------------------------------------------------------------
-def scatter_sum_data(values: np.ndarray, index: np.ndarray,
-                     num_segments: int) -> np.ndarray:
-    """Bucket-sum rows of a plain ndarray; same summation order as
-    :meth:`Tensor.scatter_add` (sequential ``np.add.at``), same zeros
-    initialisation — bit-identical for float64 inputs."""
-    index = _as_index(index)
-    out = np.zeros((num_segments,) + values.shape[1:], dtype=values.dtype)
-    np.add.at(out, index, values)
-    return out
-
-
-def segment_softmax_data(scores: np.ndarray, index: np.ndarray,
-                         num_segments: int) -> np.ndarray:
-    """Raw-ndarray :func:`segment_softmax`; dtype-preserving."""
-    index = _as_index(index)
-    if scores.ndim != 1:
-        raise ValueError("segment_softmax expects 1-D scores")
-    max_per_segment = np.full(num_segments, -np.inf, dtype=scores.dtype)
-    np.maximum.at(max_per_segment, index, scores)
-    max_per_segment[~np.isfinite(max_per_segment)] = 0.0
-    exps = np.exp(scores - max_per_segment[index])
-    denom = np.zeros(num_segments, dtype=exps.dtype)
-    np.add.at(denom, index, exps)
-    eps = np.asarray(1e-16, dtype=scores.dtype)
-    return exps / (denom[index] + eps)

@@ -63,7 +63,7 @@ def _format_results(results: dict) -> str:
         elif qps_keys:  # serving: QPS pair
             detail = ("qps " + " -> ".join(f"{cells[k]:.1f}"
                                            for k in qps_keys))
-        else:  # counter-style entry (e.g. the gateway overload outcome)
+        else:  # counter-style entry (e.g. the pool-bytes ratio)
             detail = ", ".join(
                 f"{k} {value:.3g}" for k, value in cells.items()
                 if isinstance(value, (int, float)))

@@ -45,13 +45,17 @@ The ``mutate`` profile benchmarks the live-update subsystem
 from __future__ import annotations
 
 import os
-import time
 
 import numpy as np
 
 from ..core import GraphPrompterConfig, GraphPrompterModel, sample_episode
 from ..datasets import Dataset, EDGE_TASK
 from ..datasets.synthetic import synthetic_knowledge_graph
+from ..experiments.replay import (
+    replay_gateway,
+    replay_workload,
+    sample_episodes,
+)
 from ..gnn import SubgraphBatch
 from ..graph import EdgeInput, sample_data_graph
 from ..graph.sampling import bfs_neighborhood, random_walk_neighborhood
@@ -115,11 +119,10 @@ PROFILES = {
                    min_runtime_s=0.05),
     # Multi-tenant gateway (runs the gateway benchmarks only): the
     # admission/priority/deadline machinery's end-to-end overhead over a
-    # bare PromptServer drain, and the overload shedding outcome.
+    # bare PromptServer drain.
     "gateway": dict(nodes=1500, edges=9000, relations=8, feature_dim=32,
                     hidden_dim=32, max_nodes=48,
                     serve_sessions=4, serve_queries=6, serve_batch=8,
-                    overload_rounds=2, overload_per_round=3,
                     num_ways=5, min_runtime_s=0.05),
 }
 
@@ -137,6 +140,18 @@ def _benchmark_graph(p: dict):
     return synthetic_knowledge_graph(
         p["nodes"], p["relations"], p["edges"],
         feature_dim=p["feature_dim"], rng=0, name="bench-kg")
+
+
+def _served_workload(graph, p: dict):
+    """``(model, dataset, episodes)``: an untrained model over ``graph``
+    and the seeded sessions every serving replay uses."""
+    config = GraphPrompterConfig(hidden_dim=p["hidden_dim"],
+                                 max_subgraph_nodes=p["max_nodes"])
+    dataset = Dataset(graph, EDGE_TASK, rng=0)
+    model = GraphPrompterModel(graph.feature_dim, graph.num_relations, config)
+    episodes = sample_episodes(dataset, p["serve_sessions"], p["num_ways"],
+                               p["serve_queries"], 100)
+    return model, dataset, episodes
 
 
 def _dense_sampling_graph(p: dict):
@@ -241,20 +256,10 @@ def _pool_bytes_benchmark(graph, p: dict) -> dict:
 
 
 def _serving_benchmark(graph, p: dict) -> dict:
-    # The replay protocol (round-robin arrival across sessions) is owned
-    # by the serve-bench experiment — reusing it keeps the perf baseline
-    # measuring exactly the workload serve-bench validates.
-    from ..experiments.serving import replay_workload
-
-    config = GraphPrompterConfig(hidden_dim=p["hidden_dim"],
-                                 max_subgraph_nodes=p["max_nodes"])
-    dataset = Dataset(graph, EDGE_TASK, rng=0)
-    model = GraphPrompterModel(graph.feature_dim, graph.num_relations, config)
-    episodes = [
-        sample_episode(dataset, num_ways=p["num_ways"],
-                       num_queries=p["serve_queries"], rng=100 + i)
-        for i in range(p["serve_sessions"])
-    ]
+    # The replay protocol (round-robin arrival across sessions) is the one
+    # serve-bench replays, so the perf baseline measures exactly the
+    # workload serve-bench validates.
+    model, dataset, episodes = _served_workload(graph, p)
 
     def run(batch_size: int) -> float:
         # Best-of-3 replays, like the calibrated timer used everywhere
@@ -392,19 +397,7 @@ def _shard_benchmarks(p: dict) -> dict:
     out["shard_batched_frontier_qps"] = frontier_qps
 
     # Parallel serving: K shards, 1 worker vs. the process pool.
-    from ..experiments.serving import replay_workload
-
-    graph = _benchmark_graph(p)
-    config = GraphPrompterConfig(hidden_dim=p["hidden_dim"],
-                                 max_subgraph_nodes=p["max_nodes"])
-    dataset = Dataset(graph, EDGE_TASK, rng=0)
-    model = GraphPrompterModel(graph.feature_dim, graph.num_relations,
-                               config)
-    episodes = [
-        sample_episode(dataset, num_ways=p["num_ways"],
-                       num_queries=p["serve_queries"], rng=100 + i)
-        for i in range(p["serve_sessions"])
-    ]
+    model, dataset, episodes = _served_workload(_benchmark_graph(p), p)
 
     def serve_qps(num_workers: int, backend: str) -> tuple[float, str]:
         best, effective = 0.0, backend
@@ -570,7 +563,7 @@ def _mutation_benchmarks(p: dict) -> dict:
 
 
 def _gateway_benchmarks(p: dict) -> dict:
-    """Gateway overhead vs. bare server, plus the overload shed outcome.
+    """Gateway overhead vs. bare server on the same round-robin replay.
 
     Both replay paths run with a **live metrics registry** scoped in, so
     the ratio CI gates includes the per-event cost of the observability
@@ -579,68 +572,41 @@ def _gateway_benchmarks(p: dict) -> dict:
     """
     import asyncio
 
-    from ..experiments.serving import replay_workload
     from ..obs.metrics import MetricsRegistry, scoped_registry
-    from ..obs.tracing import STAGE_HELP, STAGE_METRIC
-    from ..serving import Overloaded, Priority, ServingGateway
+    from ..serving import ServingGateway
 
-    graph = _benchmark_graph(p)
-    config = GraphPrompterConfig(hidden_dim=p["hidden_dim"],
-                                 max_subgraph_nodes=p["max_nodes"])
-    dataset = Dataset(graph, EDGE_TASK, rng=0)
-    model = GraphPrompterModel(graph.feature_dim, graph.num_relations,
-                               config)
-    episodes = [
-        sample_episode(dataset, num_ways=p["num_ways"],
-                       num_queries=p["serve_queries"], rng=100 + i)
-        for i in range(p["serve_sessions"])
-    ]
+    model, dataset, episodes = _served_workload(_benchmark_graph(p), p)
 
-    def direct_qps() -> float:
-        best = 0.0
-        for _ in range(3):
-            with scoped_registry(MetricsRegistry()):
-                server = PromptServer(model, dataset,
-                                      max_batch_size=p["serve_batch"],
-                                      rng=0)
-                results, elapsed = replay_workload(server, episodes)
-            best = max(best, len(results) / elapsed)
-        return best
+    def direct_replay() -> float:
+        server = PromptServer(model, dataset,
+                              max_batch_size=p["serve_batch"], rng=0)
+        results, elapsed = replay_workload(server, episodes)
+        return len(results) / elapsed
 
-    async def one_gateway_replay() -> float:
+    async def gateway_replay() -> float:
         server = PromptServer(model, dataset,
                               max_batch_size=p["serve_batch"], rng=0)
         gateway = ServingGateway(server, max_queue=4096,
                                  max_batch_size=p["serve_batch"],
                                  auto_drain=False)
-        for i, episode in enumerate(episodes):
-            gateway.open_session(f"tenant-{i}", f"session-{i}", episode)
-        futures = []
-        start = time.perf_counter()
-        for q in range(episodes[0].num_queries):
-            for i, episode in enumerate(episodes):
-                futures.append(gateway.submit_nowait(f"session-{i}",
-                                                     episode.queries[q]))
-        await gateway.flush()
-        elapsed = time.perf_counter() - start
+        for i, (session_id, episode) in enumerate(episodes.items()):
+            gateway.open_session(f"tenant-{i}", session_id, episode)
+        tick = [(session_id, q) for q in range(p["serve_queries"])
+                for session_id in episodes]
+        outcomes, elapsed = await replay_gateway(gateway, episodes, [tick])
         await gateway.close()
-        return len(futures) / elapsed
+        return len(outcomes) / elapsed
 
-    # One registry across the gateway replays: the qps pays live metric
-    # recording (the overhead under test) and its stage histograms feed
-    # the profile entry below.
-    gateway_registry = MetricsRegistry()
-
-    def gateway_qps() -> float:
+    def best_qps(replay_once) -> float:
         best = 0.0
         for _ in range(3):
-            with scoped_registry(gateway_registry):
-                best = max(best, asyncio.run(one_gateway_replay()))
+            with scoped_registry(MetricsRegistry()):
+                best = max(best, replay_once())
         return best
 
-    qps_direct = direct_qps()
-    qps_gateway = gateway_qps()
-    out = {"gateway_overhead": {
+    qps_direct = best_qps(direct_replay)
+    qps_gateway = best_qps(lambda: asyncio.run(gateway_replay()))
+    return {"gateway_overhead": {
         "qps_direct": qps_direct,
         "qps_gateway": qps_gateway,
         # Ratio ≤ 1 expected: it tracks the admission + ledger + asyncio
@@ -652,67 +618,6 @@ def _gateway_benchmarks(p: dict) -> dict:
         "sessions": p["serve_sessions"],
         "metrics_enabled": True,
     }}
-
-    # Per-stage hot-path profile from the replays above — recorded, not
-    # ratio-gated: it documents where gateway-served time goes (sample /
-    # batch_assembly / forward / encode / predict) for trend reading.
-    stage_hist = gateway_registry.histogram(STAGE_METRIC, STAGE_HELP,
-                                            ("stage",))
-    stage_profile = {}
-    for (stage,), series in sorted(stage_hist.series().items()):
-        if series.count:
-            stage_profile[stage] = {
-                "mean_ms": 1000.0 * series.total / series.count,
-                "count": series.count,
-            }
-    out["gateway_stage_profile"] = stage_profile
-
-    # Overload outcome at 2x queue capacity: shed rate, interactive p95
-    # queue wait, deadline misses — recorded (not ratio-gated) so the
-    # committed baseline documents the QoS behaviour CI smoke asserts.
-    async def overload() -> dict:
-        rounds = p["overload_rounds"]
-        per_round = p["overload_per_round"]
-        classes = [Priority.INTERACTIVE, Priority.BATCH,
-                   Priority.BACKGROUND, Priority.BATCH]
-        max_queue = max(len(episodes) * per_round // 2, 4)
-        server = PromptServer(model, dataset,
-                              max_batch_size=p["serve_batch"], rng=0)
-        gateway = ServingGateway(server, max_queue=max_queue,
-                                 max_batch_size=p["serve_batch"],
-                                 auto_drain=False)
-        for i, episode in enumerate(episodes):
-            gateway.open_session(f"tenant-{i}", f"session-{i}", episode,
-                                 priority=classes[i % len(classes)])
-        shed = 0
-        offered = 0
-        for round_id in range(rounds):
-            for offset in range(per_round):
-                q = round_id * per_round + offset
-                for i, episode in enumerate(episodes):
-                    offered += 1
-                    outcome = gateway.submit_nowait(f"session-{i}",
-                                                    episode.queries[q])
-                    shed += isinstance(outcome, Overloaded)
-            await gateway.flush()
-        await gateway.flush()
-        stats = gateway.stats
-        interactive_p95 = max(
-            (t.wait_p95_s for t in stats.tenants
-             if t.priority == Priority.INTERACTIVE), default=0.0)
-        misses = sum(t.deadline_misses for t in stats.tenants)
-        await gateway.close()
-        return {
-            "offered": offered,
-            "shed": shed,
-            "shed_rate": shed / offered if offered else 0.0,
-            "interactive_wait_p95_ms": 1000.0 * interactive_p95,
-            "deadline_misses": misses,
-            "max_queue": max_queue,
-        }
-
-    out["gateway_overload"] = asyncio.run(overload())
-    return out
 
 
 def run_benchmarks(profile: str = "full") -> dict:

@@ -579,10 +579,6 @@ class ServingGateway:
             await self._flush_locked()
             self.server.reload_model(state_dict)
 
-    async def drain(self) -> int:
-        """Public alias of :meth:`flush` (flush + swap-lock barrier)."""
-        return await self.flush()
-
     def start_metrics_endpoint(self, host: str = "127.0.0.1",
                                port: int = 0):
         """Expose ``GET /metrics`` over HTTP for this gateway.

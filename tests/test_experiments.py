@@ -5,6 +5,8 @@ assert the structural contract of each result (headers, rows, data keys) so
 a benchmark failure can only be a *science* failure, not a plumbing one.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from repro.experiments import (
     fig7_embedding_distribution,
     fig8_multi_hop,
     fig9_training_curves,
+    serve_bench,
     table2_dataset_statistics,
     table3_arxiv,
     table4_kg,
@@ -27,6 +30,7 @@ from repro.experiments import (
     table7_random_pseudo_labels,
     table8_inference_time,
 )
+from repro.serving import PromptServer
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +126,24 @@ class TestTable8:
             assert cell["prodigy"].ms_per_query > 0
             assert cell["ours"].ms_per_query > 0
             assert cell["slowdown"] > 0
+
+
+class TestServeBench:
+    def test_batching_divergence_raises(self, ctx, monkeypatch):
+        """A micro-batched answer that differs from per-query serving
+        must fail the run, not just print ``NO``."""
+        drain = PromptServer.drain
+
+        def shifted_drain(self):
+            results = drain(self)
+            if self.scheduler.max_batch_size > 1 and results:
+                results[0] = dataclasses.replace(
+                    results[0], prediction=results[0].prediction + 1)
+            return results
+
+        monkeypatch.setattr(PromptServer, "drain", shifted_drain)
+        with pytest.raises(RuntimeError, match="serve-bench batch 4"):
+            serve_bench(ctx)
 
 
 class TestFig3:
