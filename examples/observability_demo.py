@@ -1,8 +1,8 @@
 """Observability demo: live metrics + sampled traces during a burst.
 
 One :class:`repro.obs.MetricsRegistry` instruments the whole stack —
-gateway admission counters, server batch histograms, shard worker
-timings, kernel stage profiles — and this demo watches it move:
+gateway admission counters, server batch histograms, shard timings,
+kernel stage profiles — and this demo watches it move:
 
 1. a mixed-priority burst runs through :class:`ServingGateway` with
    1-in-2 request tracing switched on;
@@ -131,12 +131,10 @@ async def durability_cycle(registry, model, dataset):
             add_src=rng.integers(0, base.graph.num_nodes, size=2),
             add_dst=rng.integers(0, base.graph.num_nodes, size=2),
             add_rel=rng.integers(0, base.graph.num_relations, size=2)))
-        server.close()
         recovered = PromptServer.restore(
             model, PersistentStore(tmp, registry=registry), base.task,
             name="kg-demo", rng=0, max_batch_size=4, registry=registry)
         replayed = recovered.last_recovery_replayed
-        recovered.close()
 
         fleet_store = PersistentStore(os.path.join(tmp, "fleet"),
                                       registry=registry)
@@ -180,9 +178,7 @@ async def durability_cycle(registry, model, dataset):
           f"recovery_mean_ms={1e3 * recovery.mean():.1f}")
     print(f"   replica_kills={total('repro_replicaset_kills_total'):.0f} "
           f"failovers={total('repro_replicaset_failovers_total'):.0f} "
-          f"served_after_failover={served}/{len(TENANTS)} "
-          f"worker_respawns="
-          f"{total('repro_worker_pool_respawns_total'):.0f}")
+          f"served_after_failover={served}/{len(TENANTS)}")
 
 
 def main():

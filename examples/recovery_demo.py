@@ -99,7 +99,6 @@ def main():
         #    logged (fsynced) but the process dies before applying it.
         doomed = make_update(dataset.graph, episodes, 8)
         store.log_update(doomed, base_version=dataset.graph.version)
-        server.close()
         print("crashed: 1 update durable but unapplied, sessions lost")
 
         # 3. Warm-start and prove bit-identity against a reference run
@@ -124,8 +123,6 @@ def main():
         got = serve_round(recovered, episodes, range(4, 6))
         print(f"post-crash round bit-identical to uninterrupted run: "
               f"{got == expected}")
-        recovered.close()
-        reference.close()
 
         # 4. Replica failover: two gateways over one shared store.
         async def failover():

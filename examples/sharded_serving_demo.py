@@ -1,10 +1,10 @@
-"""Sharded serving demo: partition → store → workers → router.
+"""Sharded serving demo: partition → store → router.
 
 Splits a knowledge graph into shards, shows that sampling over the
 sharded store is bit-identical to the monolithic engines, then serves the
 same multi-session workload unsharded and sharded and prints the
 per-shard counters (requests routed, halo fetches across shard
-boundaries, worker busy time) — with identical predictions.
+boundaries, encode time per shard) — with identical predictions.
 
 Run:  python examples/sharded_serving_demo.py      (~1 min; --fast for CI)
 """
@@ -86,28 +86,25 @@ def main():
     outcomes = {}
     for label, kwargs in (
             ("unsharded", {}),
-            (f"{NUM_SHARDS} shards", dict(num_shards=NUM_SHARDS,
-                                          num_workers=NUM_SHARDS))):
-        with PromptServer(target, nell, max_batch_size=16, rng=7,
-                          **kwargs) as server:
-            results, elapsed = run_workload(server, episodes)
-            outcomes[label] = results
-            backend = server.router.backend if server.router else "inline"
-            print(f"\n  {label} ({backend}): "
-                  f"{len(results) / elapsed:7.1f} queries/s")
-            for counters in server.stats.shards:
-                print(f"    shard {counters.shard_id}: "
-                      f"{counters.requests} requests, "
-                      f"{counters.halo_fetches} halo fetches, "
-                      f"{1000 * counters.worker_busy_s:.1f} ms busy")
+            (f"{NUM_SHARDS} shards", dict(num_shards=NUM_SHARDS))):
+        server = PromptServer(target, nell, max_batch_size=16, rng=7,
+                              **kwargs)
+        results, elapsed = run_workload(server, episodes)
+        outcomes[label] = results
+        print(f"\n  {label}: {len(results) / elapsed:7.1f} queries/s")
+        for counters in server.stats.shards:
+            print(f"    shard {counters.shard_id}: "
+                  f"{counters.requests} requests, "
+                  f"{counters.halo_fetches} halo fetches, "
+                  f"{1000 * counters.worker_busy_s:.1f} ms busy")
 
     labels = list(outcomes)
     same = ([r.prediction for r in outcomes[labels[0]]]
             == [r.prediction for r in outcomes[labels[1]]])
     print(f"\nsharded == unsharded predictions: {same}")
-    print("(sharding fans the encode hot path out across shard workers — "
-          "a throughput lever,\n never an accuracy knob; see "
-          "'python -m repro serve-bench-sharded' for the measured table)")
+    print("(sharding changes where each row is fetched from, never an "
+          "answer;\n see 'python -m repro serve-bench-sharded' for the "
+          "measured table)")
 
 
 if __name__ == "__main__":

@@ -66,7 +66,7 @@ EXPERIMENTS = {
     "ablation-recon": (ablation_recon_scorer, "reconstruction scorer sweep"),
     "serve-bench": (serve_bench, "online serving micro-batch throughput"),
     "serve-bench-sharded": (serve_bench_sharded,
-                            "sharded/parallel serving equivalence + QPS"),
+                            "sharded serving equivalence + QPS"),
     "serve-bench-mutating": (serve_bench_mutating,
                              "live-mutation serving + cold-rebuild equality"),
     "serve-bench-recovery": (serve_bench_recovery,

@@ -71,17 +71,9 @@ class GraphPrompterConfig:
         :class:`~repro.shard.ShardedGraphStore` (1 = monolithic).
         Sharding never changes predictions — sampling over the sharded
         store is bit-identical to the monolithic sampler.
-    num_workers:
-        Default worker count of the serving layer's
-        :class:`~repro.shard.WorkerPool` (1 = in-process).
     shard_strategy:
         Node-partition strategy: ``"greedy"`` (degree-balanced) or
         ``"hash"`` (stateless splitmix64).
-    worker_backend:
-        ``"auto"`` (processes when ``num_workers > 1`` *and* the host
-        has more than one usable core, else serial), ``"process"``
-        (force a pool), or ``"serial"`` (deterministic in-process
-        fallback).
     gateway_max_queue:
         Bound of the serving gateway's admission queue (across all
         priority classes).  Above it requests are shed with a typed
@@ -126,20 +118,6 @@ class GraphPrompterConfig:
         instruments plus scrape-time ledger mirrors).  ``False`` gives
         the server a disabled registry: every record path short-circuits
         after one branch.
-    tensor_backend:
-        Compute backend for no-grad inference (:mod:`repro.nn.backend`):
-        ``"numpy"`` (exact float64 reference, bit-identical, the default)
-        or ``"fused"`` (CSR-matmul message passing computed in float32,
-        agreeing with the exact path to ~1e-6 relative error).  Training
-        always runs on the exact default path and stored weights stay
-        float64 regardless of this setting (see ``docs/backends.md``).
-    pool_quantization:
-        At-rest encoding of per-session candidate-pool embeddings:
-        ``"none"`` (float64 ndarray, default) or ``"int8"`` (per-row
-        symmetric scale, ~8x smaller at rest, dequantized per
-        micro-batch on read).  Quantization caps per-element round-trip
-        error at ``row_maxabs / 254`` and is gated by a top-1 agreement
-        suite (``tests/test_backend_equivalence.py``).
     obs_trace_every:
         Deterministic request-trace sampling rate for the serving
         gateway: every N-th submitted request carries a
@@ -169,9 +147,7 @@ class GraphPrompterConfig:
     random_pseudo_labels: bool = False
     deterministic_sampling: bool = False
     num_shards: int = 1
-    num_workers: int = 1
     shard_strategy: str = "greedy"
-    worker_backend: str = "auto"
     mutable_graph: bool = False
     compact_threshold: float = 0.25
     gateway_max_queue: int = 128
@@ -186,8 +162,6 @@ class GraphPrompterConfig:
     gateway_deadline_background_s: float = 5.0
     obs_metrics_enabled: bool = True
     obs_trace_every: int = 0
-    tensor_backend: str = "numpy"
-    pool_quantization: str = "none"
     seed: int = 0
 
     def validate(self) -> "GraphPrompterConfig":
@@ -212,12 +186,8 @@ class GraphPrompterConfig:
             raise ValueError("temperature must be positive")
         if self.num_shards < 1:
             raise ValueError("num_shards must be at least 1")
-        if self.num_workers < 1:
-            raise ValueError("num_workers must be at least 1")
         if self.shard_strategy not in ("greedy", "hash"):
             raise ValueError(f"unknown shard strategy {self.shard_strategy!r}")
-        if self.worker_backend not in ("auto", "serial", "process"):
-            raise ValueError(f"unknown worker backend {self.worker_backend!r}")
         if self.compact_threshold <= 0:
             raise ValueError("compact_threshold must be positive")
         if self.gateway_max_queue < 1:
@@ -241,11 +211,6 @@ class GraphPrompterConfig:
                 raise ValueError(f"{name} must be positive")
         if self.obs_trace_every < 0:
             raise ValueError("obs_trace_every must be non-negative")
-        if self.tensor_backend not in ("numpy", "fused"):
-            raise ValueError(f"unknown tensor backend {self.tensor_backend!r}")
-        if self.pool_quantization not in ("none", "int8"):
-            raise ValueError(
-                f"unknown pool quantization {self.pool_quantization!r}")
         return self
 
     def ablate(self, **flags) -> "GraphPrompterConfig":

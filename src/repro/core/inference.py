@@ -71,7 +71,7 @@ class GraphPrompterPipeline:
         #: ``(datapoints, arena=...) -> (emb, importance)`` contract.  The
         #: serving layer installs :meth:`~repro.serving.ShardRouter.
         #: encode_points` here so both query batches and candidate pools
-        #: take the sharded/parallel path.
+        #: take the sharded path.
         self.point_encoder = None
 
     def run_episode(self, episode: Episode, shots: int = 3,

@@ -16,14 +16,11 @@ cache (Eq. 9) — live in :mod:`repro.core.prompt_selector` and
 
 from __future__ import annotations
 
-import contextlib
-
 import numpy as np
 
 from ..gnn import DataGraphEncoder, SubgraphBatch, TaskGraphGNN, scatter_mean
 from ..nn import Linear, MLP, Module, Tensor
 from ..nn import functional as F
-from ..nn.backend import make_backend, use_backend
 from ..nn.tensor import is_grad_enabled
 from ..obs.tracing import span
 from .config import GraphPrompterConfig
@@ -95,23 +92,6 @@ class GraphPrompterModel(Module):
         self.task_gnn = TaskGraphGNN(hidden,
                                      num_layers=self.config.num_task_layers,
                                      rng=rng)
-        # Inference compute backend (docs/backends.md).  ``None`` means the
-        # exact default path — no backend scoping, zero overhead.  The fused
-        # backend computes in float32 and is activated only around no-grad
-        # forwards, so training is always exact float64 regardless of config.
-        self._backend = (None if self.config.tensor_backend == "numpy"
-                         else make_backend(self.config.tensor_backend,
-                                           dtype=np.float32))
-
-    def _backend_scope(self):
-        """Context activating the configured inference backend, if any.
-
-        A no-op (null context) on the default config or whenever gradients
-        are being recorded — accelerated backends never see training.
-        """
-        if self._backend is None or is_grad_enabled():
-            return contextlib.nullcontext()
-        return use_backend(self._backend)
 
     # ------------------------------------------------------------------
     # Stage 1 — Prompt Generator (reconstruction)
@@ -148,7 +128,7 @@ class GraphPrompterModel(Module):
 
     def encode_batch(self, batch: SubgraphBatch) -> Tensor:
         """Subgraph embeddings ``G_i`` (Eq. 4), reconstructed when enabled."""
-        with span("forward"), self._backend_scope():
+        with span("forward"):
             weights = None
             if self.config.use_reconstruction:
                 weights = self.reconstruction_weights(batch)
@@ -170,8 +150,7 @@ class GraphPrompterModel(Module):
     # ------------------------------------------------------------------
     def importance(self, embeddings: Tensor) -> Tensor:
         """Prompt importance ``I_p = σ(MLP_θ(G_p))`` (Eq. 5)."""
-        with self._backend_scope():
-            return self.selection_mlp(embeddings).reshape(-1).sigmoid()
+        return self.selection_mlp(embeddings).reshape(-1).sigmoid()
 
     def weight_by_importance(self, embeddings: Tensor,
                              importance: Tensor) -> Tensor:
@@ -199,7 +178,7 @@ class GraphPrompterModel(Module):
             raise ValueError("one label per prompt embedding required")
         graph = build_task_graph(prompt_labels, query_embeddings.shape[0],
                                  num_ways)
-        with span("task_gnn"), self._backend_scope():
+        with span("task_gnn"):
             label_init = scatter_mean(prompt_embeddings, prompt_labels,
                                       num_ways)
             h0 = Tensor.concatenate(

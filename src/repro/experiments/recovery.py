@@ -119,8 +119,7 @@ def _build_workload(target: str, seed: int, num_ways: int,
 def _make_server(model, dataset, seed: int, num_shards: int,
                  persist: PersistentStore | None = None) -> PromptServer:
     return PromptServer(model, dataset, max_batch_size=8, rng=seed,
-                        num_shards=num_shards, num_workers=num_shards,
-                        worker_backend="serial", persist=persist)
+                        num_shards=num_shards, persist=persist)
 
 
 def _serve_round(server: PromptServer, episodes: dict, round_id: int):
@@ -198,7 +197,6 @@ def _run_doomed(model, target: str, store_dir: str, seed: int,
     if sigkill:
         os.kill(os.getpid(), signal.SIGKILL)
     _inject_torn_tail(persist, dataset.graph, episodes, seed)
-    server.close()
 
 
 def _crash_child(store_dir: str, model_path: str, target: str, seed: int,
@@ -358,19 +356,16 @@ def serve_bench_recovery(context: ExperimentContext,
                                          seed)
             reference_server.update_graph(update)
             reference = _final_round(reference_server, ref_episodes)
-            reference_server.close()
 
             # Warm-start from the crash site and serve the same round.
             recovered_server = PromptServer.restore(
                 model, PersistentStore(store_dir), base.task,
                 name=base.name, rng=seed, max_batch_size=8,
-                num_shards=num_shards, num_workers=num_shards,
-                worker_backend="serial")
+                num_shards=num_shards)
             replayed = recovered_server.last_recovery_replayed
             restored_sessions = len(recovered_server.sessions)
             version = recovered_server.dataset.graph.version
             recovered = _final_round(recovered_server, ref_episodes)
-            recovered_server.close()
 
             if restored_sessions != num_sessions:
                 raise RuntimeError(

@@ -25,15 +25,15 @@ prediction mismatch raises (the CI mutation-smoke gate) — overlay reads,
 shard routing, and epoch invalidation must be indistinguishable from a
 rebuild.
 
-``serve-bench-sharded`` replays one fixed workload through the horizontal
-scale-out path (:mod:`repro.shard`): unsharded, then K-shard/N-worker
-configurations.  Predictions must be *exactly equal* across every
-configuration (sharded sampling is bit-identical and the encoder is
-batch-composition-invariant up to float last-ulp wobble, which never moved
-a prediction in the equivalence suite) — a mismatch raises, so the CI
-smoke fails loudly.  The summary table surfaces the per-shard counters
-(``requests`` routed, ``halo_fetches`` across shard boundaries,
-``worker_busy_s``) from :class:`~repro.serving.ServerStats`.
+``serve-bench-sharded`` replays one fixed workload through the sharded
+path (:mod:`repro.shard`): unsharded, then 2 and 4 shards.  Predictions
+must be *exactly equal* across every configuration (sharded sampling is
+bit-identical and the encoder is batch-composition-invariant up to float
+last-ulp wobble, which never moved a prediction in the equivalence
+suite) — a mismatch raises, so the CI smoke fails loudly.  The summary
+table surfaces the per-shard counters (``requests`` routed,
+``halo_fetches`` across shard boundaries, ``worker_busy_s``) from
+:class:`~repro.serving.ServerStats`.
 """
 
 from __future__ import annotations
@@ -222,7 +222,7 @@ def serve_bench_mutating(context: ExperimentContext,
 def serve_bench_sharded(context: ExperimentContext,
                         source: str = "wiki", target: str = "nell",
                         num_ways: int = 5, seed: int = 0) -> TableResult:
-    """Sharded/parallel serving vs. unsharded: equality + QPS + counters.
+    """Sharded serving vs. unsharded: equality + QPS + counters.
 
     Raises ``RuntimeError`` when any sharded configuration's predictions
     differ from the unsharded run — the property the CI shard-smoke job
@@ -234,30 +234,17 @@ def serve_bench_sharded(context: ExperimentContext,
     episodes = sample_episodes(dataset, num_sessions, num_ways,
                                queries_per_session, seed * 1000)
 
-    # The CI smoke runs the serial fallback rows; "auto" exercises the
-    # process pool wherever the host has cores for it.
-    configs = [
-        ("unsharded", 1, 1, "serial"),
-        ("2-shard serial", 2, 2, "serial"),
-        ("4-shard serial", 4, 4, "serial"),
-    ]
-    if not context.fast:
-        configs.append(("4-shard auto", 4, 4, "auto"))
-
-    headers = ["Config", "Shards", "Workers", "Backend", "Queries/s",
-               "Identical", "Req/shard", "Halo", "Busy ms"]
+    configs = [("unsharded", 1), ("2-shard", 2), ("4-shard", 4)]
+    headers = ["Config", "Shards", "Queries/s", "Identical", "Req/shard",
+               "Halo", "Busy ms"]
     rows = []
     data = {"cells": {}}
     reference = None
-    for label, num_shards, num_workers, backend in configs:
+    for label, num_shards in configs:
         server = PromptServer(model, dataset, max_batch_size=8, rng=seed,
-                              num_shards=num_shards,
-                              num_workers=num_workers,
-                              worker_backend=backend)
+                              num_shards=num_shards)
         results, elapsed = replay_workload(server, episodes)
         stats = server.stats
-        effective = server.router.backend if server.router else "inline"
-        server.close()
 
         qps = len(results) / elapsed
         predictions = [(r.session_id, r.prediction) for r in results]
@@ -265,23 +252,20 @@ def serve_bench_sharded(context: ExperimentContext,
             reference = predictions
         require_identical(
             reference, predictions,
-            f"sharded serving ({label}: {num_shards} shards / "
-            f"{num_workers} workers / {backend}) vs the unsharded run")
+            f"sharded serving ({label}) vs the unsharded run")
         shard_counters = stats.shards
         requests = "/".join(str(c.requests) for c in shard_counters) or "-"
         busy_ms = 1000.0 * sum(c.worker_busy_s for c in shard_counters)
         data["cells"][label] = {
-            "qps": qps, "identical": True,
-            "num_shards": num_shards, "num_workers": num_workers,
-            "backend": effective,
+            "qps": qps, "identical": True, "num_shards": num_shards,
             "shards": [
                 {"shard_id": c.shard_id, "requests": c.requests,
                  "halo_fetches": c.halo_fetches,
                  "worker_busy_s": c.worker_busy_s}
                 for c in shard_counters],
         }
-        rows.append([label, num_shards, num_workers, effective,
-                     f"{qps:.1f}", "yes", requests, stats.halo_fetches,
+        rows.append([label, num_shards, f"{qps:.1f}", "yes", requests,
+                     stats.halo_fetches,
                      f"{busy_ms:.1f}" if shard_counters else "-"])
     return TableResult(
         title=(f"serve-bench-sharded: {num_sessions} sessions × "

@@ -11,9 +11,14 @@ import numpy as np
 
 from ..nn import Linear, Module, Parameter, Tensor
 from ..nn import init as _init
-from ..nn.backend import get_backend
 from ..nn.tensor import is_grad_enabled
-from .message_passing import data_of, scatter_sum, segment_softmax
+from .message_passing import (
+    data_of,
+    scatter_sum,
+    scatter_sum_data,
+    segment_softmax,
+    segment_softmax_data,
+)
 
 __all__ = ["GATConv"]
 
@@ -96,51 +101,37 @@ class GATConv(Module):
 
     def _forward_data(self, h, src, dst, num_nodes, edge_weights,
                       rel_emb) -> np.ndarray:
-        """Fused no-grad forward via the active tensor backend.
-
-        Bit-identical to the autodiff path on the default backend;
-        accelerated backends replace the softmax/scatter kernels with
-        fused sorted-segment variants within documented tolerance.
-        """
-        B = get_backend()
+        """Fused no-grad forward, bit-identical to the autodiff path."""
         hd = data_of(h)
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
         rel_d = data_of(rel_emb) if rel_emb is not None else None
         weights_d = (data_of(edge_weights)
                      if edge_weights is not None else None)
-        if rel_d is not None and rel_d.dtype != hd.dtype:
-            rel_d = rel_d.astype(hd.dtype)
-        if weights_d is not None and weights_d.dtype != hd.dtype:
-            weights_d = weights_d.astype(hd.dtype)
-        transformed = B.matmul(hd, B.param(self.linear.weight.data))
+        transformed = hd @ self.linear.weight.data
 
         head_outputs = []
         for head in range(self.num_heads):
             lo = head * self.head_dim
             hi = lo + self.head_dim
             head_h = transformed[:, lo:hi]
-            scores_src = (head_h * B.param(self.attn_src.data[head])
-                          ).sum(axis=-1)
-            scores_dst = (head_h * B.param(self.attn_dst.data[head])
-                          ).sum(axis=-1)
+            scores_src = (head_h * self.attn_src.data[head]).sum(axis=-1)
+            scores_dst = (head_h * self.attn_dst.data[head]).sum(axis=-1)
             edge_scores = scores_src[src] + scores_dst[dst]
             if rel_d is not None:
                 edge_scores = edge_scores + (
-                    rel_d * B.param(self.attn_rel.data[head])).sum(axis=-1)
-            slope = np.where(edge_scores > 0, 1.0, self.negative_slope
-                             ).astype(edge_scores.dtype, copy=False)
-            edge_scores = edge_scores * slope
-            alpha = B.segment_softmax(edge_scores, dst, num_nodes)
+                    rel_d * self.attn_rel.data[head]).sum(axis=-1)
+            edge_scores = edge_scores * np.where(edge_scores > 0, 1.0,
+                                                 self.negative_slope)
+            alpha = segment_softmax_data(edge_scores, dst, num_nodes)
             if weights_d is not None:
                 alpha = alpha * weights_d
-            head_outputs.append(
-                B.weighted_gather_scatter(head_h, src, alpha, dst,
-                                          num_nodes))
+            head_outputs.append(scatter_sum_data(
+                head_h[src] * alpha.reshape(-1, 1), dst, num_nodes))
         aggregated = (head_outputs[0] if self.num_heads == 1
                       else np.concatenate(head_outputs, axis=1))
-        out = ((B.matmul(hd, B.param(self.linear_self.weight.data))
-                + B.param(self.linear_self.bias.data)) + aggregated)
+        out = ((hd @ self.linear_self.weight.data
+                + self.linear_self.bias.data) + aggregated)
         if self.activation == "relu":
             out = out * (out > 0)
         elif self.activation == "tanh":

@@ -1,4 +1,10 @@
-"""Scatter/segment primitives shared by all GNN layers."""
+"""Scatter/segment primitives shared by all GNN layers.
+
+Each differentiable :class:`~repro.nn.Tensor` primitive that the no-grad
+forwards of :mod:`repro.gnn.sage` and :mod:`repro.gnn.gat` also need has
+a raw-ndarray twin (``*_data``): the same arithmetic in the same order,
+so byte-identical outputs, without tensor wrapping.
+"""
 
 from __future__ import annotations
 
@@ -12,6 +18,8 @@ __all__ = [
     "segment_softmax",
     "segment_count",
     "data_of",
+    "scatter_sum_data",
+    "segment_softmax_data",
 ]
 
 
@@ -65,8 +73,30 @@ def segment_softmax(scores: Tensor, index: np.ndarray, num_segments: int) -> Ten
     shifted = scores - Tensor(max_per_segment[index])
     exps = shifted.exp()
     denom = exps.reshape(-1, 1).scatter_add(index, num_segments)
-    # Epsilon in the scores' dtype: a float64 literal here would promote a
-    # float32 attention path to float64 from this op onward.
-    eps = np.asarray(1e-16, dtype=scores.data.dtype)
-    return exps / (denom.gather_rows(index).reshape(-1) + eps)
+    return exps / (denom.gather_rows(index).reshape(-1) + 1e-16)
+
+
+# ----------------------------------------------------------------------
+# Raw-ndarray twins — the no-grad forwards
+# ----------------------------------------------------------------------
+def scatter_sum_data(values: np.ndarray, index: np.ndarray,
+                     num_segments: int) -> np.ndarray:
+    """Bucket-sum rows of a plain ndarray: zero init, then sequential
+    ``np.add.at`` — the summation order of :meth:`Tensor.scatter_add`."""
+    out = np.zeros((num_segments,) + values.shape[1:])
+    np.add.at(out, _as_index(index), values)
+    return out
+
+
+def segment_softmax_data(scores: np.ndarray, index: np.ndarray,
+                         num_segments: int) -> np.ndarray:
+    """Raw-ndarray :func:`segment_softmax`."""
+    index = _as_index(index)
+    max_per_segment = np.full(num_segments, -np.inf)
+    np.maximum.at(max_per_segment, index, scores)
+    max_per_segment[~np.isfinite(max_per_segment)] = 0.0
+    exps = np.exp(scores - max_per_segment[index])
+    denom = np.zeros(num_segments)
+    np.add.at(denom, index, exps)
+    return exps / (denom[index] + 1e-16)
 

@@ -12,9 +12,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..nn import Linear, Module, Tensor
-from ..nn.backend import get_backend
 from ..nn.tensor import is_grad_enabled
-from .message_passing import data_of, scatter_sum, segment_count
+from .message_passing import (
+    data_of,
+    scatter_sum,
+    scatter_sum_data,
+    segment_count,
+)
 
 __all__ = ["SAGEConv"]
 
@@ -70,26 +74,23 @@ class SAGEConv(Module):
                       rel_emb) -> np.ndarray:
         """Fused no-grad forward: gather → weight → scatter-mean → affine.
 
-        Routed through the active tensor backend: on the default backend
-        every kernel reproduces the exact op order of the autodiff path
-        above, so inference outputs are bit-identical — just without
-        per-op tensor wrapping and backward-closure bookkeeping.
-        The accelerated backend swaps in fused aggregation and float32
-        compute within its documented tolerance.
+        Every kernel reproduces the op order of the autodiff path above,
+        so inference outputs are bit-identical — just without per-op
+        tensor wrapping and backward-closure bookkeeping.
         """
-        B = get_backend()
         hd = data_of(h)
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
-        aggregated = B.sage_aggregate(
-            hd, src, dst, num_nodes,
-            edge_weights=(data_of(edge_weights)
-                          if edge_weights is not None else None),
-            rel_emb=data_of(rel_emb) if rel_emb is not None else None,
-        )
-        out = (B.matmul(hd, B.param(self.linear_self.weight.data))
-               + B.param(self.linear_self.bias.data)
-               + B.matmul(aggregated, B.param(self.linear_neigh.weight.data)))
+        messages = hd[src]
+        if rel_emb is not None:
+            messages = messages + data_of(rel_emb)
+        if edge_weights is not None:
+            messages = messages * data_of(edge_weights).reshape(-1, 1)
+        aggregated = (scatter_sum_data(messages, dst, num_nodes)
+                      / segment_count(dst, num_nodes).reshape(-1, 1))
+        out = (hd @ self.linear_self.weight.data
+               + self.linear_self.bias.data
+               + aggregated @ self.linear_neigh.weight.data)
         if self.activation == "relu":
             out = out * (out > 0)
         elif self.activation == "tanh":

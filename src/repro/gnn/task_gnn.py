@@ -20,7 +20,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..nn import Embedding, LayerNorm, Linear, Module, Parameter, Tensor
-from ..nn.backend import get_backend
 from .message_passing import scatter_sum, segment_softmax
 
 __all__ = ["TaskGraphGNN", "EDGE_ATTR_PROMPT_TRUE", "EDGE_ATTR_PROMPT_FALSE",
@@ -78,14 +77,13 @@ class _TaskAttentionLayer(Module):
         symmetrised edge list: the same elementwise ops per (data, label)
         pair, and every per-destination sum in ``np.add.at``'s order.
         """
-        B = get_backend()
         num_data = attr.shape[0]
-        queries = B.matmul(h, B.param(self.query_proj.weight.data))
-        keys = B.matmul(h, B.param(self.key_proj.weight.data))
-        values = B.matmul(h, B.param(self.value_proj.weight.data))
+        queries = h @ self.query_proj.weight.data
+        keys = h @ self.key_proj.weight.data
+        values = h @ self.value_proj.weight.data
         scale = 1.0 / np.sqrt(self.dim)
-        bias = B.param(self.attr_bias.data)
-        embedding = B.param(self.attr_embedding.weight.data)
+        bias = self.attr_bias.data
+        embedding = self.attr_embedding.weight.data
         data, labels = slice(None, num_data), slice(num_data, None)
         # Data rows attend over the labels (a label × data grid), label
         # rows over the data nodes (a data × label grid).
@@ -94,8 +92,7 @@ class _TaskAttentionLayer(Module):
         to_labels = _attend_grid(queries[labels], keys[data], values[data],
                                  attr, bias, embedding, scale)
         aggregated = np.concatenate([to_data, to_labels])
-        out = (B.matmul(aggregated, B.param(self.out_proj.weight.data))
-               + B.param(self.out_proj.bias.data))
+        out = aggregated @ self.out_proj.weight.data + self.out_proj.bias.data
         x = h + out
         # LayerNorm, mirroring nn.LayerNorm op-for-op (sum/len mean, **0.5).
         mu = x.sum(axis=-1, keepdims=True) / float(x.shape[-1])
@@ -103,8 +100,7 @@ class _TaskAttentionLayer(Module):
         var = ((centered * centered).sum(axis=-1, keepdims=True)
                / float(x.shape[-1]))
         normed = centered / (var + self.norm.eps) ** 0.5
-        return (normed * B.param(self.norm.gamma.data)
-                + B.param(self.norm.beta.data))
+        return normed * self.norm.gamma.data + self.norm.beta.data
 
 
 def _attend_grid(queries, keys, values, attr, bias, embedding, scale):

@@ -1,20 +1,10 @@
 """Numpy-backed neural-network substrate (autograd, layers, optimisers).
 
-Compute kernels are routed through a pluggable backend seam
-(:mod:`repro.nn.backend`): the default backend is bit-identical thinly
-wrapped numpy; the accelerated ``fused`` backend (float32 fused message
-passing) is opt-in per config. See ``docs/backends.md``.
+Every op is thinly wrapped float64 numpy: a forward runs the numpy
+expression directly, and a backward closure records its gradient.
 """
 
 from . import functional
-from .backend import (
-    Backend,
-    NumpyBackend,
-    get_backend,
-    make_backend,
-    set_backend,
-    use_backend,
-)
 from .layers import (
     Dropout,
     Embedding,
@@ -35,12 +25,6 @@ __all__ = [
     "as_tensor",
     "no_grad",
     "is_grad_enabled",
-    "Backend",
-    "NumpyBackend",
-    "get_backend",
-    "set_backend",
-    "use_backend",
-    "make_backend",
     "functional",
     "Module",
     "Parameter",

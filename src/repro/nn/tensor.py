@@ -10,15 +10,6 @@ scatter primitives that message-passing GNNs are built from.
 Only the operations the rest of the library needs are implemented, each with
 an explicit backward closure.  Gradients are validated against central finite
 differences in ``tests/test_nn_tensor.py``.
-
-Compute-heavy forward kernels (gemm, transcendentals, reductions,
-gather/scatter) are routed through the process-global backend from
-:mod:`repro.nn.backend`.  The default :class:`~repro.nn.backend.NumpyBackend`
-reproduces the exact expressions this module used before the seam existed,
-so default runs stay bit-identical; the accelerated ``fused`` backend
-(float32 fused segment kernels) is opt-in and scoped to no-grad inference
-by the model.  Backward closures always use plain float64 numpy — gradients
-never flow through an accelerated backend.
 """
 
 from __future__ import annotations
@@ -27,8 +18,6 @@ import contextlib
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-
-from . import backend as _backend
 
 __all__ = ["Tensor", "no_grad", "is_grad_enabled", "as_tensor"]
 
@@ -85,8 +74,7 @@ class Tensor:
     Parameters
     ----------
     data:
-        Array-like payload; converted to an ndarray in the active backend's
-        compute dtype (``float64`` on the default backend).
+        Array-like payload; converted to a ``float64`` ndarray.
     requires_grad:
         Whether gradients should be accumulated into ``self.grad`` during
         :meth:`backward`.
@@ -97,7 +85,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         if isinstance(data, Tensor):
             data = data.data
-        self.data = _backend._ACTIVE.tensor(data)
+        self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
         self.grad: np.ndarray | None = None
         self._backward: Callable[[np.ndarray], None] | None = None
@@ -283,7 +271,7 @@ class Tensor:
 
     def __matmul__(self, other) -> "Tensor":
         other = as_tensor(other)
-        out_data = _backend._ACTIVE.matmul(self.data, other.data)
+        out_data = self.data @ other.data
         if not _grad_active(self, other):
             return Tensor(out_data)
 
@@ -312,7 +300,7 @@ class Tensor:
     # ------------------------------------------------------------------
     def exp(self) -> "Tensor":
         """Elementwise exponential."""
-        out_data = _backend._ACTIVE.exp(self.data)
+        out_data = np.exp(self.data)
         if not _grad_active(self):
             return Tensor(out_data)
 
@@ -324,7 +312,7 @@ class Tensor:
 
     def log(self) -> "Tensor":
         """Elementwise natural logarithm."""
-        out_data = _backend._ACTIVE.log(self.data)
+        out_data = np.log(self.data)
         if not _grad_active(self):
             return Tensor(out_data)
 
@@ -340,7 +328,7 @@ class Tensor:
 
     def sigmoid(self) -> "Tensor":
         """Elementwise logistic sigmoid (inputs clipped to ±60)."""
-        out_data = _backend._ACTIVE.sigmoid(self.data)
+        out_data = 1.0 / (1.0 + np.exp(-np.clip(self.data, -60.0, 60.0)))
         if not _grad_active(self):
             return Tensor(out_data)
 
@@ -352,7 +340,7 @@ class Tensor:
 
     def tanh(self) -> "Tensor":
         """Elementwise hyperbolic tangent."""
-        out_data = _backend._ACTIVE.tanh(self.data)
+        out_data = np.tanh(self.data)
         if not _grad_active(self):
             return Tensor(out_data)
 
@@ -420,8 +408,7 @@ class Tensor:
     # ------------------------------------------------------------------
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         """Sum over ``axis`` (all elements when ``axis`` is None)."""
-        out_data = _backend._ACTIVE.reduce_sum(self.data, axis=axis,
-                                               keepdims=keepdims)
+        out_data = self.data.sum(axis=axis, keepdims=keepdims)
         if not _grad_active(self):
             return Tensor(out_data)
 
@@ -448,8 +435,7 @@ class Tensor:
 
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
         """Maximum over ``axis``."""
-        out_data = _backend._ACTIVE.reduce_max(self.data, axis=axis,
-                                               keepdims=keepdims)
+        out_data = self.data.max(axis=axis, keepdims=keepdims)
         if not _grad_active(self):
             return Tensor(out_data)
 
@@ -522,7 +508,7 @@ class Tensor:
     def gather_rows(self, index: np.ndarray) -> "Tensor":
         """Select rows ``self[index]`` (index may repeat), differentiable."""
         index = np.asarray(index, dtype=np.int64)
-        out_data = _backend._ACTIVE.gather_rows(self.data, index)
+        out_data = self.data[index]
         if not _grad_active(self):
             return Tensor(out_data)
 
@@ -541,7 +527,8 @@ class Tensor:
         which is exactly the aggregation step of message passing.
         """
         index = np.asarray(index, dtype=np.int64)
-        out_data = _backend._ACTIVE.scatter_add(self.data, index, num_targets)
+        out_data = np.zeros((num_targets,) + self.data.shape[1:])
+        np.add.at(out_data, index, self.data)
         if not _grad_active(self):
             return Tensor(out_data)
 

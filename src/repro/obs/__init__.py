@@ -4,8 +4,8 @@ One substrate for every signal the stack emits (ROADMAP item 5):
 
 * :mod:`repro.obs.metrics` — typed Counter/Gauge/Histogram instruments in
   a thread-safe :class:`MetricsRegistry`; fixed log-scale buckets make
-  histograms mergeable across shard worker processes, and a disabled
-  registry costs one branch per event.
+  histogram snapshot deltas exact, and a disabled registry costs one
+  branch per event.
 * :mod:`repro.obs.tracing` — :class:`TraceContext` per-stage spans with
   deterministic 1-in-N sampling (no RNG: traced runs stay bit-identical
   to untraced ones) and the :func:`span` profiling hook the sampler,

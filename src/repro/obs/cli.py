@@ -121,7 +121,6 @@ def metrics_main(argv: list[str] | None = None) -> int:
             add_src=rng.integers(0, base.graph.num_nodes, size=2),
             add_dst=rng.integers(0, base.graph.num_nodes, size=2),
             add_rel=rng.integers(0, base.graph.num_relations, size=2)))
-        server.close()
 
         # Warm-start from the store: snapshot load + one-record WAL
         # replay + manifest session re-open → recovery counters.
@@ -130,7 +129,6 @@ def metrics_main(argv: list[str] | None = None) -> int:
             base.task, name="kg-dur", rng=0, max_batch_size=4,
             registry=registry)
         replayed = recovered.last_recovery_replayed
-        recovered.close()
 
         # A 2-replica fleet losing one replica mid-flight → kill +
         # failover counters (tenants re-route to the survivor).
@@ -175,8 +173,7 @@ def metrics_main(argv: list[str] | None = None) -> int:
 
     async def burst(store_dir: str) -> tuple:
         server = PromptServer(model, dataset, max_batch_size=8, rng=0,
-                              num_shards=2, num_workers=2,
-                              worker_backend="serial", registry=registry)
+                              num_shards=2, registry=registry)
         gateway = ServingGateway(server, auto_drain=False,
                                  trace_every=args.trace_every,
                                  registry=registry)
@@ -196,7 +193,6 @@ def metrics_main(argv: list[str] | None = None) -> int:
         text = scrape(gateway)
         traces = gateway.tracer.completed()
         await gateway.close()
-        server.close()
         return text, traces, len(futures), durable, pre_durability
 
     with tempfile.TemporaryDirectory(prefix="repro-metrics-") as tmp:
@@ -226,9 +222,7 @@ def metrics_main(argv: list[str] | None = None) -> int:
           f"{registry.counter('repro_replicaset_kills_total').sum():.0f} "
           f"failovers="
           f"{registry.counter('repro_replicaset_failovers_total').sum():.0f} "
-          f"served_after_failover={durable['served_after_failover']} "
-          f"worker_respawns="
-          f"{registry.counter('repro_worker_pool_respawns_total').sum():.0f}")
+          f"served_after_failover={durable['served_after_failover']}")
     verdict = evaluate(
         SLOSpec(name="durability", objectives=(
             RecoveryTimeSLO(name="recovery-time", threshold_s=30.0),)),

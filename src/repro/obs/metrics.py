@@ -1,7 +1,7 @@
 """Typed metrics registry: counters, gauges, log-bucket histograms.
 
 One :class:`MetricsRegistry` serves every layer of the stack — gateway
-admission counters, server batch histograms, shard worker timings, kernel
+admission counters, server batch histograms, shard timings, kernel
 stage profiles — instead of the N bespoke ledger dicts each subsystem
 grew on its own.  Three properties drive the design:
 
@@ -10,12 +10,11 @@ grew on its own.  Three properties drive the design:
   ``obs_metrics_enabled=False`` pays one attribute read and one branch
   per event — the hot-path tax CI's gateway-overhead gate pins at ~0.
 
-* **Mergeable across processes.**  Histograms share one fixed log-scale
-  bucket layout (:data:`DEFAULT_BUCKETS`), so a worker process can
-  :meth:`~MetricsRegistry.drain` its registry into a plain-data snapshot
-  that rides home with the task result and folds into the host registry
-  with :meth:`~MetricsRegistry.merge` — exact, not approximate, because
-  bucket counts over identical bounds add losslessly.
+* **Snapshots that subtract exactly.**  Histograms share one fixed
+  log-scale bucket layout (:data:`DEFAULT_BUCKETS`), so two plain-data
+  :meth:`~MetricsRegistry.snapshot` calls subtract bucket by bucket
+  into the exact distribution of the window between them — the deltas
+  :mod:`repro.obs.slo` judges.
 
 * **Ambient but overridable.**  Library code records against
   :func:`get_registry`; a server scopes its own registry over a region
@@ -48,8 +47,8 @@ __all__ = [
 
 #: Shared histogram layout: 22 log-scale (×2) upper bounds from 10 µs to
 #: ~21 s, covering everything from a single arena pass to a full drain.
-#: One fixed layout for every duration histogram is what makes worker
-#: snapshots merge exactly — counts over identical bounds simply add.
+#: One fixed layout for every duration histogram is what makes snapshot
+#: deltas exact — counts over identical bounds simply subtract.
 DEFAULT_BUCKETS = tuple(1e-5 * 2.0 ** i for i in range(22))
 
 #: Power-of-two layout for size-valued histograms (micro-batch sizes).
@@ -162,7 +161,7 @@ class Gauge(_Instrument):
 
 
 class Histogram(_Instrument):
-    """Fixed-bucket distribution with exact cross-process merging."""
+    """Fixed-bucket distribution (exact snapshot deltas)."""
 
     kind = "histogram"
 
@@ -232,11 +231,8 @@ class Histogram(_Instrument):
         return self.buckets[-1]
 
 
-_KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
-
-
 class MetricsRegistry:
-    """Thread-safe, mergeable home of every instrument.
+    """Thread-safe home of every instrument.
 
     ``enabled=False`` builds a registry whose instruments drop every
     record on the floor after one branch — the disabled server's
@@ -285,7 +281,7 @@ class MetricsRegistry:
             return [self._instruments[name]
                     for name in sorted(self._instruments)]
 
-    # -- snapshot / merge / drain (the cross-process protocol) ---------
+    # -- snapshot ------------------------------------------------------
     def snapshot(self) -> dict:
         """Plain-data (picklable, JSON-safe) copy of every series."""
         out: dict = {}
@@ -310,72 +306,6 @@ class MetricsRegistry:
                         entry["series"].append([list(key), value])
                 out[name] = entry
         return out
-
-    def merge(self, snapshot: dict) -> None:
-        """Fold a :meth:`snapshot` in: counts add, gauges take latest.
-
-        Histogram merging is exact because every snapshot produced by
-        this module uses explicit bucket bounds — a layout mismatch is
-        an error, never a silent re-bucketing.
-        """
-        if not self.enabled or not snapshot:
-            return
-        for name, entry in snapshot.items():
-            kind = entry.get("kind", "counter")
-            cls = _KINDS[kind]
-            if kind == "histogram":
-                instrument = self._get_or_create(
-                    cls, name, entry.get("help", ""),
-                    tuple(entry.get("labelnames", ())),
-                    buckets=tuple(entry["buckets"]))
-                if list(instrument.buckets) != list(entry["buckets"]):
-                    raise ValueError(
-                        f"{name}: bucket layout mismatch — cannot merge")
-            else:
-                instrument = self._get_or_create(
-                    cls, name, entry.get("help", ""),
-                    tuple(entry.get("labelnames", ())))
-            with self._lock:
-                for key_list, value in entry["series"]:
-                    key = tuple(key_list)
-                    if kind == "histogram":
-                        series = instrument._series.get(key)
-                        if series is None:
-                            series = _HistogramSeries(
-                                len(instrument.buckets))
-                            instrument._series[key] = series
-                        for i, count in enumerate(value["counts"]):
-                            series.counts[i] += count
-                        series.total += value["sum"]
-                        series.count += value["count"]
-                    elif kind == "counter":
-                        instrument._series[key] = (
-                            instrument._series.get(key, 0.0) + value)
-                    else:  # gauge: last write wins
-                        instrument._series[key] = value
-        return
-
-    def drain(self) -> dict:
-        """Snapshot every series, then zero them (instruments stay).
-
-        The worker-pool protocol: each task drains the worker-process
-        registry and ships the delta home with its result, so host-side
-        totals stay exact however tasks were distributed.  Returns ``{}``
-        when nothing was recorded, keeping the common case cheap to ship.
-        """
-        with self._lock:
-            if not any(instrument._series
-                       for instrument in self._instruments.values()):
-                return {}
-            snapshot = self.snapshot()
-            for instrument in self._instruments.values():
-                instrument._series.clear()
-        return snapshot
-
-    def reset(self) -> None:
-        """Drop every instrument and series (test/worker-init hygiene)."""
-        with self._lock:
-            self._instruments.clear()
 
 
 # ----------------------------------------------------------------------
@@ -412,14 +342,3 @@ def scoped_registry(registry: MetricsRegistry):
     finally:
         _SCOPE.registry = previous
 
-
-def reset_worker_state() -> None:
-    """Worker-process init hygiene: clear scope + inherited series.
-
-    A forked worker inherits a copy of the parent's global registry (and
-    possibly a thread-local scope); without this reset its first
-    :meth:`~MetricsRegistry.drain` would ship the parent's accumulated
-    history home and double-count it.
-    """
-    _SCOPE.registry = None
-    _GLOBAL.reset()

@@ -2,12 +2,12 @@
 
 This subsystem pins the repo's perf trajectory the way the test suite pins
 behaviour: :mod:`repro.perf.hotpaths` defines paired microbenchmarks
-(exact vs. fused-backend encoding, fp64 vs. int8 pool bytes, per-query vs.
-micro-batched serving QPS, plus the shard, mutation and gateway profiles),
-:mod:`repro.perf.microbench` provides the calibrated best-of-N timer, and
-``repro bench`` (:func:`bench_main`) runs everything, writes
-``BENCH_hotpaths.json``, and — given ``--baseline`` — fails when any
-speedup ratio regresses beyond the tolerance.
+(per-query vs. micro-batched serving QPS, plus the shard, mutation and
+gateway profiles), :mod:`repro.perf.microbench` provides the calibrated
+best-of-N timer, and ``repro bench`` (:func:`bench_main`) runs
+everything, writes ``BENCH_hotpaths.json``, and — given ``--baseline`` —
+fails when any speedup ratio regresses beyond the tolerance, or when a
+baseline row it gates is no longer produced.
 
 Baselines are **per profile**: the committed JSON holds one section per
 workload profile that was run, and a regression check only ever compares a
@@ -60,13 +60,9 @@ def _format_results(results: dict) -> str:
         if keys:  # microbenchmark pair: per-call seconds
             detail = ", ".join(f"{k[:-2]} {cells[k] * 1e6:.0f}us"
                                for k in keys)
-        elif qps_keys:  # serving: QPS pair
+        else:  # serving: QPS pair
             detail = ("qps " + " -> ".join(f"{cells[k]:.1f}"
                                            for k in qps_keys))
-        else:  # counter-style entry (e.g. the pool-bytes ratio)
-            detail = ", ".join(
-                f"{k} {value:.3g}" for k, value in cells.items()
-                if isinstance(value, (int, float)))
         speedup = (f"{cells['speedup']:.2f}x" if "speedup" in cells
                    else "-")
         rows.append([name, speedup, detail])
@@ -197,7 +193,6 @@ def bench_main(argv: list[str] | None = None) -> int:
 
     if baseline is not None:
         failures = []
-        skipped: list[str] = []
         for name, result in results.items():
             section = baseline_profile_section(baseline, name)
             if section is None:
@@ -205,18 +200,10 @@ def bench_main(argv: list[str] | None = None) -> int:
                     f"{name}: baseline {args.baseline} has no section for "
                     f"this profile — regenerate it with 'repro bench'")
                 continue
-            profile_skips: list[str] = []
             failures.extend(
                 f"[{name}] {failure}"
                 for failure in check_regression(result, section,
-                                                tolerance=args.tolerance,
-                                                skipped=profile_skips))
-            skipped.extend(f"[{name}] {skip}" for skip in profile_skips)
-        # Skips print even on success: a gate that silently compared
-        # nothing (e.g. serial fallback vs. a process-pool baseline)
-        # must be visible in the log, not mistaken for a green check.
-        for skip in skipped:
-            print(f"ENVIRONMENT-SKIPPED: {skip}")
+                                                tolerance=args.tolerance))
         if failures:
             for failure in failures:
                 print(f"PERF REGRESSION: {failure}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Hot-path microbenchmarks: accelerated encoding, pool bytes, serving QPS.
+"""Hot-path microbenchmarks: serving QPS, sharding, mutation, gateway.
 
 Each benchmark times the *same work* through two paths, so the reported
 number is a hardware-portable **speedup ratio** rather than an absolute
@@ -11,12 +11,6 @@ measured end to end by ``perfbench/`` instead.
 
 Benchmarked pairs
 -----------------
-* ``encoding_fast`` — the exact numpy no-grad forward vs. the ``"fused"``
-  tensor backend (CSR-matmul message passing at float32, see
-  :mod:`repro.nn.backend`), on a serving-shaped fat micro-batch.
-* ``pool_bytes_per_session`` — at-rest candidate-pool bytes, fp64 ndarray
-  vs. int8 per-row-scale quantization (ratio under the ``speedup`` key so
-  the standard floor gate applies; not a timing).
 * ``serving_microbatch`` — end-to-end :class:`~repro.serving.PromptServer`
   queries/sec, per-query serving vs. cross-session micro-batching.
 
@@ -27,8 +21,8 @@ The ``shard`` profile benchmarks the horizontal-scale subsystem instead
 * ``shard_sampling`` — monolithic CSR sampling vs. the K-shard
   :class:`~repro.shard.ShardedGraphStore` (bit-identical outputs; the
   ratio tracks the halo-resolution overhead);
-* ``shard_parallel_qps`` — sharded serve QPS, single worker vs. the
-  process pool.
+* ``shard_halo_cache`` / ``shard_batched_frontier_qps`` — the halo row
+  cache and the batched frontier prefetch.
 
 The ``mutate`` profile benchmarks the live-update subsystem
 (``repro bench --profile mutate``):
@@ -44,11 +38,9 @@ The ``mutate`` profile benchmarks the live-update subsystem
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from ..core import GraphPrompterConfig, GraphPrompterModel, sample_episode
+from ..core import GraphPrompterConfig, GraphPrompterModel
 from ..datasets import Dataset, EDGE_TASK
 from ..datasets.synthetic import synthetic_knowledge_graph
 from ..experiments.replay import (
@@ -56,10 +48,7 @@ from ..experiments.replay import (
     replay_workload,
     sample_episodes,
 )
-from ..gnn import SubgraphBatch
-from ..graph import EdgeInput, sample_data_graph
 from ..graph.sampling import bfs_neighborhood, random_walk_neighborhood
-from ..nn import no_grad
 from ..serving import PromptServer
 from .microbench import time_callable
 
@@ -79,35 +68,23 @@ SCHEMA_VERSION = 1
 PROFILES = {
     "full": dict(nodes=4000, edges=24000, relations=8, feature_dim=32,
                  max_nodes=48, hidden_dim=32,
-                 fast_subgraphs=64, fast_cap=96, fast_hidden=64,
-                 pool_shots=3,
                  serve_sessions=6, serve_queries=10, serve_batch=16,
                  num_ways=5, min_runtime_s=0.1),
     "quick": dict(nodes=1500, edges=9000, relations=8, feature_dim=32,
                   max_nodes=48, hidden_dim=32,
-                  fast_subgraphs=48, fast_cap=96, fast_hidden=64,
-                  pool_shots=3,
                   serve_sessions=4, serve_queries=6, serve_batch=16,
                   num_ways=5, min_runtime_s=0.05),
     "smoke": dict(nodes=300, edges=1800, relations=6, feature_dim=16,
                   max_nodes=24, hidden_dim=16,
-                  fast_subgraphs=16, fast_cap=24, fast_hidden=16,
-                  pool_shots=2,
                   serve_sessions=2, serve_queries=3, serve_batch=4,
                   num_ways=3, min_runtime_s=0.01),
-    # Horizontal-scale subsystem (runs the shard benchmarks only).  The
-    # serving workload is deliberately encode-heavy (wide model, large
-    # subgraph cap, fat micro-batches): process workers only pay off once
-    # per-task compute dominates task pickling, which is the regime the
-    # pool targets — web-scale graphs, not smoke-test ones.
+    # Horizontal-scale subsystem (runs the shard benchmarks only).
+    # ``serve_batch`` is the number of concurrent sessions whose
+    # frontiers one batched prefetch pulls.
     "shard": dict(sample_nodes=4000, sample_edges=400_000,
                   sample_calls=24, bfs_hops=2, bfs_cap=256,
                   rw_hops=3, rw_cap=1024,
-                  nodes=3000, edges=18000, relations=8, feature_dim=32,
-                  max_nodes=48, hidden_dim=64,
-                  shard_k=2, serve_sessions=6, serve_queries=12,
-                  serve_batch=32, serve_workers=2,
-                  num_ways=5, min_runtime_s=0.05),
+                  shard_k=2, serve_batch=32, min_runtime_s=0.05),
     # Live-update subsystem (runs the mutation benchmarks only).  The
     # apply benchmark cycles one batch of adds followed by the matching
     # removes, so the live edge set — and therefore the work per timed
@@ -164,97 +141,6 @@ def _dense_sampling_graph(p: dict):
                  node_features=np.zeros((n, 2)), name="bench-dense")
 
 
-def _make_subgraphs(graph, count: int, num_hops: int, max_nodes: int):
-    rng_np = np.random.default_rng(2)
-    heads = rng_np.integers(0, graph.num_nodes, size=count)
-    tails = rng_np.integers(0, graph.num_nodes, size=count)
-    return [
-        sample_data_graph(graph, EdgeInput(int(u), int(v), relation=0),
-                          num_hops=num_hops, max_nodes=max_nodes,
-                          rng=np.random.default_rng(i))
-        for i, (u, v) in enumerate(zip(heads, tails))
-    ]
-
-
-def _encoding_fast_benchmark(graph, p: dict) -> dict:
-    """The fused tensor backend vs. the exact numpy no-grad path.
-
-    Both sides run the same no-grad encoder forward; the fast side swaps
-    in the ``"fused"`` backend (CSR-matmul message passing — sorted-segment
-    reduceat when scipy is absent — at float32).  The workload is a
-    serving-shaped fat micro-batch, where the scatter kernels and gemms
-    dominate Python overhead, because that is the regime the accelerated
-    backend targets.  No environment keys are recorded: the win comes from
-    fused kernels and float32 bandwidth, not threading, so the ratio must
-    hold on 1-core CI runners too.
-    """
-    config = GraphPrompterConfig(hidden_dim=p["fast_hidden"])
-    model = GraphPrompterModel(graph.feature_dim, graph.num_relations,
-                               config)
-    fast_model = GraphPrompterModel(graph.feature_dim, graph.num_relations,
-                                    config.ablate(tensor_backend="fused"))
-    fast_model.load_state_dict(model.state_dict())
-    model.eval()
-    fast_model.eval()
-    batch = SubgraphBatch.from_subgraphs(
-        _make_subgraphs(graph, p["fast_subgraphs"], num_hops=2,
-                        max_nodes=p["fast_cap"]))
-
-    def exact_path():
-        with no_grad():
-            model.encode_batch(batch)
-
-    def fast_path():
-        with no_grad():
-            fast_model.encode_batch(batch)
-
-    exact = time_callable(exact_path, min_runtime_s=p["min_runtime_s"],
-                          repeats=5)
-    fast = time_callable(fast_path, min_runtime_s=p["min_runtime_s"],
-                         repeats=5)
-    result = _pair(exact.per_call_s, fast.per_call_s, "numpy_f64_s",
-                   "fused_f32_s")
-    result["subgraphs_per_batch"] = p["fast_subgraphs"]
-    result["hidden_dim"] = p["fast_hidden"]
-    return {"encoding_fast": result}
-
-
-def _pool_bytes_benchmark(graph, p: dict) -> dict:
-    """At-rest candidate-pool bytes: fp64 ndarray vs. int8 quantized.
-
-    Opens the same session under both ``pool_quantization`` settings and
-    compares :meth:`SessionState.pool_nbytes`.  Reported under the
-    ``speedup`` key as the reduction ratio (fp64 bytes / int8 bytes) so
-    the standard regression gate — and the CI ``--floor`` — apply; a
-    floor of 3.3 is the ≤0.3x-of-fp64 acceptance bound.  Predictions
-    under quantized pools are agreement-gated in
-    ``tests/test_backend_equivalence.py``, not here.
-    """
-    dataset = Dataset(graph, EDGE_TASK, rng=0)
-    episode = sample_episode(dataset, num_ways=p["num_ways"],
-                             num_queries=1, rng=7)
-    sizes = {}
-    for quant in ("none", "int8"):
-        config = GraphPrompterConfig(hidden_dim=p["hidden_dim"],
-                                     max_subgraph_nodes=p["max_nodes"],
-                                     pool_quantization=quant)
-        model = GraphPrompterModel(graph.feature_dim, graph.num_relations,
-                                   config)
-        with PromptServer(model, dataset, rng=0) as server:
-            state = server.open_session("pool-bytes", episode,
-                                        shots=p["pool_shots"])
-            sizes[quant] = state.pool_nbytes()
-            rows, dim = state.candidate_emb.shape
-    return {"pool_bytes_per_session": {
-        "fp64_bytes": sizes["none"],
-        "int8_bytes": sizes["int8"],
-        "speedup": (sizes["none"] / sizes["int8"]
-                    if sizes["int8"] else float("inf")),
-        "pool_rows": rows,
-        "hidden_dim": dim,
-    }}
-
-
 def _serving_benchmark(graph, p: dict) -> dict:
     # The replay protocol (round-robin arrival across sessions) is the one
     # serve-bench replays, so the perf baseline measures exactly the
@@ -285,7 +171,7 @@ def _serving_benchmark(graph, p: dict) -> dict:
 
 
 def _shard_benchmarks(p: dict) -> dict:
-    """Partition time, cross-shard sampling overhead, parallel serve QPS."""
+    """Partition time, cross-shard sampling overhead, halo caching."""
     from ..shard import ShardedGraphStore, partition_graph
 
     dense = _dense_sampling_graph(p)
@@ -396,46 +282,6 @@ def _shard_benchmarks(p: dict) -> dict:
                                        else float("inf"))
     out["shard_batched_frontier_qps"] = frontier_qps
 
-    # Parallel serving: K shards, 1 worker vs. the process pool.
-    model, dataset, episodes = _served_workload(_benchmark_graph(p), p)
-
-    def serve_qps(num_workers: int, backend: str) -> tuple[float, str]:
-        best, effective = 0.0, backend
-        for _ in range(3):
-            server = PromptServer(model, dataset,
-                                  max_batch_size=p["serve_batch"], rng=0,
-                                  num_shards=K, num_workers=num_workers,
-                                  worker_backend=backend)
-            results, elapsed = replay_workload(server, episodes)
-            best = max(best, len(results) / elapsed)
-            effective = server.router.backend
-            server.close()
-        return best, effective
-
-    from ..shard.workers import usable_cores
-
-    # ``auto`` picks processes only on multi-core hosts, so on a 1-core
-    # runner this measures the serial fallback against itself (speedup
-    # ~1.0) instead of paying IPC for parallelism the host cannot give.
-    # ``cores`` is recorded so baselines stay interpretable across
-    # machines.
-    qps_serial, _ = serve_qps(1, "serial")
-    qps_parallel, effective = serve_qps(p["serve_workers"], "auto")
-    out["shard_parallel_qps"] = {
-        "qps_1worker": qps_serial,
-        "qps_parallel": qps_parallel,
-        "speedup": (qps_parallel / qps_serial if qps_serial > 0
-                    else float("inf")),
-        "workers": p["serve_workers"],
-        "num_shards": K,
-        "backend": effective,
-        "cores": usable_cores(),
-        # Raw host core count alongside affinity-aware ``cores``: when a
-        # container pins affinity below the hardware size the two
-        # diverge, which is the first thing to check when a parallel-QPS
-        # baseline looks implausible.
-        "cpu_count": os.cpu_count() or 1,
-    }
     return out
 
 
@@ -634,10 +480,7 @@ def run_benchmarks(profile: str = "full") -> dict:
     elif profile == "gateway":
         benchmarks.update(_gateway_benchmarks(p))
     else:
-        graph = _benchmark_graph(p)
-        benchmarks.update(_encoding_fast_benchmark(graph, p))
-        benchmarks.update(_pool_bytes_benchmark(graph, p))
-        benchmarks.update(_serving_benchmark(graph, p))
+        benchmarks.update(_serving_benchmark(_benchmark_graph(p), p))
     return {
         "schema": SCHEMA_VERSION,
         "profile": profile,
@@ -645,48 +488,30 @@ def run_benchmarks(profile: str = "full") -> dict:
     }
 
 
-#: Result keys recording the *environment* a ratio was measured under.
-#: When current and baseline disagree on one (e.g. the parallel-QPS row
-#: measured with the process pool on a multi-core runner vs. the serial
-#: fallback on a 1-core box), their speedups describe different
-#: experiments and comparing them would only produce false alarms.
-_ENVIRONMENT_KEYS = ("backend", "cores")
-
-
 def check_regression(current: dict, baseline: dict,
-                     tolerance: float = 1.5,
-                     skipped: list[str] | None = None) -> list[str]:
+                     tolerance: float = 1.5) -> list[str]:
     """Compare two result dicts; returns human-readable failures.
 
     A benchmark regresses when its speedup ratio falls below the
     baseline's by more than ``tolerance``× — ratios, not absolute times,
     so the check is portable across machines (the committed baseline was
-    produced on different hardware than CI runners).  Benchmarks whose
-    recorded environment keys (``backend``/``cores``) differ from the
-    baseline's are skipped: their ratios measure different experiments.
-    Pass a ``skipped`` list to receive one explicit message per skip
-    (which keys diverged, run vs. baseline) — a silently passing gate
-    that compared nothing is indistinguishable from a healthy one
-    otherwise.  The return value stays the failures list either way.
+    produced on different hardware than CI runners).  A baseline row
+    with a speedup that the run no longer produces fails too: a gate
+    must not pass by dropping its row.  Rows found only in the run are
+    not compared — a new benchmark has no baseline yet.
     """
     if tolerance < 1.0:
         raise ValueError("tolerance must be at least 1.0")
     failures = []
-    base_benchmarks = baseline.get("benchmarks", {})
-    for name, result in current.get("benchmarks", {}).items():
-        base = base_benchmarks.get(name)
-        if base is None or "speedup" not in base or "speedup" not in result:
+    benchmarks = current.get("benchmarks", {})
+    for name, base in baseline.get("benchmarks", {}).items():
+        if "speedup" not in base:
             continue
-        mismatched = [key for key in _ENVIRONMENT_KEYS
-                      if (key in result or key in base)
-                      and result.get(key) != base.get(key)]
-        if mismatched:
-            if skipped is not None:
-                detail = ", ".join(
-                    f"{key} run={result.get(key)!r} "
-                    f"baseline={base.get(key)!r}" for key in mismatched)
-                skipped.append(
-                    f"{name}: environment-skipped — {detail}")
+        result = benchmarks.get(name)
+        if result is None or "speedup" not in result:
+            failures.append(
+                f"{name}: baseline speedup {base['speedup']:.2f}x but the "
+                f"run produced no speedup for it")
             continue
         floor = base["speedup"] / tolerance
         if result["speedup"] < floor:

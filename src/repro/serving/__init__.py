@@ -12,10 +12,9 @@ pipeline:
 * :class:`PromptServer` — ``open_session`` / ``submit`` / ``drain`` façade,
   warm-startable from the shared disk artifact cache;
 * :class:`ShardRouter` — constructed when the server is given
-  ``num_shards``/``num_workers``: partitions the graph
-  (:mod:`repro.shard`), fans each micro-batch out per shard to a process
-  worker pool, and merges rows back in submission order — bit-identical
-  results, horizontal throughput;
+  ``num_shards > 1``: partitions the graph (:mod:`repro.shard`), encodes
+  each micro-batch one shard slice at a time, and merges rows back in
+  submission order — bit-identical results;
 * :class:`ServingGateway` (:mod:`repro.serving.gateway`) — the async
   multi-tenant front door: per-tenant rate limiting and quotas, a bounded
   admission queue with class-aware load shedding (typed

@@ -570,8 +570,7 @@ class ServingGateway:
         """Hot-swap model weights with zero dropped requests.
 
         In-flight requests drain under the old weights; then the new
-        state loads, worker pools respawn (their replicas were built from
-        the old state dict), and every open session re-anchors — pools
+        state loads in place and every open session re-anchors — pools
         re-encoded, Augmenter caches purged — so no post-swap prediction
         mixes old-weight state with new weights.
         """

@@ -192,7 +192,6 @@ class ReplicaSet:
         of requests settled."""
         gateway = self.replicas[replica_id]
         settled = gateway.abort(reason=UNAVAILABLE_FAILOVER)
-        gateway.server.close()  # release its worker pool, as death would
         self._m_kills.inc()
         return settled
 

@@ -17,15 +17,13 @@ subgraph sampling is deterministic per datapoint, serving with any
 — micro-batching is purely a throughput optimization.
 
 The drain loop itself stays synchronous and deterministic (that is what
-keeps the batching policy testable), but the encoding hot path can scale
-*horizontally*: constructed with ``num_shards``/``num_workers``, the server
-routes every micro-batch through a :class:`ShardRouter` — the graph is
-split into shards (:mod:`repro.shard`), each batch is fanned out per shard
-to a process worker pool, and the rows are merged back in submission
+keeps the batching policy testable).  Constructed with ``num_shards > 1``,
+the server routes every micro-batch through a :class:`ShardRouter` — the
+graph is split into shards (:mod:`repro.shard`), each batch is encoded
+one shard slice at a time, and the rows are merged back in submission
 order.  Sharded sampling is bit-identical to the monolithic sampler and
-encoding is batch-composition-invariant, so sharded/parallel serving
-returns exactly the same predictions — it is a pure throughput lever.
-``clock`` is injectable for TTL tests.
+encoding is batch-composition-invariant, so sharded serving returns
+exactly the same predictions.  ``clock`` is injectable for TTL tests.
 """
 
 from __future__ import annotations
@@ -58,7 +56,6 @@ from ..persist import (
     episode_to_jsonable,
 )
 from ..shard import ShardCounters
-from .quantize import quantize_pool
 from .router import ShardRouter
 from .scheduler import MicroBatchScheduler, PendingRequest
 from .session import SessionState, SessionStore
@@ -96,7 +93,7 @@ class ServerStats:
 
     ``shards`` holds one :class:`~repro.shard.ShardCounters` per shard
     (``requests`` routed, ``halo_fetches`` across shard boundaries,
-    ``worker_busy_s`` of task execution) when the server runs sharded;
+    ``worker_busy_s`` spent encoding) when the server runs sharded;
     empty on the monolithic path.
     """
 
@@ -143,14 +140,14 @@ class PromptServer:
                  rng: np.random.Generator | int | None = None,
                  clock=time.monotonic,
                  num_shards: int | None = None,
-                 num_workers: int | None = None,
                  shard_strategy: str | None = None,
-                 worker_backend: str | None = None,
                  registry: MetricsRegistry | None = None,
                  persist: PersistentStore | None = None,
                  shard_owner: np.ndarray | None = None):
         if result_buffer_size < 1:
             raise ValueError("result_buffer_size must be at least 1")
+        if num_shards is not None and num_shards < 1:
+            raise ValueError("num_shards must be at least 1")
         model.eval()
         self.model = model
         self.dataset = dataset
@@ -171,20 +168,16 @@ class PromptServer:
         # Serving requires order-independent subgraphs: the same query must
         # encode identically whether it rides a batch of 1 or 16.
         self.pipeline.generator.deterministic = True
-        # Horizontal scale: unspecified knobs fall back to the config;
-        # (1 shard, 1 worker) keeps the monolithic in-process hot path.
+        # Sharding: unspecified knobs fall back to the config; one shard
+        # keeps the monolithic hot path.
         num_shards = (self.config.num_shards if num_shards is None
                       else num_shards)
-        num_workers = (self.config.num_workers if num_workers is None
-                       else num_workers)
         shard_strategy = shard_strategy or self.config.shard_strategy
-        worker_backend = worker_backend or self.config.worker_backend
         self.router: ShardRouter | None = None
-        if num_shards > 1 or num_workers > 1:
+        if num_shards > 1:
             self.router = ShardRouter(
                 model, dataset.graph, num_shards=num_shards,
-                num_workers=num_workers, strategy=shard_strategy,
-                backend=worker_backend, owner=shard_owner)
+                strategy=shard_strategy, owner=shard_owner)
             # Candidate pools and query batches both flow through
             # encode_points — route them all through the shards.
             self.pipeline.point_encoder = self.router.encode_points
@@ -243,17 +236,6 @@ class PromptServer:
         """Current shard-owner map (``None`` on the monolithic path)."""
         return self.router.store.owner if self.router is not None else None
 
-    def close(self) -> None:
-        """Release the worker pool (no-op for the monolithic path)."""
-        if self.router is not None:
-            self.router.close()
-
-    def __enter__(self) -> "PromptServer":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     # ------------------------------------------------------------------
     # Session lifecycle
     # ------------------------------------------------------------------
@@ -279,7 +261,7 @@ class PromptServer:
             self.config, rng=np.random.default_rng(self.rng.integers(2**32)))
         state = SessionState(
             session_id=session_id, num_ways=episode.num_ways, shots=shots,
-            candidate_emb=self._store_pool(candidate_emb),
+            candidate_emb=candidate_emb,
             candidate_importance=candidate_importance,
             pool_labels=pool_labels, augmenter=augmenter,
             episode=episode,
@@ -329,13 +311,6 @@ class PromptServer:
         dependency-scoped invalidation sound.  Only node sets are needed,
         so no subgraph is induced here.  Empty (free) when the graph is
         immutable.
-
-        This does sample each datapoint a second time (the first is
-        inside the encode pass) rather than threading node sets out of
-        the encoder: the sharded path samples inside worker processes,
-        so host-side reuse would need subgraphs shipped back across the
-        pool — a far bigger cost than re-running numpy gathers next to
-        a GNN forward.
         """
         if not self._mutable:
             return set()
@@ -349,8 +324,8 @@ class PromptServer:
                      log: bool = True) -> AppliedUpdate:
         """Apply one live mutation batch and invalidate what it touched.
 
-        The graph (and, when sharded, the owner shards and worker pool)
-        absorbs the update in place; sessions whose sampled subgraphs
+        The graph (and, when sharded, the owner shards) absorbs the
+        update in place; sessions whose sampled subgraphs
         intersect the touched nodes are marked stale and refreshed —
         candidate pool re-encoded, Augmenter cache purged — before their
         next prediction.  Sessions outside the touched region keep their
@@ -414,42 +389,27 @@ class PromptServer:
     def reload_model(self, state_dict: dict) -> None:
         """Swap in new model weights and re-anchor every live session.
 
-        Order matters: weights load in place (the pipeline shares the
-        model object), worker-pool replicas respawn from the new state
-        dict (they were built from a pickle of the old one — the serial
-        backend's context too), and then every open session re-anchors
-        (pool re-encoded under the new weights, Augmenter cache purged)
-        so no later prediction mixes old-weight state with new weights.
+        Order matters: weights load in place (the pipeline and the shard
+        router share the model object), and then every open session
+        re-anchors (pool re-encoded under the new weights, Augmenter
+        cache purged) so no later prediction mixes old-weight state with
+        new weights.
         Callers coordinating with in-flight traffic drain first — the
         gateway's :meth:`~repro.serving.ServingGateway.reload_model`
         does exactly that.
         """
         self.model.load_state_dict(state_dict)
         self.model.eval()
-        if self.router is not None:
-            self.router.reload_model(self.model)
         for state in self.sessions.states():
             self._refresh_session(state)
-
-    def _store_pool(self, candidate_emb: np.ndarray):
-        """At-rest representation of a session's pool embeddings.
-
-        The exact float ndarray by default; int8 codes + per-row scales
-        under ``config.pool_quantization = "int8"`` (read back through
-        :meth:`SessionState.pool_embeddings`).
-        """
-        if self.config.pool_quantization == "int8":
-            return quantize_pool(candidate_emb)
-        return candidate_emb
 
     def _refresh_session(self, session: SessionState) -> None:
         """Re-anchor a stale session to the current graph epoch."""
         pool, pool_labels = self.pipeline.select_candidate_pool(
             session.episode, session.shots)
         with scoped_registry(self.obs):
-            candidate_emb, session.candidate_importance = (
+            session.candidate_emb, session.candidate_importance = (
                 self.pipeline.encode_points(pool))
-        session.candidate_emb = self._store_pool(candidate_emb)
         session.pool_labels = pool_labels
         session.augmenter.invalidate()
         session.dependent_nodes = self._dependencies(pool)
@@ -555,7 +515,7 @@ class PromptServer:
             # per-query serving — batching never changes answers.
             with batch_scope([request.trace]), span("predict"):
                 preds, confs, inserted = self.pipeline.predict_batch(
-                    session.pool_embeddings(), session.candidate_importance,
+                    session.candidate_emb, session.candidate_importance,
                     session.pool_labels, emb[i:i + 1],
                     importance[i:i + 1], session.num_ways, session.shots,
                     augmenter=session.augmenter)

@@ -23,7 +23,6 @@ import numpy as np
 
 from ..cache.stats import CacheStats
 from ..core.prompt_augmenter import PromptAugmenter
-from .quantize import pool_data, pool_nbytes
 
 __all__ = ["SessionStats", "SessionState", "SessionStore"]
 
@@ -70,10 +69,6 @@ class SessionState:
     session_id: str
     num_ways: int
     shots: int
-    #: Encoded candidate-pool embeddings: a float ndarray (default) or a
-    #: :class:`~repro.serving.quantize.QuantizedPool` when the server runs
-    #: with ``config.pool_quantization = "int8"``.  Read through
-    #: :meth:`pool_embeddings`, never directly, so callers are agnostic.
     candidate_emb: np.ndarray
     candidate_importance: np.ndarray
     pool_labels: np.ndarray
@@ -87,19 +82,6 @@ class SessionState:
     def cache_stats(self) -> CacheStats:
         """Counter snapshot of this session's Augmenter cache."""
         return self.augmenter.stats()
-
-    def pool_embeddings(self) -> np.ndarray:
-        """Candidate-pool embeddings as a float work array.
-
-        Pass-through (no copy) for the default ndarray representation;
-        dequantize-on-read for int8 pools — the float array lives only as
-        long as the micro-batch that asked for it.
-        """
-        return pool_data(self.candidate_emb)
-
-    def pool_nbytes(self) -> int:
-        """At-rest bytes of this session's candidate-pool embeddings."""
-        return pool_nbytes(self.candidate_emb)
 
 
 class SessionStore:

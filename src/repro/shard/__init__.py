@@ -1,13 +1,12 @@
-"""Sharded graph execution: partitioner, sharded store, worker pool.
+"""Sharded graph execution: partitioner and sharded store.
 
 The horizontal-scale subsystem: an edge-cut **partitioner**
 (:func:`partition_graph` — greedy-balance or hash node assignment, stable
-global↔local id maps, per-shard CSR), a **ShardedGraphStore** answering
-the monolithic adjacency's query surface with halo/ghost resolution across
-shard boundaries (bit-identical sampling, any K), and a **WorkerPool**
-running shard-local sampling+encoding tasks across processes with a serial
-in-process fallback.  :class:`~repro.serving.ShardRouter` wires the three
-into :class:`~repro.serving.PromptServer`.
+global↔local id maps, per-shard CSR) and a **ShardedGraphStore**
+answering the monolithic adjacency's query surface with halo/ghost
+resolution across shard boundaries (bit-identical sampling, any K).
+:class:`~repro.serving.ShardRouter` wires both into
+:class:`~repro.serving.PromptServer`.
 """
 
 from .partition import (
@@ -18,17 +17,14 @@ from .partition import (
     partition_nodes,
 )
 from .store import ShardCounters, ShardedGraphStore, ShardedGraphView
-from .workers import WORKER_BACKENDS, WorkerPool
 
 __all__ = [
     "PARTITION_STRATEGIES",
-    "WORKER_BACKENDS",
     "GraphShard",
     "ShardPlan",
     "ShardCounters",
     "ShardedGraphStore",
     "ShardedGraphView",
-    "WorkerPool",
     "partition_graph",
     "partition_nodes",
 ]

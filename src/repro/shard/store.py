@@ -22,15 +22,13 @@ What is sharded vs. replicated: adjacency structure and the node-feature
 payload (the O(|V|·d) + O(|E|) bulk) are keyed by owner shard; small
 metadata — the owner map, relation types, and relation features — is
 replicated to every shard, mirroring how distributed graph stores keep
-routing tables local.  In this single-host embodiment the whole store
-(all shards) is still shipped to every worker process, so sharding buys
-**compute parallelism and shard-local access patterns** — the layout,
-routing, and halo accounting of a distributed store — not yet per-process
-memory reduction; pinning workers to their home shard's slice is the
-follow-up that turns the same layout into a memory win.
+routing tables local.  In this single-host embodiment every shard lives
+in one process, so sharding buys **shard-local access patterns** — the
+layout, routing, and halo accounting of a distributed store — not memory
+reduction.
 
 Counters: while a task for *home shard* ``h`` runs (``home_shard`` set by
-the worker), every row fetch served by a shard ``k != h`` counts as one
+the router), every row fetch served by a shard ``k != h`` counts as one
 **halo fetch** — the number the serving layer surfaces per shard in
 :class:`~repro.serving.ServerStats`.  A fetch is counted once, when the
 row is actually pulled from its owner: the **halo row cache** keeps every
@@ -66,7 +64,7 @@ class ShardCounters:
     shard_id: int = 0
     requests: int = 0        # datapoints routed to this shard
     halo_fetches: int = 0    # remote row fetches made by this shard's tasks
-    worker_busy_s: float = 0.0
+    worker_busy_s: float = 0.0  # wall time of this shard's encodes
 
     def snapshot(self) -> "ShardCounters":
         return ShardCounters(shard_id=self.shard_id, requests=self.requests,
@@ -94,7 +92,7 @@ class ShardedGraphStore:
         self._features = [graph.node_features[sh.nodes] for sh in self.shards]
         self._scratch_pool: list[np.ndarray] = []
         #: Home shard of the task currently using this store (set by the
-        #: worker); fetches served by any other shard count as halo.
+        #: router); fetches served by any other shard count as halo.
         self.home_shard: int | None = None
         self._halo_fetches = 0
         # Halo row cache: translated (global-id) rows in one contiguous
@@ -122,25 +120,6 @@ class ShardedGraphStore:
         strategy's fresh assignment."""
         return cls(graph, partition_graph(graph, num_shards, strategy,
                                           owner=owner))
-
-    def __getstate__(self):
-        # Process workers only *read* the store; shipping the whole
-        # monolithic graph alongside the sharded payload would defeat the
-        # layout.  Updates stay host-side: the router respawns worker
-        # pools after apply_updates instead of routing writes to them.
-        # Workers warm their own halo caches — shipping the host's would
-        # bloat the pickle for rows the worker's home shard never reads.
-        state = self.__dict__.copy()
-        state["_graph"] = None
-        state["_cache_start"] = np.full(self.num_nodes, -1, dtype=np.int64)
-        state["_cache_len"] = np.zeros(self.num_nodes, dtype=np.int64)
-        state["_cache_buf"] = _EMPTY
-        state["_cache_used"] = 0
-        state["_cache_hits"] = 0
-        state["_cache_misses"] = 0
-        state["_batched_fetches"] = 0
-        state["_prefetched_rows"] = 0
-        return state
 
     def view(self) -> "ShardedGraphView":
         return ShardedGraphView(self)
@@ -413,10 +392,6 @@ class ShardedGraphStore:
         Returns the ids of the rebuilt shards.
         """
         graph = self._graph
-        if graph is None:
-            raise RuntimeError(
-                "worker-side store copies are read-only; apply updates on "
-                "the host store and respawn the pool")
         if applied.version <= self._graph_version:
             return np.empty(0, dtype=np.int64)
         if not self._owns_maps:

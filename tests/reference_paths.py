@@ -29,11 +29,15 @@ import numpy as np
 
 from repro.core.task_graph import build_task_graph
 from repro.gnn.batch import SubgraphBatch, _validate
-from repro.gnn.message_passing import data_of, scatter_mean
+from repro.gnn.message_passing import (
+    data_of,
+    scatter_mean,
+    scatter_sum_data,
+    segment_softmax_data,
+)
 from repro.graph.subgraph import Subgraph
 from repro.nn import Tensor, no_grad
 from repro.nn import functional as F
-from repro.nn.backend import get_backend
 
 
 def bfs_legacy(graph, seeds, num_hops, max_nodes, rng) -> np.ndarray:
@@ -204,25 +208,23 @@ def task_attention_edges(layer, h, src, dst, attr, num_nodes) -> np.ndarray:
     ``layer`` is a ``_TaskAttentionLayer``; ``src``/``dst``/``attr`` the
     symmetrised edge list.  This was the layer's no-grad forward before
     the dense grid kernel; the weighted scatter is written out as the
-    ``scatter_add`` it always reduced to on the exact backend.
+    zero-init ``np.add.at`` scatter it always reduced to.
     """
-    B = get_backend()
     hd = data_of(h)
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
     attr = np.asarray(attr, dtype=np.int64)
-    queries = B.matmul(hd, B.param(layer.query_proj.weight.data))
-    keys = B.matmul(hd, B.param(layer.key_proj.weight.data))
-    values = B.matmul(hd, B.param(layer.value_proj.weight.data))
+    queries = hd @ layer.query_proj.weight.data
+    keys = hd @ layer.key_proj.weight.data
+    values = hd @ layer.value_proj.weight.data
     scale = 1.0 / np.sqrt(layer.dim)
     logits = ((queries[dst] * keys[src]).sum(axis=-1) * scale
-              + B.param(layer.attr_bias.data)[attr])
-    alpha = B.segment_softmax(logits, dst, num_nodes)
-    messages = values[src] + B.param(layer.attr_embedding.weight.data)[attr]
-    aggregated = B.scatter_add(messages * alpha.reshape(-1, 1), dst,
-                               num_nodes)
-    out = (B.matmul(aggregated, B.param(layer.out_proj.weight.data))
-           + B.param(layer.out_proj.bias.data))
+              + layer.attr_bias.data[attr])
+    alpha = segment_softmax_data(logits, dst, num_nodes)
+    messages = values[src] + layer.attr_embedding.weight.data[attr]
+    aggregated = scatter_sum_data(messages * alpha.reshape(-1, 1), dst,
+                                  num_nodes)
+    out = aggregated @ layer.out_proj.weight.data + layer.out_proj.bias.data
     x = hd + out
     # LayerNorm, mirroring nn.LayerNorm op-for-op (sum/len mean, **0.5).
     mu = x.sum(axis=-1, keepdims=True) / float(x.shape[-1])
@@ -230,8 +232,7 @@ def task_attention_edges(layer, h, src, dst, attr, num_nodes) -> np.ndarray:
     var = ((centered * centered).sum(axis=-1, keepdims=True)
            / float(x.shape[-1]))
     normed = centered / (var + layer.norm.eps) ** 0.5
-    return (normed * B.param(layer.norm.gamma.data)
-            + B.param(layer.norm.beta.data))
+    return normed * layer.norm.gamma.data + layer.norm.beta.data
 
 
 def task_logits_edges(model, prompt_embeddings, prompt_labels,

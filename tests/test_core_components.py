@@ -52,6 +52,22 @@ class TestConfig:
         with pytest.raises(ValueError):
             GraphPrompterConfig(**bad).validate()
 
+    @pytest.mark.parametrize("field, value", [
+        ("tensor_backend", "fused"),
+        ("pool_quantization", "int8"),
+        ("num_workers", 2),
+        ("worker_backend", "process"),
+    ])
+    def test_retired_serving_knobs_fail_loudly(self, field, value):
+        """The fused backend, int8 pools and the worker pool are gone: a
+        config naming one is an error, not a silently ignored field, and
+        no artifact key (``str(config)``) carries it."""
+        with pytest.raises(TypeError, match=field):
+            GraphPrompterConfig(**{field: value})
+        with pytest.raises(TypeError, match=field):
+            GraphPrompterConfig().ablate(**{field: value})
+        assert field not in str(GraphPrompterConfig())
+
 
 class TestTaskGraph:
     def test_counts(self):

@@ -713,9 +713,12 @@ class TestGracefulSwap:
             cold_preds.extend(r.prediction for r in cold.drain())
         assert [r.prediction for r in post] == cold_preds
 
-    def test_reload_model_hot_swap_matches_cold_server(self, served):
-        """After a weight hot-swap, answers equal a cold server built
-        with the new weights (sessions re-anchored, caches purged)."""
+    @pytest.mark.parametrize("num_shards", [1, 2])
+    def test_reload_model_hot_swap_matches_cold_server(self, served,
+                                                       num_shards):
+        """After a weight hot-swap, answers equal a cold monolithic
+        server built with the new weights (sessions re-anchored, caches
+        purged) — through the shard router too."""
         dataset, config, model = served
         episode = sample_episode(dataset, num_ways=3, num_queries=6, rng=22)
 
@@ -733,7 +736,7 @@ class TestGracefulSwap:
 
         async def main():
             server = PromptServer(swap_model, dataset, max_batch_size=4,
-                                  rng=0)
+                                  rng=0, num_shards=num_shards)
             gateway = ServingGateway(server, auto_drain=False,
                                      max_batch_size=4)
             gateway.open_session("t", "s", episode)
@@ -775,8 +778,7 @@ class TestStatsWiring:
         episode = sample_episode(dataset, num_ways=3, num_queries=4, rng=33)
 
         async def main():
-            server = PromptServer(model, dataset, rng=0, num_shards=2,
-                                  num_workers=1, worker_backend="serial")
+            server = PromptServer(model, dataset, rng=0, num_shards=2)
             gateway = ServingGateway(server, auto_drain=False)
             gateway.open_session("t", "s", episode)
             for q in range(4):
@@ -784,7 +786,6 @@ class TestStatsWiring:
             await gateway.flush()
             stats = gateway.stats
             await gateway.close()
-            server.close()
             return stats
 
         stats = run(main())

@@ -1,9 +1,8 @@
 """Tests for the unified observability layer (repro.obs).
 
-Covers the metric primitives (bucket boundaries, quantile estimation,
-merge/drain), the Prometheus text exposition (format, escaping), the
-cross-process merge protocol through :class:`WorkerPool`, the gateway
-trace pipeline (per-stage spans, deterministic sampling), and the
+Covers the metric primitives (bucket boundaries, quantile estimation),
+the Prometheus text exposition (format, escaping), the gateway trace
+pipeline (per-stage spans, deterministic sampling), and the
 bit-identity contract: tracing must never change predictions.
 """
 
@@ -29,7 +28,6 @@ from repro.obs import (
     MetricsRegistry,
     Tracer,
     escape_label_value,
-    get_registry,
     render,
     scoped_registry,
     scrape,
@@ -37,7 +35,6 @@ from repro.obs import (
 )
 from repro.obs.tracing import batch_scope
 from repro.serving import Overloaded, Priority, PromptServer, ServingGateway
-from repro.shard.workers import WorkerPool
 
 
 # ----------------------------------------------------------------------
@@ -88,7 +85,7 @@ class TestCounterGauge:
         h.observe(0.5)
         assert c.value() == 0.0
         assert h.count() == 0
-        assert reg.drain() == {}
+        assert not any(entry["series"] for entry in reg.snapshot().values())
 
 
 class TestHistogram:
@@ -151,47 +148,6 @@ class TestHistogram:
             reg.histogram("bad2", buckets=())
 
 
-class TestMergeDrain:
-    def test_merge_adds_counters_and_histograms(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        for reg, n in ((a, 1), (b, 2)):
-            reg.counter("c_total", "", ("k",)).inc(n, k="x")
-            h = reg.histogram("h", buckets=(1.0, 2.0))
-            for _ in range(n):
-                h.observe(1.5)
-            reg.gauge("g").set(float(n))
-        a.merge(b.snapshot())
-        assert a.counter("c_total").value(k="x") == pytest.approx(3.0)
-        h = a.histogram("h")
-        assert h.count() == 3
-        assert h.total() == pytest.approx(4.5)
-        assert a.gauge("g").value() == pytest.approx(2.0)  # last write wins
-
-    def test_merge_bucket_mismatch_raises(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.histogram("h", buckets=(1.0, 2.0)).observe(0.5)
-        b.histogram("h", buckets=(1.0, 4.0)).observe(0.5)
-        with pytest.raises(ValueError):
-            a.merge(b.snapshot())
-
-    def test_drain_clears_series_but_keeps_instruments(self):
-        reg = MetricsRegistry()
-        reg.counter("c_total").inc()
-        delta = reg.drain()
-        assert delta["c_total"]["series"] == [[[], 1.0]]
-        assert reg.counter("c_total").value() == 0.0
-        assert reg.drain() == {}  # nothing new recorded
-
-    def test_merge_roundtrip_is_exact(self):
-        src, dst = MetricsRegistry(), MetricsRegistry()
-        h = src.histogram("h_seconds")
-        for i in range(50):
-            h.observe(1e-5 * 3 ** (i % 10))
-        dst.merge(src.snapshot())
-        assert (dst.histogram("h_seconds").series()[()].counts
-                == h.series()[()].counts)
-
-
 # ----------------------------------------------------------------------
 # Prometheus exposition
 # ----------------------------------------------------------------------
@@ -245,53 +201,6 @@ class TestExposition:
 
 
 # ----------------------------------------------------------------------
-# Cross-process merge through the worker pool
-# ----------------------------------------------------------------------
-def _obs_pool_init():
-    return "ctx"
-
-
-def _obs_pool_task(context, task):
-    reg = get_registry()
-    reg.counter("pool_tasks_total", "",
-                ("parity",)).inc(parity=str(task % 2))
-    reg.histogram("pool_task_seconds").observe(1e-4 * (task + 1))
-    return task * 10
-
-
-class TestWorkerPoolMerge:
-    @pytest.mark.parametrize("backend", ["serial", "process"])
-    def test_worker_metrics_ride_home(self, backend):
-        host = MetricsRegistry()
-        with scoped_registry(host):
-            pool = WorkerPool(_obs_pool_init, num_workers=2,
-                              backend=backend)
-            try:
-                out = pool.map(_obs_pool_task, list(range(8)))
-            finally:
-                pool.close()
-        assert [result for result, _ in out] == [i * 10 for i in range(8)]
-        counter = host.counter("pool_tasks_total")
-        assert counter.value(parity="0") == pytest.approx(4.0)
-        assert counter.value(parity="1") == pytest.approx(4.0)
-        hist = host.histogram("pool_task_seconds")
-        assert hist.count() == 8
-        assert hist.total() == pytest.approx(1e-4 * sum(range(1, 9)))
-
-    def test_process_drain_does_not_double_count(self):
-        host = MetricsRegistry()
-        with scoped_registry(host):
-            pool = WorkerPool(_obs_pool_init, num_workers=2,
-                              backend="process")
-            try:
-                pool.map(_obs_pool_task, list(range(4)))
-                pool.map(_obs_pool_task, list(range(4)))
-            finally:
-                pool.close()
-        assert host.counter("pool_tasks_total").sum() == pytest.approx(8.0)
-
-
-# ----------------------------------------------------------------------
 # Spans + tracing primitives
 # ----------------------------------------------------------------------
 class TestSpansAndTracer:
@@ -334,7 +243,7 @@ class TestSpansAndTracer:
         with scoped_registry(reg):
             with span("quiet"):
                 pass
-        assert reg.drain() == {}
+        assert not any(entry["series"] for entry in reg.snapshot().values())
 
     def test_tracer_samples_deterministically(self):
         tracer = Tracer(every=3)
@@ -385,8 +294,7 @@ def _run_burst(model, dataset, *, trace_every, registry, queries=6):
 
     async def run():
         server = PromptServer(model, dataset, max_batch_size=4, rng=0,
-                              num_shards=2, num_workers=1,
-                              worker_backend="serial", registry=registry)
+                              num_shards=2, registry=registry)
         gateway = ServingGateway(server, auto_drain=False,
                                  trace_every=trace_every,
                                  registry=registry)

@@ -8,9 +8,7 @@ from repro.cli import main as cli_main
 from repro.perf import (PROFILES, baseline_profile_section, check_regression,
                         run_benchmarks, time_callable)
 
-EXPECTED_BENCHMARKS = {
-    "encoding_fast", "pool_bytes_per_session", "serving_microbatch",
-}
+EXPECTED_BENCHMARKS = {"serving_microbatch"}
 
 
 @pytest.fixture(scope="module")
@@ -82,39 +80,6 @@ class TestCheckRegression:
         baseline = self._results({"a": 3.0})
         assert check_regression(current, baseline, tolerance=1.5) == []
 
-    def test_environment_mismatch_is_skipped(self):
-        # A ratio measured under a different backend/core count (e.g. the
-        # process pool on an 8-core runner vs. the serial fallback on the
-        # 1-core box that recorded the baseline) describes a different
-        # experiment — never compared, in either direction.
-        current = {"benchmarks": {"shard_parallel_qps": {
-            "speedup": 0.2, "backend": "process", "cores": 8}}}
-        baseline = {"benchmarks": {"shard_parallel_qps": {
-            "speedup": 1.0, "backend": "serial", "cores": 1}}}
-        assert check_regression(current, baseline) == []
-        matched = {"benchmarks": {"shard_parallel_qps": {
-            "speedup": 0.2, "backend": "serial", "cores": 1}}}
-        assert len(check_regression(matched, baseline)) == 1
-
-    def test_environment_skip_is_reported_explicitly(self):
-        # The skip must not be silent: callers passing a ``skipped`` list
-        # get one message naming the benchmark and the diverging keys.
-        current = {"benchmarks": {"shard_parallel_qps": {
-            "speedup": 0.2, "backend": "process", "cores": 8}}}
-        baseline = {"benchmarks": {"shard_parallel_qps": {
-            "speedup": 1.0, "backend": "serial", "cores": 1}}}
-        skipped: list[str] = []
-        assert check_regression(current, baseline, skipped=skipped) == []
-        assert len(skipped) == 1
-        assert "shard_parallel_qps" in skipped[0]
-        assert "environment-skipped" in skipped[0]
-        assert "backend" in skipped[0] and "cores" in skipped[0]
-        assert "'process'" in skipped[0] and "'serial'" in skipped[0]
-        # No mismatch -> nothing reported.
-        skipped.clear()
-        check_regression(baseline, baseline, skipped=skipped)
-        assert skipped == []
-
     def test_regression_detected(self):
         current = self._results({"a": 1.0})
         baseline = self._results({"a": 3.0})
@@ -123,9 +88,21 @@ class TestCheckRegression:
         assert "a" in failures[0]
 
     def test_unknown_benchmarks_ignored(self):
+        # A row found only in the run has no baseline yet.
         current = self._results({"new_one": 0.1})
-        baseline = self._results({"other": 5.0})
-        assert check_regression(current, baseline) == []
+        assert check_regression(current, self._results({})) == []
+
+    def test_baseline_row_missing_from_run_fails(self):
+        # A gated row the run no longer produces must not pass silently.
+        current = self._results({"serving_microbatch": 1.2})
+        baseline = self._results({"encoding_fast": 1.8,
+                                  "serving_microbatch": 1.2})
+        failures = check_regression(current, baseline)
+        assert len(failures) == 1
+        assert "encoding_fast" in failures[0]
+        # Rows recorded without a speedup are not gated.
+        baseline["benchmarks"]["shard_partition"] = {"greedy_s": 0.1}
+        assert len(check_regression(current, baseline)) == 1
 
     def test_tolerance_validated(self):
         with pytest.raises(ValueError):
@@ -158,7 +135,7 @@ class TestBenchCLI:
 
     def test_bench_fails_on_regression(self, tmp_path, capsys):
         baseline = {"schema": 2, "profiles": {"smoke": {"benchmarks": {
-            "pool_bytes_per_session": {"speedup": 1e9}}}}}
+            "serving_microbatch": {"speedup": 1e9}}}}}
         path = tmp_path / "impossible.json"
         path.write_text(json.dumps(baseline))
         code = cli_main(["bench", "--profile", "smoke", "--no-write",
@@ -179,7 +156,7 @@ class TestBenchCLI:
         """output == baseline must not clobber the baseline (which would
         also turn the check into a self-comparison)."""
         baseline = {"schema": 2, "profiles": {"smoke": {"benchmarks": {
-            "pool_bytes_per_session": {"speedup": 1e9}}}}}
+            "serving_microbatch": {"speedup": 1e9}}}}}
         path = tmp_path / "baseline.json"
         path.write_text(json.dumps(baseline))
         code = cli_main(["bench", "--profile", "smoke",
@@ -190,22 +167,22 @@ class TestBenchCLI:
     def test_bench_floor_gate(self, tmp_path, capsys):
         # A floor far below any plausible measurement passes and says so.
         assert cli_main(["bench", "--profile", "smoke", "--no-write",
-                         "--floor", "pool_bytes_per_session=0.0001"]) == 0
+                         "--floor", "serving_microbatch=0.0001"]) == 0
         assert "floor" in capsys.readouterr().out
         # An impossible floor fails, naming the benchmark — unlike
         # --baseline, the gate cannot drift when baselines regenerate.
         assert cli_main(["bench", "--profile", "smoke", "--no-write",
-                         "--floor", "pool_bytes_per_session=1e9"]) == 1
+                         "--floor", "serving_microbatch=1e9"]) == 1
         err = capsys.readouterr().err
-        assert "PERF FLOOR" in err and "pool_bytes_per_session" in err
+        assert "PERF FLOOR" in err and "serving_microbatch" in err
 
     def test_bench_floor_rejects_bad_specs(self, capsys):
         # Malformed spec: usage error before any benchmark runs.
         assert cli_main(["bench", "--profile", "smoke", "--no-write",
-                         "--floor", "pool_bytes_per_session"]) == 2
+                         "--floor", "serving_microbatch"]) == 2
         assert "NAME=VALUE" in capsys.readouterr().err
         assert cli_main(["bench", "--profile", "smoke", "--no-write",
-                         "--floor", "pool_bytes_per_session=fast"]) == 2
+                         "--floor", "serving_microbatch=fast"]) == 2
         assert "NAME=VALUE" in capsys.readouterr().err
         # A floor naming a benchmark that never ran is a failure, not a
         # silently green gate.

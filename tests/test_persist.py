@@ -3,7 +3,6 @@ manifests, checksummed weights, crash recovery, and replica failover."""
 
 import asyncio
 import json
-import multiprocessing
 import os
 import signal
 import subprocess
@@ -43,7 +42,6 @@ from repro.serving import (
     ServingGateway,
     Unavailable,
 )
-from repro.shard.workers import WorkerPool
 
 SRC_ROOT = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src")
@@ -468,8 +466,7 @@ class TestServerRecovery:
     @pytest.mark.parametrize("num_shards", [1, 2])
     def test_restore_is_bit_identical(self, served, tmp_path, num_shards):
         config, model = served
-        kwargs = dict(max_batch_size=4, rng=11, num_shards=num_shards,
-                      num_workers=num_shards, worker_backend="serial")
+        kwargs = dict(max_batch_size=4, rng=11, num_shards=num_shards)
 
         def timeline(server, episodes):
             """Rounds 0-1 around one applied update; returns the update
@@ -501,14 +498,12 @@ class TestServerRecovery:
         unapplied = timeline(doomed, episodes)
         store.log_update(unapplied,
                          base_version=doomed.dataset.graph.version)
-        doomed.close()
 
         # Uninterrupted reference: same timeline, update applied.
         ref_dataset, ref_episodes = fresh_workload(config)
         reference = PromptServer(model, ref_dataset, **kwargs)
         reference.update_graph(timeline(reference, ref_episodes))
         expected = final_round(reference, ref_episodes)
-        reference.close()
 
         recovered = PromptServer.restore(
             model, PersistentStore(str(tmp_path / "store")), EDGE_TASK,
@@ -516,7 +511,6 @@ class TestServerRecovery:
         assert recovered.last_recovery_replayed == 2
         assert len(recovered.sessions) == len(episodes)
         got = final_round(recovered, ref_episodes)
-        recovered.close()
         assert got == expected
 
     def test_restore_from_corrupt_snapshot_raises(self, served, tmp_path):
@@ -525,7 +519,6 @@ class TestServerRecovery:
         store = PersistentStore(str(tmp_path / "store"))
         server = PromptServer(model, dataset, persist=store, rng=1)
         server.open_session("s0", episodes[0])
-        server.close()
         with open(store.snapshot_path, "rb") as handle:
             blob = bytearray(handle.read())
         blob[len(blob) // 2] ^= 0xFF
@@ -608,39 +601,3 @@ class TestReplicaSetFailover:
 
         asyncio.run(main())
 
-
-# ----------------------------------------------------------------------
-# WorkerPool bounded retry + degrade
-# ----------------------------------------------------------------------
-def _pool_context():
-    return "ctx"
-
-
-def _fails_in_worker_process(context, task):
-    if multiprocessing.current_process().name != "MainProcess":
-        raise RuntimeError("worker-only failure")
-    return task * 2
-
-
-class TestWorkerPoolRetry:
-    def test_respawn_then_degrade_serves_and_counts(self):
-        registry = MetricsRegistry()
-        with scoped_registry(registry):
-            pool = WorkerPool(_pool_context, num_workers=2,
-                              backend="process", max_respawns=1,
-                              respawn_backoff_s=0.0)
-            if pool.backend != "process":
-                pool.close()
-                pytest.skip("process pool unavailable on this host")
-            results = pool.map(_fails_in_worker_process, [1, 2, 3])
-            assert [r for r, _ in results] == [2, 4, 6]
-            assert pool.backend == "serial"  # permanently degraded
-            # Degraded pools keep serving without touching processes.
-            again = pool.map(_fails_in_worker_process, [4])
-            assert again[0][0] == 8
-            pool.close()
-        respawns = registry.counter(
-            "repro_worker_pool_respawns_total").value()
-        degrades = registry.counter(
-            "repro_worker_pool_degrades_total").value()
-        assert respawns == 1.0 and degrades == 1.0

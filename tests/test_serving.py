@@ -576,9 +576,7 @@ class TestGraphMutationServing:
         for num_shards in (1, 2):
             dataset = Dataset(graph.rebuild(), EDGE_TASK, rng=0)
             server = PromptServer(model, dataset, max_batch_size=4, rng=0,
-                                  num_shards=num_shards,
-                                  num_workers=num_shards,
-                                  worker_backend="serial")
+                                  num_shards=num_shards)
             results = []
             for i, episode in enumerate(episodes):
                 server.open_session(f"s{i}", episode)
@@ -593,5 +591,4 @@ class TestGraphMutationServing:
             results.extend(server.drain())
             outputs[num_shards] = [(r.session_id, r.prediction)
                                    for r in results]
-            server.close()
         assert outputs[2] == outputs[1]

@@ -10,7 +10,7 @@ Pins the contracts of :mod:`repro.shard` and its serving integration:
 * sampling — BFS and random-walk (and their legacy references) over the
   sharded view are bit-identical to the monolithic graph (same RNG state),
   across ≥20 random graphs × seeds × K ∈ {1, 2, 4};
-* serving — ``PromptServer(num_shards=..., num_workers=...)`` returns the
+* serving — ``PromptServer(num_shards=...)`` returns the
   same predictions as the monolithic server (confidences equal up to the
   encoder's batch-shape float wobble) and surfaces per-shard counters.
 """
@@ -37,11 +37,9 @@ from repro.serving.router import ShardRouter
 from repro.shard import (
     PARTITION_STRATEGIES,
     ShardedGraphStore,
-    WorkerPool,
     partition_graph,
     partition_nodes,
 )
-from repro.shard.workers import usable_cores
 from reference_paths import bfs_legacy, random_walk_legacy
 
 SHARD_COUNTS = (1, 2, 4)
@@ -398,56 +396,6 @@ class TestScratchCheckout:
 
 
 # ----------------------------------------------------------------------
-# Worker pool
-# ----------------------------------------------------------------------
-def _pool_context(base):
-    return {"base": base}
-
-
-def _square_task(context, task):
-    return context["base"] + task * task
-
-
-class TestWorkerPool:
-
-    def test_serial_map_preserves_order(self):
-        pool = WorkerPool(_pool_context, initargs=(100,), num_workers=1,
-                          backend="serial")
-        out = pool.map(_square_task, range(8))
-        assert [r for r, _ in out] == [100 + i * i for i in range(8)]
-        assert all(busy >= 0.0 for _, busy in out)
-        pool.close()
-
-    def test_process_map_matches_serial(self):
-        with WorkerPool(_pool_context, initargs=(7,), num_workers=2,
-                        backend="process") as pool:
-            out = pool.map(_square_task, range(16))
-        assert [r for r, _ in out] == [7 + i * i for i in range(16)]
-
-    def test_auto_backend_is_core_aware(self):
-        pool = WorkerPool(_pool_context, initargs=(0,), num_workers=4,
-                          backend="auto")
-        expected = "process" if usable_cores() > 1 else "serial"
-        assert pool.backend == expected
-        pool.close()
-        single = WorkerPool(_pool_context, initargs=(0,), num_workers=1,
-                            backend="auto")
-        assert single.backend == "serial"
-        single.close()
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            WorkerPool(_pool_context, num_workers=0)
-        with pytest.raises(ValueError):
-            WorkerPool(_pool_context, backend="thread")
-
-    def test_empty_map(self):
-        pool = WorkerPool(_pool_context, backend="serial")
-        assert pool.map(_square_task, []) == []
-        pool.close()
-
-
-# ----------------------------------------------------------------------
 # Serving integration
 # ----------------------------------------------------------------------
 def _serving_fixture():
@@ -470,9 +418,7 @@ def _run_workload(model, dataset, episodes, **server_kwargs):
         for i, episode in enumerate(episodes):
             server.submit(f"s{i}", episode.queries[q])
     results = server.drain()
-    stats = server.stats
-    server.close()
-    return results, stats
+    return results, server.stats
 
 
 class TestShardRouter:
@@ -484,8 +430,7 @@ class TestShardRouter:
         datapoints = list(episodes[0].candidates) + list(episodes[0].queries)
         expected_emb, expected_imp = pipeline.encode_points(datapoints)
         for K in (2, 4):
-            router = ShardRouter(model, dataset.graph, num_shards=K,
-                                 num_workers=1, backend="serial")
+            router = ShardRouter(model, dataset.graph, num_shards=K)
             emb, importance = router.encode_points(datapoints)
             # Same subgraphs, same weights; only gemm batch shapes differ,
             # so agreement is to float wobble, not necessarily bitwise.
@@ -496,7 +441,6 @@ class TestShardRouter:
             ledgers = router.stats()
             assert sum(c.requests for c in ledgers) == len(datapoints)
             assert all(c.worker_busy_s >= 0.0 for c in ledgers)
-            router.close()
 
 
 class TestShardedPromptServer:
@@ -506,10 +450,9 @@ class TestShardedPromptServer:
         reference, ref_stats = _run_workload(model, dataset, episodes)
         assert ref_stats.shards == ()
         for kwargs in (
-                dict(num_shards=2, num_workers=2, worker_backend="serial"),
-                dict(num_shards=4, num_workers=1),
-                dict(num_shards=2, num_workers=2, shard_strategy="hash",
-                     worker_backend="serial")):
+                dict(num_shards=2),
+                dict(num_shards=4),
+                dict(num_shards=2, shard_strategy="hash")):
             results, stats = _run_workload(model, dataset, episodes,
                                            **kwargs)
             assert ([(r.session_id, r.prediction) for r in results]
@@ -525,20 +468,9 @@ class TestShardedPromptServer:
             assert sum(c.worker_busy_s for c in stats.shards) > 0.0
             assert stats.halo_fetches >= 0
 
-    def test_process_backend_matches_serial(self):
-        model, dataset, episodes = _serving_fixture()
-        serial, _ = _run_workload(model, dataset, episodes, num_shards=2,
-                                  num_workers=2, worker_backend="serial")
-        process, _ = _run_workload(model, dataset, episodes, num_shards=2,
-                                   num_workers=2, worker_backend="process")
-        assert ([(r.session_id, r.prediction, r.confidence)
-                 for r in process]
-                == [(r.session_id, r.prediction, r.confidence)
-                    for r in serial])
-
     def test_config_defaults_feed_server(self):
         model, dataset, episodes = _serving_fixture()
-        sharded_config = model.config.ablate(num_shards=2, num_workers=1)
+        sharded_config = model.config.ablate(num_shards=2)
         sharded_model = GraphPrompterModel(dataset.graph.feature_dim,
                                            dataset.graph.num_relations,
                                            sharded_config)
@@ -546,14 +478,24 @@ class TestShardedPromptServer:
         server = PromptServer(sharded_model, dataset, rng=0)
         assert server.router is not None
         assert server.router.num_shards == 2
-        server.close()
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             GraphPrompterConfig(num_shards=0).validate()
         with pytest.raises(ValueError):
-            GraphPrompterConfig(num_workers=0).validate()
-        with pytest.raises(ValueError):
             GraphPrompterConfig(shard_strategy="metis").validate()
-        with pytest.raises(ValueError):
-            GraphPrompterConfig(worker_backend="thread").validate()
+
+    @pytest.mark.parametrize("kwarg, value", [("num_workers", 2),
+                                              ("worker_backend", "process")])
+    def test_server_rejects_retired_worker_kwargs(self, kwarg, value):
+        """Sharded encoding runs in-process on the server's own model;
+        the worker-pool knobs fail loudly instead of being ignored."""
+        model, dataset, _ = _serving_fixture()
+        with pytest.raises(TypeError, match=kwarg):
+            PromptServer(model, dataset, num_shards=2, **{kwarg: value})
+
+    @pytest.mark.parametrize("num_shards", [0, -3])
+    def test_server_rejects_non_positive_shard_count(self, num_shards):
+        model, dataset, _ = _serving_fixture()
+        with pytest.raises(ValueError, match="num_shards"):
+            PromptServer(model, dataset, num_shards=num_shards)
