@@ -12,6 +12,10 @@ Alg. 2 maintains it across test steps:
 3. **Augmenter** — cache entries join the prompt set (``Ŝ' = Ŝ ∪ C``);
    after prediction, high-confidence queries are inserted and similarity
    hits bump LFU frequencies.
+
+:meth:`GraphPrompterPipeline.predict_batch` runs steps 2–3 for several
+task graphs at once — a query batch of one episode, or one query of each
+of several serving sessions — with one task-GNN forward for all of them.
 """
 
 from __future__ import annotations
@@ -23,15 +27,15 @@ import numpy as np
 from ..datasets.base import Dataset
 from ..eval.metrics import safe_accuracy
 from ..nn import Tensor, no_grad
-from ..obs.tracing import span
+from ..obs.tracing import batch_scope, span
 from .config import GraphPrompterConfig
 from .episodes import Episode
 from .model import GraphPrompterModel
 from .prompt_augmenter import PromptAugmenter
 from .prompt_generator import PromptGenerator
-from .prompt_selector import PromptSelector
+from .prompt_selector import PromptSelector, SelectorState
 
-__all__ = ["EpisodeResult", "GraphPrompterPipeline"]
+__all__ = ["EpisodeResult", "GraphPrompterPipeline", "PredictEntry"]
 
 
 @dataclass
@@ -50,6 +54,28 @@ class EpisodeResult:
     @property
     def num_queries(self) -> int:
         return int(self.labels.size)
+
+
+@dataclass(frozen=True)
+class PredictEntry:
+    """One task graph of :meth:`GraphPrompterPipeline.predict_batch`.
+
+    The encoded candidate pool with its selector state, the query rows
+    to answer against it, and the Augmenter cache that serves and
+    learns from them.  ``trace`` receives the entry's own ``select`` and
+    ``augment`` spans.
+    """
+
+    candidate_emb: np.ndarray
+    candidate_importance: np.ndarray
+    pool_labels: np.ndarray
+    selector_state: SelectorState | None
+    num_ways: int
+    shots: int
+    query_emb: np.ndarray
+    query_importance: np.ndarray
+    augmenter: PromptAugmenter
+    trace: object | None = None
 
 
 class GraphPrompterPipeline:
@@ -90,6 +116,7 @@ class GraphPrompterPipeline:
         with no_grad():
             candidate_emb, candidate_importance, pool_labels = (
                 self.encode_candidate_pool(episode, shots))
+            state = self.selector.pool_state(candidate_emb, pool_labels)
 
             predictions: list[np.ndarray] = []
             confidences: list[np.ndarray] = []
@@ -98,9 +125,10 @@ class GraphPrompterPipeline:
                 batch_queries = episode.queries[start:start + query_batch_size]
                 query_emb, query_importance = self.encode_points(batch_queries)
 
-                preds, confs, inserted = self.predict_batch(
-                    candidate_emb, candidate_importance, pool_labels,
-                    query_emb, query_importance, episode.num_ways, shots)
+                [(preds, confs, inserted)] = self.predict_batch([PredictEntry(
+                    candidate_emb, candidate_importance, pool_labels, state,
+                    episode.num_ways, shots, query_emb, query_importance,
+                    self.augmenter)])
                 predictions.append(preds)
                 confidences.append(confs)
                 insertions += inserted
@@ -168,66 +196,82 @@ class GraphPrompterPipeline:
             self.encode_points(candidate_pool))
         return candidate_emb, candidate_importance, pool_labels
 
-    def predict_batch(self, candidate_emb: np.ndarray,
-                      candidate_importance: np.ndarray,
-                      pool_labels: np.ndarray,
-                      query_emb: np.ndarray, query_importance: np.ndarray,
-                      num_ways: int, shots: int,
-                      augmenter: PromptAugmenter | None = None
-                      ) -> tuple[np.ndarray, np.ndarray, int]:
-        """Select → augment → predict → cache-update for one query batch.
+    def predict_batch(self, entries: list[PredictEntry]
+                      ) -> list[tuple[np.ndarray, np.ndarray, int]]:
+        """Select → augment → predict → cache-update, one task graph per entry.
 
-        ``augmenter`` overrides the pipeline-owned cache — the serving layer
-        passes each session's private :class:`PromptAugmenter` here.
-
-        The whole step is inference-only, so it runs under ``no_grad`` —
-        the task-graph GNN takes its fused numpy path and no backward
-        closures are allocated, whether the caller is the offline episode
-        runner (already inside ``no_grad``) or the online server.
+        Each entry selects its prompts and reads its Augmenter cache; the
+        task graphs then share one no-grad task-GNN forward per way count
+        and query count (the cosine head's product is exact per graph
+        only between equal query counts); last, each entry updates its
+        cache.  No two entries may share an Augmenter, so each answers
+        byte for byte as it would alone.  Returns ``(predictions,
+        confidences, insertions)`` per entry.
         """
-        with no_grad():
-            return self._predict_batch_impl(
-                candidate_emb, candidate_importance, pool_labels, query_emb,
-                query_importance, num_ways, shots, augmenter)
-
-    def _predict_batch_impl(self, candidate_emb, candidate_importance,
-                            pool_labels, query_emb, query_importance,
-                            num_ways, shots, augmenter):
+        augmenters = {id(entry.augmenter) for entry in entries}
+        if len(augmenters) != len(entries):
+            raise ValueError("entries of one predict_batch call need "
+                             "distinct Augmenters")
         config = self.config
-        augmenter = augmenter if augmenter is not None else self.augmenter
-        adaptive = config.use_knn or config.use_selection_layers
-        if adaptive:
+        prompts = []
+        for entry in entries:
+            with batch_scope([entry.trace]):
+                prompts.append(self._prompt_set(entry))
+
+        groups: dict[tuple[int, int], list[int]] = {}
+        for i, entry in enumerate(entries):
+            key = (entry.num_ways, entry.query_emb.shape[0])
+            groups.setdefault(key, []).append(i)
+        answers: list = [None] * len(entries)
+        for (num_ways, _), members in groups.items():
+            logits = self.model.wave_logits(
+                [prompts[i][0] for i in members],
+                [prompts[i][1] for i in members],
+                [entries[i].query_emb for i in members], num_ways)
+            preds, confs = self.model.predict(Tensor(logits))
+            for k, i in enumerate(members):
+                answers[i] = (preds[k], confs[k])
+
+        results = []
+        for entry, (preds, confs) in zip(entries, answers):
+            inserted = 0
+            if config.use_augmenter:
+                with batch_scope([entry.trace]), span("augment"):
+                    entry.augmenter.record_hits(entry.query_emb, entry.shots)
+                    # Once a query becomes a cached prompt it plays a
+                    # prompt's role, so store it importance-weighted like
+                    # the selected prompts.
+                    stored = entry.query_emb
+                    if config.use_selection_layers:
+                        stored = (entry.query_emb
+                                  * entry.query_importance[:, None])
+                    inserted = entry.augmenter.update(stored, preds, confs)
+            results.append((preds, confs, inserted))
+        return results
+
+    def _prompt_set(self, entry: PredictEntry
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        """An entry's prompt rows and labels: its selected candidates,
+        importance-weighted, then its Augmenter cache (``Ŝ' = Ŝ ∪ C``)."""
+        config = self.config
+        if config.use_knn or config.use_selection_layers:
             with span("select"):
                 selected = self.selector.select(
-                    candidate_emb, candidate_importance, query_emb,
-                    query_importance, pool_labels, shots)
+                    entry.candidate_emb, entry.candidate_importance,
+                    entry.query_emb, entry.query_importance,
+                    entry.pool_labels, entry.shots,
+                    state=entry.selector_state)
         else:
             # Pool already holds exactly the random k-shot prompts.
-            selected = np.arange(candidate_emb.shape[0])
-        prompt_emb = candidate_emb[selected]
-        prompt_labels = pool_labels[selected]
+            selected = np.arange(entry.candidate_emb.shape[0])
+        prompt_emb = entry.candidate_emb[selected]
+        prompt_labels = entry.pool_labels[selected]
         if config.use_selection_layers:
-            prompt_emb = prompt_emb * candidate_importance[selected, None]
-
-        if config.use_augmenter and len(augmenter):
+            prompt_emb = prompt_emb * entry.candidate_importance[selected,
+                                                                 None]
+        if config.use_augmenter and len(entry.augmenter):
             with span("augment"):
-                cache_emb, cache_labels = augmenter.cached_prompts()
+                cache_emb, cache_labels = entry.augmenter.cached_prompts()
             prompt_emb = np.concatenate([prompt_emb, cache_emb], axis=0)
             prompt_labels = np.concatenate([prompt_labels, cache_labels])
-
-        logits = self.model.task_logits(
-            Tensor(prompt_emb), prompt_labels, Tensor(query_emb), num_ways)
-        preds, confs = self.model.predict(logits)
-
-        inserted = 0
-        if config.use_augmenter:
-            with span("augment"):
-                augmenter.record_hits(query_emb, shots)
-                # Once a query becomes a cached prompt it plays a prompt's
-                # role, so store it importance-weighted like the selected
-                # prompts.
-                stored = query_emb
-                if config.use_selection_layers:
-                    stored = query_emb * query_importance[:, None]
-                inserted = augmenter.update(stored, preds, confs)
-        return preds, confs, inserted
+        return prompt_emb, prompt_labels

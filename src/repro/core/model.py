@@ -18,7 +18,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..gnn import DataGraphEncoder, SubgraphBatch, TaskGraphGNN, scatter_mean
+from ..gnn import (
+    EDGE_ATTR_QUERY,
+    DataGraphEncoder,
+    SubgraphBatch,
+    TaskGraphGNN,
+    scatter_mean,
+    segment_count,
+)
+from ..gnn.message_passing import scatter_sum_data
 from ..nn import Linear, MLP, Module, Tensor
 from ..nn import functional as F
 from ..nn.tensor import is_grad_enabled
@@ -169,10 +177,14 @@ class GraphPrompterModel(Module):
         Label nodes are initialised with the mean embedding of their true
         prompts, then refined by the attention GNN together with prompt and
         query nodes; the logit is the scaled cosine similarity between the
-        refined query and label embeddings.  Under ``no_grad`` the GNN runs
-        its dense (data × label) kernel, byte-identical to the edge-list
-        forward that training differentiates.
+        refined query and label embeddings.  Under ``no_grad`` this is
+        :meth:`wave_logits` on a wave of one graph, byte-identical to the
+        edge-list forward that training differentiates.
         """
+        if not is_grad_enabled():
+            return Tensor(self.wave_logits(
+                [prompt_embeddings.data], [prompt_labels],
+                [query_embeddings.data], num_ways)[0])
         prompt_labels = np.asarray(prompt_labels, dtype=np.int64)
         if prompt_embeddings.shape[0] != prompt_labels.shape[0]:
             raise ValueError("one label per prompt embedding required")
@@ -183,15 +195,64 @@ class GraphPrompterModel(Module):
                                       num_ways)
             h0 = Tensor.concatenate(
                 [prompt_embeddings, query_embeddings, label_init], axis=0)
-            if is_grad_enabled():
-                h = self.task_gnn(h0, graph.src, graph.dst, graph.attr,
-                                  graph.num_nodes)
-            else:
-                h = Tensor(self.task_gnn.forward_grid(h0.data,
-                                                      graph.attr_grid))
+            h = self.task_gnn(h0, graph.src, graph.dst, graph.attr,
+                              graph.num_nodes)
             query_h = h.gather_rows(graph.query_ids)
             label_h = h.gather_rows(graph.label_ids)
             return F.pairwise_cosine(query_h, label_h) * self.config.temperature
+
+    def wave_logits(self, prompt_embeddings: list, prompt_labels: list,
+                    query_embeddings: list, num_ways: int) -> np.ndarray:
+        """No-grad logits ``(wave, n, m)`` of a wave of task graphs.
+
+        Graph ``g`` holds the prompt rows ``prompt_embeddings[g]``
+        labelled ``prompt_labels[g]`` and the query rows
+        ``query_embeddings[g]``; every graph has ``num_ways`` label nodes
+        and the same number of queries ``n``.  One padded
+        :meth:`TaskGraphGNN.forward_grid` and one cosine head serve the
+        whole wave, and each graph's logits are byte-identical to
+        :meth:`task_logits` on that graph alone.
+        """
+        graphs, label_ids = [], []
+        for prompts, labels, queries in zip(prompt_embeddings, prompt_labels,
+                                            query_embeddings):
+            labels = np.asarray(labels, dtype=np.int64)
+            if prompts.shape[0] != labels.shape[0]:
+                raise ValueError("one label per prompt embedding required")
+            graphs.append(build_task_graph(labels, queries.shape[0],
+                                           num_ways))
+            label_ids.append(labels + len(label_ids) * num_ways)
+        num_queries = graphs[0].num_queries
+        if any(graph.num_queries != num_queries for graph in graphs):
+            raise ValueError("every graph of a wave needs the same number "
+                             "of queries")
+        wave, dim = len(graphs), query_embeddings[0].shape[1]
+        num_prompts = np.array([graph.num_prompts for graph in graphs])
+        num_data = num_prompts + num_queries
+        width = int(num_data.max())
+        with span("task_gnn"):
+            # Label nodes start at the mean of their true prompts:
+            # scatter_mean's ops, every graph's labels in one scatter.
+            label_ids = np.concatenate(label_ids)
+            segments = wave * num_ways
+            label_init = (scatter_sum_data(np.concatenate(prompt_embeddings),
+                                           label_ids, segments)
+                          / segment_count(label_ids, segments).reshape(-1, 1))
+            h0 = np.zeros((wave, width + num_ways, dim))
+            h0[:, width:] = label_init.reshape(wave, num_ways, dim)
+            attr = np.full((wave, width, num_ways), EDGE_ATTR_QUERY,
+                           dtype=np.int64)
+            for g, graph in enumerate(graphs):
+                attr[g, :graph.num_data] = graph.attr_grid
+                h0[g, :graph.num_prompts] = prompt_embeddings[g]
+                h0[g, graph.num_prompts:graph.num_data] = query_embeddings[g]
+            h = self.task_gnn.forward_grid(h0, attr, num_data)
+            rows = num_prompts[:, None] + np.arange(num_queries)
+            query_h = Tensor(h[np.arange(wave)[:, None], rows])
+            label_h = Tensor(h[:, width:])
+            cosine = (F.l2_normalize(query_h)
+                      @ F.l2_normalize(label_h).transpose(0, 2, 1))
+            return (cosine * self.config.temperature).data
 
     def predict(self, logits: Tensor) -> tuple[np.ndarray, np.ndarray]:
         """Labels and confidences from episode logits (Eq. 11)."""

@@ -15,15 +15,22 @@ category", Sec. V-A2): each query casts its votes inside the candidate pool
 of its *retrieval-predicted* class (nearest class centroid), so queries of
 other classes cannot pull a class's prompt choice toward themselves; classes
 that receive no votes fall back to the query-averaged score.
+
+What depends only on the candidate pool — its classes, each class's
+members and the class centroids — is a :class:`SelectorState`, built once
+per pool by :meth:`PromptSelector.pool_state` (a serving session keeps its
+own) instead of once per query.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import GraphPrompterConfig
 
-__all__ = ["PromptSelector", "pairwise_similarity"]
+__all__ = ["PromptSelector", "SelectorState", "pairwise_similarity"]
 
 
 def pairwise_similarity(queries: np.ndarray, prompts: np.ndarray,
@@ -51,6 +58,20 @@ def pairwise_similarity(queries: np.ndarray, prompts: np.ndarray,
     raise ValueError(f"unknown metric {metric!r}")
 
 
+@dataclass(frozen=True)
+class SelectorState:
+    """The query-independent part of selection over one candidate pool.
+
+    ``members[c]`` holds the candidate indices labelled ``classes[c]``
+    (ascending); ``centroids[c]`` is their mean embedding, the routing
+    target of kNN voting (``None`` when kNN is off).
+    """
+
+    classes: np.ndarray
+    members: tuple
+    centroids: np.ndarray | None
+
+
 class PromptSelector:
     """Adaptive top-k prompt selection (Eqs. 6–8)."""
 
@@ -74,6 +95,19 @@ class PromptSelector:
             total += np.outer(query_importance, prompt_importance)
         return total
 
+    def pool_state(self, prompt_embeddings: np.ndarray,
+                   candidate_labels: np.ndarray) -> SelectorState:
+        """Build the :class:`SelectorState` of one candidate pool."""
+        candidate_labels = np.asarray(candidate_labels, dtype=np.int64)
+        classes = np.unique(candidate_labels)
+        members = tuple(np.nonzero(candidate_labels == cls)[0]
+                        for cls in classes)
+        centroids = None
+        if self.config.use_knn:
+            centroids = np.stack([prompt_embeddings[rows].mean(axis=0)
+                                  for rows in members])
+        return SelectorState(classes, members, centroids)
+
     def select(
         self,
         prompt_embeddings: np.ndarray,
@@ -82,20 +116,21 @@ class PromptSelector:
         query_importance: np.ndarray,
         candidate_labels: np.ndarray,
         shots: int,
+        state: SelectorState | None = None,
     ) -> np.ndarray:
         """Choose ``shots`` prompts per class; returns candidate indices.
 
-        With both kNN and selection layers disabled this degrades to
-        Prodigy's uniform random choice.
+        ``state`` is the pool's :meth:`pool_state`; it is built here when
+        absent.  With both kNN and selection layers disabled this degrades
+        to Prodigy's uniform random choice.
         """
-        candidate_labels = np.asarray(candidate_labels, dtype=np.int64)
-        classes = np.unique(candidate_labels)
+        if state is None:
+            state = self.pool_state(prompt_embeddings, candidate_labels)
         adaptive = self.config.use_knn or self.config.use_selection_layers
         if not adaptive:
             # Prodigy: uniform random k-shot per class.
             selected = []
-            for cls in classes:
-                members = np.nonzero(candidate_labels == cls)[0]
+            for members in state.members:
                 take = min(shots, members.size)
                 choice = self.rng.choice(members, size=take, replace=False)
                 selected.append(np.sort(choice))
@@ -103,24 +138,21 @@ class PromptSelector:
 
         score_matrix = self.scores(prompt_embeddings, prompt_importance,
                                    query_embeddings, query_importance)
-        votes = self._vote(score_matrix, prompt_embeddings,
-                           query_embeddings, candidate_labels, shots)
+        votes = self._vote(score_matrix, query_embeddings, state, shots)
         # Fallback ranking for classes whose pool received no votes:
         # query-averaged score (plain Eq. 8 without routing).
         fallback = score_matrix.mean(axis=0)
 
         selected = []
-        for cls in classes:
-            members = np.nonzero(candidate_labels == cls)[0]
+        for members in state.members:
             take = min(shots, members.size)
             keys = votes[members] + 1e-6 * fallback[members]
             winners = members[np.argsort(-keys, kind="stable")[:take]]
             selected.append(np.sort(winners))
         return np.concatenate(selected)
 
-    def _vote(self, score_matrix: np.ndarray, prompt_embeddings: np.ndarray,
-              query_embeddings: np.ndarray, candidate_labels: np.ndarray,
-              k: int) -> np.ndarray:
+    def _vote(self, score_matrix: np.ndarray, query_embeddings: np.ndarray,
+              state: SelectorState, k: int) -> np.ndarray:
         """Eq. 8 voting, routed by each query's retrieval-predicted class.
 
         The query first retrieves its nearest class centroid, then votes
@@ -129,14 +161,9 @@ class PromptSelector:
         num_prompts = score_matrix.shape[1]
         votes = np.zeros(num_prompts)
         if self.config.use_knn:
-            classes = np.unique(candidate_labels)
-            centroids = np.stack([
-                prompt_embeddings[candidate_labels == cls].mean(axis=0)
-                for cls in classes
-            ])
-            affinity = pairwise_similarity(query_embeddings, centroids,
+            affinity = pairwise_similarity(query_embeddings, state.centroids,
                                            self.config.knn_metric)
-            routed = classes[affinity.argmax(axis=1)]
+            routed = affinity.argmax(axis=1)
         else:
             # Selection layers only: importance is query-independent, so
             # routing is irrelevant — everyone votes everywhere.
@@ -145,7 +172,7 @@ class PromptSelector:
             if routed is None:
                 pool = np.arange(num_prompts)
             else:
-                pool = np.nonzero(candidate_labels == routed[q])[0]
+                pool = state.members[routed[q]]
             take = min(k, pool.size)
             top = pool[np.argsort(-score_matrix[q, pool],
                                   kind="stable")[:take]]

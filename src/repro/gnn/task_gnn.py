@@ -12,7 +12,9 @@ Training runs the autodiff layers over the symmetrised edge list.  Every
 data node is wired to every label node (as in PRODIGY), so inference runs
 :meth:`TaskGraphGNN.forward_grid` instead: the same attention computed as
 dense (data, label) blocks, with no per-edge gathers or ``ufunc.at``
-scatters, and byte-identical to the edge-list forward.
+scatters, and byte-identical to the edge-list forward.  It takes a *wave*
+of task graphs at once — a leading axis, data rows padded to the wave's
+longest graph — so one forward serves many sessions' queries.
 """
 
 from __future__ import annotations
@@ -68,31 +70,40 @@ class _TaskAttentionLayer(Module):
         return self.norm(h + self.out_proj(aggregated))
 
     def forward_grid(self, h: np.ndarray, attr: np.ndarray,
-                     attr_t: np.ndarray) -> np.ndarray:
-        """No-grad forward over the complete (data × label) grid.
+                     attr_t: np.ndarray, pad: np.ndarray) -> np.ndarray:
+        """No-grad forward over a wave of complete (data × label) grids.
 
-        ``h`` holds the data rows, then the label rows; ``attr`` is the
-        (data, label) attribute grid and ``attr_t`` its C-contiguous
-        transpose.  Byte-identical to :meth:`forward` over the
+        ``h`` is ``(wave, data + labels, dim)``: each graph's data rows,
+        then its label rows.  ``attr`` is the ``(wave, data, label)``
+        attribute grid, ``attr_t`` its C-contiguous transpose, and ``pad``
+        the ``(wave, data)`` mask of padded data rows.  Each
+        graph's rows are byte-identical to :meth:`forward` over its own
         symmetrised edge list: the same elementwise ops per (data, label)
         pair, and every per-destination sum in ``np.add.at``'s order.
         """
-        num_data = attr.shape[0]
-        queries = h @ self.query_proj.weight.data
-        keys = h @ self.key_proj.weight.data
-        values = h @ self.value_proj.weight.data
+        num_data = attr.shape[1]
+        # One product over every row of the wave: a gemm row does not
+        # depend on how many rows share the call (two or more).
+        flat = h.reshape(-1, self.dim)
+        queries = (flat @ self.query_proj.weight.data).reshape(h.shape)
+        keys = (flat @ self.key_proj.weight.data).reshape(h.shape)
+        values = (flat @ self.value_proj.weight.data).reshape(h.shape)
         scale = 1.0 / np.sqrt(self.dim)
         bias = self.attr_bias.data
         embedding = self.attr_embedding.weight.data
         data, labels = slice(None, num_data), slice(num_data, None)
         # Data rows attend over the labels (a label × data grid), label
-        # rows over the data nodes (a data × label grid).
-        to_data = _attend_grid(queries[data], keys[labels], values[labels],
-                               attr_t, bias, embedding, scale)
-        to_labels = _attend_grid(queries[labels], keys[data], values[data],
-                                 attr, bias, embedding, scale)
-        aggregated = np.concatenate([to_data, to_labels])
-        out = aggregated @ self.out_proj.weight.data + self.out_proj.bias.data
+        # rows over the data nodes (a data × label grid).  Only the
+        # latter has padded sources.
+        to_data = _attend_grid(queries[:, data], keys[:, labels],
+                               values[:, labels], attr_t, bias, embedding,
+                               scale, None)
+        to_labels = _attend_grid(queries[:, labels], keys[:, data],
+                                 values[:, data], attr, bias, embedding,
+                                 scale, pad)
+        aggregated = np.concatenate([to_data, to_labels], axis=1)
+        out = (aggregated.reshape(-1, self.dim) @ self.out_proj.weight.data
+               + self.out_proj.bias.data).reshape(h.shape)
         x = h + out
         # LayerNorm, mirroring nn.LayerNorm op-for-op (sum/len mean, **0.5).
         mu = x.sum(axis=-1, keepdims=True) / float(x.shape[-1])
@@ -103,42 +114,49 @@ class _TaskAttentionLayer(Module):
         return normed * self.norm.gamma.data + self.norm.beta.data
 
 
-def _attend_grid(queries, keys, values, attr, bias, embedding, scale):
-    """Attention of every destination over every source of a grid.
+def _attend_grid(queries, keys, values, attr, bias, embedding, scale, pad):
+    """Attention of every destination over every source, per graph.
 
-    Row ``s`` of ``keys``/``values`` is a source, row ``t`` of ``queries``
-    a destination, and ``attr[s, t]`` the attribute of edge ``s → t``.
-    Returns one aggregated message per destination.
+    Row ``s`` of ``keys[g]``/``values[g]`` is a source, row ``t`` of
+    ``queries[g]`` a destination, and ``attr[g, s, t]`` the attribute of
+    edge ``s → t``; ``pad[g, s]`` marks a padded source, whose logits are
+    ``-inf`` so it adds an exact zero after every real source.  Returns
+    one aggregated message per destination.
     """
     # The q·k sum over the feature axis is a contiguous-axis sum per
     # pair, exactly as on per-edge rows.
-    logits = ((queries[None] * keys[:, None]).sum(axis=-1) * scale
+    logits = ((queries[:, None] * keys[:, :, None]).sum(axis=-1) * scale
               + bias[attr])
-    shift = logits.max(axis=0)
+    if pad is not None:
+        logits[pad] = -np.inf
+    shift = logits.max(axis=1)
     shift[~np.isfinite(shift)] = 0.0
-    exps = np.exp(logits - shift)
+    exps = np.exp(logits - shift[:, None])
     eps = np.asarray(1e-16, dtype=logits.dtype)
-    alpha = exps / (_sum_sources(exps) + eps)
+    alpha = exps / (_sum_sources(exps)[:, None] + eps)
     # One message row per (source, attribute), values[s] + embedding[a],
     # gathered onto the grid: one pass instead of a gather and an add.
-    rows = values[:, None] + embedding[None]
-    messages = rows[np.arange(keys.shape[0])[:, None], attr]
+    wave, sources = attr.shape[:2]
+    rows = values[:, :, None] + embedding
+    messages = rows[np.arange(wave)[:, None, None],
+                    np.arange(sources)[:, None], attr]
     messages *= alpha[..., None]
     return _sum_sources(messages)
 
 
 def _sum_sources(grid: np.ndarray) -> np.ndarray:
-    """Sum a C-contiguous grid over its leading (source) axis.
+    """Sum a C-contiguous ``(wave, source, ...)`` grid over its sources.
 
     ``np.add.at`` adds one source at a time, in order, onto +0.0.  numpy
-    reduces a leading axis the same way — row by row — as long as each
-    row holds more than one element; a one-element row would make the
-    source axis the inner loop, which numpy sums pairwise.  Adding 0.0
-    turns an all-(-0.0) sum into the +0.0 ``np.add.at`` returns.
+    reduces a non-inner axis the same way — source row by source row —
+    as long as each row holds more than one element; a one-element row
+    would make the source axis the inner loop, which numpy sums
+    pairwise.  Adding 0.0 turns an all-(-0.0) sum into the +0.0
+    ``np.add.at`` returns.
     """
-    if grid[0].size == 1:
-        return np.add.accumulate(grid, axis=0)[-1] + 0.0
-    return grid.sum(axis=0) + 0.0
+    if grid[0, 0].size == 1:
+        return np.add.accumulate(grid, axis=1)[:, -1] + 0.0
+    return grid.sum(axis=1) + 0.0
 
 
 class TaskGraphGNN(Module):
@@ -165,18 +183,23 @@ class TaskGraphGNN(Module):
             h = layer(h, src_sym, dst_sym, attr_sym, num_nodes)
         return h
 
-    def forward_grid(self, h: np.ndarray, attr: np.ndarray) -> np.ndarray:
-        """No-grad forward over a complete bipartite task graph.
+    def forward_grid(self, h: np.ndarray, attr: np.ndarray,
+                     num_data: np.ndarray) -> np.ndarray:
+        """No-grad forward over a wave of complete bipartite task graphs.
 
-        ``h`` stacks the data rows (prompts, then queries) and then the
-        label rows; ``attr`` is the (data, label) attribute grid, so edge
-        ``i·m + j`` of :meth:`forward`'s edge list is ``attr[i, j]``.  The
-        result is byte-identical to :meth:`forward` on that edge list.
+        ``h`` is ``(wave, data + labels, dim)``: graph ``g``'s data rows
+        (prompts, then queries), padded to the wave's longest graph, then
+        its label rows.  ``attr`` is the ``(wave, data, labels)``
+        attribute grid, so edge ``i·m + j`` of graph ``g``'s edge list is
+        ``attr[g, i, j]``; ``num_data[g]`` counts its real data rows (the
+        padded rows' attributes are ignored).  Each graph's real rows are
+        byte-identical to :meth:`forward` on its own edge list.
         """
         attr = np.asarray(attr, dtype=np.int64)
-        # A copy, not a ``.T`` view: blocks gathered through a view come
-        # out F-ordered, and numpy would sum their sources pairwise.
-        attr_t = np.ascontiguousarray(attr.T)
+        # A copy, not a transposed view: blocks gathered through a view
+        # come out F-ordered, and numpy would sum their sources pairwise.
+        attr_t = np.ascontiguousarray(attr.transpose(0, 2, 1))
+        pad = np.arange(attr.shape[1]) >= np.asarray(num_data)[:, None]
         for layer in self._modules_list:
-            h = layer.forward_grid(h, attr, attr_t)
+            h = layer.forward_grid(h, attr, attr_t, pad)
         return h

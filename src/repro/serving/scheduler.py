@@ -10,9 +10,10 @@ pending queries *across sessions* into micro-batches:
 * when the oldest request has waited ``max_wait_s`` (latency bound), or
 * unconditionally on ``drain`` (flush).
 
-Requests leave in strict arrival order, which is what keeps micro-batched
-serving *numerically identical* to per-query serving: each session's cache
-updates replay in the same order either way.
+Requests leave in arrival order.  Only the order *within* a session
+matters for the answers: the server predicts a batch in waves that keep
+each session's queries in this order, so each session's cache updates
+replay exactly as under per-query serving.
 """
 
 from __future__ import annotations

@@ -7,14 +7,17 @@
   session (the amortization the offline runner only got within one call).
 * ``submit`` — enqueue a single query for a session; returns a ticket.
 * ``step`` / ``drain`` — release micro-batches: all pending queries, across
-  sessions, are encoded in **one** GNN pass (the per-query cost driver),
-  then each query runs the Selector → Augmenter → task-graph step against
-  its own session's state, in strict arrival order.
+  sessions, are encoded in **one** GNN pass, then predicted in *waves*:
+  wave ``k`` holds the ``k``-th query of every session in the batch, each
+  query's Selector step and Augmenter cache read run against its own
+  session's state, and the wave's task graphs share **one** task-GNN
+  forward.  Each session's Augmenter updates land before its next wave.
 
-Because prediction stays per-query (only the encoder is batched) and
-subgraph sampling is deterministic per datapoint, serving with any
-``max_batch_size`` produces bit-identical predictions to per-query serving
-— micro-batching is purely a throughput optimization.
+A session's queries still run in its arrival order, which is the only
+order its Augmenter cache depends on; the wave forward is byte-identical
+per task graph and subgraph sampling is deterministic per datapoint.  So
+serving with any ``max_batch_size`` produces bit-identical predictions to
+per-query serving — micro-batching is purely a throughput optimization.
 
 The drain loop itself stays synchronous and deterministic (that is what
 keeps the batching policy testable).  Constructed with ``num_shards > 1``,
@@ -36,7 +39,7 @@ import numpy as np
 
 from ..core.config import GraphPrompterConfig
 from ..core.episodes import Episode
-from ..core.inference import GraphPrompterPipeline
+from ..core.inference import GraphPrompterPipeline, PredictEntry
 from ..core.model import GraphPrompterModel
 from ..core.prompt_augmenter import PromptAugmenter
 from ..datasets.base import Dataset
@@ -61,6 +64,23 @@ from .scheduler import MicroBatchScheduler, PendingRequest
 from .session import SessionState, SessionStore
 
 __all__ = ["ServeResult", "ServerStats", "PromptServer"]
+
+
+def _validate_episode(episode: Episode, shots: int) -> None:
+    """Raise ``ValueError`` unless a session can serve ``episode``."""
+    num_ways = episode.num_ways
+    if num_ways < 2:
+        raise ValueError(f"an episode needs at least two ways, got "
+                         f"{num_ways}")
+    labels = np.asarray(episode.candidate_labels)
+    if (labels.ndim != 1 or labels.dtype.kind not in "iu"
+            or labels.shape[0] != len(episode.candidates)):
+        raise ValueError("candidate_labels must be a 1-D integer array "
+                         "with one label per candidate")
+    if labels.size and (labels.min() < 0 or labels.max() >= num_ways):
+        raise ValueError(f"candidate labels must lie in [0, {num_ways})")
+    if shots < 1:
+        raise ValueError(f"shots must be at least 1, got {shots}")
 
 
 @dataclass(frozen=True)
@@ -251,22 +271,22 @@ class PromptServer:
         the session for its owner.  ``_open_index`` is the restore path's
         override: re-opened sessions keep their original open order (the
         per-open RNG draw sequence depends on it).
+
+        Raises ``ValueError`` — before any encode, RNG draw, store insert
+        or manifest write — unless the episode has at least two ways, one
+        integer label in ``[0, num_ways)`` per candidate, and ``shots``
+        is at least 1.  A malformed episode would otherwise open fine and
+        then fail every query batched with its own.
         """
-        pool, pool_labels = self.pipeline.select_candidate_pool(episode,
-                                                                shots)
-        with scoped_registry(self.obs):
-            candidate_emb, candidate_importance = (
-                self.pipeline.encode_points(pool))
+        _validate_episode(episode, shots)
+        pool, fields = self._encode_pool(episode, shots)
         augmenter = PromptAugmenter(
             self.config, rng=np.random.default_rng(self.rng.integers(2**32)))
         state = SessionState(
             session_id=session_id, num_ways=episode.num_ways, shots=shots,
-            candidate_emb=candidate_emb,
-            candidate_importance=candidate_importance,
-            pool_labels=pool_labels, augmenter=augmenter,
-            episode=episode,
+            augmenter=augmenter, episode=episode,
             graph_version=self.dataset.graph.version,
-            dependent_nodes=self._dependencies(pool))
+            dependent_nodes=self._dependencies(pool), **fields)
         evicted = self.sessions.put(state)
         self._sessions_opened += 1
         if self.persist is not None:
@@ -403,14 +423,33 @@ class PromptServer:
         for state in self.sessions.states():
             self._refresh_session(state)
 
+    def _encode_pool(self, episode: Episode, shots: int
+                     ) -> tuple[list, dict]:
+        """Encode an episode's candidate pool for a session.
+
+        Returns the pool's datapoints and the session fields built from
+        them: ``candidate_emb``, ``candidate_importance``, ``pool_labels``
+        and the ``selector_state`` of those arrays.  Session open and
+        refresh both take their pool from here, so a session's selector
+        state always describes its current pool.
+        """
+        pool, pool_labels = self.pipeline.select_candidate_pool(episode,
+                                                                shots)
+        with scoped_registry(self.obs):
+            candidate_emb, candidate_importance = (
+                self.pipeline.encode_points(pool))
+        return pool, {
+            "candidate_emb": candidate_emb,
+            "candidate_importance": candidate_importance,
+            "pool_labels": pool_labels,
+            "selector_state": self.pipeline.selector.pool_state(
+                candidate_emb, pool_labels)}
+
     def _refresh_session(self, session: SessionState) -> None:
         """Re-anchor a stale session to the current graph epoch."""
-        pool, pool_labels = self.pipeline.select_candidate_pool(
-            session.episode, session.shots)
-        with scoped_registry(self.obs):
-            session.candidate_emb, session.candidate_importance = (
-                self.pipeline.encode_points(pool))
-        session.pool_labels = pool_labels
+        pool, fields = self._encode_pool(session.episode, session.shots)
+        for name, value in fields.items():
+            setattr(session, name, value)
         session.augmenter.invalidate()
         session.dependent_nodes = self._dependencies(pool)
         session.graph_version = self.dataset.graph.version
@@ -492,47 +531,65 @@ class PromptServer:
         wait_hist = obs.histogram(
             "repro_server_queue_wait_seconds",
             "Micro-batch scheduler queue wait per request.")
-        results = []
+        results: list[ServeResult | None] = [None] * len(batch)
+        waits = [max(start - request.submitted_at, 0.0) for request in batch]
+        # Each live session's requests in arrival order, sessions in the
+        # order of their first request.
+        queues: dict[str, tuple[SessionState, list[int]]] = {}
         for i, request in enumerate(batch):
-            wait_s = max(start - request.submitted_at, 0.0)
             try:
                 session = self.sessions.get(request.session_id)
             except KeyError:
-                results.append(ServeResult(
+                results[i] = ServeResult(
                     request_id=request.request_id,
                     session_id=request.session_id,
                     prediction=-1, confidence=0.0, batch_size=len(batch),
-                    wait_s=wait_s, service_s=0.0, error="session-expired"))
+                    wait_s=waits[i], service_s=0.0, error="session-expired")
                 continue
+            queues.setdefault(request.session_id, (session, []))[1].append(i)
+        for session, _ in queues.values():
             if session.stale:
                 # The graph mutated inside this session's sampled region:
                 # re-encode its pool and drop its pseudo-label cache
                 # before answering, so no pre-mutation subgraph survives
-                # into this prediction.
+                # into this prediction.  First-request order keeps the
+                # pipeline RNG's draws in per-query serving's order.
                 self._refresh_session(session)
-            # Prediction stays per-query and in arrival order, so each
-            # session's Augmenter cache evolves exactly as it would under
-            # per-query serving — batching never changes answers.
-            with batch_scope([request.trace]), span("predict"):
-                preds, confs, inserted = self.pipeline.predict_batch(
-                    session.candidate_emb, session.candidate_importance,
-                    session.pool_labels, emb[i:i + 1],
-                    importance[i:i + 1], session.num_ways, session.shots,
-                    augmenter=session.augmenter)
-            wait_hist.observe(wait_s)
-            if self._mutable:
-                # The query's embedding now lives in the session (as a
-                # potential cached prompt and as hit history), so future
-                # correctness depends on its subgraph's nodes too.
-                session.dependent_nodes.update(
-                    self._dependencies([request.datapoint]))
-            service_s = max(self.clock() - start, 0.0)
-            session.stats.record(wait_s, service_s, inserted, self.clock())
-            results.append(ServeResult(
-                request_id=request.request_id,
-                session_id=request.session_id,
-                prediction=int(preds[0]), confidence=float(confs[0]),
-                batch_size=len(batch), wait_s=wait_s, service_s=service_s))
+        # Wave k holds the k-th request of each session: one task-GNN
+        # forward per wave, and every session's Augmenter updated before
+        # its next request predicts — so each cache evolves exactly as
+        # under per-query serving.
+        depth = max((len(rows) for _, rows in queues.values()), default=0)
+        for k in range(depth):
+            wave = [(session, rows[k]) for session, rows in queues.values()
+                    if k < len(rows)]
+            entries = [PredictEntry(
+                session.candidate_emb, session.candidate_importance,
+                session.pool_labels, session.selector_state,
+                session.num_ways, session.shots, emb[i:i + 1],
+                importance[i:i + 1], session.augmenter, batch[i].trace)
+                for session, i in wave]
+            traces = [entry.trace for entry in entries]
+            with batch_scope(traces), span("predict"):
+                answers = self.pipeline.predict_batch(entries)
+            for (session, i), (preds, confs, inserted) in zip(wave, answers):
+                request = batch[i]
+                wait_hist.observe(waits[i])
+                if self._mutable:
+                    # The query's embedding now lives in the session (as a
+                    # potential cached prompt and as hit history), so
+                    # future correctness depends on its subgraph's nodes.
+                    session.dependent_nodes.update(
+                        self._dependencies([request.datapoint]))
+                service_s = max(self.clock() - start, 0.0)
+                session.stats.record(waits[i], service_s, inserted,
+                                     self.clock())
+                results[i] = ServeResult(
+                    request_id=request.request_id,
+                    session_id=request.session_id,
+                    prediction=int(preds[0]), confidence=float(confs[0]),
+                    batch_size=len(batch), wait_s=waits[i],
+                    service_s=service_s)
         self._queries += sum(r.ok for r in results)
         self._batches += 1
         self._encoded_subgraphs += len(batch)

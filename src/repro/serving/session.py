@@ -23,6 +23,7 @@ import numpy as np
 
 from ..cache.stats import CacheStats
 from ..core.prompt_augmenter import PromptAugmenter
+from ..core.prompt_selector import SelectorState
 
 __all__ = ["SessionStats", "SessionState", "SessionStore"]
 
@@ -54,6 +55,11 @@ class SessionStats:
 class SessionState:
     """Everything one session's queries need at prediction time.
 
+    ``selector_state`` is the query-independent selector state of the
+    encoded pool (``candidate_emb``/``pool_labels``); the server builds
+    both together whenever it encodes the pool, and ``None`` makes the
+    selector build it per query.
+
     The last four fields are the live-update (cache-epoch) plumbing:
     ``graph_version`` records the graph epoch the cached pool encodings
     were computed under, ``dependent_nodes`` the union of every node the
@@ -73,6 +79,7 @@ class SessionState:
     candidate_importance: np.ndarray
     pool_labels: np.ndarray
     augmenter: PromptAugmenter
+    selector_state: SelectorState | None = None
     stats: SessionStats = field(default_factory=SessionStats)
     episode: object | None = None
     graph_version: int = 0

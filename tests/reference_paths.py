@@ -20,7 +20,13 @@ now runs vectorized.  They exist only to be compared against:
   scatters per destination); :func:`task_logits_edges` runs
   :meth:`repro.core.GraphPrompterModel.task_logits` with it.  The dense
   (data × label) kernel of
-  :meth:`repro.gnn.TaskGraphGNN.forward_grid` must be byte-identical.
+  :meth:`repro.gnn.TaskGraphGNN.forward_grid` must be byte-identical;
+* :func:`serve_per_query` — the serving loop that answered a micro-batch
+  one request at a time in arrival order, each through
+  :func:`predict_per_query` (select, Augmenter read, the per-edge task
+  logits, softmax, Augmenter update); the wave loop of
+  :meth:`repro.serving.PromptServer._process_scoped` must return the
+  same prediction and confidence bytes.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from repro.gnn.message_passing import (
 from repro.graph.subgraph import Subgraph
 from repro.nn import Tensor, no_grad
 from repro.nn import functional as F
+from repro.serving import ServeResult
 
 
 def bfs_legacy(graph, seeds, num_hops, max_nodes, rng) -> np.ndarray:
@@ -256,3 +263,76 @@ def task_logits_edges(model, prompt_embeddings, prompt_labels,
         logits = F.pairwise_cosine(h.gather_rows(graph.query_ids),
                                    h.gather_rows(graph.label_ids))
         return (logits * model.config.temperature).data
+
+
+def predict_per_query(pipeline, session, query_emb, query_importance):
+    """Reference implementation: one session's query rows, alone.
+
+    Selection rebuilds the pool's class state from the session's current
+    arrays (no stored selector state), and the task logits come from the
+    per-edge forward of :func:`task_logits_edges`.
+    """
+    config = pipeline.config
+    augmenter = session.augmenter
+    if config.use_knn or config.use_selection_layers:
+        selected = pipeline.selector.select(
+            session.candidate_emb, session.candidate_importance, query_emb,
+            query_importance, session.pool_labels, session.shots)
+    else:
+        selected = np.arange(session.candidate_emb.shape[0])
+    prompt_emb = session.candidate_emb[selected]
+    prompt_labels = session.pool_labels[selected]
+    if config.use_selection_layers:
+        prompt_emb = prompt_emb * session.candidate_importance[selected, None]
+    if config.use_augmenter and len(augmenter):
+        cache_emb, cache_labels = augmenter.cached_prompts()
+        prompt_emb = np.concatenate([prompt_emb, cache_emb], axis=0)
+        prompt_labels = np.concatenate([prompt_labels, cache_labels])
+    logits = task_logits_edges(pipeline.model, prompt_emb, prompt_labels,
+                               query_emb, session.num_ways)
+    preds, confs = pipeline.model.predict(Tensor(logits))
+    inserted = 0
+    if config.use_augmenter:
+        augmenter.record_hits(query_emb, session.shots)
+        stored = query_emb
+        if config.use_selection_layers:
+            stored = query_emb * query_importance[:, None]
+        inserted = augmenter.update(stored, preds, confs)
+    return preds, confs, inserted
+
+
+def serve_per_query(server, batch) -> list:
+    """Reference implementation: one micro-batch, request by request.
+
+    The same encoded rows as the server's own tick; then, in arrival
+    order, each request refreshes its session if stale and predicts with
+    :func:`predict_per_query`.  Install it as ``server._process_scoped``.
+    """
+    start = server.clock()
+    emb, importance = server.pipeline.encode_points(
+        [request.datapoint for request in batch], arena=server.scheduler.arena)
+    results = []
+    for i, request in enumerate(batch):
+        wait_s = max(start - request.submitted_at, 0.0)
+        try:
+            session = server.sessions.get(request.session_id)
+        except KeyError:
+            results.append(ServeResult(
+                request_id=request.request_id, session_id=request.session_id,
+                prediction=-1, confidence=0.0, batch_size=len(batch),
+                wait_s=wait_s, service_s=0.0, error="session-expired"))
+            continue
+        if session.stale:
+            server._refresh_session(session)
+        preds, confs, inserted = predict_per_query(
+            server.pipeline, session, emb[i:i + 1], importance[i:i + 1])
+        if server._mutable:
+            session.dependent_nodes.update(
+                server._dependencies([request.datapoint]))
+        service_s = max(server.clock() - start, 0.0)
+        session.stats.record(wait_s, service_s, inserted, server.clock())
+        results.append(ServeResult(
+            request_id=request.request_id, session_id=request.session_id,
+            prediction=int(preds[0]), confidence=float(confs[0]),
+            batch_size=len(batch), wait_s=wait_s, service_s=service_s))
+    return results

@@ -342,6 +342,12 @@ class TestGatewayObservability:
                     f"{trace.trace_id} missing {stage}: {stages}")
             assert trace.meta["outcome"] == "ok"
             assert stages["total"] >= 0.0
+            # Each request rides one prediction wave with the other
+            # sessions' queries: the wave's predict and task-GNN spans
+            # reach every trace in it, but selection is the request's own.
+            names = [span.name for span in trace.spans]
+            assert names.count("select") == 1
+            assert names.count("predict") == names.count("task_gnn") == 1
 
     def test_one_in_n_sampling(self, served):
         dataset, _, model = served

@@ -16,7 +16,9 @@ Five families of guarantees pinned here:
   autodiff-graph forward for both convolution types and the task GNN;
 * the task GNN's dense (data × label) no-grad kernel is **byte-identical**
   to the per-edge forward of ``reference_paths`` and to the autodiff
-  path, over a product grid of ways × prompts × cache rows × queries.
+  path, over a product grid of ways × prompts × cache rows × queries —
+  and so is every graph of a padded *wave* forward, over a product grid
+  of dims × ways × wave sizes with uneven prompt counts per graph.
 """
 
 from itertools import product
@@ -439,12 +441,85 @@ class TestTaskAttentionEquivalence:
     def test_source_sum_matches_add_at(self, shape):
         """The kernel's per-destination sum adds sources in ``np.add.at``'s
         order and zero — including one-element rows, which numpy's
-        leading-axis reduction would sum pairwise."""
+        source-axis reduction would sum pairwise — for every graph of a
+        wave (``shape`` is one graph's source grid)."""
         r = np.random.default_rng(len(shape) * 100 + shape[0])
         grids = [r.normal(size=shape) for _ in range(10)]
-        for values in grids + [np.full(shape, -0.0)]:
-            want = np.zeros((1,) + shape[1:])
-            np.add.at(want, np.zeros(shape[0], dtype=np.int64), values)
-            got = _sum_sources(values)
-            assert got.shape == want[0].shape
-            assert got.tobytes() == want[0].tobytes()
+        for wave in (grids[:1], grids, [np.full(shape, -0.0)] + grids[:2]):
+            got = _sum_sources(np.stack(wave))
+            assert got.shape == (len(wave),) + shape[1:]
+            for values, row in zip(wave, got):
+                want = np.zeros((1,) + shape[1:])
+                np.add.at(want, np.zeros(shape[0], dtype=np.int64), values)
+                assert row.tobytes() == want[0].tobytes()
+
+
+def wave_case_id(case) -> str:
+    return "dim{}-ways{}-wave{}".format(*case)
+
+
+def random_task_model(dim, r):
+    """A model whose every task-GNN weight is random (see task_episode)."""
+    model = GraphPrompterModel(6, 4, GraphPrompterConfig(hidden_dim=dim))
+    model.eval()
+    for param in model.task_gnn.parameters():
+        param.data[:] = r.normal(size=param.data.shape)
+    return model
+
+
+def assert_wave_matches_oracle(model, prompts, labels, queries, ways):
+    """One wave forward == each graph's per-edge oracle, by bytes."""
+    wave = model.wave_logits(prompts, labels, queries, ways)
+    assert wave.shape == (len(prompts), queries[0].shape[0], ways)
+    for g, logits in enumerate(wave):
+        oracle = task_logits_edges(model, prompts[g], labels[g], queries[g],
+                                   ways)
+        assert logits.tobytes() == oracle.tobytes(), f"graph {g}"
+
+
+class TestWaveKernelEquivalence:
+    """The padded wave forward vs. the per-edge oracle, graph by graph."""
+
+    @pytest.mark.parametrize("case", product([16, 32], [2, 5, 9, 50],
+                                             [1, 2, 4, 16]), ids=wave_case_id)
+    def test_wave_bit_identical(self, case):
+        """Every graph draws its own shot count (1 or 3 per class) and
+        0–3 cache rows, so data rows are padded to the longest graph."""
+        dim, ways, size = case
+        r = np.random.default_rng([dim, ways, size])
+        model = random_task_model(dim, r)
+        num_queries = int(r.choice([1, 4]))
+        prompts, labels, queries = [], [], []
+        for _ in range(size):
+            shots, cache = int(r.choice([1, 3])), int(r.integers(0, 4))
+            graph_labels = np.concatenate([np.repeat(np.arange(ways), shots),
+                                           r.integers(0, ways, size=cache)])
+            labels.append(graph_labels)
+            prompts.append(r.normal(size=(graph_labels.size, dim)))
+            queries.append(r.normal(size=(num_queries, dim)))
+        assert_wave_matches_oracle(model, prompts, labels, queries, ways)
+
+    def test_wave_without_padding(self):
+        r = np.random.default_rng(7)
+        model = random_task_model(16, r)
+        labels = [np.repeat(np.arange(5), 3)] * 4
+        prompts = [r.normal(size=(15, 16)) for _ in range(4)]
+        queries = [r.normal(size=(4, 16)) for _ in range(4)]
+        assert_wave_matches_oracle(model, prompts, labels, queries, 5)
+
+    def test_all_zero_embeddings(self):
+        """Zeros flow through every op, padded rows included."""
+        r = np.random.default_rng(8)
+        model = random_task_model(16, r)
+        labels = [np.repeat(np.arange(9), shots) for shots in (1, 3, 1)]
+        prompts = [np.zeros((row.size, 16)) for row in labels]
+        queries = [np.zeros((1, 16)) for _ in labels]
+        assert_wave_matches_oracle(model, prompts, labels, queries, 9)
+
+    def test_wave_rejects_mixed_query_counts(self):
+        model = random_task_model(16, np.random.default_rng(9))
+        labels = [np.array([0, 1])] * 2
+        prompts = [np.zeros((2, 16))] * 2
+        with pytest.raises(ValueError, match="same number of queries"):
+            model.wave_logits(prompts, labels,
+                              [np.zeros((1, 16)), np.zeros((2, 16))], 2)

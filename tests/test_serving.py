@@ -1,5 +1,7 @@
 """Tests for the online serving subsystem (sessions, scheduler, server)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,9 @@ from repro.serving import (
     SessionState,
     SessionStore,
 )
+from repro.persist import PersistentStore
 from repro.serving.session import SessionStats
+from reference_paths import serve_per_query
 
 
 class FakeClock:
@@ -367,6 +371,151 @@ class TestPromptServer:
         assert again.pretrained_state("wiki", config) is not None
 
 
+def malformed_open(episode, case):
+    """``(episode, shots)`` for one malformed way of opening ``episode``."""
+    labels = episode.candidate_labels.copy()
+    if case == "one-way":
+        return replace(episode, way_classes=episode.way_classes[:1],
+                       candidate_labels=np.zeros_like(labels)), 3
+    if case == "zero-shots":
+        return episode, 0
+    if case == "label-out-of-range":
+        labels[0] = 7
+    elif case == "negative-label":
+        labels[-1] = -1
+    elif case == "float-labels":
+        labels = labels.astype(np.float64)
+    elif case == "2-d-labels":
+        labels = labels[:, None]
+    elif case == "label-count":
+        labels = labels[:-1]
+    return replace(episode, candidate_labels=labels), 3
+
+
+class TestOpenValidation:
+    """A malformed episode is rejected at open, so it can never fail the
+    micro-batches it would share with other tenants' queries."""
+
+    @pytest.mark.parametrize("case", [
+        "one-way", "zero-shots", "label-out-of-range", "negative-label",
+        "float-labels", "2-d-labels", "label-count"])
+    def test_malformed_episode_rejected_before_any_effect(self, served,
+                                                          tmp_path, case):
+        dataset, config, model = served
+        episode = sample_episode(dataset, num_ways=5, num_queries=4, rng=21)
+        bad, shots = malformed_open(episode, case)
+        persist = PersistentStore(str(tmp_path / "store"))
+        server = PromptServer(model, dataset, max_batch_size=4, rng=0,
+                              persist=persist)
+        fresh = PromptServer(model, dataset, max_batch_size=4, rng=0)
+        with pytest.raises(ValueError):
+            server.open_session("bad", bad, shots=shots)
+        assert "bad" not in server.sessions
+        assert server.stats.sessions_opened == 0
+        assert persist.sessions.load_all() == []
+        assert (server.rng.bit_generator.state
+                == fresh.rng.bit_generator.state)
+        # A later session answers exactly as on a server that never saw
+        # the rejected open.
+        answers = []
+        for target in (server, fresh):
+            target.open_session("good", episode)
+            for query in episode.queries:
+                target.submit("good", query)
+            answers.append([(r.prediction, r.confidence.hex())
+                            for r in target.drain()])
+        assert answers[0] == answers[1]
+
+
+def replay_both(build, script):
+    """Run ``script(server, clock)`` on a wave server and on one whose
+    micro-batches run request by request (``serve_per_query``); returns
+    both result lists as ``(request, session, prediction, confidence
+    bytes, error)`` tuples."""
+    outputs = []
+    for per_query in (False, True):
+        clock = FakeClock()
+        server = build(clock)
+        if per_query:
+            server._process_scoped = (
+                lambda batch, server=server: serve_per_query(server, batch))
+        outputs.append([
+            (r.request_id, r.session_id, r.prediction, r.confidence.hex(),
+             r.error) for r in script(server, clock)])
+    return outputs
+
+
+class TestWaveServing:
+    """Waves answer byte for byte as per-query serving does."""
+
+    def test_waves_match_per_query_serving(self, served):
+        dataset, config, model = served
+        episodes = {
+            "a": sample_episode(dataset, num_ways=3, num_queries=8, rng=31),
+            "b": sample_episode(dataset, num_ways=4, num_queries=8, rng=32),
+            "c": sample_episode(dataset, num_ways=3, num_queries=8, rng=33),
+            "gone": sample_episode(dataset, num_ways=3, num_queries=8,
+                                   rng=34)}
+
+        def build(clock):
+            return PromptServer(model, dataset, max_batch_size=16,
+                                session_ttl_s=10.0, rng=5, clock=clock)
+
+        def script(server, clock):
+            for session_id, episode in episodes.items():
+                server.open_session(session_id, episode)
+            server.submit("gone", episodes["gone"].queries[0])
+            clock.advance(6.0)
+            # Several queries of one session (several waves), two way
+            # counts, and a session that expires while queued.
+            order = ["a", "a", "b", "c", "a", "b", "c", "c", "a", "b"]
+            for n, session_id in enumerate(order):
+                server.submit(session_id, episodes[session_id].queries[n % 8])
+            clock.advance(5.0)
+            results = server.drain()
+            for q in range(8):
+                for session_id in ("a", "b", "c"):
+                    server.submit(session_id, episodes[session_id].queries[q])
+            return results + server.drain()
+
+        waves, per_query = replay_both(build, script)
+        assert waves == per_query
+        assert ("session-expired" in {error for *_, error in waves})
+        assert len(waves) == 1 + 10 + 24
+
+    def test_stale_session_waves_match_per_query_serving(self):
+        from repro.graph import GraphUpdate
+
+        def build(clock):
+            graph, dataset, config, model = two_component_setup()
+            return PromptServer(model, dataset, max_batch_size=16, rng=0,
+                                clock=clock)
+
+        def script(server, clock):
+            rng = np.random.default_rng(6)
+            graph = server.dataset.graph
+            episode_a = component_episode(graph, 0, 40, rng)
+            episode_b = component_episode(graph, 40, 80, rng)
+            server.open_session("a", episode_a)
+            server.open_session("b", episode_b)
+            for q in range(4):
+                server.submit("a", episode_a.queries[q])
+                server.submit("b", episode_b.queries[q])
+            results = server.drain()
+            touched = sorted(server.sessions.get("a").dependent_nodes)[:2]
+            server.update_graph(GraphUpdate(
+                add_src=[touched[0]], add_dst=[touched[-1]], add_rel=[2]))
+            assert server.sessions.get("a").stale
+            for q in (0, 1, 2, 3, 1):
+                server.submit("b", episode_b.queries[q])
+                server.submit("a", episode_a.queries[q])
+            return results + server.drain()
+
+        waves, per_query = replay_both(build, script)
+        assert waves == per_query
+        assert len(waves) == 18
+
+
 class TestSessionStats:
     def test_record_accumulates(self):
         stats = SessionStats()
@@ -479,6 +628,7 @@ class TestGraphMutationServing:
         assert state_a.stale and not state_b.stale
         assert server.stats.sessions_invalidated == 1
         assert server.stats.graph_version == graph.version
+        open_centroids = state_a.selector_state.centroids
 
         # Next predictions: A refreshes (pool re-encoded, cache purged —
         # counted as stale evictions), B answers from its intact cache.
@@ -487,6 +637,13 @@ class TestGraphMutationServing:
         server.drain()
         assert not state_a.stale
         assert state_a.graph_version == graph.version
+        # The refresh rebuilt the selector state from the re-encoded pool.
+        rebuilt = server.pipeline.selector.pool_state(state_a.candidate_emb,
+                                                      state_a.pool_labels)
+        assert (state_a.selector_state.centroids.tobytes()
+                == rebuilt.centroids.tobytes())
+        assert (state_a.selector_state.centroids.tobytes()
+                != open_centroids.tobytes())
         assert state_a.augmenter.stats().stale_evictions > 0
         assert server.stats.stale_evictions > 0
         assert state_b.candidate_emb is pool_b
