@@ -1,13 +1,14 @@
 """Observability demo: live metrics + sampled traces during a burst.
 
 One :class:`repro.obs.MetricsRegistry` instruments the whole stack —
-gateway admission counters, server batch histograms, shard timings,
-kernel stage profiles — and this demo watches it move:
+gateway queue waits, server batch histograms, shard timings, kernel
+stage profiles — and this demo watches it move:
 
 1. a mixed-priority burst runs through :class:`ServingGateway` with
    1-in-2 request tracing switched on;
-2. **mid-burst** a metrics snapshot is printed straight from the live
-   registry (no scrape endpoint needed);
+2. **mid-burst** the request counts are printed from the tenant ledgers
+   (``gateway.stats``, which own them) next to the live stage
+   histograms (no scrape endpoint needed);
 3. after the burst, the full Prometheus exposition is rendered via
    :func:`repro.obs.scrape` and one sampled trace's per-stage latency
    breakdown (admission → queue → encode → predict → total) is shown;
@@ -56,14 +57,13 @@ TENANTS = [
 ]
 
 
-def print_snapshot(registry, round_id):
-    """A compact mid-burst view pulled straight off the live registry."""
-    submitted = registry.counter("repro_gateway_submitted_total")
-    completed = registry.counter("repro_gateway_completed_total")
+def print_snapshot(gateway, registry, round_id):
+    """A compact mid-burst view: ledger counts, live stage histograms."""
+    tenants = gateway.stats.tenants
     stage = registry.histogram("repro_stage_seconds")
     print(f"   [after round {round_id}] "
-          f"submitted={submitted.sum():.0f} "
-          f"completed={completed.sum():.0f} "
+          f"submitted={sum(t.submitted for t in tenants)} "
+          f"completed={sum(t.completed for t in tenants)} "
           f"encode_mean={1e3 * stage.mean(stage='encode'):.2f}ms "
           f"sample_mean={1e3 * stage.mean(stage='sample'):.2f}ms")
 
@@ -87,7 +87,7 @@ async def main_async(model, dataset, episodes):
                                                  episode.queries[q]))
         await gateway.flush()
         if q % 2 == 1:
-            print_snapshot(registry, q + 1)  # 2. live mid-burst snapshots
+            print_snapshot(gateway, registry, q + 1)  # 2. mid-burst
     answered = sum(f.result().ok for f in futures)
     print(f"   {answered}/{len(futures)} answered ok")
 

@@ -84,7 +84,7 @@ def main():
             state = server.sessions.get(sid)
             cache = state.cache_stats()
             print(f"    {sid}: {state.stats.queries} queries, "
-                  f"{state.stats.cache_insertions} cache insertions, "
+                  f"{cache.insertions} cache insertions, "
                   f"{cache.hits} cache hits, {cache.evictions} evictions")
 
     same = ([r.prediction for r in outcomes[1]]

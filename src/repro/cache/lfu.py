@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Hashable, Iterator
 
-from .stats import CacheStats
+from .stats import StatCounters
 
 __all__ = ["LFUCache"]
 
@@ -32,7 +32,7 @@ class _FrequencyBucket:
         self.next: "_FrequencyBucket | None" = None
 
 
-class LFUCache:
+class LFUCache(StatCounters):
     """Bounded mapping with least-frequently-used eviction in O(1).
 
     ``put`` inserts at frequency 1 (evicting the LFU entry when full),
@@ -48,10 +48,7 @@ class LFUCache:
         self._bucket_of: dict[Hashable, _FrequencyBucket] = {}
         # Sentinel head simplifies bucket insertion/removal.
         self._head = _FrequencyBucket(0)
-        self._hits = 0
-        self._misses = 0
-        self._insertions = 0
-        self._evictions = 0
+        self._reset_counters()
 
     # ------------------------------------------------------------------
     # Bucket list maintenance
@@ -96,9 +93,9 @@ class LFUCache:
     def get(self, key: Hashable, default: Any = None) -> Any:
         """Return the value for ``key`` and count the access."""
         if key not in self._values:
-            self._misses += 1
+            self._stat_misses += 1
             return default
-        self._hits += 1
+        self._stat_hits += 1
         self._bump(key)
         return self._values[key]
 
@@ -109,9 +106,9 @@ class LFUCache:
     def touch(self, key: Hashable) -> bool:
         """Record a hit on ``key`` (the Augmenter's similarity-hit update)."""
         if key not in self._values:
-            self._misses += 1
+            self._stat_misses += 1
             return False
-        self._hits += 1
+        self._stat_hits += 1
         self._bump(key)
         return True
 
@@ -129,8 +126,8 @@ class LFUCache:
         evicted = None
         if len(self._values) >= self.capacity:
             evicted = self._evict()
-            self._evictions += 1
-        self._insertions += 1
+            self._stat_evictions += 1
+        self._stat_insertions += 1
         first = self._head.next
         if first is None or first.frequency != 1:
             first = _FrequencyBucket(1)
@@ -166,19 +163,11 @@ class LFUCache:
         for key, _ in self.items():
             yield key
 
-    def stats(self) -> CacheStats:
-        """Size plus lifetime hit/miss/insert/evict counters."""
-        return CacheStats(size=len(self), capacity=self.capacity,
-                          hits=self._hits, misses=self._misses,
-                          insertions=self._insertions,
-                          evictions=self._evictions)
-
     def clear(self) -> None:
         self._values.clear()
         self._bucket_of.clear()
         self._head.next = None
-        self._hits = self._misses = 0
-        self._insertions = self._evictions = 0
+        self._reset_counters()
 
     def __repr__(self) -> str:
         return f"LFUCache(capacity={self.capacity}, size={len(self)})"

@@ -16,34 +16,12 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Hashable, Iterator
 
-from .stats import CacheStats
+from .stats import StatCounters
 
 __all__ = ["LRUCache", "FIFOCache"]
 
 
-class _StatCounters:
-    """Mixin holding the shared hit/miss/insert/evict counters."""
-
-    capacity: int
-
-    def _reset_counters(self) -> None:
-        self._stat_hits = 0
-        self._stat_misses = 0
-        self._stat_insertions = 0
-        self._stat_evictions = 0
-
-    def stats(self) -> CacheStats:
-        """Size plus lifetime hit/miss/insert/evict counters."""
-        return CacheStats(size=len(self), capacity=self.capacity,
-                          hits=self._stat_hits, misses=self._stat_misses,
-                          insertions=self._stat_insertions,
-                          evictions=self._stat_evictions)
-
-    def __len__(self) -> int:  # pragma: no cover - overridden
-        raise NotImplementedError
-
-
-class LRUCache(_StatCounters):
+class LRUCache(StatCounters):
     """Bounded mapping with least-recently-used eviction."""
 
     def __init__(self, capacity: int):
@@ -121,7 +99,7 @@ class LRUCache(_StatCounters):
         return f"LRUCache(capacity={self.capacity}, size={len(self)})"
 
 
-class FIFOCache(_StatCounters):
+class FIFOCache(StatCounters):
     """Bounded mapping with first-in-first-out eviction (hits ignored)."""
 
     def __init__(self, capacity: int):

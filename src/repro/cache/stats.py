@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["CacheStats"]
+__all__ = ["CacheStats", "StatCounters"]
 
 
 @dataclass(frozen=True)
@@ -42,3 +42,31 @@ class CacheStats:
         """Fraction of lookups that hit; 0.0 before any lookup."""
         lookups = self.hits + self.misses
         return self.hits / lookups if lookups else 0.0
+
+
+class StatCounters:
+    """Mixin holding the four usage counters every policy shares.
+
+    A policy calls :meth:`_reset_counters` from ``__init__`` and
+    ``clear``, bumps ``_stat_hits`` / ``_stat_misses`` /
+    ``_stat_insertions`` / ``_stat_evictions`` as events happen, and
+    inherits :meth:`stats`.
+    """
+
+    capacity: int
+
+    def _reset_counters(self) -> None:
+        self._stat_hits = 0
+        self._stat_misses = 0
+        self._stat_insertions = 0
+        self._stat_evictions = 0
+
+    def stats(self) -> CacheStats:
+        """Size plus lifetime hit/miss/insert/evict counters."""
+        return CacheStats(size=len(self), capacity=self.capacity,
+                          hits=self._stat_hits, misses=self._stat_misses,
+                          insertions=self._stat_insertions,
+                          evictions=self._stat_evictions)
+
+    def __len__(self) -> int:  # pragma: no cover - overridden
+        raise NotImplementedError

@@ -1,9 +1,16 @@
 """Configuration for the GraphPrompter model and pipeline.
 
-The three stage toggles (`use_reconstruction`, `use_selection_layers`,
+The four stage toggles (`use_reconstruction`, `use_selection_layers`,
 `use_knn`, `use_augmenter`) correspond exactly to the Fig. 3 ablation rows;
 setting all four to ``False`` recovers the Prodigy baseline (random prompt
 selection, unweighted subgraphs, no test-time augmentation).
+
+The config holds what shapes the model and its answers.  ``str(config)``
+keys the pre-trained weights cache, so it carries no serving setting:
+shard count and strategy are :class:`~repro.serving.PromptServer`
+keywords, and admission, batching, deadline and trace-sampling settings
+are :class:`~repro.serving.ServingGateway` keywords.  Each is set and
+validated there, once.
 """
 
 from __future__ import annotations
@@ -66,41 +73,6 @@ class GraphPrompterConfig:
         order.  Required by the online serving path (batched == unbatched
         predictions) and by split streaming episodes that must replay a
         merged run exactly.
-    num_shards:
-        Default shard count of the serving layer's
-        :class:`~repro.shard.ShardedGraphStore` (1 = monolithic).
-        Sharding never changes predictions — sampling over the sharded
-        store is bit-identical to the monolithic sampler.
-    shard_strategy:
-        Node-partition strategy: ``"greedy"`` (degree-balanced) or
-        ``"hash"`` (stateless splitmix64).
-    gateway_max_queue:
-        Bound of the serving gateway's admission queue (across all
-        priority classes).  Above it requests are shed with a typed
-        ``Overloaded`` result; lower priority classes are shed earlier
-        (at fixed fractions of the bound) so interactive latency stays
-        bounded under overload.
-    gateway_max_batch_size:
-        Micro-batch size cap of each gateway priority queue.
-    gateway_max_wait_s:
-        Age bound of a waiting gateway batch (the base release policy);
-        the deadline-aware policy usually fires first.
-    gateway_flush_fraction:
-        Fraction of a request's deadline budget it may spend queued
-        before its class queue force-flushes, leaving the rest of the
-        budget for service.
-    gateway_tenant_rate_qps:
-        Sustained per-tenant admission rate (token-bucket refill);
-        0 disables rate limiting.
-    gateway_tenant_burst:
-        Token-bucket capacity: how many requests a tenant may burst
-        above the sustained rate.
-    gateway_tenant_quota:
-        Absolute per-tenant admitted-query quota (0 = unlimited).
-    gateway_deadline_interactive_s / gateway_deadline_batch_s /
-    gateway_deadline_background_s:
-        Deadline budget attached to each admitted request by priority
-        class.
     mutable_graph:
         Enable the serving layer's live-update path
         (:meth:`~repro.serving.PromptServer.update_graph`): online
@@ -112,20 +84,6 @@ class GraphPrompterConfig:
         Overlay fraction (tombstoned + delta slots relative to live
         slots) above which a mutated graph folds its overlays back into
         clean CSR bases.  Only consulted when ``mutable_graph`` is on.
-    obs_metrics_enabled:
-        Record serving-layer metrics into the ambient
-        :class:`~repro.obs.MetricsRegistry` (near-zero-cost hot-path
-        instruments plus scrape-time ledger mirrors).  ``False`` gives
-        the server a disabled registry: every record path short-circuits
-        after one branch.
-    obs_trace_every:
-        Deterministic request-trace sampling rate for the serving
-        gateway: every N-th submitted request carries a
-        :class:`~repro.obs.TraceContext` collecting per-stage spans
-        (admission, queue wait, encode, shard fan-out, predict, total).
-        0 (the default) disables tracing; any N is safe to leave on —
-        sampling is counter-based (no RNG), so traced runs stay
-        bit-identical to untraced ones.
     """
 
     hidden_dim: int = 32
@@ -146,22 +104,8 @@ class GraphPrompterConfig:
     temperature: float = 10.0
     random_pseudo_labels: bool = False
     deterministic_sampling: bool = False
-    num_shards: int = 1
-    shard_strategy: str = "greedy"
     mutable_graph: bool = False
     compact_threshold: float = 0.25
-    gateway_max_queue: int = 128
-    gateway_max_batch_size: int = 16
-    gateway_max_wait_s: float = 1.0
-    gateway_flush_fraction: float = 0.5
-    gateway_tenant_rate_qps: float = 0.0
-    gateway_tenant_burst: float = 16.0
-    gateway_tenant_quota: int = 0
-    gateway_deadline_interactive_s: float = 0.05
-    gateway_deadline_batch_s: float = 0.5
-    gateway_deadline_background_s: float = 5.0
-    obs_metrics_enabled: bool = True
-    obs_trace_every: int = 0
     seed: int = 0
 
     def validate(self) -> "GraphPrompterConfig":
@@ -184,33 +128,8 @@ class GraphPrompterConfig:
             raise ValueError(f"unknown recon scorer {self.recon_scorer!r}")
         if self.temperature <= 0:
             raise ValueError("temperature must be positive")
-        if self.num_shards < 1:
-            raise ValueError("num_shards must be at least 1")
-        if self.shard_strategy not in ("greedy", "hash"):
-            raise ValueError(f"unknown shard strategy {self.shard_strategy!r}")
         if self.compact_threshold <= 0:
             raise ValueError("compact_threshold must be positive")
-        if self.gateway_max_queue < 1:
-            raise ValueError("gateway_max_queue must be at least 1")
-        if self.gateway_max_batch_size < 1:
-            raise ValueError("gateway_max_batch_size must be at least 1")
-        if self.gateway_max_wait_s < 0:
-            raise ValueError("gateway_max_wait_s must be non-negative")
-        if not 0.0 < self.gateway_flush_fraction <= 1.0:
-            raise ValueError("gateway_flush_fraction must be in (0, 1]")
-        if self.gateway_tenant_rate_qps < 0:
-            raise ValueError("gateway_tenant_rate_qps must be non-negative")
-        if self.gateway_tenant_burst <= 0:
-            raise ValueError("gateway_tenant_burst must be positive")
-        if self.gateway_tenant_quota < 0:
-            raise ValueError("gateway_tenant_quota must be non-negative")
-        for name in ("gateway_deadline_interactive_s",
-                     "gateway_deadline_batch_s",
-                     "gateway_deadline_background_s"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.obs_trace_every < 0:
-            raise ValueError("obs_trace_every must be non-negative")
         return self
 
     def ablate(self, **flags) -> "GraphPrompterConfig":

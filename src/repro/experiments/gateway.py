@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import asyncio
 
-from ..obs import MetricsRegistry
 from ..serving import Overloaded, Priority, PromptServer, ServingGateway
 from ..serving.qos import (
     SHED_QUEUE_FULL,
@@ -113,7 +112,6 @@ def serve_bench_gateway(context: ExperimentContext,
     queries = rounds * per_round
     episodes = sample_episodes(dataset, NUM_SESSIONS, num_ways, queries,
                                seed * 1000)
-    interactive_budget_s = model.config.gateway_deadline_interactive_s
 
     headers = ["Phase", "Tenant", "Class", "Submitted", "Admitted",
                "Shed", "p95 wait ms", "Miss", "QPS"]
@@ -162,13 +160,9 @@ def serve_bench_gateway(context: ExperimentContext,
         # an admission queue sized to half of that: 2×-capacity overload.
         max_queue = max(NUM_SESSIONS * per_round // 2, 4)
         server = PromptServer(model, dataset, rng=seed)
-        # A private registry for this phase: its live shed counters are
-        # the source of the per-reason breakdown below, so they must not
-        # mix with phase A's (or any ambient) counts.
-        registry = MetricsRegistry()
         gateway = ServingGateway(server, max_queue=max_queue,
-                                 max_batch_size=8, auto_drain=False,
-                                 registry=registry)
+                                 max_batch_size=8, auto_drain=False)
+        interactive_budget_s = gateway.deadlines[Priority.INTERACTIVE]
         _, admitted, elapsed = await _run_rounds(gateway, episodes, rounds,
                                                  per_round)
         stats = gateway.stats
@@ -192,21 +186,13 @@ def serve_bench_gateway(context: ExperimentContext,
                 f"exceeded the {interactive_budget_s * 1e3:.0f}ms deadline "
                 f"budget under overload — priority drain failed to bound "
                 f"latency")
-        # Per-reason shed breakdown from the live registry counters (the
-        # observability layer's view of the same events the ledgers
-        # aggregate) — and a consistency check that the two agree.
-        shed_counter = registry.counter("repro_gateway_shed_total")
+        # Per-reason shed breakdown, straight from the tenant ledgers.
         shed_reasons = {
-            reason: int(shed_counter.sum(reason=reason))
-            for reason in (SHED_QUOTA_EXHAUSTED, SHED_RATE_LIMITED,
-                           SHED_QUEUE_FULL)
+            SHED_QUOTA_EXHAUSTED: sum(t.shed_quota for t in stats.tenants),
+            SHED_RATE_LIMITED: sum(t.shed_rate_limited for t in stats.tenants),
+            SHED_QUEUE_FULL: sum(t.shed_queue_full for t in stats.tenants),
         }
         shed_total = sum(t.shed for t in stats.tenants)
-        if sum(shed_reasons.values()) != shed_total:
-            raise RuntimeError(
-                f"shed-reason breakdown {shed_reasons} does not sum to "
-                f"the ledger shed total {shed_total} — registry counters "
-                f"and tenant ledgers disagree")
         tenant_rows("2x-overload", stats, len(admitted) / elapsed)
         data["phases"]["2x-overload"].update({
             "identical": True, "max_queue": max_queue,

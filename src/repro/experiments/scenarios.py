@@ -46,7 +46,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-from ..obs import MetricsRegistry, scrape
+from ..obs import MetricsRegistry, collect, scrape
 from ..obs.slo import (
     LatencyQuantileSLO,
     SLOSpec,
@@ -231,20 +231,26 @@ async def _drive(gateway: ServingGateway, trace: WorkloadTrace,
                  registry: MetricsRegistry):
     """Replay the trace in virtual-time ticks; snapshot at window edges.
 
-    Returns ``(outcomes, snapshots, elapsed_s)`` — outcomes as
+    Each snapshot is taken right after :func:`~repro.obs.collect`, so it
+    holds the tenant ledgers' counts as of that edge.  Returns
+    ``(outcomes, snapshots, elapsed_s)`` — outcomes as
     ``((session, query), Overloaded | GatewayResult)`` pairs in
     submission order.
     """
     last_tick = int(trace.duration_s / scenario.tick_s)
     window_every = max(1, math.ceil((last_tick + 1) / scenario.windows))
     next_boundary = window_every
-    snapshots = [registry.snapshot()]
+
+    def snapshot() -> dict:
+        return collect(gateway, registry).snapshot()
+
+    snapshots = [snapshot()]
     numbered = list(trace.ticks(scenario.tick_s))
 
     def snapshot_windows(index: int) -> None:
         nonlocal next_boundary
         while numbered[index][0] + 1 >= next_boundary:
-            snapshots.append(registry.snapshot())
+            snapshots.append(snapshot())
             next_boundary += window_every
 
     outcomes, elapsed = await replay_gateway(
@@ -254,7 +260,7 @@ async def _drive(gateway: ServingGateway, trace: WorkloadTrace,
         after_tick=snapshot_windows)
     # Final boundary: the last window closes at end-of-trace (a window
     # that happens to be empty just burns at zero).
-    snapshots.append(registry.snapshot())
+    snapshots.append(snapshot())
     return outcomes, snapshots, elapsed
 
 

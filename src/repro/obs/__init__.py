@@ -1,19 +1,20 @@
 """Unified observability: metrics registry, tracing, Prometheus export.
 
-One substrate for every signal the stack emits (ROADMAP item 5):
+One substrate for every signal the stack emits:
 
 * :mod:`repro.obs.metrics` — typed Counter/Gauge/Histogram instruments in
   a thread-safe :class:`MetricsRegistry`; fixed log-scale buckets make
-  histogram snapshot deltas exact, and a disabled registry costs one
-  branch per event.
+  histogram snapshot deltas exact.
 * :mod:`repro.obs.tracing` — :class:`TraceContext` per-stage spans with
   deterministic 1-in-N sampling (no RNG: traced runs stay bit-identical
   to untraced ones) and the :func:`span` profiling hook the sampler,
-  batcher, fused forward, and shard fan-out all share.
+  batcher, encoder forward, and shard fan-out all share.
 * :mod:`repro.obs.exposition` — Prometheus text-exposition writer.
-* :mod:`repro.obs.bridge` — scrape-time mirrors of the legacy ledgers
-  (``ServerStats``/``TenantLedger``/``CacheStats``) into the registry,
-  plus :func:`scrape` for one-call gateway/server exposition.
+* :mod:`repro.obs.bridge` — :func:`collect` exports the counts their
+  owners keep (``ServerStats``, the gateway's tenant ledgers, shard and
+  cache counters) into the registry; every scrape and every SLO snapshot
+  is taken right after it.  :func:`scrape` is the one-call
+  gateway/server exposition.
 * :mod:`repro.obs.httpd` — optional stdlib ``GET /metrics`` endpoint.
 * :mod:`repro.obs.slo` — declarative SLO specs + multi-window burn-rate
   evaluation over registry snapshot deltas, with per-stage latency

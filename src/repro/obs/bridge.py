@@ -1,13 +1,20 @@
-"""Bridge collectors: legacy ledgers re-expressed as registry instruments.
+"""Bridge collectors: the serving objects' own counts, exported at scrape time.
 
-The serving stack predates the registry and keeps its own typed ledgers —
-:class:`~repro.serving.ServerStats` (server + per-shard counters),
-:class:`~repro.serving.TenantStats` (per-tenant QoS), and the per-session
-Augmenter :class:`~repro.cache.stats.CacheStats`.  Those surfaces stay
-exactly as they are (tests and callers read them as views); this module
-*mirrors* them into registry counters and gauges at scrape time, so one
-Prometheus exposition covers every layer without double bookkeeping in
-any hot path.
+Each count the serving stack keeps has exactly one owner — the server's
+counters and per-shard counters (:class:`~repro.serving.ServerStats`),
+the gateway's per-tenant ledgers (:class:`~repro.serving.TenantStats`)
+or a session's Augmenter cache (:class:`~repro.cache.stats.CacheStats`)
+— and the registry is not it.  Registries are shared: several servers
+and gateways, or a whole replica fleet, can record into one, so a
+registry-owned count would merge theirs.  This module exports the
+owners' values into the registry instead, and :func:`collect` is the one
+path: every scrape and every SLO snapshot is taken right after it.  No
+hot path counts an event twice.
+
+A count that only ever grows is exported as a counter (named ``*_total``).
+A figure summed over *live* sessions can fall — a closed session leaves
+the sum, and a stale refresh clears its cache's counters — so it is
+exported as a gauge, named without ``_total``.
 
 Everything here is duck-typed on the stats dataclasses' attributes, so
 the obs package never imports the serving package (which imports obs) —
@@ -23,7 +30,7 @@ __all__ = ["export_stats", "export_sessions", "collect", "scrape"]
 
 
 def export_stats(stats, registry: MetricsRegistry) -> None:
-    """Mirror a ``ServerStats`` snapshot (shards + tenants included)."""
+    """Export a ``ServerStats`` snapshot (shards + tenants included)."""
     counter, gauge = registry.counter, registry.gauge
     counter("repro_server_queries_total",
             "Queries answered by the server.").set(stats.queries)
@@ -47,9 +54,9 @@ def export_stats(stats, registry: MetricsRegistry) -> None:
     counter("repro_sessions_invalidated_total",
             "Sessions marked stale by a graph mutation."
             ).set(stats.sessions_invalidated)
-    counter("repro_cache_stale_evictions_total",
-            "Augmenter cache entries dropped as graph-stale."
-            ).set(stats.stale_evictions)
+    gauge("repro_cache_stale_evictions",
+          "Augmenter cache entries the live sessions dropped as "
+          "graph-stale.").set(stats.stale_evictions)
 
     shard_labels = ("shard",)
     requests = counter("repro_shard_requests_total",
@@ -66,19 +73,21 @@ def export_stats(stats, registry: MetricsRegistry) -> None:
         busy.set(counters.worker_busy_s, shard=shard)
 
     tenant_labels = ("tenant", "priority")
-    submitted = counter("repro_tenant_submitted_total",
-                        "Requests each tenant submitted.", tenant_labels)
-    admitted = counter("repro_tenant_admitted_total",
-                       "Requests each tenant had admitted.", tenant_labels)
-    completed = counter("repro_tenant_completed_total",
-                        "Requests completed per tenant.", tenant_labels)
-    errors = counter("repro_tenant_errors_total",
-                     "Admitted requests that failed, per tenant.",
+    submitted = counter("repro_gateway_submitted_total",
+                        "Requests offered to gateway admission.",
+                        tenant_labels)
+    admitted = counter("repro_gateway_admitted_total",
+                       "Requests admitted past the gateway.", tenant_labels)
+    completed = counter("repro_gateway_completed_total",
+                        "Admitted requests resolved successfully.",
+                        tenant_labels)
+    errors = counter("repro_gateway_errors_total",
+                     "Admitted requests resolved with an error.",
                      tenant_labels)
-    shed = counter("repro_tenant_shed_total",
-                   "Requests shed at admission, per tenant and reason.",
+    shed = counter("repro_gateway_shed_total",
+                   "Requests refused at admission, by shed reason.",
                    ("tenant", "priority", "reason"))
-    misses = counter("repro_tenant_deadline_misses_total",
+    misses = counter("repro_gateway_deadline_misses_total",
                      "Completed requests that missed their deadline.",
                      tenant_labels)
     qps = gauge("repro_tenant_qps",
@@ -106,13 +115,16 @@ def export_stats(stats, registry: MetricsRegistry) -> None:
 
 
 def export_sessions(server, registry: MetricsRegistry) -> None:
-    """Aggregate the live sessions' ``CacheStats`` into the registry."""
-    gauge, counter = registry.gauge, registry.counter
+    """Sum the live sessions' ``CacheStats`` into registry gauges.
+
+    Each sum covers the sessions alive now, each since its cache's last
+    invalidation, so it can fall: these are gauges, not counters.
+    """
+    gauge = registry.gauge
     states = server.sessions.states()
     gauge("repro_sessions_live",
           "Sessions currently resident in the store.").set(len(states))
-    totals = dict(hits=0, misses=0, insertions=0, evictions=0, size=0,
-                  capacity=0)
+    totals = dict(hits=0, misses=0, insertions=0, evictions=0, size=0)
     for state in states:
         stats = state.cache_stats()
         totals["hits"] += stats.hits
@@ -120,36 +132,34 @@ def export_sessions(server, registry: MetricsRegistry) -> None:
         totals["insertions"] += stats.insertions
         totals["evictions"] += stats.evictions
         totals["size"] += stats.size
-        totals["capacity"] += stats.capacity
-    counter("repro_session_cache_hits_total",
-            "Augmenter cache hits across live sessions."
-            ).set(totals["hits"])
-    counter("repro_session_cache_misses_total",
-            "Augmenter cache misses across live sessions."
-            ).set(totals["misses"])
-    counter("repro_session_cache_insertions_total",
-            "Augmenter cache insertions across live sessions."
-            ).set(totals["insertions"])
-    counter("repro_session_cache_evictions_total",
-            "Augmenter capacity evictions across live sessions."
-            ).set(totals["evictions"])
+    scope = "across live sessions, since each cache's last invalidation"
+    gauge("repro_session_cache_hits",
+          f"Augmenter cache hits {scope}.").set(totals["hits"])
+    gauge("repro_session_cache_misses",
+          f"Augmenter cache misses {scope}.").set(totals["misses"])
+    gauge("repro_session_cache_insertions",
+          f"Augmenter cache insertions {scope}.").set(totals["insertions"])
+    gauge("repro_session_cache_evictions",
+          f"Augmenter capacity evictions {scope}.").set(totals["evictions"])
     gauge("repro_session_cache_entries",
           "Cached prompts resident across live sessions."
           ).set(totals["size"])
     lookups = totals["hits"] + totals["misses"]
     gauge("repro_session_cache_hit_rate",
-          "Aggregate Augmenter hit rate across live sessions."
+          f"Aggregate Augmenter hit rate {scope}."
           ).set(totals["hits"] / lookups if lookups else 0.0)
 
 
 def collect(target, registry: MetricsRegistry | None = None
             ) -> MetricsRegistry:
-    """Refresh the bridge mirrors for a server or gateway.
+    """Export a server's or gateway's counts into ``registry``.
 
     ``target`` is a :class:`~repro.serving.PromptServer` or a
     :class:`~repro.serving.ServingGateway` (detected by its ``server``
     attribute).  The default registry is the target's own (``.obs``), so
-    live hot-path instruments and bridged ledgers land in one scrape.
+    live histograms and exported counts land in one scrape.  Call it
+    right before every scrape or snapshot: between calls the registry
+    holds the counts as of the last one.
     """
     server = getattr(target, "server", target)
     if registry is None:
@@ -160,5 +170,5 @@ def collect(target, registry: MetricsRegistry | None = None
 
 
 def scrape(target, registry: MetricsRegistry | None = None) -> str:
-    """One-call exposition: refresh the bridges, render the registry."""
+    """One-call exposition: collect the counts, render the registry."""
     return render(collect(target, registry))

@@ -3,9 +3,9 @@
 Runs a small seeded multi-tenant burst through the full serving stack —
 gateway admission → deadline batching → sharded encode → per-query
 predict — with tracing enabled, then prints the Prometheus text
-exposition covering every layer (gateway counters, session cache
-mirrors, shard ledgers, kernel stage histograms) plus the per-stage
-latency breakdown of one sampled trace.
+exposition covering every layer (tenant ledgers, session cache sums,
+shard counters, kernel stage histograms) plus the per-stage latency
+breakdown of one sampled trace.
 
 After the burst, a durability mini-cycle runs against the same registry
 — WAL-logged update → snapshot → warm-start recovery → a 2-replica
@@ -75,7 +75,7 @@ def metrics_main(argv: list[str] | None = None) -> int:
         ReplicaSet,
         ServingGateway,
     )
-    from .bridge import scrape
+    from .bridge import collect, scrape
     from .metrics import MetricsRegistry
     from .slo import RecoveryTimeSLO, SLOSpec, evaluate
 
@@ -186,7 +186,7 @@ def metrics_main(argv: list[str] | None = None) -> int:
                 futures.append(gateway.submit_nowait(f"session-{index}",
                                                      episode.queries[q]))
             await gateway.flush()
-        pre_durability = registry.snapshot()
+        pre_durability = collect(gateway, registry).snapshot()
         durable = await durability(store_dir)
         # Scraped after the durability cycle: the exposition carries the
         # persist/recovery and replica-fleet counters too.

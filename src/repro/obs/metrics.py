@@ -1,14 +1,12 @@
 """Typed metrics registry: counters, gauges, log-bucket histograms.
 
 One :class:`MetricsRegistry` serves every layer of the stack — gateway
-admission counters, server batch histograms, shard timings, kernel
-stage profiles — instead of the N bespoke ledger dicts each subsystem
-grew on its own.  Three properties drive the design:
-
-* **Near-zero cost when disabled.**  Every record path checks
-  ``registry.enabled`` before touching a lock, so a server built with
-  ``obs_metrics_enabled=False`` pays one attribute read and one branch
-  per event — the hot-path tax CI's gateway-overhead gate pins at ~0.
+queue waits, server batch histograms, kernel stage profiles, durability
+counters — and one scrape reads them all.  It is not the owner of the
+counts the serving objects keep (tenant ledgers, server and shard
+counters, cache counters): registries are shared by several servers and
+gateways, so :mod:`repro.obs.bridge` exports those counts into it at
+scrape time instead.  Two properties drive the design:
 
 * **Snapshots that subtract exactly.**  Histograms share one fixed
   log-scale bucket layout (:data:`DEFAULT_BUCKETS`), so two plain-data
@@ -110,25 +108,19 @@ class Counter(_Instrument):
     kind = "counter"
 
     def inc(self, amount: float = 1.0, **labels) -> None:
-        registry = self.registry
-        if not registry.enabled:
-            return
         key = self._key(labels)
-        with registry._lock:
+        with self.registry._lock:
             self._series[key] = self._series.get(key, 0.0) + amount
 
     def set(self, value: float, **labels) -> None:
-        """Mirror an externally-maintained monotonic count.
+        """Export a monotonic count its owner keeps elsewhere.
 
-        Used by the bridge collectors that re-express legacy ledgers
-        (``ServerStats``/``TenantLedger``/``CacheStats``) as registry
-        instruments at scrape time.
+        Used by the bridge collectors that export the serving objects'
+        own counts (``ServerStats``/``TenantLedger``/shard counters) at
+        scrape time.
         """
-        registry = self.registry
-        if not registry.enabled:
-            return
         key = self._key(labels)
-        with registry._lock:
+        with self.registry._lock:
             self._series[key] = float(value)
 
     def value(self, **labels) -> float:
@@ -141,19 +133,13 @@ class Gauge(_Instrument):
     kind = "gauge"
 
     def set(self, value: float, **labels) -> None:
-        registry = self.registry
-        if not registry.enabled:
-            return
         key = self._key(labels)
-        with registry._lock:
+        with self.registry._lock:
             self._series[key] = float(value)
 
     def inc(self, amount: float = 1.0, **labels) -> None:
-        registry = self.registry
-        if not registry.enabled:
-            return
         key = self._key(labels)
-        with registry._lock:
+        with self.registry._lock:
             self._series[key] = self._series.get(key, 0.0) + amount
 
     def value(self, **labels) -> float:
@@ -176,12 +162,9 @@ class Histogram(_Instrument):
         self.buckets = bounds
 
     def observe(self, value: float, **labels) -> None:
-        registry = self.registry
-        if not registry.enabled:
-            return
         key = self._key(labels)
         index = bisect_left(self.buckets, value)
-        with registry._lock:
+        with self.registry._lock:
             series = self._series.get(key)
             if series is None:
                 series = _HistogramSeries(len(self.buckets))
@@ -232,15 +215,9 @@ class Histogram(_Instrument):
 
 
 class MetricsRegistry:
-    """Thread-safe home of every instrument.
+    """Thread-safe home of every instrument."""
 
-    ``enabled=False`` builds a registry whose instruments drop every
-    record on the floor after one branch — the disabled server's
-    near-zero-cost observability mode.
-    """
-
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self):
         self._lock = threading.RLock()
         self._instruments: dict[str, _Instrument] = {}
 

@@ -150,14 +150,10 @@ def span(stage: str):
     the fused forward, the shard fan-out, and the serving loop — so
     ``repro bench``, live scrapes, and sampled traces all read the same
     numbers.  The recorded value is the block's duration minus the spans
-    nested in it on this thread.  Costs one thread-local read and one
-    branch when metrics are disabled and nothing is traced.
+    nested in it on this thread.
     """
     registry = get_registry()
     traces = getattr(_ACTIVE, "traces", [])
-    if not registry.enabled and not traces:
-        yield
-        return
     # This thread's open spans: seconds covered by each one's children.
     stack = getattr(_ACTIVE, "nested", None)
     if stack is None:
@@ -171,8 +167,7 @@ def span(stage: str):
         self_s = duration - stack.pop()
         if stack:
             stack[-1] += duration
-        if registry.enabled:
-            registry.histogram(STAGE_METRIC, STAGE_HELP,
-                               ("stage",)).observe(self_s, stage=stage)
+        registry.histogram(STAGE_METRIC, STAGE_HELP,
+                           ("stage",)).observe(self_s, stage=stage)
         for trace in traces:
             trace.add_span(stage, self_s)

@@ -28,8 +28,15 @@ tenants sharing one model:
   re-anchored so no post-swap answer comes from pre-swap state.
 
 Per-tenant accounting (QPS, shed rate, queue-wait percentiles, deadline
-misses, attributed per-shard work) flows up through
-:class:`~repro.serving.qos.TenantLedger` into ``ServerStats.tenants``.
+misses) lives in one :class:`~repro.serving.qos.TenantLedger` per tenant
+and flows up into ``ServerStats.tenants``.  The gateway creates no
+counter of its own: a scrape or an SLO snapshot exports the ledgers into
+the metrics registry through :func:`repro.obs.bridge.collect`.  Only the
+class-queue wait histogram is recorded live, as a distribution no ledger
+keeps.
+
+Every setting is a :class:`ServingGateway` keyword, validated there
+before any state is built.
 
 The gateway is an asyncio front-end, but all compute stays synchronous
 inside the event loop (numpy releases nothing by going async); asyncio
@@ -58,7 +65,15 @@ from .qos import (
 )
 from .server import PromptServer, ServeResult, ServerStats
 
-__all__ = ["GatewayResult", "ServingGateway"]
+__all__ = ["DEFAULT_DEADLINES_S", "GatewayResult", "ServingGateway"]
+
+#: Deadline budget per priority class (seconds from submit), unless
+#: ``ServingGateway(deadlines=...)`` overrides a class.
+DEFAULT_DEADLINES_S = {
+    Priority.INTERACTIVE: 0.05,
+    Priority.BATCH: 0.5,
+    Priority.BACKGROUND: 5.0,
+}
 
 
 @dataclass(frozen=True)
@@ -102,90 +117,73 @@ class _InFlight:
 class ServingGateway:
     """Admission, priority batching, and QoS accounting for one server.
 
-    Unspecified knobs default to the server config's ``gateway_*``
-    fields.  ``clock`` defaults to the server's clock, so fake-clock
-    servers get a fake-clock gateway for free.
+    Settings:
+
+    * ``max_queue`` — bound of the admission queue across all classes;
+      lower classes shed earlier, at fixed fractions of it
+      (:data:`~repro.serving.qos.SHED_QUEUE_FRACTIONS`).
+    * ``max_batch_size`` / ``max_wait_s`` — size and age release bounds
+      of each class queue.
+    * ``flush_fraction`` — fraction of a request's deadline budget it may
+      spend queued before its class queue force-flushes.
+    * ``tenant_rate_qps`` / ``tenant_burst`` — per-tenant token bucket
+      (rate 0 = unlimited); ``tenant_quota`` — absolute admitted-query
+      quota per tenant (0 = unlimited).
+    * ``deadlines`` — ``{Priority: seconds}`` overriding classes of
+      :data:`DEFAULT_DEADLINES_S`.
+    * ``trace_every`` — trace every N-th submitted request (0 = off).
+
+    A bad value raises ``ValueError`` before any state is built.
+    ``clock`` defaults to the server's clock, so fake-clock servers get a
+    fake-clock gateway for free.
     """
 
     def __init__(self, server: PromptServer, *,
-                 max_queue: int | None = None,
-                 max_batch_size: int | None = None,
-                 max_wait_s: float | None = None,
-                 flush_fraction: float | None = None,
-                 tenant_rate_qps: float | None = None,
-                 tenant_burst: float | None = None,
-                 tenant_quota: int | None = None,
+                 max_queue: int = 128,
+                 max_batch_size: int = 16,
+                 max_wait_s: float = 1.0,
+                 flush_fraction: float = 0.5,
+                 tenant_rate_qps: float = 0.0,
+                 tenant_burst: float = 16.0,
+                 tenant_quota: int = 0,
                  deadlines: dict | None = None,
                  auto_drain: bool = True,
                  clock=None,
                  registry: MetricsRegistry | None = None,
-                 trace_every: int | None = None):
-        config = server.config
+                 trace_every: int = 0):
+        #: Deadline budget per priority class (seconds from submit).
+        self.deadlines = dict(DEFAULT_DEADLINES_S)
+        for priority, budget in (deadlines or {}).items():
+            if not isinstance(priority, Priority):
+                raise ValueError(f"deadlines are keyed by Priority, got "
+                                 f"{priority!r}")
+            if not budget > 0:
+                raise ValueError(f"the {priority.name} deadline must be "
+                                 f"positive, got {budget!r}")
+            self.deadlines[priority] = budget
         self.server = server
         self.clock = clock if clock is not None else server.clock
-        #: Shared with the server by default, so one scrape covers the
-        #: gateway's admission counters and the server's batch metrics.
-        self.obs = registry if registry is not None else server.obs
-        self.tracer = Tracer(
-            every=config.obs_trace_every if trace_every is None
-            else trace_every)
-        obs = self.obs
-        tenant_labels = ("tenant", "priority")
-        self._m_submitted = obs.counter(
-            "repro_gateway_submitted_total",
-            "Requests offered to gateway admission.", tenant_labels)
-        self._m_admitted = obs.counter(
-            "repro_gateway_admitted_total",
-            "Requests admitted past the gateway.", tenant_labels)
-        self._m_shed = obs.counter(
-            "repro_gateway_shed_total",
-            "Requests refused at admission, by shed reason.",
-            ("tenant", "priority", "reason"))
-        self._m_completed = obs.counter(
-            "repro_gateway_completed_total",
-            "Admitted requests resolved successfully.", tenant_labels)
-        self._m_errors = obs.counter(
-            "repro_gateway_errors_total",
-            "Admitted requests resolved with an error.", tenant_labels)
-        self._m_misses = obs.counter(
-            "repro_gateway_deadline_misses_total",
-            "Resolved requests that blew their deadline.", tenant_labels)
-        self._m_queue_wait = obs.histogram(
-            "repro_gateway_queue_wait_seconds",
-            "Class-queue wait before batch release.", ("priority",))
-        self._endpoint = None
-
-        def _knob(value, default):
-            return default if value is None else value
-
-        self.max_queue = _knob(max_queue, config.gateway_max_queue)
-        self.max_batch_size = _knob(max_batch_size,
-                                   config.gateway_max_batch_size)
-        self.max_wait_s = _knob(max_wait_s, config.gateway_max_wait_s)
-        self.flush_fraction = _knob(flush_fraction,
-                                   config.gateway_flush_fraction)
-        #: Deadline budget per priority class (seconds from submit).
-        self.deadlines = {
-            Priority.INTERACTIVE: config.gateway_deadline_interactive_s,
-            Priority.BATCH: config.gateway_deadline_batch_s,
-            Priority.BACKGROUND: config.gateway_deadline_background_s,
-        }
-        if deadlines:
-            self.deadlines.update(deadlines)
+        # Each setting lives with the object it shapes: the admission
+        # controller owns the queue bound and tenant limits, each class
+        # queue its release policy.
         self.admission = AdmissionController(
-            max_queue=self.max_queue,
-            tenant_rate_qps=_knob(tenant_rate_qps,
-                                 config.gateway_tenant_rate_qps),
-            tenant_burst=_knob(tenant_burst, config.gateway_tenant_burst),
-            tenant_quota=_knob(tenant_quota, config.gateway_tenant_quota),
+            max_queue=max_queue, tenant_rate_qps=tenant_rate_qps,
+            tenant_burst=tenant_burst, tenant_quota=tenant_quota,
             clock=self.clock)
         self._queues = {
             priority: DeadlineAwareScheduler(
-                max_batch_size=self.max_batch_size,
-                max_wait_s=self.max_wait_s,
-                flush_fraction=self.flush_fraction, clock=self.clock)
+                max_batch_size=max_batch_size, max_wait_s=max_wait_s,
+                flush_fraction=flush_fraction, clock=self.clock)
             for priority in Priority
         }
+        self.tracer = Tracer(every=trace_every)
+        #: Shared with the server by default, so one scrape covers the
+        #: gateway's ledgers and queue waits and the server's metrics.
+        self.obs = registry if registry is not None else server.obs
+        self._m_queue_wait = self.obs.histogram(
+            "repro_gateway_queue_wait_seconds",
+            "Class-queue wait before batch release.", ("priority",))
+        self._endpoint = None
         #: session id -> (tenant id, priority); fixed at open time so a
         #: session's requests always share one class queue (per-session
         #: FIFO is what keeps gateway serving bit-identical).
@@ -197,7 +195,6 @@ class ServingGateway:
         self._auto_drain = auto_drain
         self._drain_task: asyncio.Task | None = None
         self._closed = False
-        self._batches = 0
 
     # ------------------------------------------------------------------
     # Session + tenant registration
@@ -285,9 +282,10 @@ class ServingGateway:
         return self._closed
 
     def _flush_hint_s(self, priority: Priority) -> float:
-        flush_at = self._queues[priority].next_flush_at()
+        queue = self._queues[priority]
+        flush_at = queue.next_flush_at()
         if flush_at is None:
-            return self.max_wait_s
+            return queue.max_wait_s
         return max(flush_at - self.clock(), 0.0)
 
     def submit_nowait(self, session_id: str, datapoint: Datapoint):
@@ -314,18 +312,16 @@ class ServingGateway:
         # Deterministic 1-in-N sampling: a counter, not an RNG draw, so
         # tracing can never perturb prediction streams.
         trace = self.tracer.maybe_trace()
-        klass = priority.name.lower()
-        self._m_submitted.inc(tenant=tenant_id, priority=klass)
         reason = self.admission.admit(tenant_id, priority,
-                                      self.queue_depth())
+                                      self.queue_depth(), ledger.admitted)
+        if trace is not None:
+            trace.add_span("admission", max(self.clock() - now, 0.0))
+            trace.meta.update(tenant=tenant_id, session=session_id,
+                              priority=priority.name.lower())
         if reason is not None:
             ledger.record_shed(reason)
-            self._m_shed.inc(tenant=tenant_id, priority=klass,
-                             reason=reason)
             if trace is not None:
-                trace.add_span("admission", max(self.clock() - now, 0.0))
-                trace.meta.update(tenant=tenant_id, session=session_id,
-                                  priority=klass, outcome=f"shed:{reason}")
+                trace.meta["outcome"] = f"shed:{reason}"
                 self.tracer.record(trace)
             return Overloaded(
                 tenant_id=tenant_id, session_id=session_id,
@@ -334,12 +330,6 @@ class ServingGateway:
                     tenant_id, reason,
                     flush_hint_s=self._flush_hint_s(priority)))
         ledger.admitted += 1
-        ledger.tokens_consumed += 1.0
-        self._m_admitted.inc(tenant=tenant_id, priority=klass)
-        if trace is not None:
-            trace.add_span("admission", max(self.clock() - now, 0.0))
-            trace.meta.update(tenant=tenant_id, session=session_id,
-                              priority=klass)
         deadline = now + self.deadlines[priority]
         request_id = self._queues[priority].submit(session_id, datapoint,
                                                    deadline=deadline,
@@ -441,17 +431,11 @@ class ServingGateway:
                                                   queue.next_batch())
         return served
 
-    def _shard_totals(self) -> tuple[int, int]:
-        shards = self.server.stats.shards
-        return (sum(c.requests for c in shards),
-                sum(c.halo_fetches for c in shards))
-
     def _process_batch(self, priority: Priority, batch: list) -> int:
         """Run one released class batch through the server hot path."""
         if not batch:
             return 0
         release_at = self.clock()
-        requests_before, halo_before = self._shard_totals()
         tickets: dict[int, object] = {}
         errors: list[tuple[object, str]] = []
         for request in batch:
@@ -481,40 +465,22 @@ class ServingGateway:
                               done_at, error=expired)
             raise
         done_at = self.clock()
-        requests_after, halo_after = self._shard_totals()
-
         by_ticket = {result.request_id: result for result in results}
-        tenant_share: dict[str, int] = {}
         for request, reason in errors:
             self._resolve(priority, request, None, release_at, done_at,
                           error=reason)
         for ticket, request in tickets.items():
-            tenant_id = self._resolve(priority, request,
-                                      by_ticket.get(ticket),
-                                      release_at, done_at)
-            if tenant_id is not None:
-                tenant_share[tenant_id] = tenant_share.get(tenant_id, 0) + 1
-        # Per-shard work flows up into tenant ledgers: each tenant is
-        # attributed its proportional share of this batch's shard-counter
-        # deltas (routed requests, halo fetches).
-        total = sum(tenant_share.values())
-        if total:
-            request_delta = requests_after - requests_before
-            halo_delta = halo_after - halo_before
-            for tenant_id, count in tenant_share.items():
-                ledger = self.ledger(tenant_id)
-                ledger.shard_requests += request_delta * count / total
-                ledger.halo_fetches += halo_delta * count / total
-        self._batches += 1
+            self._resolve(priority, request, by_ticket.get(ticket),
+                          release_at, done_at)
         return len(batch)
 
     def _resolve(self, priority: Priority, request,
                  result: ServeResult | None, release_at: float,
-                 done_at: float, error: str | None = None) -> str | None:
-        """Settle one request's future + ledger; returns its tenant id."""
+                 done_at: float, error: str | None = None) -> None:
+        """Settle one request's future and its tenant's ledger."""
         inflight = self._inflight.pop((priority, request.request_id), None)
         if inflight is None:  # pragma: no cover - submit always registers
-            return None
+            return
         queue_wait_s = max(release_at - inflight.submitted_at, 0.0)
         missed = done_at > inflight.deadline
         if error is None and result is not None and not result.ok:
@@ -524,19 +490,15 @@ class ServingGateway:
             priority=priority, result=result, queue_wait_s=queue_wait_s,
             deadline_missed=missed, error=error)
         ledger = self.ledger(inflight.tenant_id)
-        klass = priority.name.lower()
         if error is not None:
-            # Failures stay out of completed/QPS/wait percentiles: a
-            # tenant whose requests all errored must not look healthy.
+            # Failures stay out of completed/QPS/wait percentiles and
+            # deadline misses: a tenant whose requests all errored must
+            # not look healthy, and the miss rate is over completions.
             ledger.record_error(done_at)
-            self._m_errors.inc(tenant=inflight.tenant_id, priority=klass)
         else:
             ledger.record_complete(queue_wait_s, missed, done_at)
-            self._m_completed.inc(tenant=inflight.tenant_id,
-                                  priority=klass)
-        if missed:
-            self._m_misses.inc(tenant=inflight.tenant_id, priority=klass)
-        self._m_queue_wait.observe(queue_wait_s, priority=klass)
+        self._m_queue_wait.observe(queue_wait_s,
+                                   priority=priority.name.lower())
         trace = getattr(request, "trace", None)
         if trace is not None:
             trace.add_span("queue_wait", queue_wait_s)
@@ -546,7 +508,6 @@ class ServingGateway:
             self.tracer.record(trace)
         if not inflight.future.done():
             inflight.future.set_result(outcome)
-        return inflight.tenant_id
 
     # ------------------------------------------------------------------
     # Graceful drain / hot swap
@@ -582,11 +543,12 @@ class ServingGateway:
                                port: int = 0):
         """Expose ``GET /metrics`` over HTTP for this gateway.
 
-        Each scrape re-collects the legacy ledgers into the shared
-        registry and renders Prometheus text exposition.  Returns the
-        running :class:`~repro.obs.MetricsEndpoint` (its ``.url`` is the
-        scrape target); idempotent — a second call returns the first
-        endpoint.  ``close()`` shuts it down with the gateway.
+        Each scrape collects the ledgers into the shared registry
+        (:func:`repro.obs.bridge.collect`) and renders Prometheus text
+        exposition.  Returns the running
+        :class:`~repro.obs.MetricsEndpoint` (its ``.url`` is the scrape
+        target); idempotent — a second call returns the first endpoint.
+        ``close()`` shuts it down with the gateway.
         """
         if self._endpoint is None:
             from ..obs.bridge import scrape
@@ -620,8 +582,6 @@ class ServingGateway:
                 tenant_id=entry.tenant_id, session_id=entry.session_id,
                 priority=priority, reason=reason))
             self.ledger(entry.tenant_id).record_error(now)
-            self._m_errors.inc(tenant=entry.tenant_id,
-                               priority=priority.name.lower())
             settled += 1
         if self._endpoint is not None:
             self._endpoint.close()

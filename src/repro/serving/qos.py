@@ -17,8 +17,11 @@ module provides as small deterministic pieces:
 * :class:`Overloaded` — the *typed* rejection every shed request gets
   immediately (a shed request never hangs and never raises);
 * :class:`TenantLedger` / :class:`TenantStats` — per-tenant accounting:
-  admitted/shed counts, QPS, queue-wait percentiles, deadline misses, and
-  the per-shard work (requests, halo fetches) attributed to the tenant;
+  submitted/admitted/shed/completed/error counts, QPS, queue-wait
+  percentiles and deadline misses.  The ledger is the one owner of these
+  counts: admission reads its ``admitted`` for the quota check, and the
+  metrics registry receives them only through the scrape-time bridge
+  (:func:`repro.obs.bridge.collect`);
 * :class:`DeadlineAwareScheduler` — a :class:`MicroBatchScheduler` whose
   release policy also fires when the oldest request has spent its
   configured fraction of deadline budget *waiting*, so shallow queues
@@ -49,6 +52,7 @@ __all__ = [
     "TenantStats",
     "DeadlineAwareScheduler",
     "SHED_QUEUE_FRACTIONS",
+    "WAIT_WINDOW",
 ]
 
 
@@ -71,6 +75,11 @@ SHED_QUEUE_FRACTIONS = {
     Priority.BATCH: 0.5,
     Priority.BACKGROUND: 0.25,
 }
+
+#: Queue waits each tenant ledger keeps for its percentiles (the oldest
+#: falls out first), so a long-running gateway's snapshots track recent
+#: behaviour without unbounded growth.
+WAIT_WINDOW = 4096
 
 #: ``Overloaded.reason`` values.
 SHED_QUEUE_FULL = "queue-full"
@@ -135,8 +144,8 @@ class TokenBucket:
     """Standard token bucket: ``rate`` tokens/s refill, ``burst`` capacity.
 
     ``rate <= 0`` disables the limiter (every acquire succeeds) — the
-    config's "unlimited" spelling.  Time comes from the injected ``clock``
-    so refill is exact under test-controlled time.
+    gateway's ``tenant_rate_qps=0`` "unlimited".  Time comes from the
+    injected ``clock`` so refill is exact under test-controlled time.
     """
 
     def __init__(self, rate: float, burst: float, clock=time.monotonic):
@@ -184,14 +193,13 @@ class TokenBucket:
 class TenantLedger:
     """Mutable per-tenant accounting the gateway updates in place.
 
-    Queue waits are kept in a bounded ring (newest ``wait_window`` waits)
-    so a long-running gateway's percentile snapshots track recent
-    behaviour without unbounded growth.
+    Queue waits are kept in a bounded ring (the newest
+    :data:`WAIT_WINDOW` waits).  Deadline misses count completed
+    requests only, the denominator the deadline-miss SLO divides by.
     """
 
     tenant_id: str
     priority: Priority = Priority.INTERACTIVE
-    wait_window: int = 4096
     submitted: int = 0
     admitted: int = 0
     completed: int = 0
@@ -203,11 +211,6 @@ class TenantLedger:
     shed_queue_full: int = 0
     shed_quota: int = 0
     deadline_misses: int = 0
-    tokens_consumed: float = 0.0
-    #: Per-shard work attributed to this tenant's queries (proportional
-    #: share of each micro-batch's shard-counter deltas).
-    shard_requests: float = 0.0
-    halo_fetches: float = 0.0
     first_submit_at: float | None = None
     last_complete_at: float | None = None
     _waits: list = field(default_factory=list, repr=False)
@@ -239,8 +242,8 @@ class TenantLedger:
         self.deadline_misses += int(missed_deadline)
         self.last_complete_at = now
         self._waits.append(wait_s)
-        if len(self._waits) > self.wait_window:
-            del self._waits[:len(self._waits) - self.wait_window]
+        if len(self._waits) > WAIT_WINDOW:
+            del self._waits[:len(self._waits) - WAIT_WINDOW]
 
     def record_error(self, now: float) -> None:
         """An admitted request failed (not shed, not a success).
@@ -271,10 +274,7 @@ class TenantLedger:
             shed_queue_full=self.shed_queue_full,
             shed_quota=self.shed_quota, shed_rate=shed_rate, qps=qps,
             wait_p50_s=float(p50), wait_p95_s=float(p95),
-            deadline_misses=self.deadline_misses,
-            tokens_consumed=self.tokens_consumed,
-            shard_requests=self.shard_requests,
-            halo_fetches=self.halo_fetches)
+            deadline_misses=self.deadline_misses)
 
 
 @dataclass(frozen=True)
@@ -296,9 +296,6 @@ class TenantStats:
     wait_p50_s: float = 0.0
     wait_p95_s: float = 0.0
     deadline_misses: int = 0
-    tokens_consumed: float = 0.0
-    shard_requests: float = 0.0
-    halo_fetches: float = 0.0
 
 
 class AdmissionController:
@@ -306,8 +303,9 @@ class AdmissionController:
 
     One decision per request, strictly in this order:
 
-    1. **Quota** — a tenant with an exhausted absolute query quota is
-       refused (``quota-exhausted``); 0 means unlimited.
+    1. **Quota** — a tenant whose admitted count (its ledger's, passed
+       in) has reached the absolute query quota is refused
+       (``quota-exhausted``); 0 means unlimited.
     2. **Occupancy** — the request's class must still fit under its
        fraction of ``max_queue`` (``queue-full``): interactive may fill
        the whole queue, batch half, background a quarter
@@ -317,25 +315,28 @@ class AdmissionController:
     3. **Rate** — the tenant's token bucket must yield a token
        (``rate-limited``); rate 0 means unlimited.
 
-    The controller is pure bookkeeping — it never touches the queues —
-    so decisions are a deterministic function of (schedule, clock).
+    The controller keeps only the token buckets — it never touches the
+    queues or counts requests — so decisions are a deterministic function
+    of (schedule, clock).
     """
 
     def __init__(self, max_queue: int, tenant_rate_qps: float = 0.0,
                  tenant_burst: float = 16.0, tenant_quota: int = 0,
-                 shed_fractions: dict | None = None, clock=time.monotonic):
+                 clock=time.monotonic):
         if max_queue < 1:
             raise ValueError("max_queue must be at least 1")
+        if tenant_rate_qps < 0:
+            raise ValueError("tenant_rate_qps must be non-negative")
+        if tenant_burst <= 0:
+            raise ValueError("tenant_burst must be positive")
         if tenant_quota < 0:
             raise ValueError("tenant_quota must be non-negative")
         self.max_queue = max_queue
         self.tenant_rate_qps = float(tenant_rate_qps)
         self.tenant_burst = float(tenant_burst)
         self.tenant_quota = int(tenant_quota)
-        self.shed_fractions = dict(shed_fractions or SHED_QUEUE_FRACTIONS)
         self.clock = clock
         self._buckets: dict[str, TokenBucket] = {}
-        self._admitted: dict[str, int] = {}
 
     def bucket(self, tenant_id: str) -> TokenBucket:
         """Get or create the token bucket for ``tenant_id``."""
@@ -348,18 +349,18 @@ class AdmissionController:
 
     def class_capacity(self, priority: Priority) -> int:
         """Queue slots ``priority`` may occupy (at least 1)."""
-        fraction = self.shed_fractions.get(priority, 1.0)
-        return max(int(self.max_queue * fraction), 1)
+        return max(int(self.max_queue * SHED_QUEUE_FRACTIONS[priority]), 1)
 
-    def admit(self, tenant_id: str, priority: Priority,
-              queued_now: int) -> str | None:
+    def admit(self, tenant_id: str, priority: Priority, queued_now: int,
+              admitted: int) -> str | None:
         """Decide one request; returns ``None`` (admit) or a shed reason.
 
         ``queued_now`` is the gateway's current total queue occupancy
-        across all classes.
+        across all classes; ``admitted`` is how many of the tenant's
+        requests were admitted so far (its ledger's count).
         """
         quota = self.tenant_quota
-        if quota and self._admitted.get(tenant_id, 0) >= quota:
+        if quota and admitted >= quota:
             return SHED_QUOTA_EXHAUSTED
         bucket = self.bucket(tenant_id)
         if queued_now >= self.class_capacity(priority):
@@ -368,7 +369,6 @@ class AdmissionController:
             return SHED_QUEUE_FULL
         if not bucket.try_acquire():
             return SHED_RATE_LIMITED
-        self._admitted[tenant_id] = self._admitted.get(tenant_id, 0) + 1
         return None
 
     def retry_after(self, tenant_id: str, reason: str,

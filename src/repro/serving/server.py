@@ -58,7 +58,7 @@ from ..persist import (
     episode_from_jsonable,
     episode_to_jsonable,
 )
-from ..shard import ShardCounters
+from ..shard import PARTITION_STRATEGIES, ShardCounters
 from .router import ShardRouter
 from .scheduler import MicroBatchScheduler, PendingRequest
 from .session import SessionState, SessionStore
@@ -125,9 +125,9 @@ class ServerStats:
     sessions_expired: int = 0
     shards: tuple[ShardCounters, ...] = ()
     #: Per-tenant QoS ledgers (admitted/shed counts, QPS, queue-wait
-    #: percentiles, deadline misses, attributed shard work).  Filled by
-    #: :class:`~repro.serving.ServingGateway`; empty when the server is
-    #: driven directly.
+    #: percentiles, deadline misses).  Filled by
+    #: :class:`~repro.serving.ServingGateway`; empty when the server
+    #: is driven directly.
     tenants: tuple = ()
     #: Live-update ledger: current graph epoch, update batches applied,
     #: sessions marked stale by an update, and cache entries the live
@@ -159,15 +159,18 @@ class PromptServer:
                  result_buffer_size: int = 4096,
                  rng: np.random.Generator | int | None = None,
                  clock=time.monotonic,
-                 num_shards: int | None = None,
-                 shard_strategy: str | None = None,
+                 num_shards: int = 1,
+                 shard_strategy: str = "greedy",
                  registry: MetricsRegistry | None = None,
                  persist: PersistentStore | None = None,
                  shard_owner: np.ndarray | None = None):
         if result_buffer_size < 1:
             raise ValueError("result_buffer_size must be at least 1")
-        if num_shards is not None and num_shards < 1:
+        if num_shards < 1:
             raise ValueError("num_shards must be at least 1")
+        if shard_strategy not in PARTITION_STRATEGIES:
+            raise ValueError(f"unknown shard strategy {shard_strategy!r}; "
+                             f"use one of {PARTITION_STRATEGIES}")
         model.eval()
         self.model = model
         self.dataset = dataset
@@ -175,24 +178,13 @@ class PromptServer:
         self.rng = np.random.default_rng(rng)
         self.clock = clock
         # Observability home: an explicit registry wins, else the ambient
-        # one (process-global unless a scope is active), else — with
-        # metrics disabled — a dead registry whose instruments drop every
-        # record after one branch.
-        if registry is not None:
-            self.obs = registry
-        elif self.config.obs_metrics_enabled:
-            self.obs = get_registry()
-        else:
-            self.obs = MetricsRegistry(enabled=False)
+        # one (process-global unless a scope is active).
+        self.obs = registry if registry is not None else get_registry()
         self.pipeline = GraphPrompterPipeline(model, dataset, rng=self.rng)
         # Serving requires order-independent subgraphs: the same query must
         # encode identically whether it rides a batch of 1 or 16.
         self.pipeline.generator.deterministic = True
-        # Sharding: unspecified knobs fall back to the config; one shard
-        # keeps the monolithic hot path.
-        num_shards = (self.config.num_shards if num_shards is None
-                      else num_shards)
-        shard_strategy = shard_strategy or self.config.shard_strategy
+        # One shard keeps the monolithic hot path.
         self.router: ShardRouter | None = None
         if num_shards > 1:
             self.router = ShardRouter(
@@ -572,7 +564,7 @@ class PromptServer:
             traces = [entry.trace for entry in entries]
             with batch_scope(traces), span("predict"):
                 answers = self.pipeline.predict_batch(entries)
-            for (session, i), (preds, confs, inserted) in zip(wave, answers):
+            for (session, i), (preds, confs, _) in zip(wave, answers):
                 request = batch[i]
                 wait_hist.observe(waits[i])
                 if self._mutable:
@@ -582,8 +574,7 @@ class PromptServer:
                     session.dependent_nodes.update(
                         self._dependencies([request.datapoint]))
                 service_s = max(self.clock() - start, 0.0)
-                session.stats.record(waits[i], service_s, inserted,
-                                     self.clock())
+                session.stats.record(waits[i], service_s, self.clock())
                 results[i] = ServeResult(
                     request_id=request.request_id,
                     session_id=request.session_id,

@@ -30,22 +30,20 @@ __all__ = ["SessionStats", "SessionState", "SessionStore"]
 
 @dataclass
 class SessionStats:
-    """Per-session serving ledger."""
+    """Per-session serving ledger.
+
+    Cache counts are not copied here: the session's Augmenter cache owns
+    them (:meth:`SessionState.cache_stats`).
+    """
 
     queries: int = 0
-    batches: int = 0
-    cache_insertions: int = 0
     total_wait_s: float = 0.0
     total_service_s: float = 0.0
-    created_at: float = 0.0
     last_active: float = 0.0
 
-    def record(self, wait_s: float, service_s: float, inserted: int,
-               now: float) -> None:
+    def record(self, wait_s: float, service_s: float, now: float) -> None:
         """Fold one completed query's timings into the session stats."""
         self.queries += 1
-        self.batches += 1
-        self.cache_insertions += inserted
         self.total_wait_s += wait_s
         self.total_service_s += service_s
         self.last_active = now
@@ -130,9 +128,7 @@ class SessionStore:
 
     def put(self, state: SessionState) -> list[str]:
         """Register a session; returns ids evicted to make room."""
-        now = self.clock()
-        state.stats.created_at = now
-        state.stats.last_active = now
+        state.stats.last_active = self.clock()
         evicted = []
         if state.session_id not in self._sessions:
             while len(self._sessions) >= self.capacity:

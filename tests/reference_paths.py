@@ -324,13 +324,13 @@ def serve_per_query(server, batch) -> list:
             continue
         if session.stale:
             server._refresh_session(session)
-        preds, confs, inserted = predict_per_query(
+        preds, confs, _ = predict_per_query(
             server.pipeline, session, emb[i:i + 1], importance[i:i + 1])
         if server._mutable:
             session.dependent_nodes.update(
                 server._dependencies([request.datapoint]))
         service_s = max(server.clock() - start, 0.0)
-        session.stats.record(wait_s, service_s, inserted, server.clock())
+        session.stats.record(wait_s, service_s, server.clock())
         results.append(ServeResult(
             request_id=request.request_id, session_id=request.session_id,
             prediction=int(preds[0]), confidence=float(confs[0]),

@@ -57,11 +57,26 @@ class TestConfig:
         ("pool_quantization", "int8"),
         ("num_workers", 2),
         ("worker_backend", "process"),
+        ("num_shards", 2),
+        ("shard_strategy", "hash"),
+        ("gateway_max_queue", 64),
+        ("gateway_max_batch_size", 8),
+        ("gateway_max_wait_s", 0.5),
+        ("gateway_flush_fraction", 0.25),
+        ("gateway_tenant_rate_qps", 10.0),
+        ("gateway_tenant_burst", 4.0),
+        ("gateway_tenant_quota", 100),
+        ("gateway_deadline_interactive_s", 0.1),
+        ("gateway_deadline_batch_s", 1.0),
+        ("gateway_deadline_background_s", 10.0),
+        ("obs_metrics_enabled", False),
+        ("obs_trace_every", 4),
     ])
     def test_retired_serving_knobs_fail_loudly(self, field, value):
-        """The fused backend, int8 pools and the worker pool are gone: a
-        config naming one is an error, not a silently ignored field, and
-        no artifact key (``str(config)``) carries it."""
+        """The fused backend, int8 pools and the worker pool are gone,
+        and serving settings are PromptServer / ServingGateway keywords:
+        a config naming one is an error, not a silently ignored field,
+        and no artifact key (``str(config)``) carries it."""
         with pytest.raises(TypeError, match=field):
             GraphPrompterConfig(**{field: value})
         with pytest.raises(TypeError, match=field):

@@ -27,14 +27,29 @@ from repro.obs import (
     MetricsEndpoint,
     MetricsRegistry,
     Tracer,
+    collect,
     escape_label_value,
     render,
     scoped_registry,
     scrape,
     span,
 )
+from repro.obs.slo import counter_total
 from repro.obs.tracing import batch_scope
 from repro.serving import Overloaded, Priority, PromptServer, ServingGateway
+
+
+class FakeClock:
+    """Manually advanced clock for deadline and TTL timing."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self) -> float:
+        return self.now
+
+    def advance(self, seconds: float) -> None:
+        self.now += seconds
 
 
 # ----------------------------------------------------------------------
@@ -76,16 +91,6 @@ class TestCounterGauge:
         g.set(5.0)
         g.inc(-2.0)
         assert g.value() == pytest.approx(3.0)
-
-    def test_disabled_registry_drops_everything(self):
-        reg = MetricsRegistry(enabled=False)
-        c = reg.counter("c_total")
-        h = reg.histogram("h_seconds")
-        c.inc()
-        h.observe(0.5)
-        assert c.value() == 0.0
-        assert h.count() == 0
-        assert not any(entry["series"] for entry in reg.snapshot().values())
 
 
 class TestHistogram:
@@ -238,13 +243,6 @@ class TestSpansAndTracer:
         assert hist.total(stage="outer") == 7.0
         assert trace.stage_seconds() == {"inner": 3.0, "outer": 7.0}
 
-    def test_span_disabled_registry_no_traces_records_nothing(self):
-        reg = MetricsRegistry(enabled=False)
-        with scoped_registry(reg):
-            with span("quiet"):
-                pass
-        assert not any(entry["series"] for entry in reg.snapshot().values())
-
     def test_tracer_samples_deterministically(self):
         tracer = Tracer(every=3)
         picks = [tracer.maybe_trace() is not None for _ in range(9)]
@@ -322,9 +320,7 @@ class TestGatewayObservability:
                                registry=MetricsRegistry())
         _, untraced = _run_burst(model, dataset, trace_every=0,
                                  registry=MetricsRegistry())
-        _, disabled = _run_burst(model, dataset, trace_every=1,
-                                 registry=MetricsRegistry(enabled=False))
-        assert traced == untraced == disabled
+        assert traced == untraced
 
     def test_traces_cover_every_stage(self, served):
         dataset, _, model = served
@@ -364,19 +360,18 @@ class TestGatewayObservability:
                                 registry=registry)
         text = scrape(gateway, registry)
         for name in (
-                # gateway live counters
+                # tenant ledgers and the live queue-wait histogram
                 "repro_gateway_submitted_total",
                 "repro_gateway_admitted_total",
                 "repro_gateway_completed_total",
+                'repro_gateway_submitted_total{tenant="tenant-0"',
                 "repro_gateway_queue_wait_seconds_bucket",
-                # server + session ledger mirrors
+                # server + session counts
                 "repro_server_queries_total",
                 "repro_server_batches_total",
                 "repro_server_batch_size_bucket",
                 "repro_sessions_live",
-                "repro_session_cache_hits_total",
-                # tenant ledger mirrors
-                'repro_tenant_submitted_total{tenant="tenant-0"',
+                "repro_session_cache_hits",
                 # shard layer
                 'repro_shard_requests_total{shard="0"}',
                 # kernel stage histograms
@@ -386,21 +381,75 @@ class TestGatewayObservability:
         ):
             assert name in text, f"scrape missing {name}"
 
-    def test_registry_counts_match_ledgers(self, served):
+    def test_tenant_ledgers_are_the_one_owner_of_request_counts(
+            self, served):
+        """A burst records no request count in the registry; ``collect``
+        exports each tenant ledger field once, under the gateway names.
+        A request that errors after its deadline is an error, not a
+        miss, in the ledger and the registry alike."""
         dataset, _, model = served
         registry = MetricsRegistry()
-        gateway, predictions = _run_burst(model, dataset, trace_every=0,
-                                          registry=registry)
-        submitted = registry.counter("repro_gateway_submitted_total")
-        completed = registry.counter("repro_gateway_completed_total")
-        assert submitted.sum() == pytest.approx(len(predictions))
-        assert completed.sum() == pytest.approx(len(predictions))
-        stats = gateway.stats
-        for tenant in stats.tenants:
-            klass = tenant.priority.name.lower()
-            assert submitted.value(
-                tenant=tenant.tenant_id,
-                priority=klass) == pytest.approx(tenant.submitted)
+        clock = FakeClock()
+        episodes = [sample_episode(dataset, num_ways=3, num_queries=4,
+                                   rng=200 + i) for i in range(2)]
+
+        async def run():
+            server = PromptServer(model, dataset, max_batch_size=4, rng=0,
+                                  session_ttl_s=10.0, clock=clock,
+                                  registry=registry)
+            gateway = ServingGateway(server, auto_drain=False, max_queue=4,
+                                     registry=registry)
+            gateway.open_session("steady", "s0", episodes[0])
+            gateway.open_session("bulk", "s1", episodes[1],
+                                 priority=Priority.BACKGROUND)
+            for q in range(3):
+                # The second background request finds the class's one
+                # queue slot taken and is shed.
+                gateway.submit_nowait("s1", episodes[1].queries[q])
+                gateway.submit_nowait("s1", episodes[1].queries[q])
+                gateway.submit_nowait("s0", episodes[0].queries[q])
+                await gateway.flush()
+            late = gateway.submit_nowait("s0", episodes[0].queries[3])
+            clock.advance(1.0)  # completes past its 50 ms budget
+            await gateway.flush()
+            doomed = gateway.submit_nowait("s1", episodes[1].queries[3])
+            clock.advance(11.0)  # the session expires while queued
+            await gateway.flush()
+            await gateway.close()
+            return gateway, late.result(), doomed.result()
+
+        gateway, late, doomed = asyncio.run(run())
+        assert late.ok and late.deadline_missed
+        assert not doomed.ok and doomed.deadline_missed
+        ledgers = {t.tenant_id: t for t in gateway.stats.tenants}
+        assert ledgers["steady"].deadline_misses == 1
+        assert ledgers["bulk"].shed_queue_full == 3
+        assert ledgers["bulk"].errors == 1
+        assert ledgers["bulk"].deadline_misses == 0
+
+        counts = {"repro_gateway_submitted_total": "submitted",
+                  "repro_gateway_admitted_total": "admitted",
+                  "repro_gateway_shed_total": "shed",
+                  "repro_gateway_completed_total": "completed",
+                  "repro_gateway_errors_total": "errors",
+                  "repro_gateway_deadline_misses_total": "deadline_misses"}
+        before = registry.snapshot()
+        for name in counts:
+            assert not before.get(name, {}).get("series"), name
+        after = collect(gateway, registry).snapshot()
+        for name, field in counts.items():
+            assert after[name]["kind"] == "counter"
+            for tenant in ledgers.values():
+                labels = {"tenant": tenant.tenant_id,
+                          "priority": tenant.priority.name.lower()}
+                assert (counter_total(after, name, labels)
+                        == getattr(tenant, field)), (name, tenant)
+        for reason, field in (("queue-full", "shed_queue_full"),
+                              ("rate-limited", "shed_rate_limited"),
+                              ("quota-exhausted", "shed_quota")):
+            assert (counter_total(after, "repro_gateway_shed_total",
+                                  {"tenant": "bulk", "reason": reason})
+                    == getattr(ledgers["bulk"], field))
 
     def test_metrics_endpoint_serves_scrape(self, served):
         dataset, _, model = served
@@ -430,6 +479,70 @@ class TestGatewayObservability:
         assert "text/plain; version=0.0.4" in content_type
         assert "repro_gateway_submitted_total" in body
         assert "repro_server_queries_total" in body
+
+
+class TestCollectedCounters:
+    def test_collected_counters_never_fall(self):
+        """Across a session close and a stale refresh (which clears the
+        session's cache counters), no counter series of a collected
+        snapshot falls: sums over live sessions are gauges.  Counter
+        families, and only they, are named ``*_total``."""
+        from repro.graph import GraphUpdate
+
+        graph = synthetic_knowledge_graph(200, 6, 1600, rng=3,
+                                          name="kg-fall")
+        dataset = Dataset(graph, EDGE_TASK, rng=0)
+        config = GraphPrompterConfig(hidden_dim=8, max_subgraph_nodes=10,
+                                     mutable_graph=True)
+        model = GraphPrompterModel(graph.feature_dim, graph.num_relations,
+                                   config)
+        registry = MetricsRegistry()
+        episodes = {f"s{i}": sample_episode(dataset, num_ways=3,
+                                            num_queries=4, rng=300 + i)
+                    for i in range(2)}
+
+        async def run():
+            server = PromptServer(model, dataset, max_batch_size=4, rng=0,
+                                  registry=registry)
+            gateway = ServingGateway(server, auto_drain=False,
+                                     registry=registry)
+            for session, episode in episodes.items():
+                gateway.open_session("t", session, episode)
+            snapshots = []
+
+            async def serve(session, queries):
+                for q in queries:
+                    gateway.submit_nowait(session,
+                                          episodes[session].queries[q])
+                await gateway.flush()
+                snapshots.append(collect(gateway, registry).snapshot())
+
+            await serve("s0", range(3))
+            await serve("s1", range(3))
+            gateway.close_session("s1")
+            snapshots.append(collect(gateway, registry).snapshot())
+            state = server.sessions.get("s0")
+            touched = sorted(state.dependent_nodes)[:2]
+            await gateway.update_graph(GraphUpdate(
+                add_src=[touched[0]], add_dst=[touched[-1]], add_rel=[0]))
+            assert state.stale
+            await serve("s0", [3])
+            assert state.augmenter.stats().stale_evictions > 0
+            await gateway.close()
+            return snapshots
+
+        snapshots = asyncio.run(run())
+        for earlier, later in zip(snapshots, snapshots[1:]):
+            for name, entry in later.items():
+                if entry["kind"] != "counter":
+                    continue
+                before = {tuple(key): value for key, value
+                          in earlier.get(name, {}).get("series", [])}
+                for key, value in entry["series"]:
+                    assert value >= before.get(tuple(key), 0.0), (name, key)
+        for name, entry in snapshots[-1].items():
+            assert (entry["kind"] == "counter") == name.endswith("_total"), (
+                name, entry["kind"])
 
 
 class TestEndpointUnit:

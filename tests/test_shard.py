@@ -468,22 +468,15 @@ class TestShardedPromptServer:
             assert sum(c.worker_busy_s for c in stats.shards) > 0.0
             assert stats.halo_fetches >= 0
 
-    def test_config_defaults_feed_server(self):
-        model, dataset, episodes = _serving_fixture()
-        sharded_config = model.config.ablate(num_shards=2)
-        sharded_model = GraphPrompterModel(dataset.graph.feature_dim,
-                                           dataset.graph.num_relations,
-                                           sharded_config)
-        sharded_model.load_state_dict(model.state_dict())
-        server = PromptServer(sharded_model, dataset, rng=0)
-        assert server.router is not None
-        assert server.router.num_shards == 2
-
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            GraphPrompterConfig(num_shards=0).validate()
-        with pytest.raises(ValueError):
-            GraphPrompterConfig(shard_strategy="metis").validate()
+        """Shard settings are server keywords, checked at construction:
+        an unknown strategy is refused even on one shard, where no
+        partitioner would ever read it."""
+        model, dataset, _ = _serving_fixture()
+        for num_shards in (1, 2):
+            with pytest.raises(ValueError, match="shard strategy"):
+                PromptServer(model, dataset, num_shards=num_shards,
+                             shard_strategy="metis")
 
     @pytest.mark.parametrize("kwarg, value", [("num_workers", 2),
                                               ("worker_backend", "process")])
