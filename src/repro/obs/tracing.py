@@ -120,10 +120,6 @@ class Tracer:
 _ACTIVE = threading.local()
 
 
-def active_traces() -> list:
-    return getattr(_ACTIVE, "traces", [])
-
-
 @contextmanager
 def batch_scope(traces: list):
     """Attach every :func:`span` in the block to ``traces``.

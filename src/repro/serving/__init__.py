@@ -8,8 +8,9 @@ pipeline:
 * :class:`SessionStore` — one Augmenter cache + encoded candidate pool per
   session, with LRU/TTL eviction and a per-session stats ledger;
 * :class:`MicroBatchScheduler` — coalesces pending queries across sessions
-  into one GNN encoding pass (max-batch-size / max-wait policy);
-* :class:`PromptServer` — ``open_session`` / ``submit`` / ``drain`` façade,
+  into one GNN encoding pass (size / age / deadline-fraction release);
+* :class:`PromptServer` — ``open_session`` / ``submit`` / ``drain`` façade
+  over its own queue, and ``serve`` for a batch another queue released;
   warm-startable from the shared disk artifact cache;
 * :class:`ShardRouter` — constructed when the server is given
   ``num_shards > 1``: partitions the graph (:mod:`repro.shard`), encodes
@@ -18,9 +19,10 @@ pipeline:
 * :class:`ServingGateway` (:mod:`repro.serving.gateway`) — the async
   multi-tenant front door: per-tenant rate limiting and quotas, a bounded
   admission queue with class-aware load shedding (typed
-  :class:`Overloaded` rejections, never a hang), deadline-aware priority
-  batching (:mod:`repro.serving.qos`), and graceful drain around graph
-  updates and model hot swaps;
+  :class:`Overloaded` rejections, never a hang), one deadline-aware
+  queue per :class:`Priority` class whose every batch is one server
+  micro-batch, and graceful drain around graph updates and model hot
+  swaps;
 * **durability** — constructed with a
   :class:`~repro.persist.PersistentStore`, the server WAL-logs every
   update before applying it, keeps per-session manifests, snapshots on
@@ -34,7 +36,6 @@ pipeline:
 from .gateway import GatewayResult, ServingGateway
 from .qos import (
     AdmissionController,
-    DeadlineAwareScheduler,
     Overloaded,
     Priority,
     TenantLedger,
@@ -50,7 +51,6 @@ from .session import SessionState, SessionStats, SessionStore
 
 __all__ = [
     "AdmissionController",
-    "DeadlineAwareScheduler",
     "GatewayResult",
     "MicroBatchScheduler",
     "Overloaded",

@@ -11,17 +11,21 @@ tenants sharing one model:
   result — under any overload, nothing ever hangs.
 * **Priority batching** — admitted requests queue per
   :class:`~repro.serving.qos.Priority` class in a
-  :class:`~repro.serving.qos.DeadlineAwareScheduler`: a batch releases on
-  size, on age, or when its oldest request has spent its configured
+  :class:`~repro.serving.scheduler.MicroBatchScheduler`: a batch releases
+  on size, on age, or when its oldest request has spent its configured
   fraction of deadline budget waiting.  The drain loop always serves
   ready interactive batches before batch-class before background.
-* **Execution** — each released batch rides the untouched
-  :class:`PromptServer` hot path (submit → drain), so admitted requests
-  get **bit-identical predictions** to direct server calls: sessions keep
-  a fixed priority class, per-session arrival order is preserved inside
-  one class queue, micro-batch composition never changes predictions
-  (PR 1's invariant), and each session's Augmenter evolves in the same
-  order either way.
+* **Execution** — each released class batch is one server micro-batch
+  (:meth:`PromptServer.serve`); the class queue is the request's only
+  queue.  Admitted requests get **bit-identical predictions** to direct
+  server calls: sessions keep a fixed priority class, per-session arrival
+  order is preserved inside one class queue, micro-batch composition
+  never changes predictions, and each session's Augmenter evolves in the
+  same order either way.
+* **Routing** — each request is routed by the tenant and class kept on
+  its server-side :class:`~repro.serving.session.SessionState`; the
+  gateway keeps no copy of the session table, so a session the server
+  evicted or closed is unknown here too and a restored one routes at once.
 * **Graceful drain / hot swap** — :meth:`update_graph` and
   :meth:`reload_model` first drain every admitted in-flight request under
   the swap lock, then mutate; zero requests are dropped, and sessions are
@@ -57,12 +61,12 @@ from ..obs.tracing import Tracer
 from .qos import (
     UNAVAILABLE_SHUTDOWN,
     AdmissionController,
-    DeadlineAwareScheduler,
     Overloaded,
     Priority,
     TenantLedger,
     Unavailable,
 )
+from .scheduler import MicroBatchScheduler
 from .server import PromptServer, ServeResult, ServerStats
 
 __all__ = ["DEFAULT_DEADLINES_S", "GatewayResult", "ServingGateway"]
@@ -84,8 +88,9 @@ class GatewayResult:
     session_id: str
     priority: Priority
     result: ServeResult | None
-    #: Time spent in the gateway's class queue before batch release (the
-    #: server-side micro-batch wait is inside ``result.wait_s``).
+    #: Time spent in the gateway's class queue, submit to batch release.
+    #: ``result.wait_s`` counts on from release to the start of the
+    #: server's micro-batch, so the two add up without overlap.
     queue_wait_s: float
     deadline_missed: bool
     error: str | None = None
@@ -171,7 +176,7 @@ class ServingGateway:
             tenant_burst=tenant_burst, tenant_quota=tenant_quota,
             clock=self.clock)
         self._queues = {
-            priority: DeadlineAwareScheduler(
+            priority: MicroBatchScheduler(
                 max_batch_size=max_batch_size, max_wait_s=max_wait_s,
                 flush_fraction=flush_fraction, clock=self.clock)
             for priority in Priority
@@ -184,11 +189,12 @@ class ServingGateway:
             "repro_gateway_queue_wait_seconds",
             "Class-queue wait before batch release.", ("priority",))
         self._endpoint = None
-        #: session id -> (tenant id, priority); fixed at open time so a
-        #: session's requests always share one class queue (per-session
-        #: FIFO is what keeps gateway serving bit-identical).
-        self._sessions: dict[str, tuple[str, Priority]] = {}
         self._ledgers: dict[str, TenantLedger] = {}
+        # Tenants of sessions the server already holds (a restored
+        # server's) keep their recorded class for open_session's check.
+        for state in server.sessions.states():
+            if state.tenant_id is not None:
+                self.ledger(state.tenant_id, state.priority)
         self._inflight: dict[tuple[Priority, int], _InFlight] = {}
         self._swap_lock = asyncio.Lock()
         self._wakeup = asyncio.Event()
@@ -221,9 +227,12 @@ class ServingGateway:
         silently misclassify part of its traffic.  Model separate
         workloads of one customer as separate tenant ids.
 
-        When the server has a :class:`~repro.persist.PersistentStore`,
-        the tenant and priority ride the session's durable manifest, so a
-        restart (or replica failover) re-opens the session for its owner.
+        The tenant and priority live on the server's session state, which
+        routes every later request; with a
+        :class:`~repro.persist.PersistentStore` they also ride the
+        session's durable manifest, so a restart (or replica failover)
+        re-opens the session for its owner and a gateway over the
+        restored server routes it with no extra step.
         """
         priority = Priority(priority)
         existing = self._ledgers.get(tenant_id)
@@ -236,37 +245,14 @@ class ServingGateway:
         state = self.server.open_session(
             session_id, episode, shots=shots, tenant_id=tenant_id,
             priority=priority, _open_index=_open_index)
-        self._sessions[session_id] = (tenant_id, priority)
         self.ledger(tenant_id, priority)
         return state
 
-    def adopt_sessions(self) -> int:
-        """Register a restored server's sessions with this gateway.
-
-        :meth:`PromptServer.restore` re-opens every manifested session on
-        the *server*; this reads the same manifests to rebuild the
-        gateway-side session → (tenant, priority) map and tenant ledgers,
-        so restored sessions are immediately routable.  Returns the
-        number of sessions adopted.
-        """
-        persist = self.server.persist
-        if persist is None:
-            return 0
-        adopted = 0
-        for manifest in persist.sessions.load_all():
-            if manifest.session_id not in self.server.sessions:
-                continue
-            tenant_id = manifest.tenant_id or "default"
-            priority = (Priority.INTERACTIVE if manifest.priority is None
-                        else Priority(manifest.priority))
-            self._sessions[manifest.session_id] = (tenant_id, priority)
-            self.ledger(tenant_id, priority)
-            adopted += 1
-        return adopted
-
     def close_session(self, session_id: str):
-        """Drop gateway bookkeeping for the session and close it server-side."""
-        self._sessions.pop(session_id, None)
+        """Close the session server-side.
+
+        Its requests still queued here answer ``session-expired``.
+        """
         return self.server.close_session(session_id)
 
     # ------------------------------------------------------------------
@@ -294,17 +280,21 @@ class ServingGateway:
         Returns an :class:`Overloaded` (shed — final, resolve
         immediately) or an :class:`asyncio.Future` resolving to the
         request's :class:`GatewayResult`.  Must run inside an event loop.
-        A malformed datapoint raises ``ValueError`` here, before the
-        tenant ledger counts it as submitted.
+        An unknown session (never opened with a tenant, or since closed,
+        evicted or expired) raises ``KeyError`` and a malformed datapoint
+        ``ValueError``, both before the tenant ledger counts the request
+        as submitted.
         """
         if self._closed:
             raise RuntimeError("gateway is closed")
-        try:
-            tenant_id, priority = self._sessions[session_id]
-        except KeyError:
+        # No recency touch: a request refreshes its session's LRU place
+        # and TTL when it is served, so a shed one keeps no session alive.
+        session = self.server.sessions.peek(session_id)
+        if session is None or session.tenant_id is None:
             raise KeyError(
                 f"unknown session {session_id!r} — open_session() it on "
-                f"this gateway first (or it was closed)") from None
+                f"a gateway first (or it was closed, evicted or expired)")
+        tenant_id, priority = session.tenant_id, session.priority
         self.server.validate(datapoint)
         ledger = self.ledger(tenant_id, priority)
         now = self.clock()
@@ -432,23 +422,16 @@ class ServingGateway:
         return served
 
     def _process_batch(self, priority: Priority, batch: list) -> int:
-        """Run one released class batch through the server hot path."""
+        """Run one released class batch as one server micro-batch."""
         if not batch:
             return 0
         release_at = self.clock()
-        tickets: dict[int, object] = {}
-        errors: list[tuple[object, str]] = []
-        for request in batch:
-            try:
-                ticket = self.server.submit(request.session_id,
-                                            request.datapoint,
-                                            trace=request.trace)
-            except KeyError:
-                errors.append((request, "session-expired"))
-                continue
-            tickets[ticket] = request
         try:
-            results = self.server.drain() if tickets else []
+            # The class queue's wait ends at release and is recorded in
+            # _resolve; the server's wait starts there.
+            results = self.server.serve(
+                [replace(request, submitted_at=release_at)
+                 for request in batch])
         except Exception as failure:
             # Never-hang contract: the batch is already popped, so every
             # one of its futures must settle even when the hot path
@@ -457,21 +440,13 @@ class ServingGateway:
             # background drain loop logs-and-survives it).
             done_at = self.clock()
             reason = f"internal: {type(failure).__name__}: {failure}"
-            for request in tickets.values():
+            for request in batch:
                 self._resolve(priority, request, None, release_at,
                               done_at, error=reason)
-            for request, expired in errors:
-                self._resolve(priority, request, None, release_at,
-                              done_at, error=expired)
             raise
         done_at = self.clock()
-        by_ticket = {result.request_id: result for result in results}
-        for request, reason in errors:
-            self._resolve(priority, request, None, release_at, done_at,
-                          error=reason)
-        for ticket, request in tickets.items():
-            self._resolve(priority, request, by_ticket.get(ticket),
-                          release_at, done_at)
+        for request, result in zip(batch, results):
+            self._resolve(priority, request, result, release_at, done_at)
         return len(batch)
 
     def _resolve(self, priority: Priority, request,

@@ -1,12 +1,12 @@
 """Quality-of-service primitives for the multi-tenant serving gateway.
 
 The serving layer below this module (:class:`~repro.serving.PromptServer`)
-is single-tenant and trusting: every submitted query is queued, every queue
-is unbounded, and the drain policy knows only batch size and wall-clock
-age.  Production prompt-serving traffic is neither single-tenant nor
-polite — it is bursty, heterogeneous across tasks, and overload is a
-when-not-if — so the gateway needs the classic QoS vocabulary, which this
-module provides as small deterministic pieces:
+is single-tenant and trusting: every submitted query is queued, its queue
+is unbounded, and it releases batches when its caller drains it.
+Production prompt-serving traffic is neither single-tenant nor polite —
+it is bursty, heterogeneous across tasks, and overload is a when-not-if —
+so the gateway needs the classic QoS vocabulary, which this module
+provides as small deterministic pieces:
 
 * :class:`Priority` — interactive / batch / background request classes,
   each with its own deadline budget;
@@ -21,11 +21,7 @@ module provides as small deterministic pieces:
   percentiles and deadline misses.  The ledger is the one owner of these
   counts: admission reads its ``admitted`` for the quota check, and the
   metrics registry receives them only through the scrape-time bridge
-  (:func:`repro.obs.bridge.collect`);
-* :class:`DeadlineAwareScheduler` — a :class:`MicroBatchScheduler` whose
-  release policy also fires when the oldest request has spent its
-  configured fraction of deadline budget *waiting*, so shallow queues
-  flush early enough to leave service time before the deadline.
+  (:func:`repro.obs.bridge.collect`).
 
 Everything takes an injectable ``clock`` and draws no hidden randomness,
 so admission and shedding decisions replay exactly under a seeded burst
@@ -40,8 +36,6 @@ from enum import IntEnum
 
 import numpy as np
 
-from .scheduler import MicroBatchScheduler
-
 __all__ = [
     "Priority",
     "TokenBucket",
@@ -50,7 +44,6 @@ __all__ = [
     "AdmissionController",
     "TenantLedger",
     "TenantStats",
-    "DeadlineAwareScheduler",
     "SHED_QUEUE_FRACTIONS",
     "WAIT_WINDOW",
 ]
@@ -379,59 +372,3 @@ class AdmissionController:
         if reason == SHED_QUEUE_FULL:
             return flush_hint_s
         return float("inf")  # quota never refills by waiting
-
-
-class DeadlineAwareScheduler(MicroBatchScheduler):
-    """Micro-batch release that also respects per-request deadlines.
-
-    The base policy releases on ``max_batch_size`` or ``max_wait_s``.
-    Under light load a shallow queue can sit for the whole ``max_wait_s``
-    even when its oldest request is about to blow its deadline — so this
-    subclass additionally releases once the oldest pending request has
-    spent ``flush_fraction`` of its *deadline budget* (submit → deadline)
-    waiting, leaving the remaining fraction for actual service.  Requests
-    without a deadline fall back to the base policy unchanged — with
-    ``flush_fraction=1.0`` and deadline == submit + max_wait the two
-    policies are identical, which the equivalence test pins.
-    """
-
-    def __init__(self, max_batch_size: int = 16, max_wait_s: float = 0.0,
-                 flush_fraction: float = 0.5, clock=time.monotonic):
-        if not 0.0 < flush_fraction <= 1.0:
-            raise ValueError("flush_fraction must be in (0, 1]")
-        super().__init__(max_batch_size=max_batch_size,
-                         max_wait_s=max_wait_s, clock=clock)
-        self.flush_fraction = flush_fraction
-
-    def _deadline_flush_at(self) -> float | None:
-        """Absolute time the oldest request forces a deadline flush."""
-        if not self._queue:
-            return None
-        oldest = self._queue[0]
-        if oldest.deadline is None:
-            return None
-        budget = max(oldest.deadline - oldest.submitted_at, 0.0)
-        return oldest.submitted_at + self.flush_fraction * budget
-
-    def next_flush_at(self) -> float | None:
-        """Earliest absolute time a waiting batch will self-release.
-
-        ``None`` when the queue is empty.  The gateway's drain loop uses
-        this to sleep exactly until the next forced flush instead of
-        polling.
-        """
-        if not self._queue:
-            return None
-        wait_flush = self._queue[0].submitted_at + self.max_wait_s
-        deadline_flush = self._deadline_flush_at()
-        if deadline_flush is None:
-            return wait_flush
-        return min(wait_flush, deadline_flush)
-
-    def ready(self) -> bool:
-        """Whether the batch should flush (size, age, or deadline pressure)."""
-        if super().ready():
-            return True
-        deadline_flush = self._deadline_flush_at()
-        return (deadline_flush is not None
-                and self.clock() >= deadline_flush)

@@ -5,13 +5,16 @@
 * ``open_session`` — bind a session id to an episode definition; the
   candidate pool is encoded **once** and reused for every query of the
   session (the amortization the offline runner only got within one call).
-* ``submit`` — enqueue a single query for a session; returns a ticket.
-* ``step`` / ``drain`` — release micro-batches: all pending queries, across
-  sessions, are encoded in **one** GNN pass, then predicted in *waves*:
-  wave ``k`` holds the ``k``-th query of every session in the batch, each
-  query's Selector step and Augmenter cache read run against its own
-  session's state, and the wave's task graphs share **one** task-GNN
-  forward.  Each session's Augmenter updates land before its next wave.
+* ``submit`` — enqueue a single query for a session on the server's own
+  queue; returns a ticket.  ``step`` / ``drain`` release that queue, one
+  micro-batch at a time, through ``serve``.
+* ``serve`` — run one micro-batch: all its queries, across sessions, are
+  encoded in **one** GNN pass, then predicted in *waves*: wave ``k``
+  holds the ``k``-th query of every session in the batch, each query's
+  Selector step and Augmenter cache read run against its own session's
+  state, and the wave's task graphs share **one** task-GNN forward.
+  Each session's Augmenter updates land before its next wave.  The
+  gateway hands it each batch its class queues release.
 
 A session's queries still run in its arrival order, which is the only
 order its Augmenter cache depends on; the wave forward is byte-identical
@@ -43,6 +46,7 @@ from ..core.inference import GraphPrompterPipeline, PredictEntry
 from ..core.model import GraphPrompterModel
 from ..core.prompt_augmenter import PromptAugmenter
 from ..datasets.base import Dataset
+from ..gnn.batch import BatchArena
 from ..graph.datapoints import Datapoint, validate_datapoint
 from ..graph.delta import AppliedUpdate, GraphUpdate
 from ..obs.metrics import (
@@ -59,6 +63,7 @@ from ..persist import (
     episode_to_jsonable,
 )
 from ..shard import PARTITION_STRATEGIES, ShardCounters
+from .qos import Priority
 from .router import ShardRouter
 from .scheduler import MicroBatchScheduler, PendingRequest
 from .session import SessionState, SessionStore
@@ -150,10 +155,14 @@ class ServerStats:
 
 
 class PromptServer:
-    """Multi-session online GraphPrompter inference over one dataset."""
+    """Multi-session online GraphPrompter inference over one dataset.
+
+    ``max_batch_size`` bounds the batches :meth:`step` takes from the
+    server's own queue; a batch handed to :meth:`serve` runs whole.
+    """
 
     def __init__(self, model: GraphPrompterModel, dataset: Dataset,
-                 max_batch_size: int = 16, max_wait_s: float = 0.0,
+                 max_batch_size: int = 16,
                  session_capacity: int = 64,
                  session_ttl_s: float | None = None,
                  result_buffer_size: int = 4096,
@@ -194,8 +203,13 @@ class PromptServer:
             # encode_points — route them all through the shards.
             self.pipeline.point_encoder = self.router.encode_points
         self.scheduler = MicroBatchScheduler(max_batch_size=max_batch_size,
-                                             max_wait_s=max_wait_s,
                                              clock=clock)
+        # One arena per server: every micro-batch is assembled into the
+        # same reusable buffers, so the large per-batch arrays are recycled
+        # instead of reallocated each batch.  Safe because a batch is fully
+        # consumed (encode → scatter results) before the next one is
+        # assembled.
+        self.arena = BatchArena()
         self.sessions = SessionStore(capacity=session_capacity,
                                      ttl_seconds=session_ttl_s, clock=clock)
         # Live-update path: dependency tracking + epoch invalidation are
@@ -257,12 +271,13 @@ class PromptServer:
                      _open_index: int | None = None) -> SessionState:
         """Bind ``session_id`` to an episode; encodes its pool once.
 
-        ``tenant_id``/``priority`` are recorded in the session's durable
-        manifest (when a :class:`~repro.persist.PersistentStore` is
-        attached) so a restart — or a replica-set failover — can re-open
-        the session for its owner.  ``_open_index`` is the restore path's
-        override: re-opened sessions keep their original open order (the
-        per-open RNG draw sequence depends on it).
+        ``tenant_id``/``priority`` are kept on the session, where the
+        gateway routes by them, and in its durable manifest (when a
+        :class:`~repro.persist.PersistentStore` is attached) so a restart
+        — or a replica-set failover — re-opens the session for its owner.
+        ``_open_index`` is the restore path's override: re-opened sessions
+        keep their original open order (the per-open RNG draw sequence
+        depends on it).
 
         Raises ``ValueError`` — before any encode, RNG draw, store insert
         or manifest write — unless the episode has at least two ways, one
@@ -271,13 +286,15 @@ class PromptServer:
         then fail every query batched with its own.
         """
         _validate_episode(episode, shots)
+        if priority is not None:
+            priority = Priority(priority)
         pool, fields = self._encode_pool(episode, shots)
         augmenter = PromptAugmenter(
             self.config, rng=np.random.default_rng(self.rng.integers(2**32)))
         state = SessionState(
             session_id=session_id, num_ways=episode.num_ways, shots=shots,
-            augmenter=augmenter, episode=episode,
-            graph_version=self.dataset.graph.version,
+            augmenter=augmenter, episode=episode, tenant_id=tenant_id,
+            priority=priority, graph_version=self.dataset.graph.version,
             dependent_nodes=self._dependencies(pool), **fields)
         evicted = self.sessions.put(state)
         self._sessions_opened += 1
@@ -383,21 +400,6 @@ class PromptServer:
         return self.persist.save_snapshot(self.dataset.graph,
                                           owner=self._owner_map())
 
-    def refresh_sessions(self) -> int:
-        """Eagerly re-anchor every stale session; returns the count.
-
-        Staleness is normally resolved lazily (on a session's next
-        prediction); this forces the re-anchor now — e.g. to bound
-        first-query latency after a large update, or to align a reference
-        run with a freshly-recovered server in differential tests.
-        """
-        refreshed = 0
-        for state in self.sessions.states():
-            if state.stale:
-                self._refresh_session(state)
-                refreshed += 1
-        return refreshed
-
     def reload_model(self, state_dict: dict) -> None:
         """Swap in new model weights and re-anchor every live session.
 
@@ -482,29 +484,42 @@ class PromptServer:
         """Completed result for a ticket, if its batch has run."""
         return self._results.get(request_id)
 
-    def step(self, force: bool = False) -> list[ServeResult]:
-        """Run one micro-batch if the release policy fires (or ``force``)."""
-        self._sweep_sessions()
-        if not (force or self.scheduler.ready()):
-            return []
-        batch = self.scheduler.next_batch()
-        if not batch:
-            return []
-        return self._process(batch)
+    def step(self) -> list[ServeResult]:
+        """Serve the next micro-batch of the server's own queue.
+
+        Its results are kept for :meth:`result` lookup by ticket.
+        """
+        results = self.serve(self.scheduler.next_batch())
+        for result in results:
+            self._results[result.request_id] = result
+        while len(self._results) > self.result_buffer_size:
+            self._results.popitem(last=False)
+        return results
 
     def drain(self) -> list[ServeResult]:
         """Flush the queue completely; returns results in arrival order."""
         results: list[ServeResult] = []
         while len(self.scheduler):
-            results.extend(self.step(force=True))
+            results.extend(self.step())
         return results
 
-    # ------------------------------------------------------------------
-    def _process(self, batch: list[PendingRequest]) -> list[ServeResult]:
-        """One coalesced encoder pass, then per-session scatter."""
+    def serve(self, batch: list[PendingRequest]) -> list[ServeResult]:
+        """Run ``batch`` as one micro-batch; results come in its order.
+
+        The TTL sweep runs once, first; a request whose session expired
+        or was closed while it was queued answers ``session-expired``.
+        Each request's wait counts from its ``submitted_at``.  Requests
+        are not validated again — the entry point that queued them did
+        (:meth:`submit`, ``ServingGateway.submit_nowait``) — and results
+        are not kept for :meth:`result`: the caller holds them.
+        """
+        self._sweep_sessions()
+        if not batch:
+            return []
         with scoped_registry(self.obs):
             return self._process_scoped(batch)
 
+    # ------------------------------------------------------------------
     def _process_scoped(self, batch: list[PendingRequest]
                         ) -> list[ServeResult]:
         start = self.clock()
@@ -512,14 +527,14 @@ class PromptServer:
         traces = [request.trace for request in batch
                   if request.trace is not None]
         # Hot path: every pending subgraph — across sessions — in one
-        # disjoint-union GNN pass, assembled into the scheduler's reusable
-        # arena buffers (no per-tick batch allocation).  The batch scope
+        # disjoint-union GNN pass, assembled into the server's reusable
+        # arena buffers (no per-batch allocation).  The batch scope
         # attaches the encode/shard-stage spans to every traced request
         # riding this batch.
         with batch_scope(traces), span("encode"):
             emb, importance = self.pipeline.encode_points(
                 [request.datapoint for request in batch],
-                arena=self.scheduler.arena)
+                arena=self.arena)
         wait_hist = obs.histogram(
             "repro_server_queue_wait_seconds",
             "Micro-batch scheduler queue wait per request.")
@@ -587,10 +602,6 @@ class PromptServer:
         obs.histogram("repro_server_batch_size",
                       "Requests per released micro-batch.",
                       buckets=BATCH_SIZE_BUCKETS).observe(len(batch))
-        for result in results:
-            self._results[result.request_id] = result
-        while len(self._results) > self.result_buffer_size:
-            self._results.popitem(last=False)
         return results
 
     # ------------------------------------------------------------------

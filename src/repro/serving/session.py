@@ -6,7 +6,9 @@ Augmenter cache (Sec. IV-C) is a per-stream object: pseudo-labelled test
 samples only make sense as prompts for *later queries of the same stream*,
 so the serving layer gives every session its own
 :class:`~repro.core.prompt_augmenter.PromptAugmenter` plus the encoded
-candidate-pool arrays the Selector needs, and a stats ledger.
+candidate-pool arrays the Selector needs, and a stats ledger.  A session
+opened through the gateway also records its tenant and priority class,
+which the gateway routes each of its requests by.
 
 :class:`SessionStore` bounds the number of live sessions with LRU eviction
 and optionally expires sessions idle longer than a TTL — the multi-tenant
@@ -24,6 +26,7 @@ import numpy as np
 from ..cache.stats import CacheStats
 from ..core.prompt_augmenter import PromptAugmenter
 from ..core.prompt_selector import SelectorState
+from .qos import Priority
 
 __all__ = ["SessionStats", "SessionState", "SessionStore"]
 
@@ -58,6 +61,10 @@ class SessionState:
     both together whenever it encodes the pool, and ``None`` makes the
     selector build it per query.
 
+    ``tenant_id`` and ``priority`` are the owner and class the session
+    was opened for (``None`` when opened on the bare server); the gateway
+    reads them to route the session's requests.
+
     The last four fields are the live-update (cache-epoch) plumbing:
     ``graph_version`` records the graph epoch the cached pool encodings
     were computed under, ``dependent_nodes`` the union of every node the
@@ -78,6 +85,8 @@ class SessionState:
     pool_labels: np.ndarray
     augmenter: PromptAugmenter
     selector_state: SelectorState | None = None
+    tenant_id: str | None = None
+    priority: Priority | None = None
     stats: SessionStats = field(default_factory=SessionStats)
     episode: object | None = None
     graph_version: int = 0
@@ -149,6 +158,14 @@ class SessionStore:
         self._sessions.move_to_end(session_id)
         state.stats.last_active = self.clock()
         return state
+
+    def peek(self, session_id: str) -> SessionState | None:
+        """A live session without a recency touch, or ``None``.
+
+        For routing lookups that must leave LRU order and TTL timing
+        exactly as the serving path sets them.
+        """
+        return self._sessions.get(session_id)
 
     def close(self, session_id: str) -> SessionState | None:
         """Remove a session explicitly; returns its final state."""

@@ -118,11 +118,6 @@ class GraphShard:
     def num_ghosts(self) -> int:
         return int(self.local_nodes.size) - self.num_owned
 
-    @property
-    def num_edge_slots(self) -> int:
-        """Undirected edge-slots stored on this shard."""
-        return self.csr.num_edges
-
 
 @dataclass(frozen=True)
 class ShardPlan:
@@ -133,9 +128,6 @@ class ShardPlan:
     owner: np.ndarray        # (num_nodes,) owner shard per node
     local_id: np.ndarray     # (num_nodes,) local id on the owner shard
     shards: tuple[GraphShard, ...]
-
-    def shard_of(self, node: int) -> GraphShard:
-        return self.shards[int(self.owner[node])]
 
 
 class ShardBuildContext:

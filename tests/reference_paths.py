@@ -310,7 +310,7 @@ def serve_per_query(server, batch) -> list:
     """
     start = server.clock()
     emb, importance = server.pipeline.encode_points(
-        [request.datapoint for request in batch], arena=server.scheduler.arena)
+        [request.datapoint for request in batch], arena=server.arena)
     results = []
     for i, request in enumerate(batch):
         wait_s = max(start - request.submitted_at, 0.0)

@@ -17,7 +17,6 @@ from repro.graph import EdgeInput, NodeInput
 from repro.obs import MetricsRegistry
 from repro.serving import (
     AdmissionController,
-    DeadlineAwareScheduler,
     MicroBatchScheduler,
     Overloaded,
     Priority,
@@ -164,6 +163,8 @@ class TestTenantLedger:
 
 
 class TestDeadlineAwareScheduler:
+    """The deadline-fraction release of :class:`MicroBatchScheduler`."""
+
     def _point(self):
         from repro.graph import NodeInput
 
@@ -171,8 +172,8 @@ class TestDeadlineAwareScheduler:
 
     def test_deadline_flush_fires_before_max_wait(self):
         clock = FakeClock()
-        scheduler = DeadlineAwareScheduler(max_batch_size=8, max_wait_s=10.0,
-                                           flush_fraction=0.5, clock=clock)
+        scheduler = MicroBatchScheduler(max_batch_size=8, max_wait_s=10.0,
+                                        flush_fraction=0.5, clock=clock)
         scheduler.submit("s", self._point(), deadline=clock() + 1.0)
         assert not scheduler.ready()
         assert scheduler.next_flush_at() == pytest.approx(0.5)
@@ -183,8 +184,8 @@ class TestDeadlineAwareScheduler:
 
     def test_no_deadline_falls_back_to_max_wait(self):
         clock = FakeClock()
-        scheduler = DeadlineAwareScheduler(max_batch_size=8, max_wait_s=2.0,
-                                           flush_fraction=0.5, clock=clock)
+        scheduler = MicroBatchScheduler(max_batch_size=8, max_wait_s=2.0,
+                                        flush_fraction=0.5, clock=clock)
         scheduler.submit("s", self._point())
         assert scheduler.next_flush_at() == pytest.approx(2.0)
         clock.advance(1.9)
@@ -193,20 +194,19 @@ class TestDeadlineAwareScheduler:
         assert scheduler.ready()
 
     def test_equivalent_to_base_policy_when_shallow(self):
-        """flush_fraction=1 + deadline=submit+max_wait == base scheduler.
+        """flush_fraction=1 + deadline=submit+max_wait == no deadline.
 
-        Scanned over a grid of submit/advance times: at every instant the
-        two policies agree on ``ready()``, so shallow queues drain on the
-        exact same schedule either way.
+        Scanned over a grid of submit/advance times: at every instant a
+        queue of requests without a deadline and one of requests with
+        that deadline agree on ``ready()``, so shallow queues drain on
+        the exact same schedule either way.
         """
         for gap in (0.0, 0.3, 1.1, 2.4):
             clock_a, clock_b = FakeClock(), FakeClock()
             base = MicroBatchScheduler(max_batch_size=4, max_wait_s=1.0,
-                                       clock=clock_a)
-            deadline = DeadlineAwareScheduler(max_batch_size=4,
-                                              max_wait_s=1.0,
-                                              flush_fraction=1.0,
-                                              clock=clock_b)
+                                       flush_fraction=1.0, clock=clock_a)
+            deadline = MicroBatchScheduler(max_batch_size=4, max_wait_s=1.0,
+                                           flush_fraction=1.0, clock=clock_b)
             base.submit("s", self._point())
             deadline.submit("s", self._point(),
                             deadline=clock_b() + 1.0)
@@ -218,8 +218,8 @@ class TestDeadlineAwareScheduler:
 
     def test_batch_size_release_unchanged(self):
         clock = FakeClock()
-        scheduler = DeadlineAwareScheduler(max_batch_size=2, max_wait_s=9.0,
-                                           flush_fraction=0.5, clock=clock)
+        scheduler = MicroBatchScheduler(max_batch_size=2, max_wait_s=9.0,
+                                        flush_fraction=0.5, clock=clock)
         scheduler.submit("s", self._point(), deadline=clock() + 9.0)
         assert not scheduler.ready()
         scheduler.submit("s", self._point(), deadline=clock() + 9.0)
@@ -227,9 +227,9 @@ class TestDeadlineAwareScheduler:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            DeadlineAwareScheduler(flush_fraction=0.0)
+            MicroBatchScheduler(flush_fraction=0.0)
         with pytest.raises(ValueError):
-            DeadlineAwareScheduler(flush_fraction=1.5)
+            MicroBatchScheduler(flush_fraction=1.5)
 
 
 # ----------------------------------------------------------------------
@@ -302,17 +302,21 @@ def direct_replay(model, dataset, plan, admitted, seed=0):
 
 
 class TestGateway:
-    def _gateway(self, model, dataset, seed=0, **knobs):
-        server = PromptServer(model, dataset, rng=seed)
+    def _gateway(self, model, dataset, seed=0, server_batch=16, **knobs):
+        server = PromptServer(model, dataset, max_batch_size=server_batch,
+                              rng=seed)
         return ServingGateway(server, auto_drain=False, **knobs)
 
-    def test_admitted_predictions_bit_identical_to_direct(self, served):
+    @pytest.mark.parametrize("server_batch", [16, 2])
+    def test_admitted_predictions_bit_identical_to_direct(self, served,
+                                                          server_batch):
         dataset, config, model = served
         plan = burst_plan(dataset)
 
         async def main():
             gateway = self._gateway(model, dataset, max_batch_size=4,
-                                    max_queue=1024)
+                                    max_queue=1024,
+                                    server_batch=server_batch)
             for tenant, priority, session_id, episode in plan:
                 gateway.open_session(tenant, session_id, episode,
                                      priority=priority)
@@ -558,14 +562,14 @@ class TestGateway:
             server = PromptServer(model, dataset, rng=0)
             gateway = ServingGateway(server, auto_drain=False)
             gateway.open_session("t", "s", episode)
-            real_drain = server.drain
-            server.drain = lambda: (_ for _ in ()).throw(
+            real_serve = server.serve
+            server.serve = lambda batch: (_ for _ in ()).throw(
                 RuntimeError("worker pool died"))
             doomed = gateway.submit_nowait("s", episode.queries[0])
             with pytest.raises(RuntimeError, match="worker pool died"):
                 await gateway.flush()
             assert doomed.done()
-            server.drain = real_drain
+            server.serve = real_serve
             healthy = gateway.submit_nowait("s", episode.queries[1])
             await gateway.flush()
             stats = gateway.stats
@@ -621,6 +625,108 @@ class TestGateway:
             await gateway.close()
 
         run(main())
+
+    def test_class_batch_is_one_server_micro_batch(self, served):
+        """A released class batch runs whole as one server micro-batch:
+        the server's own queue and its smaller batch bound are never
+        touched, and each request is validated once, at admission."""
+        dataset, config, model = served
+        episodes = [sample_episode(dataset, num_ways=3, num_queries=4,
+                                   rng=60 + i) for i in range(2)]
+        calls = dict.fromkeys(("submit", "drain", "step", "validate"), 0)
+
+        async def main():
+            server = PromptServer(model, dataset, max_batch_size=2, rng=0)
+            for name in calls:
+                def spy(*args, _real=getattr(server, name), _name=name,
+                        **kwargs):
+                    calls[_name] += 1
+                    return _real(*args, **kwargs)
+                setattr(server, name, spy)
+            gateway = ServingGateway(server, auto_drain=False,
+                                     max_batch_size=8)
+            for i, episode in enumerate(episodes):
+                gateway.open_session("t", f"s{i}", episode)
+            futures = [gateway.submit_nowait(f"s{i}", episode.queries[q])
+                       for q in range(4)
+                       for i, episode in enumerate(episodes)]
+            batches = server.stats.batches
+            await gateway.flush()
+            grew = server.stats.batches - batches
+            await gateway.close()
+            return [future.result() for future in futures], grew
+
+        outcomes, grew = run(main())
+        assert grew == 1
+        assert [o.ok and o.result.batch_size for o in outcomes] == [8] * 8
+        assert calls == {"submit": 0, "drain": 0, "step": 0, "validate": 8}
+
+    def test_evicted_or_closed_session_raises_before_ledgers(self, served):
+        """A session the server evicted or closed is unknown to the
+        gateway: a submit raises ``KeyError`` before the tenant ledger
+        counts it, so it takes no queue slot, rate token or quota."""
+        dataset, config, model = served
+        episode = sample_episode(dataset, num_ways=3, num_queries=2, rng=61)
+
+        async def main():
+            server = PromptServer(model, dataset, session_capacity=4, rng=0)
+            gateway = ServingGateway(server, auto_drain=False)
+            for i in range(10):
+                gateway.open_session("t", f"s{i}", episode)
+            server.close_session("s9")
+            assert server.sessions.ids() == ["s6", "s7", "s8"]
+            before = gateway.ledger("t").snapshot()
+            for gone in ("s0", "s9"):
+                with pytest.raises(KeyError, match="open_session"):
+                    gateway.submit_nowait(gone, episode.queries[0])
+            assert gateway.queue_depth() == 0
+            after = gateway.ledger("t").snapshot()
+            await gateway.close()
+            return before, after
+
+        before, after = run(main())
+        assert after == before
+        assert after.submitted == after.admitted == 0
+
+    def test_restored_session_served_in_its_recorded_class(self, served,
+                                                           tmp_path):
+        """A gateway over ``PromptServer.restore`` routes a restored
+        session by the tenant and class it was opened with, and answers
+        as the original server did."""
+        from repro.persist import PersistentStore
+
+        dataset, config, model = served
+        episode = sample_episode(dataset, num_ways=3, num_queries=2, rng=62)
+        store_dir = str(tmp_path / "store")
+
+        async def serve_first_query(gateway):
+            future = gateway.submit_nowait("s", episode.queries[0])
+            await gateway.flush()
+            stats = gateway.stats
+            await gateway.close()
+            return future.result(), stats
+
+        async def main():
+            server = PromptServer(model, dataset, rng=0,
+                                  persist=PersistentStore(store_dir))
+            gateway = ServingGateway(server, auto_drain=False)
+            gateway.open_session("t", "s", episode, priority=Priority.BATCH)
+            first, _ = await serve_first_query(gateway)
+            restored = PromptServer.restore(
+                model, PersistentStore(store_dir), dataset.task, rng=0)
+            gateway = ServingGateway(restored, auto_drain=False)
+            with pytest.raises(ValueError, match="share one priority"):
+                gateway.open_session("t", "s2", episode,
+                                     priority=Priority.INTERACTIVE)
+            again, stats = await serve_first_query(gateway)
+            return first, again, stats
+
+        first, again, stats = run(main())
+        assert again.ok and again.priority == Priority.BATCH
+        assert ([(t.tenant_id, t.priority, t.completed)
+                 for t in stats.tenants] == [("t", Priority.BATCH, 1)])
+        assert ((again.prediction, again.result.confidence)
+                == (first.prediction, first.result.confidence))
 
     @pytest.mark.parametrize("settings, match", [
         (dict(tenant_rate_qps=-5.0), "tenant_rate_qps"),

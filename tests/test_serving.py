@@ -335,18 +335,6 @@ class TestPromptServer:
         with pytest.raises(ValueError):
             PromptServer(model, dataset, result_buffer_size=0)
 
-    def test_step_respects_release_policy(self, served):
-        dataset, config, model = served
-        clock = FakeClock()
-        server = PromptServer(model, dataset, max_batch_size=4,
-                              max_wait_s=5.0, rng=0, clock=clock)
-        episode = sample_episode(dataset, num_ways=3, num_queries=4, rng=17)
-        server.open_session("s", episode)
-        server.submit("s", episode.queries[0])
-        assert server.step() == []  # neither full nor waited long enough
-        clock.advance(6.0)
-        assert len(server.step()) == 1  # max-wait release
-
     def test_from_pretrained_warm_start(self, served, tmp_path, monkeypatch):
         """Warm-start builds a working server from the artifact cache."""
         import repro.experiments.common as common
