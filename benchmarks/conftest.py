@@ -6,7 +6,9 @@ pre-training once and later runs start from the cached weights.
 
 Each benchmark writes its reproduced table to ``benchmarks/results/`` and
 prints it, so ``pytest benchmarks/ --benchmark-only -rA`` (or the saved
-files) shows the paper-style rows next to the timing table.
+files) shows the paper-style rows next to the timing table.  A table of
+wall-clock timings changes on every run, so it goes to the ignored
+``.bench_build/results/`` instead and the tracked tree stays clean.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ import pytest
 from repro.experiments import ExperimentContext
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
+TIMED_RESULTS_DIR = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), ".bench_build", "results")
 
 
 @pytest.fixture(scope="session")
@@ -27,11 +31,14 @@ def ctx() -> ExperimentContext:
 
 @pytest.fixture(scope="session")
 def save_result():
-    """Persist a TableResult under benchmarks/results/<name>.txt."""
-    os.makedirs(RESULTS_DIR, exist_ok=True)
+    """Persist a TableResult under benchmarks/results/<name>.txt, or
+    under .bench_build/results/<name>.txt when ``timed`` (its cells are
+    wall-clock timings)."""
 
-    def _save(name: str, result) -> None:
-        path = os.path.join(RESULTS_DIR, f"{name}.txt")
+    def _save(name: str, result, timed: bool = False) -> None:
+        directory = TIMED_RESULTS_DIR if timed else RESULTS_DIR
+        os.makedirs(directory, exist_ok=True)
+        path = os.path.join(directory, f"{name}.txt")
         with open(path, "w") as handle:
             handle.write(str(result) + "\n")
         print(f"\n{result}\n[saved to {path}]")

@@ -15,7 +15,7 @@ def test_serving_throughput(benchmark, ctx, save_result):
     result = benchmark.pedantic(
         lambda: serve_bench(ctx, batch_sizes=BATCH_SIZES), rounds=1,
         iterations=1)
-    save_result("serving_throughput", result)
+    save_result("serving_throughput", result, timed=True)
 
     cells = result.data["cells"]
     # Batching never changes an answer.

@@ -14,7 +14,7 @@ def test_table8_inference_time(benchmark, ctx, save_result):
     result = benchmark.pedantic(
         lambda: table8_inference_time(ctx, ways_list=WAYS), rounds=1,
         iterations=1)
-    save_result("table8_time", result)
+    save_result("table8_time", result, timed=True)
 
     for target in ("fb15k237", "nell"):
         cells = result.data[target]

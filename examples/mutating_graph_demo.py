@@ -5,9 +5,10 @@ edges (and appends nodes) through the `DeltaAdjacency` overlay, shows
 that every read stays bit-identical to a from-scratch rebuild, watches
 the overlay grow and compact, then runs a `PromptServer` with
 `mutable_graph=True` and demonstrates cache-epoch invalidation — the
-session whose subgraphs the mutation touched is refreshed (its
-pseudo-label cache purged as `stale_evictions`) while untouched sessions
-keep their caches, and post-mutation predictions equal a cold rebuild's.
+session whose subgraphs the mutation touched is refreshed (only the
+pool candidates the mutation touched re-encoded, its pseudo-label cache
+purged as `stale_evictions`) while untouched sessions keep their caches,
+and post-mutation predictions equal a cold rebuild's.
 
 Run:  python examples/mutating_graph_demo.py      (~1 min; --fast for CI)
 """
@@ -135,6 +136,10 @@ def main() -> None:
         for i, episode in enumerate(episodes):
             server.submit(f"tenant-{i}", episode.queries[q])
     server.drain()
+    pool_rows = sum(len(server.sessions.get(f"tenant-{i}").pool)
+                    for i in range(NUM_SESSIONS))
+    print(f"refresh re-encoded {server.stats.refreshed_candidates} of "
+          f"{pool_rows} pool candidates")
     for i in range(NUM_SESSIONS):
         state = server.sessions.get(f"tenant-{i}")
         cache = state.augmenter.stats()

@@ -94,10 +94,10 @@ class GraphPrompterPipeline:
         self.selector = PromptSelector(model.config, rng=self.rng)
         self.augmenter = PromptAugmenter(model.config, rng=self.rng)
         #: Optional override of :meth:`encode_points` with the same
-        #: ``(datapoints, arena=...) -> (emb, importance)`` contract.  The
-        #: serving layer installs :meth:`~repro.serving.ShardRouter.
-        #: encode_points` here so both query batches and candidate pools
-        #: take the sharded path.
+        #: ``(datapoints, arena=...) -> (emb, importance, nodes)``
+        #: contract.  The serving layer installs
+        #: :meth:`~repro.serving.ShardRouter.encode_points` here so both
+        #: query batches and candidate pools take the sharded path.
         self.point_encoder = None
 
     def run_episode(self, episode: Episode, shots: int = 3,
@@ -123,7 +123,8 @@ class GraphPrompterPipeline:
             insertions = 0
             for start in range(0, episode.num_queries, query_batch_size):
                 batch_queries = episode.queries[start:start + query_batch_size]
-                query_emb, query_importance = self.encode_points(batch_queries)
+                query_emb, query_importance, _ = self.encode_points(
+                    batch_queries)
 
                 [(preds, confs, inserted)] = self.predict_batch([PredictEntry(
                     candidate_emb, candidate_importance, pool_labels, state,
@@ -146,20 +147,25 @@ class GraphPrompterPipeline:
     # Augmenter caches.
     # ------------------------------------------------------------------
     def encode_points(self, datapoints: list, arena=None
-                      ) -> tuple[np.ndarray, np.ndarray]:
-        """Sample + encode datapoints; returns ``(embeddings, importance)``.
+                      ) -> tuple[np.ndarray, np.ndarray, list]:
+        """Sample + encode datapoints.
 
-        Runs the no-grad fused encoder path; ``arena`` optionally supplies
-        reusable batch buffers (the serving loop passes its per-tick
+        Returns ``(embeddings, importance, nodes)``: one row and one
+        importance score per datapoint, and the node ids of each
+        datapoint's sampled subgraph — what its row was computed from,
+        which the serving layer's graph-update invalidation keys on.
+        Runs the no-grad fused encoder path, whose rows do not depend on
+        the batch; ``arena`` optionally supplies reusable batch buffers
+        (the serving loop passes its per-tick
         :class:`~repro.gnn.BatchArena`).
         """
         if self.point_encoder is not None:
             return self.point_encoder(datapoints, arena=arena)
+        subgraphs = self.generator.subgraphs_for(datapoints)
         with no_grad():
-            emb_t = self.model.encode_subgraphs(
-                self.generator.subgraphs_for(datapoints), arena=arena)
+            emb_t = self.model.encode_subgraphs(subgraphs, arena=arena)
             importance = self.model.importance(emb_t).data
-        return emb_t.data, importance
+        return emb_t.data, importance, [sub.nodes for sub in subgraphs]
 
     def select_candidate_pool(self, episode: Episode, shots: int
                               ) -> tuple[list, np.ndarray]:
@@ -192,7 +198,7 @@ class GraphPrompterPipeline:
         """Embeddings/importance/labels of the episode's prompt pool."""
         candidate_pool, pool_labels = self.select_candidate_pool(episode,
                                                                  shots)
-        candidate_emb, candidate_importance = (
+        candidate_emb, candidate_importance, _ = (
             self.encode_points(candidate_pool))
         return candidate_emb, candidate_importance, pool_labels
 

@@ -149,7 +149,17 @@ class GraphPrompterModel(Module):
         (:class:`~repro.gnn.BatchArena`); the serving loop passes one so
         micro-batch ticks recycle the large batch arrays instead of
         reallocating them.
+
+        Without gradients a lone subgraph is encoded as two copies and
+        row 0 kept: a one-node batch would take numpy's matrix-vector
+        route in the convolutions' fused products.  With
+        :class:`~repro.nn.Linear`'s row-invariant products this makes
+        every no-grad row byte-identical whatever batch it rides in.
         """
+        if len(subgraphs) == 1 and not is_grad_enabled():
+            pair = self.encode_batch(SubgraphBatch.from_subgraphs(
+                subgraphs * 2, arena=arena))
+            return Tensor(pair.data[:1])
         return self.encode_batch(SubgraphBatch.from_subgraphs(subgraphs,
                                                               arena=arena))
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..graph import Graph, Subgraph, sample_data_graph, sample_node_set
+from ..graph import Graph, Subgraph, sample_data_graph
 from ..graph.datapoints import Datapoint
 from ..obs.tracing import span
 from .config import GraphPrompterConfig
@@ -51,21 +51,6 @@ class PromptGenerator:
     def subgraph_for(self, datapoint: Datapoint) -> Subgraph:
         """Sample one data graph (Eq. 1) with the configured strategy."""
         return sample_data_graph(
-            self.graph,
-            datapoint,
-            num_hops=self.config.num_hops,
-            max_nodes=self.config.max_subgraph_nodes,
-            rng=self._rng_for(datapoint),
-            method=self.config.sampling_method,
-        )
-
-    def node_set_for(self, datapoint: Datapoint) -> np.ndarray:
-        """The ``nodes`` of :meth:`subgraph_for` without inducing edges.
-
-        Same sampler, same RNG draws: in deterministic mode this is exactly
-        the node set the encoder's subgraph of ``datapoint`` holds.
-        """
-        return sample_node_set(
             self.graph,
             datapoint,
             num_hops=self.config.num_hops,

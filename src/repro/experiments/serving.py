@@ -11,8 +11,9 @@ interleaved queries from several concurrent episodes — is replayed through
 
 Reported per batch size: queries/sec over the whole workload, the speedup
 vs. per-query serving, p50/p95 micro-batch service latency, and whether
-predictions stayed identical to the per-query run (they must — batching is
-a pure throughput optimization, so a mismatch raises).
+every prediction and confidence stayed byte-identical to the per-query
+run (they must — batching is a pure throughput optimization, so a
+mismatch raises).
 
 ``serve-bench-mutating`` interleaves live graph updates
 (:meth:`PromptServer.update_graph`) with query rounds: edges are added and
@@ -23,14 +24,18 @@ workload is replayed on **fresh sessions of both the mutated server and a
 cold server rebuilt from scratch** over the final live edge list; any
 prediction mismatch raises (the CI mutation-smoke gate) — overlay reads,
 shard routing, and epoch invalidation must be indistinguishable from a
-rebuild.
+rebuild.  Each round's row gives the sessions its update marked stale
+and the pool candidates its own queries re-encoded
+(``ServerStats.refreshed_candidates``): the previous round's update
+marked them, and a stale session re-encodes only the candidates whose
+subgraphs the update touched.
 
 ``serve-bench-sharded`` replays one fixed workload through the sharded
 path (:mod:`repro.shard`): unsharded, then 2 and 4 shards.  Predictions
-must be *exactly equal* across every configuration (sharded sampling is
-bit-identical and the encoder is batch-composition-invariant up to float
-last-ulp wobble, which never moved a prediction in the equivalence
-suite) — a mismatch raises, so the CI smoke fails loudly.  The summary
+and confidences must be *exactly equal* across every configuration
+(sharded sampling is bit-identical and no-grad encoder rows do not
+depend on their batch) — a mismatch raises, so the CI smoke fails
+loudly.  The summary
 table surfaces the per-shard counters (``requests`` routed,
 ``halo_fetches`` across shard boundaries, ``worker_busy_s``) from
 :class:`~repro.serving.ServerStats`.
@@ -62,8 +67,8 @@ def serve_bench(context: ExperimentContext,
                 num_ways: int = 5, seed: int = 0) -> TableResult:
     """Cross-session micro-batching throughput on one fixed workload.
 
-    Raises ``RuntimeError`` when any batch size changes a prediction
-    relative to the first (per-query) row.
+    Raises ``RuntimeError`` when any batch size changes a prediction or
+    a confidence relative to the first (per-query) row.
     """
     model, dataset = served_model(context, source, target)
     num_sessions = 4 if context.fast else 8
@@ -85,7 +90,8 @@ def serve_bench(context: ExperimentContext,
         qps = len(results) / elapsed
         service_ms = 1000.0 * np.asarray([r.service_s for r in results])
         p50, p95 = np.percentile(service_ms, [50, 95])
-        predictions = [(r.session_id, r.prediction) for r in results]
+        predictions = [(r.session_id, r.prediction, r.confidence)
+                       for r in results]
         if reference is None:
             reference, baseline_qps = predictions, qps
         require_identical(
@@ -161,15 +167,17 @@ def serve_bench_mutating(context: ExperimentContext,
 
     update_rng = np.random.default_rng(seed + 77)
     headers = ["Round", "Queries/s", "+Edges", "-Edges", "+Nodes",
-               "Stale sessions", "Overlay %"]
+               "Stale sessions", "Re-encoded candidates", "Overlay %"]
     rows = []
     data = {"rounds": []}
     mut_rng = np.random.default_rng(update_rng.integers(2**32))
     for round_id in range(num_rounds):
         queries = range(round_id * per_round, (round_id + 1) * per_round)
         tick = [(session_id, q) for q in queries for session_id in episodes]
+        refreshed_before = server.stats.refreshed_candidates
         results, elapsed = replay(server, episodes, [tick])
         qps = len(results) / elapsed
+        refreshed = server.stats.refreshed_candidates - refreshed_before
 
         # Mutate between rounds (the last round leaves the graph as the
         # equality check below will see it).
@@ -181,11 +189,12 @@ def serve_bench_mutating(context: ExperimentContext,
         stale = server.stats.sessions_invalidated - invalidated_before
         overlay_pct = 100.0 * graph.overlay_fraction
         rows.append([round_id, f"{qps:.1f}", grow, grow // 2,
-                     2 if round_id == 1 else 0, stale,
+                     2 if round_id == 1 else 0, stale, refreshed,
                      f"{overlay_pct:.1f}"])
         data["rounds"].append({
             "round": round_id, "qps": qps, "added": grow,
             "removed": grow // 2, "stale_sessions": stale,
+            "refreshed_candidates": refreshed,
             "overlay_fraction": graph.overlay_fraction,
         })
 
@@ -211,7 +220,7 @@ def serve_bench_mutating(context: ExperimentContext,
     data["stale_evictions"] = server.stats.stale_evictions
     data["graph_version"] = server.stats.graph_version
     rows.append(["check", f"{data['mutated_qps']:.1f}", "-", "-", "-",
-                 "-", "identical: yes"])
+                 "-", "-", "identical: yes"])
     return TableResult(
         title=(f"serve-bench-mutating: {num_sessions} sessions × "
                f"{queries_per_session} queries, {num_ways}-way {target}, "
@@ -225,8 +234,8 @@ def serve_bench_sharded(context: ExperimentContext,
     """Sharded serving vs. unsharded: equality + QPS + counters.
 
     Raises ``RuntimeError`` when any sharded configuration's predictions
-    differ from the unsharded run — the property the CI shard-smoke job
-    asserts.
+    or confidences differ from the unsharded run — the property the CI
+    shard-smoke job asserts.
     """
     model, dataset = served_model(context, source, target)
     num_sessions = 3 if context.fast else 6
@@ -247,7 +256,8 @@ def serve_bench_sharded(context: ExperimentContext,
         stats = server.stats
 
         qps = len(results) / elapsed
-        predictions = [(r.session_id, r.prediction) for r in results]
+        predictions = [(r.session_id, r.prediction, r.confidence)
+                       for r in results]
         if reference is None:
             reference = predictions
         require_identical(

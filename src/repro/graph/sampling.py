@@ -28,8 +28,7 @@ Python build.
 
 :func:`sample_data_graph` wraps either strategy and returns the re-indexed
 :class:`~repro.graph.subgraph.Subgraph` for one datapoint;
-:func:`sample_node_set` stops at its node set (dependency tracking needs
-no edges).
+:func:`sample_node_set` stops at its node set.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import init as init_schemes
-from .tensor import Tensor
+from .tensor import Tensor, is_grad_enabled
 
 __all__ = [
     "Parameter",
@@ -139,8 +139,33 @@ class Identity(Module):
         return x
 
 
+def row_invariant_product(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """``x @ weight`` whose every row depends only on that row of ``x``.
+
+    numpy hands a one-row operand or a one-column weight to BLAS's
+    matrix-vector routine, and there a row's value depends on the rows
+    around it.  So a one-column weight becomes a per-row reduction, whose
+    summation order depends only on the row, and a one-row input rides a
+    two-row product and keeps row 0.  Every other shape stays one
+    matrix-matrix product; at the models' widths its rows do not depend
+    on how many rows share the call (``tests/test_batch_invariance.py``
+    pins both).
+    """
+    if weight.shape[1] == 1:
+        return np.einsum("ij,j->i", x, weight[:, 0]).reshape(-1, 1)
+    if x.shape[0] == 1:
+        return (np.concatenate([x, x]) @ weight)[:1]
+    return x @ weight
+
+
 class Linear(Module):
-    """Affine transform ``x @ W + b``."""
+    """Affine transform ``x @ W + b``.
+
+    Without gradients (serving, evaluation) each output row is a function
+    of its input row alone (:func:`row_invariant_product`), so an encoded
+    datapoint has the same bytes in a batch of any size.  The autodiff
+    path keeps the plain product training was run with.
+    """
 
     def __init__(self, in_features: int, out_features: int, bias: bool = True,
                  rng: np.random.Generator | None = None):
@@ -155,6 +180,11 @@ class Linear(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         """Affine map ``x @ weight + bias``."""
+        if not is_grad_enabled() and x.ndim == 2:
+            out = row_invariant_product(x.data, self.weight.data)
+            if self.bias is not None:
+                out = out + self.bias.data
+            return Tensor(out)
         out = x @ self.weight
         if self.bias is not None:
             out = out + self.bias

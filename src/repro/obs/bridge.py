@@ -54,6 +54,9 @@ def export_stats(stats, registry: MetricsRegistry) -> None:
     counter("repro_sessions_invalidated_total",
             "Sessions marked stale by a graph mutation."
             ).set(stats.sessions_invalidated)
+    counter("repro_server_refreshed_candidates_total",
+            "Pool candidates re-encoded by stale-session refreshes."
+            ).set(stats.refreshed_candidates)
     gauge("repro_cache_stale_evictions",
           "Augmenter cache entries the live sessions dropped as "
           "graph-stale.").set(stats.stale_evictions)

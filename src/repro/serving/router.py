@@ -4,13 +4,17 @@ The router is the serving-side integration of :mod:`repro.shard`: it owns
 the :class:`~repro.shard.ShardedGraphStore`, routes every datapoint to its
 *home shard* (the owner of its first seed node), samples and encodes one
 slice per shard touched with the server's own model, and scatters the
-embedding rows back into the caller's submission order.
+embedding rows and each subgraph's node ids back into the caller's
+submission order.
 
 Why results cannot change: serving always samples with per-datapoint
 deterministic RNG (``deterministic_sampling``), sampling over the sharded
-store is bit-identical to the monolithic sampler, and batched encoding is
-batch-composition-invariant — so regrouping a micro-batch by shard
-produces exactly the rows the monolithic encoder would have.
+store is bit-identical to the monolithic sampler, and a no-grad encoder
+row does not depend on the batch it rides in — ``nn.Linear``'s
+row-invariant products and ``GraphPrompterModel.encode_subgraphs``'s
+two-copy encode of a lone subgraph enforce that, one-row shard groups
+included — so regrouping a micro-batch by shard produces exactly the
+rows the monolithic encoder would have.
 
 Per-shard counters (``requests``, ``halo_fetches``, and the wall time of
 each shard's slices in ``worker_busy_s``) are aggregated here.
@@ -73,7 +77,7 @@ class ShardRouter:
         return int(self.store.owner[int(datapoint.nodes[0])])
 
     def encode_points(self, datapoints: list, arena=None
-                      ) -> tuple[np.ndarray, np.ndarray]:
+                      ) -> tuple[np.ndarray, np.ndarray, list]:
         """Sharded twin of ``GraphPrompterPipeline.encode_points``.
 
         ``arena`` is accepted for signature compatibility but unused —
@@ -84,15 +88,16 @@ class ShardRouter:
             return self._encode_points(datapoints)
 
     def _encode_points(self, datapoints: list
-                       ) -> tuple[np.ndarray, np.ndarray]:
+                       ) -> tuple[np.ndarray, np.ndarray, list]:
         groups: dict[int, list[int]] = {}
         for position, datapoint in enumerate(datapoints):
             groups.setdefault(self.home_shard(datapoint), []).append(position)
         emb = importance = None
+        nodes: list = [None] * len(datapoints)
         for shard in sorted(groups):
             positions = groups[shard]
             start = time.perf_counter()
-            rows, scores, halo = self._encode_shard(
+            rows, scores, shard_nodes, halo = self._encode_shard(
                 shard, [datapoints[i] for i in positions])
             busy_s = time.perf_counter() - start
             if emb is None:
@@ -101,14 +106,20 @@ class ShardRouter:
                 importance = np.empty(len(datapoints), dtype=scores.dtype)
             emb[positions] = rows
             importance[positions] = scores
+            for position, node_ids in zip(positions, shard_nodes):
+                nodes[position] = node_ids
             ledger = self.counters[shard]
             ledger.requests += len(positions)
             ledger.halo_fetches += halo
             ledger.worker_busy_s += busy_s
-        return emb, importance
+        return emb, importance, nodes
 
     def _encode_shard(self, home_shard: int, datapoints: list):
-        """One shard's slice of a micro-batch: sample + encode + count halo."""
+        """One shard's slice of a micro-batch: sample + encode + count halo.
+
+        Returns the slice's rows, importance scores, each subgraph's
+        node ids and the halo fetches it made.
+        """
         store = self.store
         store.reset_counters()
         store.home_shard = home_shard
@@ -123,7 +134,8 @@ class ShardRouter:
                 emb = self.model.encode_subgraphs(subgraphs,
                                                   arena=self.arena)
                 importance = self.model.importance(emb).data
-            return emb.data, importance, store.halo_fetches
+            return (emb.data, importance, [sub.nodes for sub in subgraphs],
+                    store.halo_fetches)
         finally:
             store.home_shard = None
 

@@ -18,9 +18,20 @@
 
 A session's queries still run in its arrival order, which is the only
 order its Augmenter cache depends on; the wave forward is byte-identical
-per task graph and subgraph sampling is deterministic per datapoint.  So
-serving with any ``max_batch_size`` produces bit-identical predictions to
-per-query serving — micro-batching is purely a throughput optimization.
+per task graph, subgraph sampling is deterministic per datapoint, and a
+no-grad encoder row does not depend on the batch it rides in
+(``nn.Linear``'s row-invariant products and
+``GraphPrompterModel.encode_subgraphs``'s two-copy encode of a lone
+subgraph enforce that).  So serving with any ``max_batch_size`` produces
+bit-identical predictions and confidences to per-query serving —
+micro-batching is purely a throughput optimization.
+
+On a mutable graph (``mutable_graph``) a session keeps each pool
+candidate's subgraph node ids, as the encode pass sampled them, and
+``update_graph`` marks stale only the candidates an update touched.
+Before the session's next prediction the server re-encodes just those
+rows and splices them into the pool — byte-identical to a full re-encode
+by the same batch invariance.
 
 The drain loop itself stays synchronous and deterministic (that is what
 keeps the batching policy testable).  Constructed with ``num_shards > 1``,
@@ -28,8 +39,9 @@ the server routes every micro-batch through a :class:`ShardRouter` — the
 graph is split into shards (:mod:`repro.shard`), each batch is encoded
 one shard slice at a time, and the rows are merged back in submission
 order.  Sharded sampling is bit-identical to the monolithic sampler and
-encoding is batch-composition-invariant, so sharded serving returns
-exactly the same predictions.  ``clock`` is injectable for TTL tests.
+encoder rows do not depend on their batch, so sharded serving returns
+exactly the same predictions and confidences.  ``clock`` is injectable
+for TTL tests.
 """
 
 from __future__ import annotations
@@ -66,7 +78,7 @@ from ..shard import PARTITION_STRATEGIES, ShardCounters
 from .qos import Priority
 from .router import ShardRouter
 from .scheduler import MicroBatchScheduler, PendingRequest
-from .session import SessionState, SessionStore
+from .session import SessionState, SessionStore, index_node_sets
 
 __all__ = ["ServeResult", "ServerStats", "PromptServer"]
 
@@ -135,12 +147,14 @@ class ServerStats:
     #: is driven directly.
     tenants: tuple = ()
     #: Live-update ledger: current graph epoch, update batches applied,
-    #: sessions marked stale by an update, and cache entries the live
-    #: sessions' Augmenters dropped as graph-stale (capacity evictions
-    #: are counted separately, per session).
+    #: sessions marked stale by an update, pool candidates re-encoded by
+    #: stale-session refreshes, and cache entries the live sessions'
+    #: Augmenters dropped as graph-stale (capacity evictions are counted
+    #: separately, per session).
     graph_version: int = 0
     graph_updates: int = 0
     sessions_invalidated: int = 0
+    refreshed_candidates: int = 0
     stale_evictions: int = 0
 
     @property
@@ -231,6 +245,7 @@ class PromptServer:
         self.last_recovery_replayed = 0
         self._graph_updates = 0
         self._sessions_invalidated = 0
+        self._refreshed_candidates = 0
         self._queries = 0
         self._batches = 0
         self._encoded_subgraphs = 0
@@ -254,6 +269,7 @@ class PromptServer:
             graph_version=self.dataset.graph.version,
             graph_updates=self._graph_updates,
             sessions_invalidated=self._sessions_invalidated,
+            refreshed_candidates=self._refreshed_candidates,
             stale_evictions=sum(
                 state.augmenter.stats().stale_evictions
                 for state in self.sessions.states()))
@@ -288,14 +304,13 @@ class PromptServer:
         _validate_episode(episode, shots)
         if priority is not None:
             priority = Priority(priority)
-        pool, fields = self._encode_pool(episode, shots)
+        fields = self._encode_pool(episode, shots)
         augmenter = PromptAugmenter(
             self.config, rng=np.random.default_rng(self.rng.integers(2**32)))
         state = SessionState(
             session_id=session_id, num_ways=episode.num_ways, shots=shots,
-            augmenter=augmenter, episode=episode, tenant_id=tenant_id,
-            priority=priority, graph_version=self.dataset.graph.version,
-            dependent_nodes=self._dependencies(pool), **fields)
+            augmenter=augmenter, tenant_id=tenant_id, priority=priority,
+            graph_version=self.dataset.graph.version, **fields)
         evicted = self.sessions.put(state)
         self._sessions_opened += 1
         if self.persist is not None:
@@ -330,35 +345,18 @@ class PromptServer:
     # ------------------------------------------------------------------
     # Live graph updates (cache-epoch invalidation)
     # ------------------------------------------------------------------
-    def _dependencies(self, datapoints: list) -> set:
-        """Every node the datapoints' sampled subgraphs visit.
-
-        Sampling is deterministic per datapoint, so re-running the (cheap)
-        node-set sampler reproduces exactly the node sets the encoder
-        consumed — and a mutation that touches none of them cannot change
-        any of the session's subgraphs, which is what makes
-        dependency-scoped invalidation sound.  Only node sets are needed,
-        so no subgraph is induced here.  Empty (free) when the graph is
-        immutable.
-        """
-        if not self._mutable:
-            return set()
-        generator = self.pipeline.generator
-        dependencies: set[int] = set()
-        for datapoint in datapoints:
-            dependencies.update(generator.node_set_for(datapoint).tolist())
-        return dependencies
-
     def update_graph(self, update: GraphUpdate,
                      log: bool = True) -> AppliedUpdate:
         """Apply one live mutation batch and invalidate what it touched.
 
         The graph (and, when sharded, the owner shards) absorbs the
-        update in place; sessions whose sampled subgraphs
-        intersect the touched nodes are marked stale and refreshed —
-        candidate pool re-encoded, Augmenter cache purged — before their
-        next prediction.  Sessions outside the touched region keep their
-        caches: their subgraphs provably cannot have changed.
+        update in place.  In every session the pool candidates whose
+        sampled subgraphs meet the touched nodes are marked stale, and a
+        session whose pool or answered queries meet them is marked stale
+        and refreshed — those candidates re-encoded, Augmenter cache
+        purged — before its next prediction.  Candidates and sessions
+        outside the touched region keep their encodings and caches: their
+        subgraphs provably cannot have changed.
 
         With a :class:`~repro.persist.PersistentStore` attached, the
         update is WAL-logged (and fsynced) *before* the in-memory apply —
@@ -377,9 +375,10 @@ class PromptServer:
         applied = self.dataset.graph.apply_updates(update)
         if self.router is not None:
             self.router.apply_updates(applied)
-        touched = set(applied.touched_nodes.tolist())
+        touched = np.zeros(self.dataset.graph.num_nodes, dtype=bool)
+        touched[applied.touched_nodes] = True
         for state in self.sessions.states():
-            if not state.stale and state.dependent_nodes & touched:
+            if state.mark_touched(touched) and not state.stale:
                 state.stale = True
                 self._sessions_invalidated += 1
         self._graph_updates += 1
@@ -405,9 +404,10 @@ class PromptServer:
 
         Order matters: weights load in place (the pipeline and the shard
         router share the model object), and then every open session
-        re-anchors (pool re-encoded under the new weights, Augmenter
-        cache purged) so no later prediction mixes old-weight state with
-        new weights.
+        re-anchors — every candidate marked stale, so the one refresh
+        path re-encodes the whole pool under the new weights and purges
+        the Augmenter cache — and no later prediction mixes old-weight
+        state with new weights.
         Callers coordinating with in-flight traffic drain first — the
         gateway's :meth:`~repro.serving.ServingGateway.reload_model`
         does exactly that.
@@ -415,37 +415,59 @@ class PromptServer:
         self.model.load_state_dict(state_dict)
         self.model.eval()
         for state in self.sessions.states():
+            state.stale_candidates[:] = True
             self._refresh_session(state)
 
-    def _encode_pool(self, episode: Episode, shots: int
-                     ) -> tuple[list, dict]:
-        """Encode an episode's candidate pool for a session.
+    def _encode_pool(self, episode: Episode, shots: int) -> dict:
+        """Select and encode an episode's candidate pool for a session.
 
-        Returns the pool's datapoints and the session fields built from
-        them: ``candidate_emb``, ``candidate_importance``, ``pool_labels``
-        and the ``selector_state`` of those arrays.  Session open and
-        refresh both take their pool from here, so a session's selector
-        state always describes its current pool.
+        Returns the session fields built from it: the ``pool``'s
+        datapoints, ``candidate_emb``, ``candidate_importance``,
+        ``pool_labels``, the ``selector_state`` of those arrays, and the
+        candidates' subgraph node ids as the encode pass sampled them
+        (``pool_nodes``, with ``pool_node_owner``).
         """
         pool, pool_labels = self.pipeline.select_candidate_pool(episode,
                                                                 shots)
         with scoped_registry(self.obs):
-            candidate_emb, candidate_importance = (
+            candidate_emb, candidate_importance, nodes = (
                 self.pipeline.encode_points(pool))
-        return pool, {
+        pool_nodes, pool_node_owner = index_node_sets(nodes)
+        return {
+            "pool": pool,
             "candidate_emb": candidate_emb,
             "candidate_importance": candidate_importance,
             "pool_labels": pool_labels,
             "selector_state": self.pipeline.selector.pool_state(
-                candidate_emb, pool_labels)}
+                candidate_emb, pool_labels),
+            "pool_nodes": pool_nodes,
+            "pool_node_owner": pool_node_owner}
 
     def _refresh_session(self, session: SessionState) -> None:
-        """Re-anchor a stale session to the current graph epoch."""
-        pool, fields = self._encode_pool(session.episode, session.shots)
-        for name, value in fields.items():
-            setattr(session, name, value)
-        session.augmenter.invalidate()
-        session.dependent_nodes = self._dependencies(pool)
+        """Re-anchor a stale session to the current graph epoch.
+
+        Re-encodes only the candidates marked stale, in pool order and in
+        one call, splices their rows and node ids into the session and
+        rebuilds its selector state; then purges the Augmenter cache and
+        the query node mask.  The result is byte-identical to encoding
+        the whole pool again: sampling is deterministic per datapoint, a
+        walk that visits no touched node reads only unchanged rows, an
+        added or removed edge touches both its endpoints (so inducing
+        over untouched nodes reads the same edges), and an encoder row
+        does not depend on the batch it rides in.  A session made stale
+        only by its query nodes re-encodes nothing.
+        """
+        rows = np.flatnonzero(session.stale_candidates)
+        if rows.size:
+            with scoped_registry(self.obs):
+                emb, importance, nodes = self.pipeline.encode_points(
+                    [session.pool[i] for i in rows])
+            session.splice_candidates(rows, emb, importance, nodes)
+            session.selector_state = self.pipeline.selector.pool_state(
+                session.candidate_emb, session.pool_labels)
+            session.stale_candidates[:] = False
+            self._refreshed_candidates += int(rows.size)
+        session.reset_queries()
         session.graph_version = self.dataset.graph.version
         session.stale = False
 
@@ -532,7 +554,7 @@ class PromptServer:
         # attaches the encode/shard-stage spans to every traced request
         # riding this batch.
         with batch_scope(traces), span("encode"):
-            emb, importance = self.pipeline.encode_points(
+            emb, importance, nodes = self.pipeline.encode_points(
                 [request.datapoint for request in batch],
                 arena=self.arena)
         wait_hist = obs.histogram(
@@ -557,10 +579,9 @@ class PromptServer:
         for session, _ in queues.values():
             if session.stale:
                 # The graph mutated inside this session's sampled region:
-                # re-encode its pool and drop its pseudo-label cache
-                # before answering, so no pre-mutation subgraph survives
-                # into this prediction.  First-request order keeps the
-                # pipeline RNG's draws in per-query serving's order.
+                # re-encode its touched candidates and drop its
+                # pseudo-label cache before answering, so no pre-mutation
+                # subgraph survives into this prediction.
                 self._refresh_session(session)
         # Wave k holds the k-th request of each session: one task-GNN
         # forward per wave, and every session's Augmenter updated before
@@ -586,8 +607,7 @@ class PromptServer:
                     # The query's embedding now lives in the session (as a
                     # potential cached prompt and as hit history), so
                     # future correctness depends on its subgraph's nodes.
-                    session.dependent_nodes.update(
-                        self._dependencies([request.datapoint]))
+                    session.record_query_nodes(nodes[i])
                 service_s = max(self.clock() - start, 0.0)
                 session.stats.record(waits[i], service_s, self.clock())
                 results[i] = ServeResult(

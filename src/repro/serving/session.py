@@ -28,7 +28,7 @@ from ..core.prompt_augmenter import PromptAugmenter
 from ..core.prompt_selector import SelectorState
 from .qos import Priority
 
-__all__ = ["SessionStats", "SessionState", "SessionStore"]
+__all__ = ["SessionStats", "SessionState", "SessionStore", "index_node_sets"]
 
 
 @dataclass
@@ -52,6 +52,18 @@ class SessionStats:
         self.last_active = now
 
 
+def _no_nodes() -> np.ndarray:
+    return np.zeros(0, dtype=np.int64)
+
+
+def index_node_sets(node_sets: list) -> tuple[np.ndarray, np.ndarray]:
+    """Every set's node ids in one flat array, and the index of the set
+    each id came from (the layout of ``SessionState.pool_nodes``)."""
+    owner = np.repeat(np.arange(len(node_sets)),
+                      [len(ids) for ids in node_sets])
+    return np.concatenate(node_sets), owner
+
+
 @dataclass
 class SessionState:
     """Everything one session's queries need at prediction time.
@@ -65,16 +77,21 @@ class SessionState:
     was opened for (``None`` when opened on the bare server); the gateway
     reads them to route the session's requests.
 
-    The last four fields are the live-update (cache-epoch) plumbing:
-    ``graph_version`` records the graph epoch the cached pool encodings
-    were computed under, ``dependent_nodes`` the union of every node the
-    session's sampled subgraphs visited (pool and queries).  A mutation
-    whose touched nodes intersect ``dependent_nodes`` marks the session
-    ``stale``; the server re-encodes its pool — from ``episode``, kept
-    for exactly this — and purges its Augmenter cache before the next
-    prediction, so a mutated session never answers from pre-mutation
-    subgraphs while untouched sessions keep their caches (and hit-rates)
-    intact.
+    The remaining fields are the live-update (cache-epoch) plumbing.
+    ``pool`` holds the pool's datapoints as selected at open, and
+    ``graph_version`` the graph epoch of its encodings.  The encode pass
+    hands over each subgraph's node ids: ``pool_nodes`` holds every
+    candidate's ids in one flat array, ``pool_node_owner`` the index of
+    the candidate each id belongs to, and ``query_nodes`` is a node mask
+    of the answered queries' subgraphs (their embeddings live on in the
+    Augmenter cache).  :meth:`mark_touched` marks stale the candidates
+    whose nodes a graph update touched, and the session ``stale`` when
+    its pool or query nodes meet the update.  Before the next prediction
+    the server re-encodes just the stale candidates, splices their rows
+    in (:meth:`splice_candidates`) and purges the Augmenter cache
+    (:meth:`reset_queries`), so a mutated session never answers from
+    pre-mutation subgraphs while untouched sessions keep their caches
+    (and hit-rates) intact.
     """
 
     session_id: str
@@ -88,14 +105,70 @@ class SessionState:
     tenant_id: str | None = None
     priority: Priority | None = None
     stats: SessionStats = field(default_factory=SessionStats)
-    episode: object | None = None
+    pool: list = field(default_factory=list)
+    pool_nodes: np.ndarray = field(default_factory=_no_nodes)
+    pool_node_owner: np.ndarray = field(default_factory=_no_nodes)
+    query_nodes: np.ndarray = field(
+        default_factory=lambda: np.zeros(0, dtype=bool))
     graph_version: int = 0
-    dependent_nodes: set = field(default_factory=set)
     stale: bool = False
+    #: Candidates to re-encode before the next prediction.
+    stale_candidates: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.stale_candidates = np.zeros(len(self.pool_labels), dtype=bool)
 
     def cache_stats(self) -> CacheStats:
         """Counter snapshot of this session's Augmenter cache."""
         return self.augmenter.stats()
+
+    @property
+    def dependent_nodes(self) -> frozenset:
+        """Every node the session's pool and answered queries depend on
+        (a read-only view of ``pool_nodes`` and ``query_nodes``)."""
+        return frozenset(self.pool_nodes.tolist()
+                         + np.flatnonzero(self.query_nodes).tolist())
+
+    def record_query_nodes(self, nodes: np.ndarray) -> None:
+        """Add one answered query's subgraph nodes to ``query_nodes``."""
+        grow = int(nodes.max()) + 1 - self.query_nodes.size
+        if grow > 0:
+            self.query_nodes = np.pad(self.query_nodes, (0, grow))
+        self.query_nodes[nodes] = True
+
+    def mark_touched(self, touched: np.ndarray) -> bool:
+        """Mark stale every candidate whose nodes meet the node mask
+        ``touched``; returns whether the pool or the query nodes meet it.
+
+        Marks accumulate across updates until the next refresh.
+        """
+        hit = self.pool_node_owner[touched[self.pool_nodes]]
+        self.stale_candidates[hit] = True
+        queried = touched[:self.query_nodes.size] & self.query_nodes
+        return bool(hit.size) or bool(queried.any())
+
+    def splice_candidates(self, rows: np.ndarray, emb: np.ndarray,
+                          importance: np.ndarray, nodes: list) -> None:
+        """Replace the encodings and node ids of the candidates ``rows``.
+
+        Copies ``candidate_emb`` and ``candidate_importance`` first, so
+        arrays handed out earlier keep their bytes.
+        """
+        self.candidate_emb = self.candidate_emb.copy()
+        self.candidate_emb[rows] = emb
+        self.candidate_importance = self.candidate_importance.copy()
+        self.candidate_importance[rows] = importance
+        keep = ~np.isin(self.pool_node_owner, rows)
+        ids, owner = index_node_sets(nodes)
+        self.pool_nodes = np.concatenate([self.pool_nodes[keep], ids])
+        self.pool_node_owner = np.concatenate([self.pool_node_owner[keep],
+                                               rows[owner]])
+
+    def reset_queries(self) -> None:
+        """Forget the answered queries: purge the Augmenter cache and
+        clear ``query_nodes``."""
+        self.augmenter.invalidate()
+        self.query_nodes = np.zeros(0, dtype=bool)
 
 
 class SessionStore:

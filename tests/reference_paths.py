@@ -309,7 +309,7 @@ def serve_per_query(server, batch) -> list:
     :func:`predict_per_query`.  Install it as ``server._process_scoped``.
     """
     start = server.clock()
-    emb, importance = server.pipeline.encode_points(
+    emb, importance, nodes = server.pipeline.encode_points(
         [request.datapoint for request in batch], arena=server.arena)
     results = []
     for i, request in enumerate(batch):
@@ -327,8 +327,7 @@ def serve_per_query(server, batch) -> list:
         preds, confs, _ = predict_per_query(
             server.pipeline, session, emb[i:i + 1], importance[i:i + 1])
         if server._mutable:
-            session.dependent_nodes.update(
-                server._dependencies([request.datapoint]))
+            session.record_query_nodes(nodes[i])
         service_s = max(server.clock() - start, 0.0)
         session.stats.record(wait_s, service_s, server.clock())
         results.append(ServeResult(

@@ -195,7 +195,7 @@ class TestPromptServer:
                 == [(r.session_id, r.prediction) for r in outputs[1]])
         conf8 = np.array([r.confidence for r in outputs[8]])
         conf1 = np.array([r.confidence for r in outputs[1]])
-        np.testing.assert_allclose(conf8, conf1, atol=1e-9)
+        assert conf8.tobytes() == conf1.tobytes()
 
     def test_session_isolation(self, served):
         """One session's pseudo-label cache never leaks into another's."""
