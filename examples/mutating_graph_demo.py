@@ -138,7 +138,7 @@ def main() -> None:
     server.drain()
     pool_rows = sum(len(server.sessions.get(f"tenant-{i}").pool)
                     for i in range(NUM_SESSIONS))
-    print(f"refresh re-encoded {server.stats.refreshed_candidates} of "
+    print(f"refresh replaced {server.stats.refreshed_candidates} of "
           f"{pool_rows} pool candidates")
     for i in range(NUM_SESSIONS):
         state = server.sessions.get(f"tenant-{i}")

@@ -27,7 +27,14 @@ class GraphPrompterConfig:
     Attributes
     ----------
     hidden_dim:
-        Embedding width (paper: 256 on GPU; CPU default 32).
+        Embedding width (paper: 256 on GPU; CPU default 32).  Serving
+        needs a width whose matrix-product rows do not depend on the
+        row count — a multiple of 8 under OpenBLAS, pinned up to 8,005
+        rows by ``tests/test_batch_invariance.py::
+        test_row_invariant_product_rows_match_full_product`` — because
+        micro-batching, pool refreshes and the encoding memo all reuse
+        a row computed in another batch.  Widths such as 12 or 20 are
+        accepted but break those byte-identity contracts.
     num_gnn_layers:
         Depth of the data-graph encoder ``GNN_D``.
     num_task_layers:

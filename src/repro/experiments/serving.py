@@ -10,10 +10,11 @@ interleaved queries from several concurrent episodes — is replayed through
 * larger batches coalesce queries *across sessions* into one encoder pass.
 
 Reported per batch size: queries/sec over the whole workload, the speedup
-vs. per-query serving, p50/p95 micro-batch service latency, and whether
-every prediction and confidence stayed byte-identical to the per-query
-run (they must — batching is a pure throughput optimization, so a
-mismatch raises).
+vs. per-query serving, p50/p95 micro-batch service latency, the share of
+encode lookups (pool opens and queries) the server's encoding memo
+answered without encoding, and whether every prediction and confidence
+stayed byte-identical to the per-query run (they must — batching is a
+pure throughput optimization, so a mismatch raises).
 
 ``serve-bench-mutating`` interleaves live graph updates
 (:meth:`PromptServer.update_graph`) with query rounds: edges are added and
@@ -24,11 +25,14 @@ workload is replayed on **fresh sessions of both the mutated server and a
 cold server rebuilt from scratch** over the final live edge list; any
 prediction mismatch raises (the CI mutation-smoke gate) — overlay reads,
 shard routing, and epoch invalidation must be indistinguishable from a
-rebuild.  Each round's row gives the sessions its update marked stale
-and the pool candidates its own queries re-encoded
+rebuild.  The mutated server's fresh sessions read every encoding its
+memo kept through the updates, so the gate checks the memo's eviction
+too.  Each round's row gives the sessions its update marked stale
+and the pool candidates its own queries refreshed
 (``ServerStats.refreshed_candidates``): the previous round's update
 marked them, and a stale session re-encodes only the candidates whose
-subgraphs the update touched.
+subgraphs the update touched — or reads them from the encoding memo
+when another session re-encoded them first.
 
 ``serve-bench-sharded`` replays one fixed workload through the sharded
 path (:mod:`repro.shard`): unsharded, then 2 and 4 shards.  Predictions
@@ -77,7 +81,7 @@ def serve_bench(context: ExperimentContext,
                                queries_per_session, seed * 1000)
 
     headers = ["Batch", "Queries/s", "Speedup", "p50 ms", "p95 ms",
-               "Mean batch", "Identical"]
+               "Mean batch", "Memo hits", "Identical"]
     rows = []
     data = {"batch_sizes": list(batch_sizes), "cells": {}}
     reference = None
@@ -98,16 +102,20 @@ def serve_bench(context: ExperimentContext,
             reference, predictions,
             f"serve-bench batch {batch_size} vs batch {batch_sizes[0]}")
 
+        stats = server.stats
+        hit_share = stats.memo_hits / (stats.memo_hits + stats.memo_misses)
         data["cells"][batch_size] = {
             "qps": qps, "speedup": qps / baseline_qps,
             "p50_ms": float(p50), "p95_ms": float(p95),
-            "mean_batch": server.stats.mean_batch_size,
+            "mean_batch": stats.mean_batch_size,
+            "memo_hit_share": hit_share,
             "identical": True, "results": results,
         }
         rows.append([batch_size, f"{qps:.1f}",
                      f"{qps / baseline_qps:.2f}x",
                      f"{p50:.2f}", f"{p95:.2f}",
-                     f"{server.stats.mean_batch_size:.1f}", "yes"])
+                     f"{stats.mean_batch_size:.1f}", f"{hit_share:.1%}",
+                     "yes"])
     return TableResult(
         title=(f"serve-bench: {num_sessions} sessions × "
                f"{queries_per_session} queries, {num_ways}-way {target}"),
@@ -167,7 +175,7 @@ def serve_bench_mutating(context: ExperimentContext,
 
     update_rng = np.random.default_rng(seed + 77)
     headers = ["Round", "Queries/s", "+Edges", "-Edges", "+Nodes",
-               "Stale sessions", "Re-encoded candidates", "Overlay %"]
+               "Stale sessions", "Refreshed candidates", "Overlay %"]
     rows = []
     data = {"rounds": []}
     mut_rng = np.random.default_rng(update_rng.integers(2**32))

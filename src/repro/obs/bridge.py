@@ -2,9 +2,10 @@
 
 Each count the serving stack keeps has exactly one owner — the server's
 counters and per-shard counters (:class:`~repro.serving.ServerStats`),
-the gateway's per-tenant ledgers (:class:`~repro.serving.TenantStats`)
-or a session's Augmenter cache (:class:`~repro.cache.stats.CacheStats`)
-— and the registry is not it.  Registries are shared: several servers
+the encoding memo's hits and misses (read into ``ServerStats``), the
+gateway's per-tenant ledgers (:class:`~repro.serving.TenantStats`) or a
+session's Augmenter cache (:class:`~repro.cache.stats.CacheStats`) — and
+the registry is not it.  Registries are shared: several servers
 and gateways, or a whole replica fleet, can record into one, so a
 registry-owned count would merge theirs.  This module exports the
 owners' values into the registry instead, and :func:`collect` is the one
@@ -37,8 +38,16 @@ def export_stats(stats, registry: MetricsRegistry) -> None:
     counter("repro_server_batches_total",
             "Micro-batches the server has processed.").set(stats.batches)
     counter("repro_server_encoded_subgraphs_total",
-            "Subgraphs encoded across all micro-batches."
+            "Requests in the micro-batches the server released (not "
+            "encodes: the encoding memo answers some without one)."
             ).set(stats.encoded_subgraphs)
+    counter("repro_server_encode_memo_hits_total",
+            "Datapoint lookups the encoding memo answered without "
+            "encoding, over session opens, refreshes and query batches."
+            ).set(stats.memo_hits)
+    counter("repro_server_encode_memo_misses_total",
+            "Datapoints encoded because the encoding memo lacked them."
+            ).set(stats.memo_misses)
     counter("repro_sessions_opened_total",
             "Sessions opened over the server lifetime."
             ).set(stats.sessions_opened)
@@ -55,8 +64,8 @@ def export_stats(stats, registry: MetricsRegistry) -> None:
             "Sessions marked stale by a graph mutation."
             ).set(stats.sessions_invalidated)
     counter("repro_server_refreshed_candidates_total",
-            "Pool candidates re-encoded by stale-session refreshes."
-            ).set(stats.refreshed_candidates)
+            "Pool rows stale-session refreshes replaced, re-encoded or "
+            "read from the encoding memo.").set(stats.refreshed_candidates)
     gauge("repro_cache_stale_evictions",
           "Augmenter cache entries the live sessions dropped as "
           "graph-stale.").set(stats.stale_evictions)

@@ -1,0 +1,221 @@
+"""One encoding per datapoint, shared by every session of a server.
+
+Episodes draw their candidates from one fixed training partition, so the
+same datapoints recur across sessions and episodes.  :class:`EncodingMemo`
+keeps, per datapoint, the no-grad embedding row, the importance score and
+the node ids of the sampled subgraph, and hands them back instead of
+sampling and encoding the datapoint again.  A stored row equals a fresh
+encode byte for byte: serving samples each datapoint with its own
+deterministic RNG, and a no-grad encoder row does not depend on the batch
+it rode in.  The key is the :class:`~repro.graph.datapoints.Datapoint`
+itself (a frozen dataclass, hashed by value), relation included, so a
+labelled candidate and an unlabelled query on the same edge are separate
+entries.
+
+Entries live in blocks allocated once — a float64 embedding block, an
+importance block and an int32 node-id block padded to the sampler's node
+cap with ``-1`` — and an ``OrderedDict`` maps each datapoint to its slot
+in least-recently-used order.  Nothing is allocated per entry, so a large
+memo costs the allocator and the page tables no more than its blocks.
+
+Two events make entries wrong, and the server reports both:
+
+* a graph update — :meth:`EncodingMemo.evict` drops every entry whose
+  node ids meet the update's touched-node mask (the rule a session
+  applies to its own candidates; an entry that meets no touched node
+  would sample and encode to the same bytes on the new graph);
+* new model weights — :meth:`EncodingMemo.clear` drops everything.
+"""
+
+from __future__ import annotations
+
+from collections import OrderedDict
+
+import numpy as np
+
+__all__ = ["CAPACITY", "EncodingMemo"]
+
+#: Entries a server's memo holds before the least recently used go.
+#: Every perfbench workload touches fewer distinct datapoints in a 30 s
+#: run; at the served width the full blocks take about 4.4 MB.
+CAPACITY = 16_384
+
+
+class EncodingMemo:
+    """Bounded, datapoint-keyed store of encoder rows with LRU eviction.
+
+    ``node_cap`` is the most node ids one sampled subgraph holds; a node
+    set longer than that is handed back but not stored.  ``hits`` and
+    ``misses`` count lookups: a miss is a distinct datapoint the call
+    had to encode, and every other datapoint of the call — including a
+    repeat of a miss within the same call — is a hit.
+    """
+
+    def __init__(self, node_cap: int, capacity: int = CAPACITY):
+        if capacity < 1:
+            raise ValueError("capacity must be at least 1")
+        self.capacity = capacity
+        self.hits = 0
+        self.misses = 0
+        self._slots: OrderedDict = OrderedDict()
+        self._keys = np.empty(capacity, dtype=object)
+        self._emb: np.ndarray | None = None  # width known at first store
+        self._importance = np.empty(capacity)
+        self._nodes = np.empty((capacity, node_cap), dtype=np.int32)
+        self._lengths = np.zeros(capacity, dtype=np.int32)
+        # Released slots below the high-water mark, used before fresh ones.
+        self._free = np.empty(capacity, dtype=np.int64)
+        self._num_free = 0
+        self._high = 0
+
+    def __len__(self) -> int:
+        return len(self._slots)
+
+    def __contains__(self, datapoint) -> bool:
+        return datapoint in self._slots
+
+    def encode(self, datapoints: list, encoder
+               ) -> tuple[np.ndarray, np.ndarray, list]:
+        """``(embeddings, importance, nodes)`` of ``datapoints``, in order.
+
+        Stored datapoints are read from the blocks; the distinct others
+        go to ``encoder`` — with the ``encode_points`` contract — in one
+        call, in first-occurrence order, and are stored after it
+        returns.  If ``encoder`` raises, the memo, its recency order and
+        its counts are left exactly as they were.
+        """
+        if not datapoints:
+            return encoder(datapoints)
+        slots = self._slots
+        # Per datapoint: its slot, or ``~k`` for the k-th distinct miss.
+        where = []
+        hit_points = []
+        misses: dict = {}
+        for point in datapoints:
+            slot = slots.get(point)
+            if slot is None:
+                slot = ~misses.setdefault(point, len(misses))
+            else:
+                hit_points.append(point)
+            where.append(slot)
+        where = np.array(where)
+        fresh = list(misses)
+        if fresh:
+            new_emb, new_importance, new_nodes = encoder(fresh)
+            if len(fresh) == len(datapoints):
+                result = (new_emb, new_importance, new_nodes)
+            else:
+                result = self._assemble(where, new_emb, new_importance,
+                                        new_nodes)
+        else:
+            result = self._assemble(where, None, None, None)
+        for point in hit_points:
+            slots.move_to_end(point)
+        self.hits += len(datapoints) - len(fresh)
+        self.misses += len(fresh)
+        if fresh:
+            self._store(fresh, new_emb, new_importance, new_nodes)
+        return result
+
+    def _assemble(self, where: np.ndarray, new_emb, new_importance,
+                  new_nodes) -> tuple[np.ndarray, np.ndarray, list]:
+        """Rows in request order from the blocks (``where >= 0``) and the
+        encoder's output (``where = ~k``)."""
+        stored = self._emb
+        width, dtype = ((new_emb.shape[1], new_emb.dtype)
+                        if new_emb is not None
+                        else (stored.shape[1], stored.dtype))
+        emb = np.empty((where.size, width), dtype=dtype)
+        importance = np.empty(where.size, dtype=self._importance.dtype)
+        nodes: list = [None] * where.size
+        hit = where >= 0
+        at = np.flatnonzero(hit)
+        if at.size:
+            slots = where[at]
+            emb[at] = stored[slots]
+            importance[at] = self._importance[slots]
+            for i, ids, length in zip(at.tolist(), self._nodes[slots],
+                                      self._lengths[slots].tolist()):
+                nodes[i] = ids[:length]
+        at = np.flatnonzero(~hit)
+        if at.size:
+            order = ~where[at]
+            emb[at] = new_emb[order]
+            importance[at] = new_importance[order]
+            for i, k in zip(at.tolist(), order.tolist()):
+                nodes[i] = new_nodes[k]
+        return emb, importance, nodes
+
+    def _store(self, points: list, emb: np.ndarray, importance: np.ndarray,
+               nodes: list) -> None:
+        """Write freshly encoded datapoints into the blocks, one
+        vectorised store per block; the newest ``capacity`` that fit."""
+        cap = self._nodes.shape[1]
+        lengths = np.fromiter(map(len, nodes), dtype=np.int64,
+                              count=len(nodes))
+        keep = np.flatnonzero(lengths <= cap)[-self.capacity:]
+        if not keep.size:
+            return
+        if self._emb is None:
+            self._emb = np.empty((self.capacity, emb.shape[1]),
+                                 dtype=emb.dtype)
+        slots = self._allocate(keep.size)
+        self._emb[slots] = emb[keep]
+        self._importance[slots] = importance[keep]
+        lengths = lengths[keep]
+        starts = np.cumsum(lengths) - lengths
+        padded = np.full((keep.size, cap), -1, dtype=np.int32)
+        padded[np.repeat(np.arange(keep.size), lengths),
+               np.arange(lengths.sum()) - np.repeat(starts, lengths)] = (
+            np.concatenate([nodes[k] for k in keep.tolist()]))
+        self._nodes[slots] = padded
+        self._lengths[slots] = lengths
+        for k, slot in zip(keep.tolist(), slots.tolist()):
+            self._keys[slot] = points[k]
+            self._slots[points[k]] = slot
+
+    def _allocate(self, count: int) -> np.ndarray:
+        """``count`` free slots, evicting the least recently used
+        entries first when the memo is full."""
+        over = len(self._slots) + count - self.capacity
+        if over > 0:
+            oldest = iter(self._slots.values())
+            self._drop(np.array([next(oldest) for _ in range(over)]))
+        reused = min(count, self._num_free)
+        self._num_free -= reused
+        start = self._num_free
+        fresh = count - reused
+        self._high += fresh
+        return np.concatenate([
+            self._free[start:start + reused],
+            np.arange(self._high - fresh, self._high)])
+
+    def _drop(self, slots: np.ndarray) -> None:
+        """Remove the entries in ``slots`` and free the slots."""
+        for point in self._keys[slots]:
+            del self._slots[point]
+        self._lengths[slots] = 0
+        self._keys[slots] = None
+        self._free[self._num_free:self._num_free + slots.size] = slots
+        self._num_free += slots.size
+
+    def evict(self, touched: np.ndarray) -> int:
+        """Drop every entry whose node ids meet the node mask
+        ``touched``; returns how many were dropped.
+
+        One pass over the node block: a ``-1`` pad reads the ``False``
+        appended to the mask, and a free slot (length 0) never matches.
+        """
+        if not self._slots:
+            return 0
+        high = self._high
+        meets = np.append(touched, False)[self._nodes[:high]].any(axis=1)
+        victims = np.flatnonzero(meets & (self._lengths[:high] > 0))
+        self._drop(victims)
+        return int(victims.size)
+
+    def clear(self) -> None:
+        """Drop every entry (the counts stay)."""
+        self._slots.clear()
+        self._keys[:self._high] = None
+        self._high = self._num_free = 0

@@ -186,9 +186,10 @@ class TokenBucket:
 class TenantLedger:
     """Mutable per-tenant accounting the gateway updates in place.
 
-    Queue waits are kept in a bounded ring (the newest
-    :data:`WAIT_WINDOW` waits).  Deadline misses count completed
-    requests only, the denominator the deadline-miss SLO divides by.
+    Queue waits are kept in a float64 ring of :data:`WAIT_WINDOW`
+    entries (the newest waits; O(1) per completion).  Deadline misses
+    count completed requests only, the denominator the deadline-miss SLO
+    divides by.
     """
 
     tenant_id: str
@@ -206,7 +207,12 @@ class TenantLedger:
     deadline_misses: int = 0
     first_submit_at: float | None = None
     last_complete_at: float | None = None
-    _waits: list = field(default_factory=list, repr=False)
+    _waits: np.ndarray = field(
+        default_factory=lambda: np.empty(WAIT_WINDOW), repr=False,
+        compare=False)
+    #: Waits ever written to the ring; the next one goes to this index
+    #: modulo :data:`WAIT_WINDOW`.
+    _waits_written: int = field(default=0, repr=False)
 
     @property
     def shed(self) -> int:
@@ -234,9 +240,8 @@ class TenantLedger:
         self.completed += 1
         self.deadline_misses += int(missed_deadline)
         self.last_complete_at = now
-        self._waits.append(wait_s)
-        if len(self._waits) > WAIT_WINDOW:
-            del self._waits[:len(self._waits) - WAIT_WINDOW]
+        self._waits[self._waits_written % WAIT_WINDOW] = wait_s
+        self._waits_written += 1
 
     def record_error(self, now: float) -> None:
         """An admitted request failed (not shed, not a success).
@@ -249,8 +254,10 @@ class TenantLedger:
 
     def snapshot(self) -> "TenantStats":
         """Immutable stats view (QPS over first-submit → last-complete)."""
-        if self._waits:
-            p50, p95 = np.percentile(np.asarray(self._waits), [50, 95])
+        if self._waits_written:
+            p50, p95 = np.percentile(
+                self._waits[:min(self._waits_written, WAIT_WINDOW)],
+                [50, 95])
         else:
             p50 = p95 = 0.0
         elapsed = 0.0

@@ -5,6 +5,11 @@
 * ``open_session`` — bind a session id to an episode definition; the
   candidate pool is encoded **once** and reused for every query of the
   session (the amortization the offline runner only got within one call).
+* every encode — pool opens, stale-pool refreshes and query batches —
+  goes through one :class:`~repro.serving.memo.EncodingMemo` shared by
+  all sessions: a datapoint another session (or an earlier episode)
+  already encoded is read back, byte-identical, instead of being sampled
+  and encoded again.
 * ``submit`` — enqueue a single query for a session on the server's own
   queue; returns a ticket.  ``step`` / ``drain`` release that queue, one
   micro-batch at a time, through ``serve``.
@@ -28,7 +33,8 @@ micro-batching is purely a throughput optimization.
 
 On a mutable graph (``mutable_graph``) a session keeps each pool
 candidate's subgraph node ids, as the encode pass sampled them, and
-``update_graph`` marks stale only the candidates an update touched.
+``update_graph`` marks stale only the candidates an update touched and
+evicts the memo entries whose node ids it touched.
 Before the session's next prediction the server re-encodes just those
 rows and splices them into the pool — byte-identical to a full re-encode
 by the same batch invariance.
@@ -75,6 +81,7 @@ from ..persist import (
     episode_to_jsonable,
 )
 from ..shard import PARTITION_STRATEGIES, ShardCounters
+from .memo import EncodingMemo
 from .qos import Priority
 from .router import ShardRouter
 from .scheduler import MicroBatchScheduler, PendingRequest
@@ -132,11 +139,20 @@ class ServerStats:
     (``requests`` routed, ``halo_fetches`` across shard boundaries,
     ``worker_busy_s`` spent encoding) when the server runs sharded;
     empty on the monolithic path.
+
+    ``encoded_subgraphs`` counts the requests of every released
+    micro-batch, expired sessions' included — not encodes: the encoding
+    memo answers some of them without encoding.  ``memo_hits`` and
+    ``memo_misses`` are the memo's own counts over every encode site
+    (session opens, pool refreshes and query batches); a miss is one
+    datapoint encoded.
     """
 
     queries: int = 0
     batches: int = 0
     encoded_subgraphs: int = 0
+    memo_hits: int = 0
+    memo_misses: int = 0
     sessions_opened: int = 0
     sessions_evicted: int = 0
     sessions_expired: int = 0
@@ -147,10 +163,11 @@ class ServerStats:
     #: is driven directly.
     tenants: tuple = ()
     #: Live-update ledger: current graph epoch, update batches applied,
-    #: sessions marked stale by an update, pool candidates re-encoded by
-    #: stale-session refreshes, and cache entries the live sessions'
-    #: Augmenters dropped as graph-stale (capacity evictions are counted
-    #: separately, per session).
+    #: sessions marked stale by an update, pool rows stale-session
+    #: refreshes replaced (re-encoded, or read from the encoding memo
+    #: when another session already re-encoded them), and cache entries
+    #: the live sessions' Augmenters dropped as graph-stale (capacity
+    #: evictions are counted separately, per session).
     graph_version: int = 0
     graph_updates: int = 0
     sessions_invalidated: int = 0
@@ -159,7 +176,7 @@ class ServerStats:
 
     @property
     def mean_batch_size(self) -> float:
-        """Average encoded subgraphs per batch."""
+        """Average requests per released micro-batch."""
         return self.encoded_subgraphs / self.batches if self.batches else 0.0
 
     @property
@@ -218,6 +235,10 @@ class PromptServer:
             self.pipeline.point_encoder = self.router.encode_points
         self.scheduler = MicroBatchScheduler(max_batch_size=max_batch_size,
                                              clock=clock)
+        # One encoding per datapoint across sessions.  A sampled node set
+        # holds at most max_subgraph_nodes ids, or its seeds when a
+        # datapoint has more of them.
+        self.memo = EncodingMemo(max(self.config.max_subgraph_nodes, 2))
         # One arena per server: every micro-batch is assembled into the
         # same reusable buffers, so the large per-batch arrays are recycled
         # instead of reallocated each batch.  Safe because a batch is fully
@@ -262,6 +283,7 @@ class PromptServer:
         return ServerStats(
             queries=self._queries, batches=self._batches,
             encoded_subgraphs=self._encoded_subgraphs,
+            memo_hits=self.memo.hits, memo_misses=self.memo.misses,
             sessions_opened=self._sessions_opened,
             sessions_evicted=self.sessions.evicted_total,
             sessions_expired=self.sessions.expired_total,
@@ -286,6 +308,10 @@ class PromptServer:
                      priority=None,
                      _open_index: int | None = None) -> SessionState:
         """Bind ``session_id`` to an episode; encodes its pool once.
+
+        Candidates the encoding memo holds — encoded by another session,
+        or by an earlier episode, since the last update that touched
+        them — are read from it; only the rest are sampled and encoded.
 
         ``tenant_id``/``priority`` are kept on the session, where the
         gateway routes by them, and in its durable manifest (when a
@@ -350,13 +376,14 @@ class PromptServer:
         """Apply one live mutation batch and invalidate what it touched.
 
         The graph (and, when sharded, the owner shards) absorbs the
-        update in place.  In every session the pool candidates whose
-        sampled subgraphs meet the touched nodes are marked stale, and a
-        session whose pool or answered queries meet them is marked stale
-        and refreshed — those candidates re-encoded, Augmenter cache
-        purged — before its next prediction.  Candidates and sessions
-        outside the touched region keep their encodings and caches: their
-        subgraphs provably cannot have changed.
+        update in place.  The encoding memo drops every entry whose
+        sampled subgraph meets the touched nodes.  In every session the
+        pool candidates whose subgraphs meet them are marked stale, and
+        a session whose pool or answered queries meet them is marked
+        stale and refreshed — those candidates re-encoded, Augmenter
+        cache purged — before its next prediction.  Entries, candidates
+        and sessions outside the touched region keep their encodings and
+        caches: their subgraphs provably cannot have changed.
 
         With a :class:`~repro.persist.PersistentStore` attached, the
         update is WAL-logged (and fsynced) *before* the in-memory apply —
@@ -377,6 +404,7 @@ class PromptServer:
             self.router.apply_updates(applied)
         touched = np.zeros(self.dataset.graph.num_nodes, dtype=bool)
         touched[applied.touched_nodes] = True
+        self.memo.evict(touched)
         for state in self.sessions.states():
             if state.mark_touched(touched) and not state.stale:
                 state.stale = True
@@ -403,17 +431,19 @@ class PromptServer:
         """Swap in new model weights and re-anchor every live session.
 
         Order matters: weights load in place (the pipeline and the shard
-        router share the model object), and then every open session
-        re-anchors — every candidate marked stale, so the one refresh
-        path re-encodes the whole pool under the new weights and purges
-        the Augmenter cache — and no later prediction mixes old-weight
-        state with new weights.
+        router share the model object), the encoding memo is emptied of
+        old-weight rows, and then every open session re-anchors — every
+        candidate marked stale, so the one refresh path re-encodes the
+        whole pool under the new weights and purges the Augmenter cache
+        — and no later prediction mixes old-weight state with new
+        weights.
         Callers coordinating with in-flight traffic drain first — the
         gateway's :meth:`~repro.serving.ServingGateway.reload_model`
         does exactly that.
         """
         self.model.load_state_dict(state_dict)
         self.model.eval()
+        self.memo.clear()
         for state in self.sessions.states():
             state.stale_candidates[:] = True
             self._refresh_session(state)
@@ -429,9 +459,7 @@ class PromptServer:
         """
         pool, pool_labels = self.pipeline.select_candidate_pool(episode,
                                                                 shots)
-        with scoped_registry(self.obs):
-            candidate_emb, candidate_importance, nodes = (
-                self.pipeline.encode_points(pool))
+        candidate_emb, candidate_importance, nodes = self._encode(pool)
         pool_nodes, pool_node_owner = index_node_sets(nodes)
         return {
             "pool": pool,
@@ -447,7 +475,8 @@ class PromptServer:
         """Re-anchor a stale session to the current graph epoch.
 
         Re-encodes only the candidates marked stale, in pool order and in
-        one call, splices their rows and node ids into the session and
+        one call (the memo answers those another session re-encoded since
+        the update), splices their rows and node ids into the session and
         rebuilds its selector state; then purges the Augmenter cache and
         the query node mask.  The result is byte-identical to encoding
         the whole pool again: sampling is deterministic per datapoint, a
@@ -459,9 +488,8 @@ class PromptServer:
         """
         rows = np.flatnonzero(session.stale_candidates)
         if rows.size:
-            with scoped_registry(self.obs):
-                emb, importance, nodes = self.pipeline.encode_points(
-                    [session.pool[i] for i in rows])
+            emb, importance, nodes = self._encode(
+                [session.pool[i] for i in rows])
             session.splice_candidates(rows, emb, importance, nodes)
             session.selector_state = self.pipeline.selector.pool_state(
                 session.candidate_emb, session.pool_labels)
@@ -470,6 +498,18 @@ class PromptServer:
         session.reset_queries()
         session.graph_version = self.dataset.graph.version
         session.stale = False
+
+    def _encode(self, datapoints: list, arena=None
+                ) -> tuple[np.ndarray, np.ndarray, list]:
+        """Rows, importance and node ids of ``datapoints``, in their
+        order: the encoding memo's where it holds them, and one
+        ``encode_points`` call (through ``arena``) for the distinct
+        rest, which the memo then keeps."""
+        with scoped_registry(self.obs):
+            return self.memo.encode(
+                datapoints,
+                lambda points: self.pipeline.encode_points(points,
+                                                           arena=arena))
 
     # ------------------------------------------------------------------
     # Request path
@@ -546,25 +586,16 @@ class PromptServer:
                         ) -> list[ServeResult]:
         start = self.clock()
         obs = self.obs
-        traces = [request.trace for request in batch
-                  if request.trace is not None]
-        # Hot path: every pending subgraph — across sessions — in one
-        # disjoint-union GNN pass, assembled into the server's reusable
-        # arena buffers (no per-batch allocation).  The batch scope
-        # attaches the encode/shard-stage spans to every traced request
-        # riding this batch.
-        with batch_scope(traces), span("encode"):
-            emb, importance, nodes = self.pipeline.encode_points(
-                [request.datapoint for request in batch],
-                arena=self.arena)
         wait_hist = obs.histogram(
             "repro_server_queue_wait_seconds",
             "Micro-batch scheduler queue wait per request.")
         results: list[ServeResult | None] = [None] * len(batch)
         waits = [max(start - request.submitted_at, 0.0) for request in batch]
         # Each live session's requests in arrival order, sessions in the
-        # order of their first request.
+        # order of their first request; ``live`` lists the requests whose
+        # session is still open, the only ones worth encoding.
         queues: dict[str, tuple[SessionState, list[int]]] = {}
+        live: list[int] = []
         for i, request in enumerate(batch):
             try:
                 session = self.sessions.get(request.session_id)
@@ -576,6 +607,19 @@ class PromptServer:
                     wait_s=waits[i], service_s=0.0, error="session-expired")
                 continue
             queues.setdefault(request.session_id, (session, []))[1].append(i)
+            live.append(i)
+        # Hot path: every live query's subgraph — across sessions — in one
+        # disjoint-union GNN pass, assembled into the server's reusable
+        # arena buffers (no per-batch allocation); datapoints the memo
+        # holds skip it.  The batch scope attaches the encode/shard-stage
+        # spans to every traced request riding this batch.
+        row = dict(zip(live, range(len(live))))
+        if live:
+            traces = [batch[i].trace for i in live
+                      if batch[i].trace is not None]
+            with batch_scope(traces), span("encode"):
+                emb, importance, nodes = self._encode(
+                    [batch[i].datapoint for i in live], arena=self.arena)
         for session, _ in queues.values():
             if session.stale:
                 # The graph mutated inside this session's sampled region:
@@ -594,8 +638,9 @@ class PromptServer:
             entries = [PredictEntry(
                 session.candidate_emb, session.candidate_importance,
                 session.pool_labels, session.selector_state,
-                session.num_ways, session.shots, emb[i:i + 1],
-                importance[i:i + 1], session.augmenter, batch[i].trace)
+                session.num_ways, session.shots, emb[row[i]:row[i] + 1],
+                importance[row[i]:row[i] + 1], session.augmenter,
+                batch[i].trace)
                 for session, i in wave]
             traces = [entry.trace for entry in entries]
             with batch_scope(traces), span("predict"):
@@ -607,7 +652,7 @@ class PromptServer:
                     # The query's embedding now lives in the session (as a
                     # potential cached prompt and as hit history), so
                     # future correctness depends on its subgraph's nodes.
-                    session.record_query_nodes(nodes[i])
+                    session.record_query_nodes(nodes[row[i]])
                 service_s = max(self.clock() - start, 0.0)
                 session.stats.record(waits[i], service_s, self.clock())
                 results[i] = ServeResult(

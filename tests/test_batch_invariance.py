@@ -126,17 +126,23 @@ def test_lone_node_and_one_edge_batches_equal_full_batch_rows(edge_task):
                     == full_importance[i].tobytes()), (subset, i)
 
 
-@pytest.mark.parametrize("rows,cols", product((1, 2, 3, 17, 64),
-                                              (1, 8, 24, 32)))
-def test_row_invariant_product_rows_match_full_product(rows, cols):
+@pytest.mark.parametrize("rows,cols,height", [
+    pytest.param(rows, cols, height,
+                 id="-".join(str(v) for v in (rows, cols, height) if v))
+    for height in (None, 8005)
+    for rows, cols in product((1, 2, 3, 17, 64), (1, 8, 24, 32))])
+def test_row_invariant_product_rows_match_full_product(rows, cols, height):
     """Each row of a sub-product equals the same row of the whole
     product, at every buffer offset, and the two-row route of a one-row
     operand matches it too.  ``cols`` are the models' output widths: a
     one-column head and hidden widths that are multiples of 8.  (Other
     widths, such as 2 or 17, are not row-invariant under OpenBLAS's
-    matrix-matrix kernels; no model layer has them.)"""
+    matrix-matrix kernels; no model layer has them.)  The whole product
+    is ``2 * rows + 5`` rows tall, or 8,005: a many-way pool encode
+    multiplies about 8,000 node rows in one product, and the serving
+    memo hands rows of such products to later batches."""
     rng = np.random.default_rng([rows, cols])
-    full = rng.normal(size=(2 * rows + 5, 24))
+    full = rng.normal(size=(height or 2 * rows + 5, 24))
     weight = rng.normal(size=(24, cols))
     reference = row_invariant_product(full, weight)
     for start in range(4):

@@ -11,6 +11,7 @@ import re
 import urllib.error
 import urllib.request
 
+import numpy as np
 import pytest
 
 from repro.core import (
@@ -36,7 +37,14 @@ from repro.obs import (
 )
 from repro.obs.slo import counter_total
 from repro.obs.tracing import batch_scope
-from repro.serving import Overloaded, Priority, PromptServer, ServingGateway
+from repro.serving import (
+    Overloaded,
+    Priority,
+    PromptServer,
+    ServingGateway,
+    TenantLedger,
+)
+from repro.serving.qos import WAIT_WINDOW
 
 
 class FakeClock:
@@ -370,6 +378,8 @@ class TestGatewayObservability:
                 "repro_server_queries_total",
                 "repro_server_batches_total",
                 "repro_server_batch_size_bucket",
+                "repro_server_encode_memo_hits_total",
+                "repro_server_encode_memo_misses_total",
                 "repro_sessions_live",
                 "repro_session_cache_hits",
                 # shard layer
@@ -543,6 +553,23 @@ class TestCollectedCounters:
         for name, entry in snapshots[-1].items():
             assert (entry["kind"] == "counter") == name.endswith("_total"), (
                 name, entry["kind"])
+
+
+class TestTenantWaitWindow:
+    @pytest.mark.parametrize("extra", [-5, 0, 1, 7, WAIT_WINDOW + 3])
+    def test_wait_percentiles_cover_the_newest_window(self, extra):
+        """After ``WAIT_WINDOW + extra`` completions the ledger's p50 and
+        p95 — what ``collect`` exports as ``repro_tenant_wait_*`` — equal
+        ``np.percentile`` over the newest ``WAIT_WINDOW`` waits."""
+        waits = np.random.default_rng(extra + 10).exponential(
+            0.01, size=WAIT_WINDOW + extra)
+        ledger = TenantLedger(tenant_id="t")
+        for i, wait_s in enumerate(waits):
+            ledger.record_complete(float(wait_s), False, now=float(i))
+        stats = ledger.snapshot()
+        p50, p95 = np.percentile(waits[-WAIT_WINDOW:], [50, 95])
+        assert (stats.wait_p50_s, stats.wait_p95_s) == (p50, p95)
+        assert stats.completed == waits.size
 
 
 class TestEndpointUnit:

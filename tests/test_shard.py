@@ -462,10 +462,14 @@ class TestShardedPromptServer:
                 [r.confidence for r in results],
                 [r.confidence for r in reference], rtol=0, atol=1e-9)
             assert len(stats.shards) == kwargs["num_shards"]
+            # The shards encode exactly the datapoints the encoding memo
+            # missed; the memo looked up every pool and query datapoint.
             total = sum(c.requests for c in stats.shards)
             pool_points = sum(len(e.candidates) for e in episodes)
             query_points = sum(e.num_queries for e in episodes)
-            assert total == pool_points + query_points
+            assert total == stats.memo_misses
+            assert (stats.memo_hits + stats.memo_misses
+                    == pool_points + query_points)
             assert sum(c.worker_busy_s for c in stats.shards) > 0.0
             assert stats.halo_fetches >= 0
 
