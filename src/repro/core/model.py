@@ -32,7 +32,11 @@ from ..nn import functional as F
 from ..nn.tensor import is_grad_enabled
 from ..obs.tracing import span
 from .config import GraphPrompterConfig
-from .task_graph import build_task_graph
+from .task_graph import (
+    build_task_graph,
+    check_task_graph,
+    prompt_attributes,
+)
 
 __all__ = ["GraphPrompterModel"]
 
@@ -218,47 +222,56 @@ class GraphPrompterModel(Module):
         Graph ``g`` holds the prompt rows ``prompt_embeddings[g]``
         labelled ``prompt_labels[g]`` and the query rows
         ``query_embeddings[g]``; every graph has ``num_ways`` label nodes
-        and the same number of queries ``n``.  One padded
-        :meth:`TaskGraphGNN.forward_grid` and one cosine head serve the
-        whole wave, and each graph's logits are byte-identical to
-        :meth:`task_logits` on that graph alone.
+        and the same number of queries ``n``.  The wave's padded
+        (graph × data × label) attribute grid and its input rows are
+        filled in one pass over the concatenated prompts, checked as
+        :func:`~repro.core.task_graph.build_task_graph` checks one graph.
+        One padded :meth:`TaskGraphGNN.forward_grid` and one cosine head
+        serve the whole wave, and each graph's logits are byte-identical
+        to :meth:`task_logits` on that graph alone.
         """
-        graphs, label_ids = [], []
-        for prompts, labels, queries in zip(prompt_embeddings, prompt_labels,
-                                            query_embeddings):
-            labels = np.asarray(labels, dtype=np.int64)
-            if prompts.shape[0] != labels.shape[0]:
-                raise ValueError("one label per prompt embedding required")
-            graphs.append(build_task_graph(labels, queries.shape[0],
-                                           num_ways))
-            label_ids.append(labels + len(label_ids) * num_ways)
-        num_queries = graphs[0].num_queries
-        if any(graph.num_queries != num_queries for graph in graphs):
+        labels = [np.asarray(graph_labels, dtype=np.int64)
+                  for graph_labels in prompt_labels]
+        sizes = [graph_labels.size for graph_labels in labels]
+        if any(prompts.shape[0] != size
+               for prompts, size in zip(prompt_embeddings, sizes)):
+            raise ValueError("one label per prompt embedding required")
+        num_queries = query_embeddings[0].shape[0]
+        if any(queries.shape[0] != num_queries
+               for queries in query_embeddings):
             raise ValueError("every graph of a wave needs the same number "
                              "of queries")
-        wave, dim = len(graphs), query_embeddings[0].shape[1]
-        num_prompts = np.array([graph.num_prompts for graph in graphs])
+        flat_labels = np.concatenate(labels)
+        check_task_graph(flat_labels, num_queries, num_ways)
+        wave, dim = len(labels), query_embeddings[0].shape[1]
+        num_prompts = np.array(sizes)
         num_data = num_prompts + num_queries
-        width = int(num_data.max())
+        width = max(sizes) + num_queries
+        # Graph g's data rows: its prompts, then its queries, then
+        # padding.  Row-major masks meet them in concatenated order.
+        column = np.arange(width)
+        is_prompt = column < num_prompts[:, None]
+        is_query = ~is_prompt & (column < num_data[:, None])
         with span("task_gnn"):
             # Label nodes start at the mean of their true prompts:
             # scatter_mean's ops, every graph's labels in one scatter.
-            label_ids = np.concatenate(label_ids)
+            prompts = np.concatenate(prompt_embeddings)
+            label_ids = (flat_labels
+                         + np.repeat(np.arange(wave), sizes) * num_ways)
             segments = wave * num_ways
-            label_init = (scatter_sum_data(np.concatenate(prompt_embeddings),
-                                           label_ids, segments)
+            label_init = (scatter_sum_data(prompts, label_ids, segments)
                           / segment_count(label_ids, segments).reshape(-1, 1))
             h0 = np.zeros((wave, width + num_ways, dim))
             h0[:, width:] = label_init.reshape(wave, num_ways, dim)
+            data = h0[:, :width]
+            data[is_prompt] = prompts
+            data[is_query] = np.concatenate(query_embeddings)
             attr = np.full((wave, width, num_ways), EDGE_ATTR_QUERY,
                            dtype=np.int64)
-            for g, graph in enumerate(graphs):
-                attr[g, :graph.num_data] = graph.attr_grid
-                h0[g, :graph.num_prompts] = prompt_embeddings[g]
-                h0[g, graph.num_prompts:graph.num_data] = query_embeddings[g]
+            attr[is_prompt] = prompt_attributes(flat_labels, num_ways)
             h = self.task_gnn.forward_grid(h0, attr, num_data)
-            rows = num_prompts[:, None] + np.arange(num_queries)
-            query_h = Tensor(h[np.arange(wave)[:, None], rows])
+            query_h = Tensor(h[:, :width][is_query].reshape(wave, num_queries,
+                                                            dim))
             label_h = Tensor(h[:, width:])
             cosine = (F.l2_normalize(query_h)
                       @ F.l2_normalize(label_h).transpose(0, 2, 1))

@@ -6,30 +6,45 @@ pseudo-labelled prompts stored in an LFU cache ``C`` (Eq. 9,
 top-k most similar prompts — bump LFU frequencies, so entries that keep
 matching incoming queries survive eviction.
 
+The cache policy decides which entries live and in what order; their
+rows live in one block of ``cache_size`` slots, written once when an
+entry is inserted: the embedding, its unit-length row (cosine metric)
+and its pseudo-label.  Each :class:`CacheEntry` carries its slot, and a
+new entry takes the lowest slot no live entry holds, so the block never
+needs a side table that a direct ``cache.clear()`` could leave stale.
+Reading the cache is then one gather in the policy's iteration order,
+and scoring hits one product.  The stacking reads this replaces are the
+equivalence oracle in ``tests/reference_paths.py``.
+
 The Table VII ablation (``random_pseudo_labels``) replaces the
 max-confidence insertion policy with uniform random query selection.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..cache import CacheStats, make_cache
 from .config import GraphPrompterConfig
-from .prompt_selector import pairwise_similarity
+from .prompt_selector import pairwise_similarity, unit_rows
 
 __all__ = ["PromptAugmenter", "CacheEntry"]
 
 
 @dataclass
 class CacheEntry:
-    """One pseudo-labelled test sample held in the Augmenter cache."""
+    """One pseudo-labelled test sample held in the Augmenter cache.
+
+    ``slot`` is its row in the owning Augmenter's block.
+    """
 
     embedding: np.ndarray
     pseudo_label: int
     confidence: float
+    slot: int = -1
 
 
 class PromptAugmenter:
@@ -42,6 +57,11 @@ class PromptAugmenter:
         self.rng = np.random.default_rng(rng)
         self._next_key = 0
         self._stale_evictions = 0
+        # The slot block, allocated at the first insertion (the row
+        # width is the caller's).
+        self._rows: np.ndarray | None = None
+        self._unit: np.ndarray | None = None
+        self._labels = np.zeros(config.cache_size, dtype=np.int64)
 
     def __len__(self) -> int:
         return len(self.cache)
@@ -49,33 +69,36 @@ class PromptAugmenter:
     def cached_prompts(self) -> tuple[np.ndarray, np.ndarray]:
         """Current cache contents as ``(embeddings, pseudo_labels)`` arrays.
 
-        Returns empty arrays when the cache is empty — the caller then skips
-        augmentation, matching Alg. 2's "if cache is not empty" guard.
+        Rows come in the cache's iteration order.  Returns empty arrays
+        when the cache is empty — the caller then skips augmentation,
+        matching Alg. 2's "if cache is not empty" guard.
         """
-        entries = [value for _, value in self.cache.items()]
-        if not entries:
+        slots = [entry.slot for entry in self.cache.values()]
+        if not slots:
             return (np.zeros((0, 0)), np.zeros(0, dtype=np.int64))
-        embeddings = np.stack([e.embedding for e in entries])
-        labels = np.array([e.pseudo_label for e in entries], dtype=np.int64)
-        return embeddings, labels
+        return self._rows[slots], self._labels[slots]
 
     def record_hits(self, query_embeddings: np.ndarray, top_k: int) -> int:
         """LFU frequency update: top-k most similar cache entries per query.
 
         Returns the number of hits recorded.
         """
-        keys = [key for key, _ in self.cache.items()]
-        if not keys or query_embeddings.shape[0] == 0:
+        entries = list(self.cache.items())
+        if not entries or query_embeddings.shape[0] == 0:
             return 0
-        embeddings = np.stack([self.cache.peek(k).embedding for k in keys])
-        sims = pairwise_similarity(query_embeddings, embeddings,
-                                   self.config.knn_metric)
+        slots = [entry.slot for _, entry in entries]
+        if self._unit is not None:
+            sims = unit_rows(query_embeddings) @ self._unit[slots].T
+        else:
+            sims = pairwise_similarity(query_embeddings, self._rows[slots],
+                                       self.config.knn_metric)
         hits = 0
-        take = min(top_k, len(keys))
-        for row in sims:
-            for idx in np.argsort(-row)[:take]:
-                if self.cache.touch(keys[idx]):
-                    hits += 1
+        take = min(top_k, len(entries))
+        # The default (unstable) sort kind orders ties as the LFU bumps
+        # always have; the touches go query by query, best first.
+        for idx in np.argsort(-sims, axis=1)[:, :take].ravel():
+            if self.cache.touch(entries[idx][0]):
+                hits += 1
         return hits
 
     def update(self, query_embeddings: np.ndarray, predictions: np.ndarray,
@@ -90,22 +113,50 @@ class PromptAugmenter:
         confidences = np.asarray(confidences, dtype=np.float64)
         if query_embeddings.shape[0] == 0:
             return 0
-        inserted = 0
-        for cls in np.unique(predictions):
+        if predictions.size == 1:
+            # A lone query (the serving path) is its class's only
+            # member; the ablation still makes its draw.
+            chosen = 0
+            if self.config.random_pseudo_labels:
+                chosen = int(self.rng.choice(np.zeros(1, dtype=np.intp)))
+            self._insert(query_embeddings[chosen], predictions[0],
+                         confidences[chosen])
+            return 1
+        classes = np.unique(predictions)
+        for cls in classes:
             members = np.nonzero(predictions == cls)[0]
             if self.config.random_pseudo_labels:
                 chosen = int(self.rng.choice(members))
             else:
                 chosen = int(members[np.argmax(confidences[members])])
-            entry = CacheEntry(
-                embedding=np.array(query_embeddings[chosen], copy=True),
-                pseudo_label=int(cls),
-                confidence=float(confidences[chosen]),
-            )
-            self.cache.put(self._next_key, entry)
-            self._next_key += 1
-            inserted += 1
-        return inserted
+            self._insert(query_embeddings[chosen], cls, confidences[chosen])
+        return int(classes.size)
+
+    def _insert(self, row: np.ndarray, label, confidence) -> None:
+        """Cache a copy of ``row`` under the next key and write its
+        block rows into the lowest slot no other live entry holds."""
+        entry = CacheEntry(embedding=np.array(row, copy=True),
+                           pseudo_label=int(label),
+                           confidence=float(confidence))
+        self.cache.put(self._next_key, entry)
+        self._next_key += 1
+        taken = {other.slot for _, other in self.cache.items()}
+        entry.slot = min(set(range(self.cache.capacity)).difference(taken))
+        row = entry.embedding
+        if self._rows is None or self._rows.shape[1:] != row.shape:
+            if len(taken) > 1:
+                raise ValueError("every cached embedding needs the same "
+                                 "width")
+            self._rows = np.zeros((self.cache.capacity,) + row.shape,
+                                  dtype=row.dtype)
+            if self.config.knn_metric == "cosine":
+                self._unit = np.zeros(self._rows.shape)
+        self._rows[entry.slot] = row
+        self._labels[entry.slot] = entry.pseudo_label
+        if self._unit is not None:
+            # unit_rows's ops on one row, without its array overheads.
+            norm = math.sqrt(np.add.reduce(row * row))
+            np.divide(row, max(norm, 1e-12), out=self._unit[entry.slot])
 
     def invalidate(self) -> int:
         """Drop every entry because the source graph mutated.

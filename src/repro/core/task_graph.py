@@ -74,6 +74,27 @@ class TaskGraph:
         return self.num_data + np.arange(self.num_ways)
 
 
+def check_task_graph(prompt_labels: np.ndarray, num_queries: int,
+                     num_ways: int) -> None:
+    """Raise ``ValueError`` unless ``prompt_labels`` (int64), the query
+    count and the way count make a task graph."""
+    if num_ways < 2:
+        raise ValueError("task graph needs at least two label nodes")
+    if prompt_labels.size and (prompt_labels.min() < 0
+                               or prompt_labels.max() >= num_ways):
+        raise ValueError("prompt labels must lie in [0, num_ways)")
+    if num_queries < 1:
+        raise ValueError("task graph needs at least one query")
+
+
+def prompt_attributes(prompt_labels: np.ndarray,
+                      num_ways: int) -> np.ndarray:
+    """The ``(prompts, ways)`` rows of ``attr_grid``: "T" on each prompt's
+    true label, "F" elsewhere."""
+    return np.where(prompt_labels[:, None] == np.arange(num_ways),
+                    EDGE_ATTR_PROMPT_TRUE, EDGE_ATTR_PROMPT_FALSE)
+
+
 def build_task_graph(prompt_labels: np.ndarray, num_queries: int,
                      num_ways: int) -> TaskGraph:
     """Construct the fully-connected bipartite task graph.
@@ -84,22 +105,11 @@ def build_task_graph(prompt_labels: np.ndarray, num_queries: int,
     nodes with the query attribute.
     """
     prompt_labels = np.asarray(prompt_labels, dtype=np.int64)
-    if num_ways < 2:
-        raise ValueError("task graph needs at least two label nodes")
-    if prompt_labels.size and (prompt_labels.min() < 0
-                               or prompt_labels.max() >= num_ways):
-        raise ValueError("prompt labels must lie in [0, num_ways)")
-    if num_queries < 1:
-        raise ValueError("task graph needs at least one query")
-
+    check_task_graph(prompt_labels, num_queries, num_ways)
     num_prompts = int(prompt_labels.shape[0])
     attr_grid = np.full((num_prompts + num_queries, num_ways),
                         EDGE_ATTR_QUERY, dtype=np.int64)
-    attr_grid[:num_prompts] = np.where(
-        prompt_labels[:, None] == np.arange(num_ways),
-        EDGE_ATTR_PROMPT_TRUE,
-        EDGE_ATTR_PROMPT_FALSE,
-    )
+    attr_grid[:num_prompts] = prompt_attributes(prompt_labels, num_ways)
     return TaskGraph(
         attr_grid=attr_grid,
         num_prompts=num_prompts,

@@ -30,9 +30,9 @@ absorb the shedding — the bench *raises* if that inversion ever breaks.
 admitted/shed split, QPS, SLO verdict) per ``fast``/``full`` profile;
 :func:`check_scenarios` gates against it with explicit
 ``ENVIRONMENT-SKIPPED`` lines for host-class-sensitive entries (QPS,
-SLO latency verdicts) when ``cpu_count``/``backend`` differ from the
-recording host — the deterministic entries (fingerprints, admission
-counts) are gated everywhere.
+SLO latency verdicts) when ``cpu_count`` differs from the recording
+host — the deterministic entries (fingerprints, admission counts) are
+gated everywhere.
 """
 
 from __future__ import annotations
@@ -85,8 +85,8 @@ __all__ = [
 BASELINE_SCHEMA = 1
 
 #: Gate fields that depend on host speed — environment-skipped when the
-#: baseline host class (cpu_count, backend) differs from the current one.
-_ENVIRONMENT_KEYS = ("cpu_count", "backend")
+#: baseline host class (its cpu_count) differs from the current one.
+_ENVIRONMENT_KEYS = ("cpu_count",)
 
 PRIORITY_MAP = {
     "interactive": Priority.INTERACTIVE,
@@ -366,7 +366,7 @@ def run_scenario(model, dataset, scenario: Scenario, seed: int = 0,
 
 
 def _env() -> dict:
-    return {"cpu_count": os.cpu_count() or 1, "backend": "serial"}
+    return {"cpu_count": os.cpu_count() or 1}
 
 
 def _baseline_entry(scenario: Scenario, result: dict,
@@ -388,8 +388,6 @@ def _baseline_entry(scenario: Scenario, result: dict,
         "relax": relax,
         "trace_fingerprint": result["fingerprint"],
         "admitted_fingerprint": result["admitted_fingerprint"],
-        "stage_profile": {stage: round(cells["share"], 4)
-                          for stage, cells in verdict.stages.items()},
         "env": _env(),
     }
 

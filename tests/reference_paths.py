@@ -21,18 +21,32 @@ now runs vectorized.  They exist only to be compared against:
   :meth:`repro.core.GraphPrompterModel.task_logits` with it.  The dense
   (data × label) kernel of
   :meth:`repro.gnn.TaskGraphGNN.forward_grid` must be byte-identical;
+* :func:`select_loop` — prompt selection with a per-class loop for the
+  pool's classes and centroids, one stable ``argsort`` per query for the
+  votes and one per class for the pick;
+  :meth:`repro.core.PromptSelector.select` must pick the same indices,
+  and :meth:`~repro.core.PromptSelector.pool_state` must hold the same
+  classes, members and centroid bytes as :func:`pool_state_loop`;
+* :class:`StackingAugmenter` — the Augmenter that re-stacks its cached
+  embeddings on every read (:func:`stacked_cached_prompts`,
+  :func:`stacked_record_hits`); :class:`repro.core.PromptAugmenter`'s
+  slot block must return, count and evict the same;
 * :func:`serve_per_query` — the serving loop that answered a micro-batch
   one request at a time in arrival order, each through
-  :func:`predict_per_query` (select, Augmenter read, the per-edge task
-  logits, softmax, Augmenter update); the wave loop of
-  :meth:`repro.serving.PromptServer._process_scoped` must return the
-  same prediction and confidence bytes.
+  :func:`predict_per_query` (the selection loop, the stacking Augmenter
+  reads, the per-edge task logits, softmax, Augmenter update); the wave
+  loop of :meth:`repro.serving.PromptServer._process_scoped` must return
+  the same prediction and confidence bytes.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
+from repro.cache import make_cache
+from repro.core import CacheEntry
 from repro.core.task_graph import build_task_graph
 from repro.gnn.batch import SubgraphBatch, _validate
 from repro.gnn.message_passing import (
@@ -265,19 +279,191 @@ def task_logits_edges(model, prompt_embeddings, prompt_labels,
         return (logits * model.config.temperature).data
 
 
+def similarity_reference(queries, prompts, metric="cosine") -> np.ndarray:
+    """Reference implementation of ``pairwise_similarity``: both sides
+    normalised (cosine) or differenced in the same call."""
+    queries = np.asarray(queries, dtype=np.float64)
+    prompts = np.asarray(prompts, dtype=np.float64)
+    if metric == "cosine":
+        qn = queries / np.maximum(np.linalg.norm(queries, axis=1,
+                                                 keepdims=True), 1e-12)
+        pn = prompts / np.maximum(np.linalg.norm(prompts, axis=1,
+                                                 keepdims=True), 1e-12)
+        return qn @ pn.T
+    diff = queries[:, None, :] - prompts[None, :, :]
+    if metric == "euclidean":
+        return -np.sqrt((diff**2).sum(axis=-1))
+    return -np.abs(diff).sum(axis=-1)
+
+
+def pool_state_loop(config, prompt_embeddings, candidate_labels):
+    """Reference implementation: a pool's ``(classes, members,
+    centroids)``, one ``np.nonzero`` and one ``.mean`` per class."""
+    candidate_labels = np.asarray(candidate_labels, dtype=np.int64)
+    classes = np.unique(candidate_labels)
+    members = tuple(np.nonzero(candidate_labels == cls)[0]
+                    for cls in classes)
+    centroids = None
+    if config.use_knn:
+        centroids = np.stack([prompt_embeddings[rows].mean(axis=0)
+                              for rows in members])
+    return classes, members, centroids
+
+
+def select_loop(selector, prompt_embeddings, prompt_importance,
+                query_embeddings, query_importance, candidate_labels,
+                shots) -> np.ndarray:
+    """Reference implementation of ``PromptSelector.select``: per-query
+    votes and a per-class pick, each a stable ``argsort`` in a loop.
+    ``selector`` supplies the config (and, with every adaptive stage
+    off, the RNG of the random pick)."""
+    config = selector.config
+    _, members_of, centroids = pool_state_loop(config, prompt_embeddings,
+                                               candidate_labels)
+    if not (config.use_knn or config.use_selection_layers):
+        selected = []
+        for members in members_of:
+            take = min(shots, members.size)
+            choice = selector.rng.choice(members, size=take, replace=False)
+            selected.append(np.sort(choice))
+        return np.concatenate(selected)
+
+    n, p = query_embeddings.shape[0], prompt_embeddings.shape[0]
+    score_matrix = np.zeros((n, p))
+    if config.use_knn:
+        score_matrix += similarity_reference(
+            query_embeddings, prompt_embeddings, config.knn_metric)
+    if config.use_selection_layers:
+        score_matrix += np.outer(query_importance, prompt_importance)
+
+    votes = np.zeros(p)
+    routed = None
+    if config.use_knn:
+        routed = similarity_reference(query_embeddings, centroids,
+                                      config.knn_metric).argmax(axis=1)
+    for q in range(n):
+        pool = np.arange(p) if routed is None else members_of[routed[q]]
+        take = min(shots, pool.size)
+        top = pool[np.argsort(-score_matrix[q, pool], kind="stable")[:take]]
+        votes[top] += score_matrix[q, top]
+    fallback = score_matrix.mean(axis=0)
+
+    selected = []
+    for members in members_of:
+        take = min(shots, members.size)
+        keys = votes[members] + 1e-6 * fallback[members]
+        winners = members[np.argsort(-keys, kind="stable")[:take]]
+        selected.append(np.sort(winners))
+    return np.concatenate(selected)
+
+
+def stacked_cached_prompts(augmenter):
+    """Reference implementation of ``PromptAugmenter.cached_prompts``:
+    the entries' own embeddings, stacked in the cache's iteration
+    order."""
+    entries = [value for _, value in augmenter.cache.items()]
+    if not entries:
+        return (np.zeros((0, 0)), np.zeros(0, dtype=np.int64))
+    embeddings = np.stack([e.embedding for e in entries])
+    labels = np.array([e.pseudo_label for e in entries], dtype=np.int64)
+    return embeddings, labels
+
+
+def stacked_record_hits(augmenter, query_embeddings, top_k) -> int:
+    """Reference implementation of ``PromptAugmenter.record_hits``: the
+    entries' embeddings stacked, then one ``argsort`` and one touch loop
+    per query row."""
+    cache = augmenter.cache
+    keys = [key for key, _ in cache.items()]
+    if not keys or query_embeddings.shape[0] == 0:
+        return 0
+    embeddings = np.stack([cache.peek(k).embedding for k in keys])
+    sims = similarity_reference(query_embeddings, embeddings,
+                                augmenter.config.knn_metric)
+    hits = 0
+    take = min(top_k, len(keys))
+    for row in sims:
+        for idx in np.argsort(-row)[:take]:
+            if cache.touch(keys[idx]):
+                hits += 1
+    return hits
+
+
+class StackingAugmenter:
+    """Reference implementation of ``PromptAugmenter``: no row block,
+    every read re-stacks the cached entries' embeddings."""
+
+    def __init__(self, config, rng=None):
+        self.config = config.validate()
+        self.cache = make_cache(config.cache_policy, config.cache_size)
+        self.rng = np.random.default_rng(rng)
+        self._next_key = 0
+        self._stale_evictions = 0
+
+    def __len__(self) -> int:
+        return len(self.cache)
+
+    def cached_prompts(self):
+        return stacked_cached_prompts(self)
+
+    def record_hits(self, query_embeddings, top_k) -> int:
+        return stacked_record_hits(self, query_embeddings, top_k)
+
+    def update(self, query_embeddings, predictions, confidences) -> int:
+        predictions = np.asarray(predictions, dtype=np.int64)
+        confidences = np.asarray(confidences, dtype=np.float64)
+        if query_embeddings.shape[0] == 0:
+            return 0
+        inserted = 0
+        for cls in np.unique(predictions):
+            members = np.nonzero(predictions == cls)[0]
+            if self.config.random_pseudo_labels:
+                chosen = int(self.rng.choice(members))
+            else:
+                chosen = int(members[np.argmax(confidences[members])])
+            entry = CacheEntry(
+                embedding=np.array(query_embeddings[chosen], copy=True),
+                pseudo_label=int(cls),
+                confidence=float(confidences[chosen]),
+            )
+            self.cache.put(self._next_key, entry)
+            self._next_key += 1
+            inserted += 1
+        return inserted
+
+    def invalidate(self) -> int:
+        dropped = len(self.cache)
+        if dropped:
+            self.cache.clear()
+        self._stale_evictions += dropped
+        return dropped
+
+    def stats(self):
+        return replace(self.cache.stats(),
+                       stale_evictions=self._stale_evictions)
+
+    def reset(self) -> None:
+        self.cache.clear()
+        self._next_key = 0
+        self._stale_evictions = 0
+
+
 def predict_per_query(pipeline, session, query_emb, query_importance):
     """Reference implementation: one session's query rows, alone.
 
-    Selection rebuilds the pool's class state from the session's current
-    arrays (no stored selector state), and the task logits come from the
+    Selection is :func:`select_loop` on the session's current arrays (no
+    stored selector state), the Augmenter is read by stacking its
+    entries (:func:`stacked_cached_prompts`,
+    :func:`stacked_record_hits`), and the task logits come from the
     per-edge forward of :func:`task_logits_edges`.
     """
     config = pipeline.config
     augmenter = session.augmenter
     if config.use_knn or config.use_selection_layers:
-        selected = pipeline.selector.select(
-            session.candidate_emb, session.candidate_importance, query_emb,
-            query_importance, session.pool_labels, session.shots)
+        selected = select_loop(
+            pipeline.selector, session.candidate_emb,
+            session.candidate_importance, query_emb, query_importance,
+            session.pool_labels, session.shots)
     else:
         selected = np.arange(session.candidate_emb.shape[0])
     prompt_emb = session.candidate_emb[selected]
@@ -285,7 +471,7 @@ def predict_per_query(pipeline, session, query_emb, query_importance):
     if config.use_selection_layers:
         prompt_emb = prompt_emb * session.candidate_importance[selected, None]
     if config.use_augmenter and len(augmenter):
-        cache_emb, cache_labels = augmenter.cached_prompts()
+        cache_emb, cache_labels = stacked_cached_prompts(augmenter)
         prompt_emb = np.concatenate([prompt_emb, cache_emb], axis=0)
         prompt_labels = np.concatenate([prompt_labels, cache_labels])
     logits = task_logits_edges(pipeline.model, prompt_emb, prompt_labels,
@@ -293,7 +479,7 @@ def predict_per_query(pipeline, session, query_emb, query_importance):
     preds, confs = pipeline.model.predict(Tensor(logits))
     inserted = 0
     if config.use_augmenter:
-        augmenter.record_hits(query_emb, session.shots)
+        stacked_record_hits(augmenter, query_emb, session.shots)
         stored = query_emb
         if config.use_selection_layers:
             stored = query_emb * query_importance[:, None]

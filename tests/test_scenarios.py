@@ -116,7 +116,7 @@ class TestCheckScenarios:
     def test_trace_fingerprint_mismatch_fails_everywhere(self):
         failures = check_scenarios(
             {"s": self.entry(trace_fingerprint="c" * 64,
-                             env={"cpu_count": -1, "backend": "other"})},
+                             env={"cpu_count": -1})},
             {"s": self.entry()})
         assert any("fingerprint" in line for line in failures)
 
@@ -141,7 +141,7 @@ class TestCheckScenarios:
         skipped = []
         failures = check_scenarios(
             {"s": self.entry(qps=1.0, slo_ok=False)},
-            {"s": self.entry(env={"cpu_count": -1, "backend": "weird"})},
+            {"s": self.entry(env={"cpu_count": -1})},
             tolerance=1.5, skipped=skipped)
         assert failures == []
         assert len(skipped) == 1
