@@ -40,6 +40,16 @@ class PromptGenerator:
         self.deterministic = deterministic
         self.salt = salt
 
+    @property
+    def reads_only_seed_rows(self) -> bool:
+        """Whether a sample reads the adjacency rows of its seeds alone.
+
+        With at most one hop the random walk reads each seed's row and
+        stops, and BFS gathers the seeds' rows once; a deeper sample also
+        reads the rows of nodes it reached, anywhere in its node set.
+        """
+        return self.config.num_hops <= 1
+
     def _rng_for(self, datapoint: Datapoint) -> np.random.Generator:
         if not self.deterministic:
             return self.rng

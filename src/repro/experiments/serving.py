@@ -23,16 +23,18 @@ delta-overlay write path (:mod:`repro.graph.delta`) with cache-epoch
 session invalidation.  After the last round the whole post-mutation
 workload is replayed on **fresh sessions of both the mutated server and a
 cold server rebuilt from scratch** over the final live edge list; any
-prediction mismatch raises (the CI mutation-smoke gate) — overlay reads,
-shard routing, and epoch invalidation must be indistinguishable from a
-rebuild.  The mutated server's fresh sessions read every encoding its
-memo kept through the updates, so the gate checks the memo's eviction
-too.  Each round's row gives the sessions its update marked stale
+difference in a prediction or in a confidence's bytes raises (the CI
+mutation-smoke gate) — overlay reads, shard routing, and epoch
+invalidation must be indistinguishable from a rebuild.  The mutated
+server's fresh sessions read every encoding its memo kept through the
+updates, so the gate checks the memo's eviction too: a kept entry that
+is wrong can leave a prediction unchanged and still move its
+confidence.  Each round's row gives the sessions its update marked stale
 and the pool candidates its own queries refreshed
 (``ServerStats.refreshed_candidates``): the previous round's update
 marked them, and a stale session re-encodes only the candidates whose
-subgraphs the update touched — or reads them from the encoding memo
-when another session re-encoded them first.
+encodings read something the update changed — or reads them from the
+encoding memo when another session re-encoded them first.
 
 ``serve-bench-sharded`` replays one fixed workload through the sharded
 path (:mod:`repro.shard`): unsharded, then 2 and 4 shards.  Predictions
@@ -152,8 +154,10 @@ def serve_bench_mutating(context: ExperimentContext,
     """Live-mutation serving: interleaved updates + cold-rebuild equality.
 
     Raises ``RuntimeError`` when the mutated server's post-mutation
-    predictions differ from a server cold-rebuilt over the final live
-    edge list — the property the CI mutation-smoke job asserts.
+    predictions or confidences differ from a server cold-rebuilt over
+    the final live edge list — the property the CI mutation-smoke job
+    asserts.  Confidences are compared by their bytes
+    (``(session_id, prediction, confidence.hex())`` per answer).
     """
     model, base = served_model(context, source, target, mutable_graph=True)
     # Private graph copy: the context's dataset cache is shared across
@@ -208,7 +212,8 @@ def serve_bench_mutating(context: ExperimentContext,
 
     # ------------------------------------------------------------------
     # Equality gate: fresh sessions on the mutated server vs. a server
-    # cold-rebuilt from the final live edge list must predict identically.
+    # cold-rebuilt from the final live edge list must answer identically,
+    # confidence bytes included.
     # ------------------------------------------------------------------
     cold_dataset = Dataset(graph.rebuild(), base.task,
                            name=f"{base.name}-cold", rng=seed)
@@ -218,7 +223,8 @@ def serve_bench_mutating(context: ExperimentContext,
     predictions = {}
     for tag, srv in (("mutated", server), ("cold", cold)):
         results, elapsed = replay_workload(srv, checks)
-        predictions[tag] = [(r.session_id, r.prediction) for r in results]
+        predictions[tag] = [(r.session_id, r.prediction,
+                             r.confidence.hex()) for r in results]
         data[f"{tag}_qps"] = len(results) / elapsed
     require_identical(
         predictions["cold"], predictions["mutated"],

@@ -21,10 +21,24 @@ memo costs the allocator and the page tables no more than its blocks.
 Two events make entries wrong, and the server reports both:
 
 * a graph update — :meth:`EncodingMemo.evict` drops every entry whose
-  node ids meet the update's touched-node mask (the rule a session
-  applies to its own candidates; an entry that meets no touched node
-  would sample and encode to the same bytes on the new graph);
+  encoding read something the update changed, by the rule of
+  :meth:`UpdateFootprint.stale`, which a session applies to its own
+  candidates too;
 * new model weights — :meth:`EncodingMemo.clear` drops everything.
+
+What an encoding reads of the graph, and so what an update can change
+under it: the adjacency rows its sampler read — its seeds' rows when a
+sample takes at most one hop, its whole node set's otherwise — and the
+edges its node set induces, which induction reads off the set's
+directed out-rows and keeps only when both ends lie in the set.  A row
+changes only when an edge at its node is added or removed, which makes
+the node *touched*; an added or removed edge with an end outside the set
+is filtered out of the induced subgraph either way; a removal tombstones
+its slot without reordering the survivors (and compaction reads the
+same); and existing nodes' features never change.  So an encoding is
+stale exactly when a row it read is touched or a changed edge has both
+ends in its node set — a self-loop at a member included.  Everything
+else samples and encodes to the same bytes on the new graph.
 """
 
 from __future__ import annotations
@@ -33,12 +47,82 @@ from collections import OrderedDict
 
 import numpy as np
 
-__all__ = ["CAPACITY", "EncodingMemo"]
+from ..graph.delta import AppliedUpdate
+from ..graph.graph import Graph
+
+__all__ = ["CAPACITY", "EncodingMemo", "UpdateFootprint", "seed_ends"]
 
 #: Entries a server's memo holds before the least recently used go.
 #: Every perfbench workload touches fewer distinct datapoints in a 30 s
 #: run; at the served width the full blocks take about 4.4 MB.
 CAPACITY = 16_384
+
+
+def seed_ends(points) -> np.ndarray:
+    """One row per datapoint: its first and last seed node (a datapoint
+    has one seed or two), the layout :meth:`UpdateFootprint.stale`
+    reads."""
+    seeds = (point.nodes.tolist() for point in points)
+    return np.array([(ids[0], ids[-1]) for ids in seeds],
+                    dtype=np.int64).reshape(-1, 2)
+
+
+class UpdateFootprint:
+    """What one applied graph update changed, as an encoding reads it.
+
+    ``PromptServer.update_graph`` builds one per update and hands it to
+    :meth:`EncodingMemo.evict` and to every session's ``mark_touched``;
+    :meth:`stale` decides for both (the rule is in the module
+    docstring).  ``touched`` is the update's touched-node mask with one
+    ``False`` past the last node, so a ``-1`` pad reads untouched.  The
+    changed-edge lookup pairs each end of an added or removed edge with
+    its other end, sorted by the first, so a node's partners are one
+    slice.  ``seed_rows_only`` says whether a sample reads only its
+    seeds' rows (``PromptGenerator.reads_only_seed_rows``).
+    """
+
+    def __init__(self, graph: Graph, applied: AppliedUpdate,
+                 seed_rows_only: bool):
+        self.touched = np.zeros(graph.num_nodes + 1, dtype=bool)
+        self.touched[applied.touched_nodes] = True
+        self.seed_rows_only = seed_rows_only
+        edges = np.concatenate([applied.new_edge_ids,
+                                applied.removed_edge_ids])
+        ends = np.concatenate([graph.src[edges], graph.dst[edges]])
+        order = np.argsort(ends)
+        self._ends = ends[order]
+        self._partners = np.concatenate([graph.dst[edges],
+                                         graph.src[edges]])[order]
+
+    def stale(self, owner: np.ndarray, node: np.ndarray,
+              seeds: np.ndarray) -> np.ndarray:
+        """Sorted distinct indices of the node sets the update made stale.
+
+        ``node`` holds the touched members of the sets and ``owner`` the
+        index of the set each belongs to; row ``s`` of ``seeds`` holds
+        set ``s``'s :func:`seed_ends`.  A sample's seeds always lie in
+        its node set, so a set read a touched row exactly when one of
+        its touched members is a seed (any member, when samples read
+        their whole node set).  A set is also stale when one of its
+        touched members has a changed edge to a member of the same set
+        (itself, for a self-loop).
+        """
+        if not self.seed_rows_only:
+            return np.unique(owner)
+        read = owner[(seeds[owner] == node[:, None]).any(axis=1)]
+        first = np.searchsorted(self._ends, node, "left")
+        count = np.searchsorted(self._ends, node, "right") - first
+        starts = np.cumsum(count) - count
+        at = (np.arange(int(count.sum()))
+              + np.repeat(first - starts, count))
+        pair_owner = np.repeat(owner, count)
+        # One key per (set, node): the mask's length exceeds every id.
+        space = self.touched.size
+        members = np.sort(owner * space + node)
+        wanted = pair_owner * space + self._partners[at]
+        found = np.minimum(np.searchsorted(members, wanted),
+                           members.size - 1)
+        return np.union1d(read, pair_owner[members[found] == wanted])
 
 
 class EncodingMemo:
@@ -63,6 +147,11 @@ class EncodingMemo:
         self._importance = np.empty(capacity)
         self._nodes = np.empty((capacity, node_cap), dtype=np.int32)
         self._lengths = np.zeros(capacity, dtype=np.int32)
+        # Each entry's seed_ends, read from its key the first time an
+        # update needs them, so a server that never updates its graph
+        # never fills them.
+        self._seeds = np.empty((capacity, 2), dtype=np.int64)
+        self._seeded = np.zeros(capacity, dtype=bool)
         # Released slots below the high-water mark, used before fresh ones.
         self._free = np.empty(capacity, dtype=np.int64)
         self._num_free = 0
@@ -195,22 +284,32 @@ class EncodingMemo:
         for point in self._keys[slots]:
             del self._slots[point]
         self._lengths[slots] = 0
+        self._seeded[slots] = False
         self._keys[slots] = None
         self._free[self._num_free:self._num_free + slots.size] = slots
         self._num_free += slots.size
 
-    def evict(self, touched: np.ndarray) -> int:
-        """Drop every entry whose node ids meet the node mask
-        ``touched``; returns how many were dropped.
+    def evict(self, footprint: UpdateFootprint) -> int:
+        """Drop every entry ``footprint`` makes stale; returns how many
+        were dropped.
 
-        One pass over the node block: a ``-1`` pad reads the ``False``
-        appended to the mask, and a free slot (length 0) never matches.
+        One pass over the node block finds the touched members (a
+        ``-1`` pad reads untouched, and a free slot, of length 0, is
+        skipped); only entries holding one can be stale.
         """
         if not self._slots:
             return 0
-        high = self._high
-        meets = np.append(touched, False)[self._nodes[:high]].any(axis=1)
-        victims = np.flatnonzero(meets & (self._lengths[:high] > 0))
+        nodes = self._nodes[:self._high]
+        rows, cols = np.nonzero(footprint.touched[nodes])
+        live = self._lengths[rows] > 0
+        rows, cols = rows[live], cols[live]
+        if not rows.size:
+            return 0
+        unseeded = np.unique(rows[~self._seeded[rows]])
+        if unseeded.size:
+            self._seeds[unseeded] = seed_ends(self._keys[unseeded])
+            self._seeded[unseeded] = True
+        victims = footprint.stale(rows, nodes[rows, cols], self._seeds)
         self._drop(victims)
         return int(victims.size)
 
@@ -218,4 +317,5 @@ class EncodingMemo:
         """Drop every entry (the counts stay)."""
         self._slots.clear()
         self._keys[:self._high] = None
+        self._seeded[:self._high] = False
         self._high = self._num_free = 0

@@ -33,8 +33,10 @@ micro-batching is purely a throughput optimization.
 
 On a mutable graph (``mutable_graph``) a session keeps each pool
 candidate's subgraph node ids, as the encode pass sampled them, and
-``update_graph`` marks stale only the candidates an update touched and
-evicts the memo entries whose node ids it touched.
+``update_graph`` marks stale only the candidates — and evicts only the
+memo entries — whose encodings read something the update changed: a
+touched row their sampler read, or a changed edge inside their node set
+(:class:`~repro.serving.memo.UpdateFootprint`).
 Before the session's next prediction the server re-encodes just those
 rows and splices them into the pool — byte-identical to a full re-encode
 by the same batch invariance.
@@ -81,7 +83,7 @@ from ..persist import (
     episode_to_jsonable,
 )
 from ..shard import PARTITION_STRATEGIES, ShardCounters
-from .memo import EncodingMemo
+from .memo import EncodingMemo, UpdateFootprint
 from .qos import Priority
 from .router import ShardRouter
 from .scheduler import MicroBatchScheduler, PendingRequest
@@ -310,8 +312,8 @@ class PromptServer:
         """Bind ``session_id`` to an episode; encodes its pool once.
 
         Candidates the encoding memo holds — encoded by another session,
-        or by an earlier episode, since the last update that touched
-        them — are read from it; only the rest are sampled and encoded.
+        or by an earlier episode, and not made stale by an update since —
+        are read from it; only the rest are sampled and encoded.
 
         ``tenant_id``/``priority`` are kept on the session, where the
         gateway routes by them, and in its durable manifest (when a
@@ -373,17 +375,21 @@ class PromptServer:
     # ------------------------------------------------------------------
     def update_graph(self, update: GraphUpdate,
                      log: bool = True) -> AppliedUpdate:
-        """Apply one live mutation batch and invalidate what it touched.
+        """Apply one live mutation batch and invalidate what it changed.
 
         The graph (and, when sharded, the owner shards) absorbs the
-        update in place.  The encoding memo drops every entry whose
-        sampled subgraph meets the touched nodes.  In every session the
-        pool candidates whose subgraphs meet them are marked stale, and
-        a session whose pool or answered queries meet them is marked
-        stale and refreshed — those candidates re-encoded, Augmenter
-        cache purged — before its next prediction.  Entries, candidates
-        and sessions outside the touched region keep their encodings and
-        caches: their subgraphs provably cannot have changed.
+        update in place.  Its :class:`~repro.serving.memo.UpdateFootprint`
+        — the touched-node mask and the changed-edge lookup — is built
+        once and decides for the memo and every session alike: the
+        encoding memo drops, and every session marks stale, the entries
+        and pool candidates whose encodings read something the update
+        changed (a touched row their sampler read, or an added or removed
+        edge with both ends in their node set).  A session whose pool or
+        answered queries hold any touched node is marked stale and
+        refreshed — its stale candidates re-encoded, Augmenter cache
+        purged — before its next prediction.  Everything else keeps its
+        encodings and caches: it provably samples and encodes to the
+        same bytes on the new graph.
 
         With a :class:`~repro.persist.PersistentStore` attached, the
         update is WAL-logged (and fsynced) *before* the in-memory apply —
@@ -402,11 +408,12 @@ class PromptServer:
         applied = self.dataset.graph.apply_updates(update)
         if self.router is not None:
             self.router.apply_updates(applied)
-        touched = np.zeros(self.dataset.graph.num_nodes, dtype=bool)
-        touched[applied.touched_nodes] = True
-        self.memo.evict(touched)
+        footprint = UpdateFootprint(
+            self.dataset.graph, applied,
+            self.pipeline.generator.reads_only_seed_rows)
+        self.memo.evict(footprint)
         for state in self.sessions.states():
-            if state.mark_touched(touched) and not state.stale:
+            if state.mark_touched(footprint) and not state.stale:
                 state.stale = True
                 self._sessions_invalidated += 1
         self._graph_updates += 1
@@ -479,12 +486,13 @@ class PromptServer:
         the update), splices their rows and node ids into the session and
         rebuilds its selector state; then purges the Augmenter cache and
         the query node mask.  The result is byte-identical to encoding
-        the whole pool again: sampling is deterministic per datapoint, a
-        walk that visits no touched node reads only unchanged rows, an
-        added or removed edge touches both its endpoints (so inducing
-        over untouched nodes reads the same edges), and an encoder row
-        does not depend on the batch it rides in.  A session made stale
-        only by its query nodes re-encodes nothing.
+        the whole pool again: sampling is deterministic per datapoint and
+        a sample whose read rows are untouched visits the same nodes,
+        induction keeps only edges with both ends in the node set (so one
+        with no changed edge inside reads the same edges), and an encoder
+        row does not depend on the batch it rides in.  A session made
+        stale only by nodes its candidates did not read re-encodes
+        nothing.
         """
         rows = np.flatnonzero(session.stale_candidates)
         if rows.size:

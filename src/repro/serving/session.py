@@ -26,6 +26,7 @@ import numpy as np
 from ..cache.stats import CacheStats
 from ..core.prompt_augmenter import PromptAugmenter
 from ..core.prompt_selector import SelectorState
+from .memo import UpdateFootprint, seed_ends
 from .qos import Priority
 
 __all__ = ["SessionStats", "SessionState", "SessionStore", "index_node_sets"]
@@ -85,10 +86,13 @@ class SessionState:
     the candidate each id belongs to, and ``query_nodes`` is a node mask
     of the answered queries' subgraphs (their embeddings live on in the
     Augmenter cache).  :meth:`mark_touched` marks stale the candidates
-    whose nodes a graph update touched, and the session ``stale`` when
-    its pool or query nodes meet the update.  Before the next prediction
-    the server re-encodes just the stale candidates, splices their rows
-    in (:meth:`splice_candidates`) and purges the Augmenter cache
+    whose encodings read something a graph update changed (a touched
+    row their sampler read, or a changed edge inside their node set —
+    :meth:`~repro.serving.memo.UpdateFootprint.stale`), and the session
+    ``stale`` when its pool or query nodes meet the update's touched
+    nodes at all.  Before the next prediction the server re-encodes just
+    the stale candidates, splices their rows in
+    (:meth:`splice_candidates`) and purges the Augmenter cache
     (:meth:`reset_queries`), so a mutated session never answers from
     pre-mutation subgraphs while untouched sessions keep their caches
     (and hit-rates) intact.
@@ -114,6 +118,11 @@ class SessionState:
     stale: bool = False
     #: Candidates to re-encode before the next prediction.
     stale_candidates: np.ndarray = field(init=False)
+    #: Each candidate's seed_ends, built at the first
+    #: :meth:`mark_touched`, so a server that never updates its graph
+    #: never pays for them.
+    _pool_seeds: np.ndarray | None = field(default=None, init=False,
+                                           repr=False)
 
     def __post_init__(self):
         self.stale_candidates = np.zeros(len(self.pool_labels), dtype=bool)
@@ -136,16 +145,24 @@ class SessionState:
             self.query_nodes = np.pad(self.query_nodes, (0, grow))
         self.query_nodes[nodes] = True
 
-    def mark_touched(self, touched: np.ndarray) -> bool:
-        """Mark stale every candidate whose nodes meet the node mask
-        ``touched``; returns whether the pool or the query nodes meet it.
+    def mark_touched(self, footprint: UpdateFootprint) -> bool:
+        """Mark stale every candidate ``footprint`` makes stale; returns
+        whether the pool or the query nodes meet its touched nodes.
 
-        Marks accumulate across updates until the next refresh.
+        The return value keeps the node-set rule: any touched node the
+        session depends on makes it stale, and so purges its Augmenter
+        cache; a marked candidate always holds one.  Marks accumulate
+        across updates until the next refresh.
         """
-        hit = self.pool_node_owner[touched[self.pool_nodes]]
-        self.stale_candidates[hit] = True
+        touched = footprint.touched
+        hit = touched[self.pool_nodes]
+        if self._pool_seeds is None:
+            self._pool_seeds = seed_ends(self.pool)
+        self.stale_candidates[footprint.stale(
+            self.pool_node_owner[hit], self.pool_nodes[hit],
+            self._pool_seeds)] = True
         queried = touched[:self.query_nodes.size] & self.query_nodes
-        return bool(hit.size) or bool(queried.any())
+        return bool(hit.any()) or bool(queried.any())
 
     def splice_candidates(self, rows: np.ndarray, emb: np.ndarray,
                           importance: np.ndarray, nodes: list) -> None:

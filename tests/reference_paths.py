@@ -36,7 +36,11 @@ now runs vectorized.  They exist only to be compared against:
   :func:`predict_per_query` (the selection loop, the stacking Augmenter
   reads, the per-edge task logits, softmax, Augmenter update); the wave
   loop of :meth:`repro.serving.PromptServer._process_scoped` must return
-  the same prediction and confidence bytes.
+  the same prediction and confidence bytes;
+* :func:`encoding_is_stale` — whether an applied graph update changed
+  what one encoding read, decided with Python sets;
+  :meth:`repro.serving.memo.UpdateFootprint.stale` must mark stale the
+  same candidates and memo entries.
 """
 
 from __future__ import annotations
@@ -521,3 +525,24 @@ def serve_per_query(server, batch) -> list:
             prediction=int(preds[0]), confidence=float(confs[0]),
             batch_size=len(batch), wait_s=wait_s, service_s=service_s))
     return results
+
+
+def encoding_is_stale(graph, applied, datapoint, node_set,
+                      num_hops: int) -> bool:
+    """Reference rule: did ``applied`` change what the encoding of
+    ``datapoint``, sampled as ``node_set``, read?
+
+    Its sampler read the rows of its seeds (at most one hop) or of its
+    whole node set (deeper), and induction read the edges with both ends
+    in the node set.  Stale when a read row is touched or an added or
+    removed edge has both ends in the set.
+    """
+    members = {int(n) for n in node_set}
+    read = ({int(n) for n in datapoint.nodes} if num_hops <= 1
+            else members)
+    if read & set(applied.touched_nodes.tolist()):
+        return True
+    changed = np.concatenate([applied.new_edge_ids,
+                              applied.removed_edge_ids]).tolist()
+    return any(int(graph.src[e]) in members and int(graph.dst[e]) in members
+               for e in changed)

@@ -9,8 +9,10 @@ would give now.  These tests pin that and the bookkeeping around it:
   share datapoints, on an edge task and on a node task;
 * a datapoint two sessions share, or a batch repeats, is encoded once,
   and a scrape exports the memo's own hit and miss counts;
-* an update evicts exactly the entries whose node sets meet the touched
-  nodes, and the survivors still equal a fresh encode;
+* an update evicts exactly the entries whose encodings read something
+  it changed (``reference_paths.encoding_is_stale``), keeps entries
+  whose node sets it only touched, and the survivors still equal a
+  fresh encode;
 * after ``reload_model`` no row under the old weights is served;
 * a small memo never holds more than its capacity and changes no answer;
 * a failing encode leaves the memo as it was, and the next batch answers;
@@ -38,6 +40,7 @@ from repro.obs import MetricsRegistry, collect
 from repro.obs.slo import counter_total
 from repro.serving import PromptServer
 from repro.serving.memo import EncodingMemo
+from reference_paths import encoding_is_stale
 
 
 def _server(task: str = EDGE_TASK, mutable: bool = False, seed: int = 0,
@@ -170,7 +173,7 @@ def test_update_evicts_exactly_the_entries_it_touched(seed):
     _serve_rounds(server, episodes, range(2))
     graph = server.dataset.graph
     rng = np.random.default_rng(seed)
-    kept = dropped = short = 0
+    kept = dropped = short = spared = 0
     for step in range(5):
         before = list(server.memo._slots)
         applied = server.update_graph(random_graph_update(
@@ -179,15 +182,21 @@ def test_update_evicts_exactly_the_entries_it_touched(seed):
             num_new_nodes=int(rng.integers(0, 2))))
         touched = set(applied.touched_nodes.tolist())
         survivors = [point for point in before
-                     if not encoded[point][-1] & touched]
+                     if not encoding_is_stale(graph, applied, point,
+                                              encoded[point][-1],
+                                              server.config.num_hops)]
         short += sum(len(encoded[point][-1]) < 20 for point in survivors)
+        # Survivors holding a touched node: kept although the update
+        # touched their node set, because they read nothing it changed.
+        spared += sum(bool(encoded[point][-1] & touched)
+                      for point in survivors)
         assert list(server.memo._slots) == survivors
         kept += len(survivors)
         dropped += len(before) - len(survivors)
         _assert_same_encoding(server.memo.encode(survivors, _refuse),
                               _fresh(server, survivors))
         _serve_rounds(server, episodes, [2 + step % 4])
-    assert kept and dropped and short
+    assert kept and dropped and short and spared
 
 
 def test_reload_serves_no_row_under_the_old_weights():
