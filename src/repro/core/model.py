@@ -228,7 +228,10 @@ class GraphPrompterModel(Module):
         :func:`~repro.core.task_graph.build_task_graph` checks one graph.
         One padded :meth:`TaskGraphGNN.forward_grid` and one cosine head
         serve the whole wave, and each graph's logits are byte-identical
-        to :meth:`task_logits` on that graph alone.
+        to :meth:`task_logits` on that graph alone.  The head reads only
+        the query and label rows, so the forward is handed each graph's
+        query positions (after its own prompts, so a different column
+        per graph) and its last layer computes only those rows.
         """
         labels = [np.asarray(graph_labels, dtype=np.int64)
                   for graph_labels in prompt_labels]
@@ -269,10 +272,10 @@ class GraphPrompterModel(Module):
             attr = np.full((wave, width, num_ways), EDGE_ATTR_QUERY,
                            dtype=np.int64)
             attr[is_prompt] = prompt_attributes(flat_labels, num_ways)
-            h = self.task_gnn.forward_grid(h0, attr, num_data)
-            query_h = Tensor(h[:, :width][is_query].reshape(wave, num_queries,
-                                                            dim))
-            label_h = Tensor(h[:, width:])
+            query_rows = num_prompts[:, None] + np.arange(num_queries)
+            h = self.task_gnn.forward_grid(h0, attr, num_data, query_rows)
+            query_h = Tensor(h[:, :num_queries])
+            label_h = Tensor(h[:, num_queries:])
             cosine = (F.l2_normalize(query_h)
                       @ F.l2_normalize(label_h).transpose(0, 2, 1))
             return (cosine * self.config.temperature).data

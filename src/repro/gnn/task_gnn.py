@@ -14,7 +14,10 @@ data node is wired to every label node (as in PRODIGY), so inference runs
 dense (data, label) blocks, with no per-edge gathers or ``ufunc.at``
 scatters, and byte-identical to the edge-list forward.  It takes a *wave*
 of task graphs at once — a leading axis, data rows padded to the wave's
-longest graph — so one forward serves many sessions' queries.
+longest graph — so one forward serves many sessions' queries.  The cosine
+head (Eq. 11) reads only query and label rows, so the grid forward's last
+layer computes only those: its labels still read every data row's key and
+value, but no prompt row is projected, attended or normalised there.
 """
 
 from __future__ import annotations
@@ -70,35 +73,46 @@ class _TaskAttentionLayer(Module):
         return self.norm(h + self.out_proj(aggregated))
 
     def forward_grid(self, h: np.ndarray, attr: np.ndarray,
-                     attr_t: np.ndarray, pad: np.ndarray) -> np.ndarray:
+                     dst_attr: np.ndarray, pad: np.ndarray,
+                     rows: np.ndarray | None = None) -> np.ndarray:
         """No-grad forward over a wave of complete (data × label) grids.
 
         ``h`` is ``(wave, data + labels, dim)``: each graph's data rows,
         then its label rows.  ``attr`` is the ``(wave, data, label)``
-        attribute grid, ``attr_t`` its C-contiguous transpose, and ``pad``
-        the ``(wave, data)`` mask of padded data rows.  Each
-        graph's rows are byte-identical to :meth:`forward` over its own
-        symmetrised edge list: the same elementwise ops per (data, label)
-        pair, and every per-destination sum in ``np.add.at``'s order.
+        attribute grid and ``pad`` the ``(wave, data)`` mask of padded
+        data rows.  ``rows`` picks the ``(wave, k)`` data rows to compute
+        (every data row when ``None``) and ``dst_attr`` is their
+        C-contiguous ``(wave, label, k)`` attribute block.  Returns the
+        picked data rows, then the label rows: every label still reads
+        every data row's key and value, but no other data row is
+        projected, attended or normalised.  Each returned row is
+        byte-identical to :meth:`forward` over its graph's symmetrised
+        edge list: the same elementwise ops per (data, label) pair, and
+        every per-destination sum in ``np.add.at``'s order.
         """
         num_data = attr.shape[1]
         # One product over every row of the wave: a gemm row does not
         # depend on how many rows share the call (two or more).
         flat = h.reshape(-1, self.dim)
-        queries = (flat @ self.query_proj.weight.data).reshape(h.shape)
         keys = (flat @ self.key_proj.weight.data).reshape(h.shape)
         values = (flat @ self.value_proj.weight.data).reshape(h.shape)
+        if rows is not None:
+            picked = h[np.arange(h.shape[0])[:, None], rows]
+            h = np.concatenate([picked, h[:, num_data:]], axis=1)
+        queries = (h.reshape(-1, self.dim)
+                   @ self.query_proj.weight.data).reshape(h.shape)
         scale = 1.0 / np.sqrt(self.dim)
         bias = self.attr_bias.data
         embedding = self.attr_embedding.weight.data
+        num_dst = dst_attr.shape[2]
         data, labels = slice(None, num_data), slice(num_data, None)
         # Data rows attend over the labels (a label × data grid), label
         # rows over the data nodes (a data × label grid).  Only the
         # latter has padded sources.
-        to_data = _attend_grid(queries[:, data], keys[:, labels],
-                               values[:, labels], attr_t, bias, embedding,
+        to_data = _attend_grid(queries[:, :num_dst], keys[:, labels],
+                               values[:, labels], dst_attr, bias, embedding,
                                scale, None)
-        to_labels = _attend_grid(queries[:, labels], keys[:, data],
+        to_labels = _attend_grid(queries[:, num_dst:], keys[:, data],
                                  values[:, data], attr, bias, embedding,
                                  scale, pad)
         aggregated = np.concatenate([to_data, to_labels], axis=1)
@@ -184,7 +198,8 @@ class TaskGraphGNN(Module):
         return h
 
     def forward_grid(self, h: np.ndarray, attr: np.ndarray,
-                     num_data: np.ndarray) -> np.ndarray:
+                     num_data: np.ndarray,
+                     query_rows: np.ndarray) -> np.ndarray:
         """No-grad forward over a wave of complete bipartite task graphs.
 
         ``h`` is ``(wave, data + labels, dim)``: graph ``g``'s data rows
@@ -192,14 +207,27 @@ class TaskGraphGNN(Module):
         its label rows.  ``attr`` is the ``(wave, data, labels)``
         attribute grid, so edge ``i·m + j`` of graph ``g``'s edge list is
         ``attr[g, i, j]``; ``num_data[g]`` counts its real data rows (the
-        padded rows' attributes are ignored).  Each graph's real rows are
-        byte-identical to :meth:`forward` on its own edge list.
+        padded rows' attributes are ignored).  ``query_rows[g]`` are the
+        positions of graph ``g``'s queries among its data rows.
+
+        Returns ``(wave, queries + labels, dim)``: each graph's query
+        rows, then its label rows — the only rows the cosine head reads.
+        Every layer but the last computes all rows, since the next layer
+        reads them; the last computes only these.  Each returned row is
+        byte-identical to :meth:`forward` on its graph's own edge list.
         """
         attr = np.asarray(attr, dtype=np.int64)
+        query_rows = np.asarray(query_rows, dtype=np.int64)
         # A copy, not a transposed view: blocks gathered through a view
         # come out F-ordered, and numpy would sum their sources pairwise.
         attr_t = np.ascontiguousarray(attr.transpose(0, 2, 1))
         pad = np.arange(attr.shape[1]) >= np.asarray(num_data)[:, None]
-        for layer in self._modules_list:
+        for layer in self._modules_list[:-1]:
             h = layer.forward_grid(h, attr, attr_t, pad)
-        return h
+        # Every query edge carries the query attribute, so the queries'
+        # block is built C-contiguous rather than gathered from attr_t.
+        query_attr = np.full((attr.shape[0], attr.shape[2],
+                              query_rows.shape[1]), EDGE_ATTR_QUERY,
+                             dtype=np.int64)
+        return self._modules_list[-1].forward_grid(h, attr, query_attr, pad,
+                                                   query_rows)

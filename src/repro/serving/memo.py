@@ -47,6 +47,7 @@ from collections import OrderedDict
 
 import numpy as np
 
+from ..graph.datapoints import EdgeInput
 from ..graph.delta import AppliedUpdate
 from ..graph.graph import Graph
 
@@ -61,10 +62,11 @@ CAPACITY = 16_384
 def seed_ends(points) -> np.ndarray:
     """One row per datapoint: its first and last seed node (a datapoint
     has one seed or two), the layout :meth:`UpdateFootprint.stale`
-    reads."""
-    seeds = (point.nodes.tolist() for point in points)
-    return np.array([(ids[0], ids[-1]) for ids in seeds],
-                    dtype=np.int64).reshape(-1, 2)
+    reads.  Read off the fields: ``Datapoint.nodes`` would build an
+    array per datapoint."""
+    ends = [(point.head, point.tail) if isinstance(point, EdgeInput)
+            else (point.node, point.node) for point in points]
+    return np.array(ends, dtype=np.int64).reshape(-1, 2)
 
 
 class UpdateFootprint:

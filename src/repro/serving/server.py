@@ -93,7 +93,8 @@ __all__ = ["ServeResult", "ServerStats", "PromptServer"]
 
 
 def _validate_episode(episode: Episode, shots: int) -> None:
-    """Raise ``ValueError`` unless a session can serve ``episode``."""
+    """Raise ``ValueError`` unless a session can serve ``episode``'s
+    shape (its candidates are checked against the graph at open)."""
     num_ways = episode.num_ways
     if num_ways < 2:
         raise ValueError(f"an episode needs at least two ways, got "
@@ -107,6 +108,8 @@ def _validate_episode(episode: Episode, shots: int) -> None:
         raise ValueError(f"candidate labels must lie in [0, {num_ways})")
     if shots < 1:
         raise ValueError(f"shots must be at least 1, got {shots}")
+    if not len(episode.candidates):
+        raise ValueError("an episode needs at least one candidate")
 
 
 @dataclass(frozen=True)
@@ -324,12 +327,15 @@ class PromptServer:
         depends on it).
 
         Raises ``ValueError`` — before any encode, RNG draw, store insert
-        or manifest write — unless the episode has at least two ways, one
-        integer label in ``[0, num_ways)`` per candidate, and ``shots``
-        is at least 1.  A malformed episode would otherwise open fine and
-        then fail every query batched with its own.
+        or manifest write — unless the episode has at least two ways, at
+        least one candidate, one integer label in ``[0, num_ways)`` per
+        candidate, every candidate servable by :meth:`validate`'s rule,
+        and ``shots`` at least 1.  A malformed episode would otherwise
+        open fine and then fail every query batched with its own, or
+        fail inside sampling.
         """
         _validate_episode(episode, shots)
+        self._validate_candidates(episode.candidates)
         if priority is not None:
             priority = Priority(priority)
         fields = self._encode_pool(episode, shots)
@@ -355,6 +361,28 @@ class PromptServer:
                 tenant_id=tenant_id,
                 priority=None if priority is None else int(priority)))
         return state
+
+    def _validate_candidates(self, candidates: list) -> None:
+        """Raise ``ValueError`` naming the first candidate that is not
+        servable on the live graph, by ``validate_datapoint``'s rule.
+
+        Candidates the encoding memo holds are not checked again: every
+        entry was validated on its way in, and most opens find most of
+        their pool there.
+        """
+        graph = self.dataset.graph
+        for index, point in enumerate(candidates):
+            try:
+                if point in self.memo:
+                    continue
+            except TypeError:  # unhashable: no datapoint, as checked next
+                pass
+            try:
+                validate_datapoint(point, graph.num_nodes,
+                                   graph.num_relations, self.dataset.task)
+            except ValueError as exc:
+                raise ValueError(
+                    f"candidate {index} ({point!r}): {exc}") from None
 
     def close_session(self, session_id: str) -> SessionState | None:
         """Drop a session's cache and ledger; returns the final state."""

@@ -16,7 +16,8 @@ would give now.  These tests pin that and the bookkeeping around it:
 * after ``reload_model`` no row under the old weights is served;
 * a small memo never holds more than its capacity and changes no answer;
 * a failing encode leaves the memo as it was, and the next batch answers;
-* a request whose session expired while it queued is not encoded.
+* a request whose session expired while it queued is not encoded;
+* ``seed_ends`` reads each datapoint's first and last seed.
 """
 
 from __future__ import annotations
@@ -36,10 +37,11 @@ from repro.datasets.synthetic import (
     synthetic_knowledge_graph,
 )
 from repro.experiments.serving import random_graph_update
+from repro.graph import EdgeInput, NodeInput
 from repro.obs import MetricsRegistry, collect
 from repro.obs.slo import counter_total
 from repro.serving import PromptServer
-from repro.serving.memo import EncodingMemo
+from repro.serving.memo import EncodingMemo, seed_ends
 from reference_paths import encoding_is_stale
 
 
@@ -308,3 +310,21 @@ def test_expired_sessions_request_is_not_encoded():
     [want] = reference.drain()
     assert ((results["s0"].prediction, results["s0"].confidence)
             == (want.prediction, want.confidence))
+
+
+@pytest.mark.parametrize("points, want", [
+    ([NodeInput(4), NodeInput(np.int64(0))], [[4, 4], [0, 0]]),
+    ([EdgeInput(7, 2, 1), EdgeInput(3, 3), EdgeInput(np.int32(5), 9)],
+     [[7, 2], [3, 3], [5, 9]]),
+    ([NodeInput(1), EdgeInput(8, 6, 0)], [[1, 1], [8, 6]]),
+    ([], np.zeros((0, 2))),
+], ids=["node", "edge", "mixed", "empty"])
+def test_seed_ends_reads_first_and_last_seed(points, want):
+    """Each row is ``Datapoint.nodes``' first and last id, as int64."""
+    keys = np.empty(len(points), dtype=object)
+    keys[:] = points
+    for given in (points, keys):
+        got = seed_ends(given)
+        assert got.dtype == np.int64 and got.shape == (len(points), 2)
+        assert np.array_equal(got, want)
+        assert got.tolist() == [[p.nodes[0], p.nodes[-1]] for p in points]

@@ -17,8 +17,9 @@ Five families of guarantees pinned here:
 * the task GNN's dense (data × label) no-grad kernel is **byte-identical**
   to the per-edge forward of ``reference_paths`` and to the autodiff
   path, over a product grid of ways × prompts × cache rows × queries —
-  and so is every graph of a padded *wave* forward, over a product grid
-  of dims × ways × wave sizes with uneven prompt counts per graph.
+  and so is every graph of a padded *wave* forward, over product grids
+  of task-GNN depths × dims × ways × wave sizes with uneven prompt
+  counts per graph, whose last layer computes only query and label rows.
 """
 
 from itertools import product
@@ -30,7 +31,7 @@ from repro.core import GraphPrompterConfig, GraphPrompterModel
 from repro.gnn import BatchArena, SubgraphBatch
 from repro.graph import EdgeInput, Graph, NodeInput, sample_data_graph
 from repro.graph.sampling import bfs_neighborhood, random_walk_neighborhood
-from repro.gnn.task_gnn import _sum_sources
+from repro.gnn.task_gnn import EDGE_ATTR_QUERY, _sum_sources
 from repro.graph.subgraph import induced_subgraph
 from repro.nn import Tensor, no_grad
 from reference_paths import (
@@ -458,9 +459,15 @@ def wave_case_id(case) -> str:
     return "dim{}-ways{}-wave{}".format(*case)
 
 
-def random_task_model(dim, r):
-    """A model whose every task-GNN weight is random (see task_episode)."""
-    model = GraphPrompterModel(6, 4, GraphPrompterConfig(hidden_dim=dim))
+def depth_case_id(case) -> str:
+    return "layers{}-dim{}-ways{}-wave{}".format(*case)
+
+
+def random_task_model(dim, r, layers=2):
+    """A model whose every task-GNN weight is random (see task_episode),
+    with ``layers`` task-GNN layers."""
+    model = GraphPrompterModel(6, 4, GraphPrompterConfig(
+        hidden_dim=dim, num_task_layers=layers))
     model.eval()
     for param in model.task_gnn.parameters():
         param.data[:] = r.normal(size=param.data.shape)
@@ -498,6 +505,56 @@ class TestWaveKernelEquivalence:
             prompts.append(r.normal(size=(graph_labels.size, dim)))
             queries.append(r.normal(size=(num_queries, dim)))
         assert_wave_matches_oracle(model, prompts, labels, queries, ways)
+
+    @pytest.mark.parametrize("case", product([1, 2, 3], [16, 24, 32],
+                                             [2, 5, 50], [1, 4]),
+                             ids=depth_case_id)
+    def test_wave_bit_identical_at_depth(self, case):
+        """The last layer computes only query and label rows at every
+        depth; at depth 1 it is also the first, so its labels read the
+        input rows as keys and values."""
+        layers, dim, ways, size = case
+        r = np.random.default_rng([layers, dim, ways, size])
+        model = random_task_model(dim, r, layers)
+        num_queries = int(r.choice([1, 4]))
+        prompts, labels, queries = [], [], []
+        for _ in range(size):
+            shots, cache = int(r.choice([1, 3])), int(r.integers(0, 4))
+            graph_labels = np.concatenate([np.repeat(np.arange(ways), shots),
+                                           r.integers(0, ways, size=cache)])
+            labels.append(graph_labels)
+            prompts.append(r.normal(size=(graph_labels.size, dim)))
+            queries.append(r.normal(size=(num_queries, dim)))
+        assert_wave_matches_oracle(model, prompts, labels, queries, ways)
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_queries_at_a_different_column_per_graph(self, layers):
+        """Three queries per graph and a different prompt count in each
+        (5, 17, 11 and 8), so every graph's queries sit at its own
+        columns of the padded grid."""
+        r = np.random.default_rng(11 + layers)
+        model = random_task_model(24, r, layers)
+        labels = [np.concatenate([np.repeat(np.arange(5), shots),
+                                  r.integers(0, 5, size=cache)])
+                  for shots, cache in ((1, 0), (3, 2), (2, 1), (1, 3))]
+        prompts = [r.normal(size=(row.size, 24)) for row in labels]
+        queries = [r.normal(size=(3, 24)) for _ in labels]
+        assert_wave_matches_oracle(model, prompts, labels, queries, 5)
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_forward_grid_returns_query_and_label_rows(self, layers):
+        r = np.random.default_rng(20 + layers)
+        model = random_task_model(16, r, layers)
+        num_prompts, num_queries, ways = np.array([4, 9, 6]), 2, 3
+        width = num_prompts.max() + num_queries
+        attr = np.full((3, width, ways), EDGE_ATTR_QUERY)
+        for g, count in enumerate(num_prompts):
+            attr[g, :count] = r.integers(0, 2, size=(count, ways))
+        rows = model.task_gnn.forward_grid(
+            r.normal(size=(3, width + ways, 16)), attr,
+            num_prompts + num_queries,
+            num_prompts[:, None] + np.arange(num_queries))
+        assert rows.shape == (3, num_queries + ways, 16)
 
     def test_wave_without_padding(self):
         r = np.random.default_rng(7)

@@ -23,6 +23,7 @@ from repro.serving import (
     SessionStore,
 )
 from repro.persist import PersistentStore
+from repro.serving import server as server_module
 from repro.serving.session import SessionStats
 from reference_paths import serve_per_query
 
@@ -358,9 +359,30 @@ class TestPromptServer:
         assert again.pretrained_state("wiki", config) is not None
 
 
-def malformed_open(episode, case):
-    """``(episode, shots)`` for one malformed way of opening ``episode``."""
+#: Malformed candidates, each planted at index 2 of an episode's pool.
+BAD_CANDIDATES = ("node-out-of-range", "negative-node", "node-on-edge-task",
+                  "relation-out-of-range", "unhashable-node")
+
+
+def malformed_open(episode, case, num_nodes):
+    """``(episode, shots)`` for one malformed way of opening ``episode``
+    (an edge task on a graph of ``num_nodes`` nodes)."""
     labels = episode.candidate_labels.copy()
+    if case in BAD_CANDIDATES:
+        candidates = list(episode.candidates)
+        head, tail, relation = (candidates[2].head, candidates[2].tail,
+                                candidates[2].relation)
+        candidates[2] = {
+            "node-out-of-range": EdgeInput(num_nodes + 5, tail, relation),
+            "negative-node": EdgeInput(-1, tail, relation),
+            "node-on-edge-task": NodeInput(3),
+            "relation-out-of-range": EdgeInput(head, tail, 10**6),
+            "unhashable-node": EdgeInput([head], tail, relation),
+        }[case]
+        return replace(episode, candidates=candidates), 3
+    if case == "no-candidates":
+        return replace(episode, candidates=[],
+                       candidate_labels=labels[:0]), 3
     if case == "one-way":
         return replace(episode, way_classes=episode.way_classes[:1],
                        candidate_labels=np.zeros_like(labels)), 3
@@ -385,20 +407,24 @@ class TestOpenValidation:
 
     @pytest.mark.parametrize("case", [
         "one-way", "zero-shots", "label-out-of-range", "negative-label",
-        "float-labels", "2-d-labels", "label-count"])
+        "float-labels", "2-d-labels", "label-count", "no-candidates",
+        *BAD_CANDIDATES])
     def test_malformed_episode_rejected_before_any_effect(self, served,
                                                           tmp_path, case):
         dataset, config, model = served
         episode = sample_episode(dataset, num_ways=5, num_queries=4, rng=21)
-        bad, shots = malformed_open(episode, case)
+        bad, shots = malformed_open(episode, case, dataset.graph.num_nodes)
         persist = PersistentStore(str(tmp_path / "store"))
         server = PromptServer(model, dataset, max_batch_size=4, rng=0,
                               persist=persist)
         fresh = PromptServer(model, dataset, max_batch_size=4, rng=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as rejected:
             server.open_session("bad", bad, shots=shots)
+        if case in BAD_CANDIDATES:
+            assert str(rejected.value).startswith("candidate 2 (")
         assert "bad" not in server.sessions
         assert server.stats.sessions_opened == 0
+        assert len(server.memo) == server.memo.hits == server.memo.misses == 0
         assert persist.sessions.load_all() == []
         assert (server.rng.bit_generator.state
                 == fresh.rng.bit_generator.state)
@@ -412,6 +438,32 @@ class TestOpenValidation:
             answers.append([(r.prediction, r.confidence.hex())
                             for r in target.drain()])
         assert answers[0] == answers[1]
+
+
+    @pytest.mark.parametrize("case", BAD_CANDIDATES)
+    def test_rejected_candidate_leaves_memo_unchanged(self, served, case,
+                                                      monkeypatch):
+        """The other candidates are memo hits, so only the planted one is
+        validated, and the memo's entries, recency and counts stay."""
+        dataset, config, model = served
+        episode = sample_episode(dataset, num_ways=5, num_queries=4, rng=21)
+        server = PromptServer(model, dataset, max_batch_size=4, rng=0)
+        server.open_session("warm", episode)
+        memo = server.memo
+        before = (list(memo._slots.items()), memo.hits, memo.misses)
+        checked = []
+        monkeypatch.setattr(
+            server_module, "validate_datapoint",
+            lambda point, *args: (checked.append(point),
+                                  validate_datapoint(point, *args)))
+        bad, shots = malformed_open(episode, case, dataset.graph.num_nodes)
+        with pytest.raises(ValueError, match="candidate 2 "):
+            server.open_session("bad", bad, shots=shots)
+        assert checked == [bad.candidates[2]]
+        assert (list(memo._slots.items()), memo.hits, memo.misses) == before
+        # A pool the memo holds whole is not validated again.
+        server.open_session("again", episode)
+        assert checked == [bad.candidates[2]]
 
 
 def replay_both(build, script):
