@@ -72,18 +72,16 @@ def main() -> None:
     assert np.array_equal(sample, expect)
     print("sampling over the overlay == from-scratch rebuild: OK")
 
-    # Tiered compaction: rows the sampler keeps re-reading are promoted
-    # into contiguous side storage (read-transparent — same rows, back on
-    # the fused gather path); a later write would demote them again.
-    adj = graph.undirected_adjacency
-    everything = np.arange(graph.num_nodes, dtype=np.int64)
-    for _ in range(3):
-        adj.gather_neighbors(everything)
-    tiers = adj.overlay_stats()
-    print(f"tiering: {tiers['promoted_rows']} hot dirty rows promoted "
-          f"({tiers['promotions']} promotions, "
-          f"{tiers['demotions']} demotions, "
-          f"{tiers['side_slots']} side slots)")
+    # Row windows: the first read after the writes rebuilt each written
+    # row once, in canonical order, past the base slots of the overlay's
+    # store.  Every read is one slice or one gather and changes nothing;
+    # retired windows are garbage until a repack squeezes them out.
+    windows = graph.undirected_adjacency.overlay_stats()
+    print(f"store: {windows['dirty_rows']} rows read rebuilt windows "
+          f"({windows['rebuilds']} rebuilds, "
+          f"{windows['side_slots']} side slots, "
+          f"{windows['garbage_slots']} garbage slots, "
+          f"{windows['repacks']} repacks)")
 
     # Halo row cache: a 2-shard store over the same mutated graph pulls
     # each remote row once; the repeat pass is answered locally.

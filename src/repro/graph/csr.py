@@ -4,7 +4,24 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["CSRAdjacency", "csr_row_positions"]
+__all__ = ["CSRAdjacency", "csr_row_positions", "window_positions"]
+
+
+def window_positions(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Flat data positions of the concatenated windows
+    ``data[starts[i]:starts[i] + lens[i]]``.
+
+    Slot j of window i sits at ``starts[i] + j``; folding the starts and
+    the windows' offsets in the output into one repeat keeps this at
+    three kernels total.  One position array then indexes every per-slot
+    payload (destinations and edge ids alike).
+    """
+    total = int(lens.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64)
+    cum = np.cumsum(lens)
+    shifts = np.repeat(starts - cum + lens, lens)
+    return np.arange(total, dtype=np.int64) + shifts
 
 
 def csr_row_positions(indptr: np.ndarray,
@@ -12,22 +29,13 @@ def csr_row_positions(indptr: np.ndarray,
     """Flat data positions of the concatenated CSR ``rows``; returns
     ``(positions, lengths)``.
 
-    Slot i of row r sits at ``starts[r] + i - first_slot_of_r``; folding
-    the starts and the row firsts into one repeat keeps this at three
-    kernels total.  One position array then indexes every per-slot
-    payload of the CSR (destinations and edge ids alike).  Shared by the
-    adjacency gathers, the shard partitioner's row extraction, and the
-    sharded store's per-shard gathers.
+    Shared by the adjacency gathers, the shard partitioner's row
+    extraction, and the sharded store's per-shard gathers.
     """
     rows = np.asarray(rows, dtype=np.int64)
     starts = indptr[rows]
     lens = indptr[rows + 1] - starts
-    total = int(lens.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64), lens
-    cum = np.cumsum(lens)
-    shifts = np.repeat(starts - cum + lens, lens)
-    return np.arange(total, dtype=np.int64) + shifts, lens
+    return window_positions(starts, lens), lens
 
 
 class CSRAdjacency:

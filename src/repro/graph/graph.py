@@ -122,13 +122,6 @@ class Graph:
         #: tombstones) exceeds this fraction of the live slots, the next
         #: mutation rebuilds clean CSR bases.  ``None`` = manual only.
         self.compact_threshold: float | None = None
-        #: Tiered-compaction knobs, forwarded to every overlay this graph
-        #: builds (including rebuilds after :meth:`compact`): read-hot
-        #: dirty rows are re-materialised into contiguous side storage
-        #: after ``tier_promote_after`` reads so frontier gathers stay
-        #: vectorised; ``tier_enabled=False`` pins the pure delta tier.
-        self.tier_enabled = True
-        self.tier_promote_after = 2
         self._mutated = False
         self._compactions = 0
 
@@ -166,8 +159,8 @@ class Graph:
         if self._adj is None:
             if self._mutated:
                 src, dst, _, eids = self.live_edges()
-                self._adj = self._tuned(DeltaAdjacency.directed(
-                    self.num_nodes, src, dst, eids, id_space=self.num_edges))
+                self._adj = DeltaAdjacency.directed(
+                    self.num_nodes, src, dst, eids, id_space=self.num_edges)
             else:
                 self._adj = CSRAdjacency(self.num_nodes, self.src, self.dst)
         return self._adj
@@ -186,8 +179,8 @@ class Graph:
         if self._undirected_adj is None:
             if self._mutated:
                 src, dst, _, eids = self.live_edges()
-                self._undirected_adj = self._tuned(DeltaAdjacency.undirected(
-                    self.num_nodes, src, dst, eids, id_space=self.num_edges))
+                self._undirected_adj = DeltaAdjacency.undirected(
+                    self.num_nodes, src, dst, eids, id_space=self.num_edges)
             else:
                 both_src = np.concatenate([self.src, self.dst])
                 both_dst = np.concatenate([self.dst, self.src])
@@ -242,12 +235,6 @@ class Graph:
         keep = self.edge_alive
         return self.src[keep], self.dst[keep], self.rel[keep], eids[keep]
 
-    def _tuned(self, adj: DeltaAdjacency) -> DeltaAdjacency:
-        """Forward the graph-level tiering knobs to a fresh overlay."""
-        adj.tier_enabled = self.tier_enabled
-        adj.promote_after = self.tier_promote_after
-        return adj
-
     def _promote_overlays(self) -> None:
         """Wrap plain CSR caches into delta overlays before the first write.
 
@@ -259,11 +246,11 @@ class Graph:
             return
         self._mutated = True
         if isinstance(self._adj, CSRAdjacency):
-            self._adj = self._tuned(
-                DeltaAdjacency.wrap_directed(self._adj, self.num_edges))
+            self._adj = DeltaAdjacency.wrap_directed(self._adj,
+                                                     self.num_edges)
         if isinstance(self._undirected_adj, CSRAdjacency):
-            self._undirected_adj = self._tuned(DeltaAdjacency.wrap_undirected(
-                self._undirected_adj, self.src, self.num_edges))
+            self._undirected_adj = DeltaAdjacency.wrap_undirected(
+                self._undirected_adj, self.num_edges)
 
     def add_nodes(self, node_features: np.ndarray,
                   node_labels: np.ndarray | None = None) -> np.ndarray:
@@ -372,7 +359,10 @@ class Graph:
         """Apply one mutation batch; returns the invalidation receipt.
 
         Order: nodes are added first (so new edges may land on them),
-        then edges are added, then removals are applied.
+        then edges are added, then removals are applied.  The built
+        overlays then rebuild every row the batch wrote (see
+        :meth:`DeltaAdjacency.settle`), so the batch's whole cost is paid
+        here rather than by the first read after it.
         """
         compactions = self._compactions
         new_nodes = _EMPTY
@@ -387,6 +377,9 @@ class Graph:
                              dtype=np.int64).reshape(-1)
         if removed.size:
             self.remove_edges(removed)
+        for adj in (self._adj, self._undirected_adj):
+            if isinstance(adj, DeltaAdjacency):
+                adj.settle()
         touched = np.unique(np.concatenate(
             [new_nodes, add_src, add_dst,
              self.src[removed], self.dst[removed]]))
@@ -432,18 +425,18 @@ class Graph:
         """Fold overlays back into clean CSR bases (edge ids unchanged).
 
         Edge arrays are left as-is — the id space never renumbers — only
-        the adjacency structures are rebuilt from :meth:`live_edges`, so
-        reads return to the tombstone-free fast paths.
+        the adjacency structures are rebuilt from :meth:`live_edges`,
+        into overlays whose stores alias their clean bases.
         """
         if not self._mutated:
             return
         src, dst, _, eids = self.live_edges()
         if self._adj is not None:
-            self._adj = self._tuned(DeltaAdjacency.directed(
-                self.num_nodes, src, dst, eids, id_space=self.num_edges))
+            self._adj = DeltaAdjacency.directed(
+                self.num_nodes, src, dst, eids, id_space=self.num_edges)
         if self._undirected_adj is not None:
-            self._undirected_adj = self._tuned(DeltaAdjacency.undirected(
-                self.num_nodes, src, dst, eids, id_space=self.num_edges))
+            self._undirected_adj = DeltaAdjacency.undirected(
+                self.num_nodes, src, dst, eids, id_space=self.num_edges)
         self._compactions += 1
 
     def __repr__(self) -> str:

@@ -28,11 +28,12 @@ The ``mutate`` profile benchmarks the live-update subsystem
 (``repro bench --profile mutate``):
 
 * ``mutation_apply`` — absorbing an add+remove batch through the
-  :class:`~repro.graph.DeltaAdjacency` overlay vs. rebuilding the
-  undirected CSR from scratch (what a frozen-graph system pays per
-  update batch);
-* ``mutation_sampling_overlay`` — sampling on a clean CSR vs. the same
-  graph carrying a ~10% overlay (the read-path cost compaction bounds);
+  :class:`~repro.graph.DeltaAdjacency` overlay, and settling the rows it
+  wrote, vs. rebuilding the undirected CSR from scratch (what a
+  frozen-graph system pays per update batch);
+* ``mutation_sampling_bfs`` / ``mutation_sampling_random_walk`` —
+  sampling on a clean CSR vs. the same graph carrying a ~10% overlay
+  (the read-path cost compaction bounds);
 * ``mutation_compact`` — compaction wall-clock and edge throughput.
 """
 
@@ -305,6 +306,10 @@ def _mutation_benchmarks(p: dict) -> dict:
     def overlay_cycle():
         eids = graph.add_edges(add_src, add_dst)
         graph.remove_edges(eids)
+        # One read of each view settles the rows the cycle wrote, so the
+        # row counts all the work an update causes.
+        graph.adjacency.degree(0)
+        graph.undirected_adjacency.degree(0)
 
     overlay_cycle()  # first cycle pays overlay promotion; warm it up
 
@@ -331,23 +336,17 @@ def _mutation_benchmarks(p: dict) -> dict:
     clean = _dense_sampling_graph(p)
     clean.undirected_adjacency
 
-    def make_dirty(tier_enabled: bool):
-        mutated = clean.rebuild()
-        mutated.tier_enabled = tier_enabled
-        # Build the CSR *before* mutating: only then do the writes land in
-        # a live overlay.  (Mutating first would let the lazy build fold
-        # them into a clean base and this benchmark would sample zero
-        # overlay.)
-        mutated.undirected_adjacency
-        count = int(mutated.num_live_edges * p["overlay_fraction"] / 2)
-        mut_rng = np.random.default_rng(6)
-        mutated.add_edges(mut_rng.integers(0, mutated.num_nodes, size=count),
-                          mut_rng.integers(0, mutated.num_nodes, size=count))
-        mutated.remove_edges(mut_rng.choice(clean.num_edges, size=count,
-                                            replace=False))
-        return mutated
-
-    dirty = make_dirty(tier_enabled=True)
+    dirty = clean.rebuild()
+    # Build the CSR *before* mutating: only then do the writes land in a
+    # live overlay.  (Mutating first would let the lazy build fold them
+    # into a clean base and this benchmark would sample zero overlay.)
+    dirty.undirected_adjacency
+    count = int(dirty.num_live_edges * p["overlay_fraction"] / 2)
+    mut_rng = np.random.default_rng(6)
+    dirty.add_edges(mut_rng.integers(0, dirty.num_nodes, size=count),
+                    mut_rng.integers(0, dirty.num_nodes, size=count))
+    dirty.remove_edges(mut_rng.choice(clean.num_edges, size=count,
+                                      replace=False))
     assert dirty.overlay_fraction > 0, "benchmark must sample a live overlay"
     seeds = np.random.default_rng(1).integers(0, clean.num_nodes,
                                               size=p["sample_calls"])
@@ -374,25 +373,6 @@ def _mutation_benchmarks(p: dict) -> dict:
         out[name] = _pair(clean_t.per_call_s, dirty_t.per_call_s,
                           "clean_s", "overlay_s")
         out[name]["overlay_fraction"] = dirty.overlay_fraction
-
-    # Tiered compaction payoff: the same overlay sampled with row
-    # promotion disabled (every dirty row re-assembled per read) vs. the
-    # default tiered path, where hot dirty rows are re-materialized into
-    # contiguous side storage and the frontier gather stays fused.
-    # Outputs are bit-identical — the differential suite asserts it;
-    # this ratio pins what the tier buys (speedup > 1 expected).
-    untiered = make_dirty(tier_enabled=False)
-    delta_t = time_callable(run(untiered, bfs_neighborhood,
-                                p["bfs_hops"], p["bfs_cap"]),
-                            min_runtime_s=p["min_runtime_s"], repeats=5)
-    tiered_t = time_callable(run(dirty, bfs_neighborhood,
-                                 p["bfs_hops"], p["bfs_cap"]),
-                             min_runtime_s=p["min_runtime_s"], repeats=5)
-    tiered = _pair(delta_t.per_call_s, tiered_t.per_call_s,
-                   "delta_only_s", "tiered_s")
-    tier_stats = dirty.undirected_adjacency.overlay_stats()
-    tiered["promoted_rows"] = tier_stats["promoted_rows"]
-    out["mutation_sampling_bfs_tiered"] = tiered
 
     # Compaction: fold the overlay back into clean bases.  Repeatable —
     # compacting an already-clean mutated graph still rebuilds both

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..graph.delta import AppliedUpdate, _scatter_rows, _segment_positions
+from ..graph.delta import AppliedUpdate
 from ..graph.graph import Graph
 from .partition import ShardBuildContext, ShardPlan, partition_graph
 
@@ -55,6 +55,34 @@ _U64 = np.uint64
 _EMPTY = np.empty(0, dtype=np.int64)
 
 __all__ = ["ShardCounters", "ShardedGraphStore", "ShardedGraphView"]
+
+
+def _segment_positions(starts: np.ndarray, lens: np.ndarray,
+                       out_starts: np.ndarray) -> tuple[np.ndarray,
+                                                        np.ndarray]:
+    """Flat ``(source, destination)`` positions of the segment copy
+    ``src[starts[i]:starts[i]+lens[i]]`` →
+    ``out[out_starts[i]:out_starts[i]+lens[i]]`` for all ``i``, with the
+    same repeat trick as :func:`~repro.graph.csr.window_positions`."""
+    if starts.size == 0:
+        return _EMPTY, _EMPTY
+    cum = np.cumsum(lens)
+    total = int(cum[-1])
+    if total == 0:
+        return _EMPTY, _EMPTY
+    inner = cum - lens  # exclusive prefix: segment start in flat space
+    flat = np.arange(total, dtype=np.int64)
+    return (flat + np.repeat(starts - inner, lens),
+            flat + np.repeat(out_starts - inner, lens))
+
+
+def _scatter_rows(src: np.ndarray, starts: np.ndarray, lens: np.ndarray,
+                  out: np.ndarray, out_starts: np.ndarray) -> None:
+    """Copy ``src[starts[i]:starts[i]+lens[i]]`` into
+    ``out[out_starts[i]:out_starts[i]+lens[i]]`` for all ``i``."""
+    src_pos, out_pos = _segment_positions(starts, lens, out_starts)
+    if src_pos.size:
+        out[out_pos] = src[src_pos]
 
 
 @dataclass

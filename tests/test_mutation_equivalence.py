@@ -14,9 +14,9 @@ bit-identical to a from-scratch rebuild over the live edge list:
 * the K-shard store (K ∈ {1, 2, 4}) fed the same updates through
   ``ShardedGraphStore.apply_updates``.
 
-Batched induction must also advance the overlay's read counters and
-promotions, and the sharded store's halo-fetch count, exactly as the
-per-row loop does.
+Batched induction must also advance the sharded store's halo-fetch
+count exactly as the per-row loop does, and reads of the overlay's row
+windows must leave it unchanged.
 
 Plus regression tests for the ``visited_scratch`` free-list across
 ``add_nodes`` / ``compact`` (masks sized to the old graph must be retired,
@@ -130,8 +130,9 @@ def assert_reads_equal(graph: Graph, ref: Graph, context: str) -> None:
     assert graph.num_nodes == ref.num_nodes
     assert graph.num_live_edges == ref.num_edges
     assert np.array_equal(graph.degree(), ref.degree()), context
-    # Before the per-row pass: freshly written rows are still unpromoted,
-    # so this frontier mixes clean, promoted and assembled rows.
+    # Before the per-row pass: after a direct write this batched gather
+    # is the read that settles it, over a frontier of clean and rebuilt
+    # rows.
     gather_rng = np.random.default_rng(1)
     assert_directed_gather_equal(
         graph, ref, gather_rng.integers(0, graph.num_nodes, size=13),
@@ -268,50 +269,6 @@ def test_sharded_mutation_matches_rebuild(strategy, seed):
                 [seed, step, k]), context)
             assert_induction_equal(view, ref, np.random.default_rng(
                 [seed, step, k, 1]), context)
-
-
-def _mutated_twins(seed: int, promote_after: int) -> list[Graph]:
-    """Two identical mutated graphs (same script, same overlay state)."""
-    twins = []
-    for _ in range(2):
-        rng = np.random.default_rng([31, seed])
-        graph = make_base_graph("dense", rng)
-        graph.tier_promote_after = promote_after
-        graph.adjacency  # build pre-write: the overlay wraps it in place
-        k = max(graph.num_edges // 8, 8)
-        graph.add_edges(rng.integers(0, graph.num_nodes, size=k),
-                        rng.integers(0, graph.num_nodes, size=k),
-                        rng.integers(0, graph.num_relations, size=k))
-        _, _, _, live = graph.live_edges()
-        graph.remove_edges(rng.choice(live, size=6, replace=False))
-        twins.append(graph)
-    return twins
-
-
-@pytest.mark.parametrize("promote_after", [1, 2, 3])
-@pytest.mark.parametrize("seed", range(2))
-def test_induction_advances_overlay_counters_like_the_loop(seed,
-                                                          promote_after):
-    """Batched induction reads each row once, like the per-row loop: read
-    counters, promotions and side-store usage stay in lockstep."""
-    fast, slow = _mutated_twins(seed, promote_after)
-    rng = np.random.default_rng([32, seed])
-    for step in range(6):
-        if step == 3:  # a write demotes rows mid-stream
-            for graph in (fast, slow):
-                graph.add_edges([0, 1], [2, 3])
-        node_set = rng.choice(fast.num_nodes, size=14, replace=False)
-        centers = node_set[:2]
-        got = induced_subgraph(fast, node_set, centers)
-        want = induced_subgraph_loop(slow, node_set, centers)
-        for field in ("nodes", "src", "dst", "rel", "centers"):
-            assert np.array_equal(getattr(got, field),
-                                  getattr(want, field)), (step, field)
-        assert (fast.adjacency.overlay_stats()
-                == slow.adjacency.overlay_stats()), step
-        assert np.array_equal(fast.adjacency._reads,
-                              slow.adjacency._reads), step
-    assert fast.adjacency.overlay_stats()["promotions"] > 0
 
 
 @pytest.mark.parametrize("num_shards", [2, 4])
@@ -477,11 +434,19 @@ def test_gather_fast_path_used_on_clean_frontiers():
 
 
 # ----------------------------------------------------------------------
-# Tiered compaction (promotion / demotion) and the halo row cache
+# Row windows (settle, rebuild, repack, compaction) and the halo row cache
 # ----------------------------------------------------------------------
+def store_state(adj: DeltaAdjacency) -> tuple:
+    """Everything a read could change: the stats, every row window and
+    the store's used bytes."""
+    eids = None if adj._eid is None else adj._eid[:adj._used].tobytes()
+    return (adj.overlay_stats(), adj._start.tobytes(), adj._len.tobytes(),
+            adj._dst[:adj._used].tobytes(), eids)
+
+
 def test_stale_dirty_row_regression():
-    """add edge -> remove the same edge -> the row must regain the base
-    fast path (the empty delta entry used to pin it dirty forever)."""
+    """add edge -> remove the same edge -> the row must read its base
+    slice again (the empty delta entry used to pin it dirty forever)."""
     rng = np.random.default_rng(21)
     graph = make_base_graph("dense", rng)
     adj = graph.undirected_adjacency  # plain CSR, promoted on first write
@@ -490,21 +455,21 @@ def test_stale_dirty_row_regression():
     adj = graph.undirected_adjacency
     assert adj._dirty[u] and adj._dirty[v]
     graph.remove_edges([eid])
-    # Both endpoint rows are back at their exact base state.
+    # Both endpoint rows are back at their exact base state, and no
+    # empty delta entry is left behind.
     assert not adj._dirty[u] and not adj._dirty[v]
     assert not graph.adjacency._dirty[u]
-    # A frontier over them takes the fused base gather, and degree(None)
-    # no longer walks empty delta entries.
     frontier = np.array([u, v], dtype=np.int64)
     assert np.array_equal(adj.gather_neighbors(frontier),
                           adj.base.gather_neighbors(frontier))
     assert all(not lane for lane in adj._delta)
+    assert np.array_equal(adj._start[frontier], adj.base.indptr[frontier])
     assert_reads_equal(graph, graph.rebuild(), "stale-dirty-row")
 
 
-def test_promoted_row_reads_bit_identical():
-    """Reads repeated past ``promote_after`` re-materialise the row; the
-    promoted copy must read identically on every surface."""
+def test_rebuilt_row_reads_bit_identical():
+    """The first read after a write rebuilds every written row; the
+    rebuilt windows must read identically on every surface."""
     rng = np.random.default_rng(22)
     graph = make_base_graph("dense", rng)
     graph.adjacency, graph.undirected_adjacency  # build pre-write
@@ -513,49 +478,25 @@ def test_promoted_row_reads_bit_identical():
                     rng.integers(0, graph.num_nodes, size=k),
                     rng.integers(0, graph.num_relations, size=k))
     ref = graph.rebuild()
-    # Two read passes promote every dirty row (promote_after defaults 2).
-    assert_reads_equal(graph, ref, "pass 1 (counting)")
-    assert_reads_equal(graph, ref, "pass 2 (promoting)")
+    assert_reads_equal(graph, ref, "pass 1 (rebuilding)")
     adj = graph.undirected_adjacency
     stats = adj.overlay_stats()
-    assert stats["promotions"] > 0 and stats["promoted_rows"] > 0
-    # Third pass reads come from the side store.
-    assert_reads_equal(graph, ref, "pass 3 (promoted)")
-    assert_sampling_equal(graph, ref, rng, "promoted sampling")
-    assert_induction_equal(graph, ref, rng, "promoted induction")
-    # A frontier mixing clean and promoted rows takes the fused tiered
-    # gather (no per-row fallback) and still matches the rebuild.
+    assert stats["rebuilds"] > 0 and stats["dirty_rows"] > 0
+    assert stats["side_slots"] > 0
+    # Later passes read the same windows.
+    assert_reads_equal(graph, ref, "pass 2 (rebuilt)")
+    assert_sampling_equal(graph, ref, rng, "rebuilt sampling")
+    assert_induction_equal(graph, ref, rng, "rebuilt induction")
+    # A frontier mixing clean and rebuilt rows is one gather over base
+    # and side windows, and still matches the rebuild.
     frontier = np.arange(graph.num_nodes, dtype=np.int64)
     assert np.array_equal(adj.gather_neighbors(frontier),
                           ref.undirected_adjacency.gather_neighbors(frontier))
 
 
-def test_promote_then_remove_demotes():
-    """A write to a promoted row drops its side copy; reads stay exact."""
-    rng = np.random.default_rng(23)
-    graph = make_base_graph("dense", rng)
-    adj = graph.undirected_adjacency  # build pre-write, wrapped in place
-    u, v = 2, 9
-    eids = graph.add_edges([u, u], [v, 5])
-    adj = graph.undirected_adjacency
-    for _ in range(3):  # promote row u
-        adj.neighbors(u)
-    assert adj._side_start[u] >= 0
-    before = adj.overlay_stats()["demotions"]
-    graph.remove_edges([int(eids[0])])
-    assert adj._side_start[u] < 0
-    assert adj.overlay_stats()["demotions"] > before
-    assert_reads_equal(graph, graph.rebuild(), "promote-then-remove")
-    # Re-reading re-promotes; still exact.
-    for _ in range(3):
-        adj.neighbors(u)
-    assert adj._side_start[u] >= 0
-    assert_reads_equal(graph, graph.rebuild(), "re-promoted")
-
-
-def test_promote_then_compact():
-    """compact() folds everything into a clean base: tier state resets
-    and reads keep matching the rebuild."""
+def test_rebuild_then_compact():
+    """compact() folds everything into a clean base: no row reads a
+    rebuilt window any more, and reads keep matching the rebuild."""
     rng = np.random.default_rng(24)
     graph = make_base_graph("dense", rng)
     graph.undirected_adjacency  # build pre-write
@@ -565,34 +506,17 @@ def test_promote_then_compact():
     ref = graph.rebuild()
     assert_reads_equal(graph, ref, "pre-compact pass 1")
     assert_reads_equal(graph, ref, "pre-compact pass 2")
-    assert graph.undirected_adjacency.overlay_stats()["promoted_rows"] > 0
+    assert graph.undirected_adjacency.overlay_stats()["dirty_rows"] > 0
     graph.compact()
     adj = graph.undirected_adjacency
     stats = adj.overlay_stats()
-    assert stats["promoted_rows"] == 0 and stats["delta_slots"] == 0
+    assert stats["dirty_rows"] == 0 and stats["delta_slots"] == 0
     assert_reads_equal(graph, graph.rebuild(), "post-compact")
 
 
-def test_tier_disabled_matches_enabled():
-    """``tier_enabled=False`` pins the pure delta tier — same reads, no
-    promotions — and the knobs survive a compact()."""
-    rng = np.random.default_rng(25)
-    graph = make_base_graph("dense", rng)
-    graph.tier_enabled = False
-    graph.tier_promote_after = 5
-    for _ in range(4):
-        random_step(graph, rng)
-        ref = graph.rebuild()
-        assert_reads_equal(graph, ref, "tier-disabled")
-    for adj in (graph.adjacency, graph.undirected_adjacency):
-        if isinstance(adj, DeltaAdjacency):
-            assert adj.overlay_stats()["promotions"] == 0
-            assert not adj.tier_enabled and adj.promote_after == 5
-
-
-def test_grown_rows_stay_dirty_and_promotable():
-    """Rows past the base node count never regain the base fast path
-    (there is no base row to slice) but may still be promoted."""
+def test_grown_rows_stay_dirty_and_rebuilt():
+    """Rows past the base node count never read a base slice (there is
+    no base row to slice): they read rebuilt windows, empty ones too."""
     rng = np.random.default_rng(26)
     graph = make_base_graph("tiny", rng)
     graph.undirected_adjacency  # build pre-write
@@ -604,10 +528,125 @@ def test_grown_rows_stay_dirty_and_promotable():
     graph.remove_edges([int(eids[0])])  # grown row back to zero slots …
     assert adj._dirty[grown]            # … but must stay dirty
     assert adj.neighbors(grown).size == 0
-    for _ in range(3):
-        adj.neighbors(int(new[1]))
-    assert adj._side_start[int(new[1])] >= 0
+    assert adj.neighbors(int(new[1])).size > 0
+    assert adj._start[int(new[1])] >= adj.base.num_edges
     assert_reads_equal(graph, graph.rebuild(), "grown rows")
+
+
+def test_reads_are_pure():
+    """After the first read that follows a write, reads of every surface
+    change neither the stats, the row windows nor the store's bytes."""
+    rng = np.random.default_rng(41)
+    graph = make_base_graph("dense", rng)
+    graph.adjacency, graph.undirected_adjacency  # build pre-write
+    for step in range(4):
+        k = int(rng.integers(4, 12))
+        graph.add_edges(rng.integers(0, graph.num_nodes, size=k),
+                        rng.integers(0, graph.num_nodes, size=k))
+        _, _, _, live = graph.live_edges()
+        graph.remove_edges(rng.choice(live, size=4, replace=False))
+        views = (graph.adjacency, graph.undirected_adjacency)
+        views[0].neighbor_edges(0)  # the first read settles the writes
+        views[1].neighbors(0)
+        before = [store_state(adj) for adj in views]
+        ref = graph.rebuild()
+        for _ in range(2):
+            assert_reads_equal(graph, ref, f"pure {step}")
+            assert_sampling_equal(graph, ref, rng, f"pure {step}")
+            assert_induction_equal(graph, ref, rng, f"pure {step}")
+        assert [store_state(adj) for adj in views] == before, step
+
+
+def test_row_written_twice_in_one_batch():
+    """Two writes to one row before a read rebuild it once, to the
+    content after both; so do writes spread over add and remove stages."""
+    rng = np.random.default_rng(42)
+    graph = make_base_graph("dense", rng)
+    graph.adjacency, graph.undirected_adjacency  # build pre-write
+    u = 4
+    graph.add_edges([u, u, 7], [9, u, u])  # u written three times
+    assert_reads_equal(graph, graph.rebuild(), "twice, add")
+    # One batch that appends to u and tombstones one of its base slots.
+    dsts, eids = graph.adjacency.neighbor_edges(u)
+    base_eid = int(eids[0])
+    graph.apply_updates(GraphUpdate(add_src=[u, 3], add_dst=[2, u],
+                                    remove_edges=[base_eid]))
+    assert_reads_equal(graph, graph.rebuild(), "twice, add + remove")
+
+
+def test_row_written_then_restored_in_one_batch():
+    """A row a batch writes and restores reads its base slice again; a
+    rebuilt row a batch writes twice keeps reading its content."""
+    rng = np.random.default_rng(43)
+    graph = make_base_graph("dense", rng)
+    graph.adjacency, graph.undirected_adjacency  # build pre-write
+    u, v = 5, 11
+    kept = graph.add_edges([u], [v])
+    adj = graph.undirected_adjacency
+    assert_reads_equal(graph, graph.rebuild(), "rebuilt")
+    assert adj._start[u] >= adj.base.num_edges
+    # Add and remove again without a read: u keeps its rebuilt content.
+    eid = graph.add_edges([u], [3])
+    graph.remove_edges(eid)
+    assert_reads_equal(graph, graph.rebuild(), "written and undone")
+    # Removing the first edge restores u's exact base state.
+    garbage = adj.overlay_stats()["garbage_slots"]
+    graph.remove_edges(kept)
+    assert_reads_equal(graph, graph.rebuild(), "restored")
+    assert not adj._dirty[u]
+    assert adj._start[u] == adj.base.indptr[u]
+    assert adj.overlay_stats()["garbage_slots"] > garbage
+
+
+@pytest.mark.parametrize("kind", ["dense", "sparse"])
+def test_repack_reads_like_the_rebuild(kind):
+    """A write stream long enough to repack the store reads like the
+    rebuild at every step, before and after each repack."""
+    rng = np.random.default_rng([44, kind == "dense"])
+    graph = make_base_graph(kind, rng)
+    graph.adjacency, graph.undirected_adjacency  # build pre-write
+    graph.add_edges([0], [1])
+    views = (graph.adjacency, graph.undirected_adjacency)
+    step = 0
+    while min(adj.overlay_stats()["repacks"] for adj in views) < 2:
+        k = int(rng.integers(8, 24))
+        graph.add_edges(rng.integers(0, graph.num_nodes, size=k),
+                        rng.integers(0, graph.num_nodes, size=k),
+                        rng.integers(0, graph.num_relations, size=k))
+        _, _, _, live = graph.live_edges()
+        graph.remove_edges(rng.choice(live, size=k // 2, replace=False))
+        assert_reads_equal(graph, graph.rebuild(), f"{kind} step {step}")
+        step += 1
+        assert step < 400, "the store never repacked"
+    for adj in views:
+        stats = adj.overlay_stats()
+        assert stats["garbage_slots"] * 2 <= adj._dst.size
+        assert stats["side_slots"] > 0
+    assert_sampling_equal(graph, graph.rebuild(), rng, f"{kind} repacked")
+
+
+def test_compact_returns_to_an_aliased_store():
+    """A compacted overlay reads its fresh base arrays: nothing copied."""
+    rng = np.random.default_rng(45)
+    graph = make_base_graph("dense", rng)
+    graph.adjacency, graph.undirected_adjacency  # build pre-write
+    graph.add_edges([0, 1, 2], [3, 4, 5])
+    for adj in (graph.adjacency, graph.undirected_adjacency):
+        assert adj._dst is adj.base.indices  # aliased until the first read
+    assert_reads_equal(graph, graph.rebuild(), "owned")
+    directed, undirected = graph.adjacency, graph.undirected_adjacency
+    assert directed._dst is not directed.base.indices
+    assert undirected._dst is not undirected.base.indices
+    graph.compact()
+    directed, undirected = graph.adjacency, graph.undirected_adjacency
+    assert directed._dst is directed.base.indices
+    assert directed._eid is directed.base.edge_ids
+    assert undirected._dst is undirected.base.indices
+    for adj in (directed, undirected):
+        stats = adj.overlay_stats()
+        assert stats["side_slots"] == stats["garbage_slots"] == 0
+        assert stats["dirty_rows"] == 0
+    assert_reads_equal(graph, graph.rebuild(), "compacted")
 
 
 @pytest.mark.parametrize("num_shards", [2, 4])
