@@ -14,9 +14,9 @@ bit-identical to a from-scratch rebuild over the live edge list:
 * the K-shard store (K ∈ {1, 2, 4}) fed the same updates through
   ``ShardedGraphStore.apply_updates``.
 
-Batched induction must also advance the sharded store's halo-fetch
-count exactly as the per-row loop does, and reads of the overlay's row
-windows must leave it unchanged.
+Batched induction must also settle the overlay's written rows, and
+advance the sharded store's halo-fetch count, exactly as the per-row
+loop does; reads of the overlay's row windows must leave it unchanged.
 
 Plus regression tests for the ``visited_scratch`` free-list across
 ``add_nodes`` / ``compact`` (masks sized to the old graph must be retired,
@@ -269,6 +269,54 @@ def test_sharded_mutation_matches_rebuild(strategy, seed):
                 [seed, step, k]), context)
             assert_induction_equal(view, ref, np.random.default_rng(
                 [seed, step, k, 1]), context)
+
+
+def _mutated_twins(seed: int, writes: int) -> list[Graph]:
+    """Two identical mutated graphs (same script, same overlay state),
+    each left with ``writes`` write batches that no read has settled."""
+    twins = []
+    for _ in range(2):
+        rng = np.random.default_rng([31, seed])
+        graph = make_base_graph("dense", rng)
+        graph.adjacency  # build pre-write: the overlay wraps it in place
+        for _ in range(writes):
+            k = max(graph.num_edges // 8, 8)
+            graph.add_edges(rng.integers(0, graph.num_nodes, size=k),
+                            rng.integers(0, graph.num_nodes, size=k),
+                            rng.integers(0, graph.num_relations, size=k))
+            _, _, _, live = graph.live_edges()
+            graph.remove_edges(rng.choice(live, size=6, replace=False))
+        twins.append(graph)
+    return twins
+
+
+@pytest.mark.parametrize("writes", [1, 2, 3])
+@pytest.mark.parametrize("seed", range(2))
+def test_induction_advances_overlay_counters_like_the_loop(seed, writes):
+    """Batched induction settles the rows written since the last read
+    exactly as the per-row loop does: rebuild counts, row windows and the
+    store's bytes stay in lockstep."""
+    fast, slow = _mutated_twins(seed, writes)
+    assert fast.adjacency._pending and slow.adjacency._pending
+    rng = np.random.default_rng([32, seed])
+    for step in range(6):
+        if step == 3:  # writes mid-stream: rebuilt rows are written again
+            for graph in (fast, slow):
+                for _ in range(writes):
+                    graph.add_edges([0, 1], [2, 3])
+        node_set = rng.choice(fast.num_nodes, size=14, replace=False)
+        centers = node_set[:2]
+        got = induced_subgraph(fast, node_set, centers)
+        want = induced_subgraph_loop(slow, node_set, centers)
+        for field in ("nodes", "src", "dst", "rel", "centers"):
+            assert np.array_equal(getattr(got, field),
+                                  getattr(want, field)), (step, field)
+        # The induction itself settled every pending row.
+        assert not fast.adjacency._pending, step
+        assert not slow.adjacency._pending, step
+        assert store_state(fast.adjacency) == store_state(slow.adjacency), step
+    stats = fast.adjacency.overlay_stats()
+    assert stats["rebuilds"] > 0 and stats["garbage_slots"] > 0
 
 
 @pytest.mark.parametrize("num_shards", [2, 4])
