@@ -28,7 +28,6 @@ from repro.datasets import Dataset, load_dataset
 from repro.graph import GraphUpdate
 from repro.graph.sampling import random_walk_neighborhood
 from repro.serving import PromptServer
-from repro.shard import ShardedGraphStore
 
 NUM_SESSIONS = 3
 QUERIES_PER_SESSION = 8
@@ -82,17 +81,6 @@ def main() -> None:
           f"{windows['side_slots']} side slots, "
           f"{windows['garbage_slots']} garbage slots, "
           f"{windows['repacks']} repacks)")
-
-    # Halo row cache: a 2-shard store over the same mutated graph pulls
-    # each remote row once; the repeat pass is answered locally.
-    store = ShardedGraphStore.from_graph(graph, 2, "greedy")
-    frontier = rng.integers(0, graph.num_nodes, 64)
-    store.gather_neighbors(frontier)  # cold pass fills the cache
-    store.gather_neighbors(frontier)  # warm pass: pure hits
-    cache = store.cache_stats()
-    print(f"halo cache: {cache['hits']} hits / {cache['misses']} misses, "
-          f"{cache['cached_rows']} rows cached, "
-          f"{cache['invalidations']} epoch flushes")
 
     graph.compact()
     assert graph.overlay_fraction == 0.0

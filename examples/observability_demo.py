@@ -1,8 +1,8 @@
 """Observability demo: live metrics + sampled traces during a burst.
 
 One :class:`repro.obs.MetricsRegistry` instruments the whole stack —
-gateway queue waits, server batch histograms, shard timings, kernel
-stage profiles — and this demo watches it move:
+gateway queue waits, server batch histograms, kernel stage profiles —
+and this demo watches it move:
 
 1. a mixed-priority burst runs through :class:`ServingGateway` with
    1-in-2 request tracing switched on;
@@ -71,7 +71,7 @@ def print_snapshot(gateway, registry, round_id):
 async def main_async(model, dataset, episodes):
     registry = MetricsRegistry()
     server = PromptServer(model, dataset, max_batch_size=8, rng=0,
-                          num_shards=2, registry=registry)
+                          registry=registry)
     gateway = ServingGateway(server, max_batch_size=8, auto_drain=False,
                              trace_every=2, registry=registry)
     for (tenant, priority), episode in zip(TENANTS, episodes):

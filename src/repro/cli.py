@@ -28,7 +28,6 @@ from .experiments import (
     serve_bench_gateway,
     serve_bench_mutating,
     serve_bench_recovery,
-    serve_bench_sharded,
     serve_gateway_demo,
     fig3_ablation,
     fig4_gnn_architectures,
@@ -65,8 +64,6 @@ EXPERIMENTS = {
     "ablation-cache": (ablation_cache_policy, "cache policy sweep"),
     "ablation-recon": (ablation_recon_scorer, "reconstruction scorer sweep"),
     "serve-bench": (serve_bench, "online serving micro-batch throughput"),
-    "serve-bench-sharded": (serve_bench_sharded,
-                            "sharded serving equivalence + QPS"),
     "serve-bench-mutating": (serve_bench_mutating,
                              "live-mutation serving + cold-rebuild equality"),
     "serve-bench-recovery": (serve_bench_recovery,

@@ -7,9 +7,10 @@ selection, unweighted subgraphs, no test-time augmentation).
 
 The config holds what shapes the model and its answers.  ``str(config)``
 keys the pre-trained weights cache, so it carries no serving setting:
-shard count and strategy are :class:`~repro.serving.PromptServer`
-keywords, and admission, batching, deadline and trace-sampling settings
-are :class:`~repro.serving.ServingGateway` keywords.  Each is set and
+batch size, session bounds and persistence are
+:class:`~repro.serving.PromptServer` keywords, and admission, batching,
+deadline and trace-sampling settings are
+:class:`~repro.serving.ServingGateway` keywords.  Each is set and
 validated there, once.
 """
 

@@ -93,12 +93,6 @@ class GraphPrompterPipeline:
             salt=model.config.seed)
         self.selector = PromptSelector(model.config, rng=self.rng)
         self.augmenter = PromptAugmenter(model.config, rng=self.rng)
-        #: Optional override of :meth:`encode_points` with the same
-        #: ``(datapoints, arena=...) -> (emb, importance, nodes)``
-        #: contract.  The serving layer installs
-        #: :meth:`~repro.serving.ShardRouter.encode_points` here so both
-        #: query batches and candidate pools take the sharded path.
-        self.point_encoder = None
 
     def run_episode(self, episode: Episode, shots: int = 3,
                     query_batch_size: int = 8,
@@ -159,8 +153,6 @@ class GraphPrompterPipeline:
         (the serving loop passes its per-tick
         :class:`~repro.gnn.BatchArena`).
         """
-        if self.point_encoder is not None:
-            return self.point_encoder(datapoints, arena=arena)
         subgraphs = self.generator.subgraphs_for(datapoints)
         with no_grad():
             emb_t = self.model.encode_subgraphs(subgraphs, arena=arena)

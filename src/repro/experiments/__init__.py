@@ -28,7 +28,7 @@ from .scenarios import (
     run_scenario,
     scenarios_main,
 )
-from .serving import serve_bench, serve_bench_mutating, serve_bench_sharded
+from .serving import serve_bench, serve_bench_mutating
 from .tables import (
     table2_dataset_statistics,
     table3_arxiv,
@@ -59,7 +59,6 @@ __all__ = [
     "serve_bench_gateway",
     "serve_bench_mutating",
     "serve_bench_recovery",
-    "serve_bench_sharded",
     "serve_gateway_demo",
     "table2_dataset_statistics",
     "table3_arxiv",

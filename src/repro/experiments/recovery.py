@@ -14,9 +14,7 @@ gate) when any contract breaks:
   WAL replay → manifest-ordered session re-open) then serves the final
   query round, which must be **bit-identical** (predictions and
   confidences) to an uninterrupted reference run that applied both
-  updates normally.  Checked for the monolithic server and K-shard
-  configurations — a sharded restore must rebuild the *same* partition
-  from the snapshot's owner map.
+  updates normally.
 * **Real ``kill -9``** (full mode only) — the doomed timeline runs in a
   subprocess that ``SIGKILL``s itself at the write-ahead point; the
   parent recovers from the directory the corpse left behind.  Fast/CI
@@ -116,10 +114,10 @@ def _build_workload(target: str, seed: int, num_ways: int,
                                     queries_per_session, seed * 1000)
 
 
-def _make_server(model, dataset, seed: int, num_shards: int,
+def _make_server(model, dataset, seed: int,
                  persist: PersistentStore | None = None) -> PromptServer:
     return PromptServer(model, dataset, max_batch_size=8, rng=seed,
-                        num_shards=num_shards, persist=persist)
+                        persist=persist)
 
 
 def _serve_round(server: PromptServer, episodes: dict, round_id: int):
@@ -177,8 +175,7 @@ def _inject_torn_tail(persist: PersistentStore, graph, episodes,
 
 def _run_doomed(model, target: str, store_dir: str, seed: int,
                 num_ways: int, num_sessions: int,
-                queries_per_session: int, num_shards: int,
-                sigkill: bool = False) -> None:
+                queries_per_session: int, sigkill: bool = False) -> None:
     """The pre-crash process: stops at the write-ahead point.
 
     After this returns, ``store_dir`` holds exactly what a ``kill -9``
@@ -189,8 +186,7 @@ def _run_doomed(model, target: str, store_dir: str, seed: int,
     dataset, episodes = _build_workload(target, seed, num_ways,
                                         num_sessions, queries_per_session)
     persist = PersistentStore(store_dir)
-    server = _make_server(model, dataset, seed, num_shards,
-                          persist=persist)
+    server = _make_server(model, dataset, seed, persist=persist)
     update = _pre_crash_timeline(server, episodes, seed)
     persist.log_update(update, base_version=dataset.graph.version)
     # -- crash point: the update is durable but was never applied. --
@@ -201,7 +197,7 @@ def _run_doomed(model, target: str, store_dir: str, seed: int,
 
 def _crash_child(store_dir: str, model_path: str, target: str, seed: int,
                  num_ways: int, num_sessions: int,
-                 queries_per_session: int, num_shards: int) -> None:
+                 queries_per_session: int) -> None:
     """Subprocess entry point: run the doomed timeline, then ``kill -9``
     ourselves at the write-ahead point — no torn-tail simulation needed,
     the crash is real."""
@@ -210,12 +206,12 @@ def _crash_child(store_dir: str, model_path: str, target: str, seed: int,
                                default_config(mutable_graph=True))
     load_state(model, model_path)
     _run_doomed(model, target, store_dir, seed, num_ways, num_sessions,
-                queries_per_session, num_shards, sigkill=True)
+                queries_per_session, sigkill=True)
 
 
 def _spawn_crash_child(store_dir: str, model_path: str, target: str,
                        seed: int, num_ways: int, num_sessions: int,
-                       queries_per_session: int, num_shards: int) -> None:
+                       queries_per_session: int) -> None:
     src_root = os.path.dirname(os.path.dirname(
         os.path.dirname(os.path.abspath(__file__))))
     env = dict(os.environ)
@@ -223,7 +219,7 @@ def _spawn_crash_child(store_dir: str, model_path: str, target: str,
     code = (
         "from repro.experiments.recovery import _crash_child; "
         f"_crash_child({store_dir!r}, {model_path!r}, {target!r}, {seed}, "
-        f"{num_ways}, {num_sessions}, {queries_per_session}, {num_shards})")
+        f"{num_ways}, {num_sessions}, {queries_per_session})")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=600)
     if proc.returncode != -signal.SIGKILL:
@@ -240,7 +236,7 @@ async def _failover_phase(model, target: str, store_dir: str, seed: int,
     def factory(replica_id: int) -> ServingGateway:
         dataset, _ = _build_workload(target, seed, num_ways, 1,
                                      queries_per_session)
-        server = _make_server(model, dataset, seed, 1, persist=store)
+        server = _make_server(model, dataset, seed, persist=store)
         return ServingGateway(server, auto_drain=False)
 
     rs = ReplicaSet(factory, num_replicas=2, store=store)
@@ -317,72 +313,59 @@ def serve_bench_recovery(context: ExperimentContext,
     num_sessions = 3 if context.fast else 4
     queries_per_session = 6 if context.fast else 12
 
-    configs = [("monolithic", 1), ("2-shard", 2)]
-    if not context.fast:
-        configs.append(("4-shard", 4))
-
     headers = ["Config", "Crash", "Replayed", "Sessions", "Version",
                "Identical"]
     rows: list[list] = []
     data: dict = {"cells": {}}
 
     with tempfile.TemporaryDirectory(prefix="repro-recovery-") as tmp:
-        for label, num_shards in configs:
-            store_dir = os.path.join(tmp, f"store-{label}")
-            # Full mode exercises one real kill -9; the rest (and all of
-            # CI fast mode) crash in-process at the same write-ahead
-            # point, plus a torn WAL tail the subprocess path gets free.
-            crash = ("sigkill" if (not context.fast
-                                   and label == "monolithic")
-                     else "in-process")
-            if crash == "sigkill":
-                model_path = os.path.join(tmp, "model.npz")
-                if not os.path.exists(model_path):
-                    save_state(model, model_path)
-                _spawn_crash_child(store_dir, model_path, target, seed,
-                                   num_ways, num_sessions,
-                                   queries_per_session, num_shards)
-            else:
-                _run_doomed(model, target, store_dir, seed, num_ways,
-                            num_sessions, queries_per_session, num_shards)
+        store_dir = os.path.join(tmp, "store-monolithic")
+        # Full mode exercises a real kill -9; CI fast mode crashes
+        # in-process at the same write-ahead point, plus a torn WAL tail
+        # the subprocess path gets free.
+        crash = "in-process" if context.fast else "sigkill"
+        if crash == "sigkill":
+            model_path = os.path.join(tmp, "model.npz")
+            save_state(model, model_path)
+            _spawn_crash_child(store_dir, model_path, target, seed,
+                               num_ways, num_sessions, queries_per_session)
+        else:
+            _run_doomed(model, target, store_dir, seed, num_ways,
+                        num_sessions, queries_per_session)
 
-            # Uninterrupted reference: same timeline, second update
-            # actually applied, then the final round.
-            ref_dataset, ref_episodes = _build_workload(
-                target, seed, num_ways, num_sessions, queries_per_session)
-            reference_server = _make_server(model, ref_dataset, seed,
-                                            num_shards)
-            update = _pre_crash_timeline(reference_server, ref_episodes,
-                                         seed)
-            reference_server.update_graph(update)
-            reference = _final_round(reference_server, ref_episodes)
+        # Uninterrupted reference: same timeline, second update actually
+        # applied, then the final round.
+        ref_dataset, ref_episodes = _build_workload(
+            target, seed, num_ways, num_sessions, queries_per_session)
+        reference_server = _make_server(model, ref_dataset, seed)
+        update = _pre_crash_timeline(reference_server, ref_episodes, seed)
+        reference_server.update_graph(update)
+        reference = _final_round(reference_server, ref_episodes)
 
-            # Warm-start from the crash site and serve the same round.
-            recovered_server = PromptServer.restore(
-                model, PersistentStore(store_dir), base.task,
-                name=base.name, rng=seed, max_batch_size=8,
-                num_shards=num_shards)
-            replayed = recovered_server.last_recovery_replayed
-            restored_sessions = len(recovered_server.sessions)
-            version = recovered_server.dataset.graph.version
-            recovered = _final_round(recovered_server, ref_episodes)
+        # Warm-start from the crash site and serve the same round.
+        recovered_server = PromptServer.restore(
+            model, PersistentStore(store_dir), base.task,
+            name=base.name, rng=seed, max_batch_size=8)
+        replayed = recovered_server.last_recovery_replayed
+        restored_sessions = len(recovered_server.sessions)
+        version = recovered_server.dataset.graph.version
+        recovered = _final_round(recovered_server, ref_episodes)
 
-            if restored_sessions != num_sessions:
-                raise RuntimeError(
-                    f"recovery re-opened {restored_sessions} sessions, "
-                    f"expected {num_sessions} — session manifests lost")
-            require_identical(
-                reference, recovered,
-                f"recovered serving ({label}) vs the uninterrupted run "
-                f"(snapshot, WAL replay or session re-open is not "
-                f"bit-faithful)")
-            data["cells"][label] = {
-                "crash": crash, "num_shards": num_shards,
-                "replayed": replayed, "sessions": restored_sessions,
-                "graph_version": version, "identical": True,
-            }
-            rows.append([label, crash, replayed, restored_sessions,
-                         version, "yes"])
+        if restored_sessions != num_sessions:
+            raise RuntimeError(
+                f"recovery re-opened {restored_sessions} sessions, "
+                f"expected {num_sessions} — session manifests lost")
+        require_identical(
+            reference, recovered,
+            "recovered serving vs the uninterrupted run (snapshot, WAL "
+            "replay or session re-open is not bit-faithful)")
+        data["cells"]["monolithic"] = {
+            "crash": crash, "replayed": replayed,
+            "sessions": restored_sessions, "graph_version": version,
+            "identical": True,
+        }
+        rows.append(["monolithic", crash, replayed, restored_sessions,
+                     version, "yes"])
 
         failover = asyncio.run(_failover_phase(
             model, target, os.path.join(tmp, "store-failover"), seed,

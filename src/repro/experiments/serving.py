@@ -24,8 +24,8 @@ session invalidation.  After the last round the whole post-mutation
 workload is replayed on **fresh sessions of both the mutated server and a
 cold server rebuilt from scratch** over the final live edge list; any
 difference in a prediction or in a confidence's bytes raises (the CI
-mutation-smoke gate) — overlay reads, shard routing, and epoch
-invalidation must be indistinguishable from a rebuild.  The mutated
+mutation-smoke gate) — overlay reads and epoch invalidation must be
+indistinguishable from a rebuild.  The mutated
 server's fresh sessions read every encoding its memo kept through the
 updates, so the gate checks the memo's eviction too: a kept entry that
 is wrong can leave a prediction unchanged and still move its
@@ -35,16 +35,6 @@ and the pool candidates its own queries refreshed
 marked them, and a stale session re-encodes only the candidates whose
 encodings read something the update changed — or reads them from the
 encoding memo when another session re-encoded them first.
-
-``serve-bench-sharded`` replays one fixed workload through the sharded
-path (:mod:`repro.shard`): unsharded, then 2 and 4 shards.  Predictions
-and confidences must be *exactly equal* across every configuration
-(sharded sampling is bit-identical and no-grad encoder rows do not
-depend on their batch) — a mismatch raises, so the CI smoke fails
-loudly.  The summary
-table surfaces the per-shard counters (``requests`` routed,
-``halo_fetches`` across shard boundaries, ``worker_busy_s``) from
-:class:`~repro.serving.ServerStats`.
 """
 
 from __future__ import annotations
@@ -63,8 +53,7 @@ from .replay import (
     served_model,
 )
 
-__all__ = ["serve_bench", "serve_bench_sharded", "serve_bench_mutating",
-           "random_graph_update"]
+__all__ = ["serve_bench", "serve_bench_mutating", "random_graph_update"]
 
 
 def serve_bench(context: ExperimentContext,
@@ -228,8 +217,8 @@ def serve_bench_mutating(context: ExperimentContext,
         data[f"{tag}_qps"] = len(results) / elapsed
     require_identical(
         predictions["cold"], predictions["mutated"],
-        "mutating serving vs the cold rebuild (delta overlay, shard "
-        "routing or epoch invalidation served stale graph state)")
+        "mutating serving vs the cold rebuild (delta overlay or epoch "
+        "invalidation served stale graph state)")
     data["identical"] = True
     data["stale_evictions"] = server.stats.stale_evictions
     data["graph_version"] = server.stats.graph_version
@@ -239,59 +228,4 @@ def serve_bench_mutating(context: ExperimentContext,
         title=(f"serve-bench-mutating: {num_sessions} sessions × "
                f"{queries_per_session} queries, {num_ways}-way {target}, "
                f"{num_rounds} update rounds"),
-        headers=headers, rows=rows, data=data)
-
-
-def serve_bench_sharded(context: ExperimentContext,
-                        source: str = "wiki", target: str = "nell",
-                        num_ways: int = 5, seed: int = 0) -> TableResult:
-    """Sharded serving vs. unsharded: equality + QPS + counters.
-
-    Raises ``RuntimeError`` when any sharded configuration's predictions
-    or confidences differ from the unsharded run — the property the CI
-    shard-smoke job asserts.
-    """
-    model, dataset = served_model(context, source, target)
-    num_sessions = 3 if context.fast else 6
-    queries_per_session = 5 if context.fast else 16
-    episodes = sample_episodes(dataset, num_sessions, num_ways,
-                               queries_per_session, seed * 1000)
-
-    configs = [("unsharded", 1), ("2-shard", 2), ("4-shard", 4)]
-    headers = ["Config", "Shards", "Queries/s", "Identical", "Req/shard",
-               "Halo", "Busy ms"]
-    rows = []
-    data = {"cells": {}}
-    reference = None
-    for label, num_shards in configs:
-        server = PromptServer(model, dataset, max_batch_size=8, rng=seed,
-                              num_shards=num_shards)
-        results, elapsed = replay_workload(server, episodes)
-        stats = server.stats
-
-        qps = len(results) / elapsed
-        predictions = [(r.session_id, r.prediction, r.confidence)
-                       for r in results]
-        if reference is None:
-            reference = predictions
-        require_identical(
-            reference, predictions,
-            f"sharded serving ({label}) vs the unsharded run")
-        shard_counters = stats.shards
-        requests = "/".join(str(c.requests) for c in shard_counters) or "-"
-        busy_ms = 1000.0 * sum(c.worker_busy_s for c in shard_counters)
-        data["cells"][label] = {
-            "qps": qps, "identical": True, "num_shards": num_shards,
-            "shards": [
-                {"shard_id": c.shard_id, "requests": c.requests,
-                 "halo_fetches": c.halo_fetches,
-                 "worker_busy_s": c.worker_busy_s}
-                for c in shard_counters],
-        }
-        rows.append([label, num_shards, f"{qps:.1f}", "yes", requests,
-                     stats.halo_fetches,
-                     f"{busy_ms:.1f}" if shard_counters else "-"])
-    return TableResult(
-        title=(f"serve-bench-sharded: {num_sessions} sessions × "
-               f"{queries_per_session} queries, {num_ways}-way {target}"),
         headers=headers, rows=rows, data=data)

@@ -29,8 +29,7 @@ def csr_row_positions(indptr: np.ndarray,
     """Flat data positions of the concatenated CSR ``rows``; returns
     ``(positions, lengths)``.
 
-    Shared by the adjacency gathers, the shard partitioner's row
-    extraction, and the sharded store's per-shard gathers.
+    Shared by the CSR and delta-overlay adjacency gathers.
     """
     rows = np.asarray(rows, dtype=np.int64)
     starts = indptr[rows]

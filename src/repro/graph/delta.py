@@ -122,7 +122,6 @@ class AppliedUpdate:
     """
 
     version: int
-    new_node_ids: np.ndarray = field(default_factory=lambda: _EMPTY)
     new_edge_ids: np.ndarray = field(default_factory=lambda: _EMPTY)
     removed_edge_ids: np.ndarray = field(default_factory=lambda: _EMPTY)
     touched_nodes: np.ndarray = field(default_factory=lambda: _EMPTY)

@@ -384,9 +384,8 @@ class Graph:
             [new_nodes, add_src, add_dst,
              self.src[removed], self.dst[removed]]))
         return AppliedUpdate(
-            version=self.version, new_node_ids=new_nodes,
-            new_edge_ids=new_edges, removed_edge_ids=removed,
-            touched_nodes=touched,
+            version=self.version, new_edge_ids=new_edges,
+            removed_edge_ids=removed, touched_nodes=touched,
             compacted=self._compactions > compactions)
 
     def rebuild(self) -> "Graph":

@@ -172,20 +172,11 @@ def random_walk_neighborhood(
     # Hoisted locals: the walk loop runs once per hop per seed and its
     # fixed-cost Python overhead is what the vectorized absorption must
     # stay under.  Row fetches go through the adjacency *surface*
-    # (``neighbors``) rather than raw ``indptr``/``indices`` so any
-    # CSR-compatible provider — in particular the sharded store — can
-    # drive the same walk.
+    # (``neighbors``) rather than raw ``indptr``/``indices`` so the CSR
+    # and the delta overlay drive the same walk.
     row_of = adj.neighbors
     draw = rng.integers
     append = collected.append
-    # The walk fetches one row at a time, so on a sharded adjacency the
-    # seed rows would each pay their own round-trip; providers exposing
-    # ``prefetch_rows`` (the sharded store's halo cache) absorb them in
-    # one grouped fetch instead.  BFS needs no equivalent — its first
-    # hop is already a single fused frontier gather.
-    prefetch = getattr(adj, "prefetch_rows", None)
-    if prefetch is not None:
-        prefetch(start)
     try:
         for seed in seeds:
             current = int(seed)

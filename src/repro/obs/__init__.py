@@ -8,11 +8,11 @@ One substrate for every signal the stack emits:
 * :mod:`repro.obs.tracing` — :class:`TraceContext` per-stage spans with
   deterministic 1-in-N sampling (no RNG: traced runs stay bit-identical
   to untraced ones) and the :func:`span` profiling hook the sampler,
-  batcher, encoder forward, and shard fan-out all share.
+  batcher, encoder forward, and serving loop all share.
 * :mod:`repro.obs.exposition` — Prometheus text-exposition writer.
 * :mod:`repro.obs.bridge` — :func:`collect` exports the counts their
-  owners keep (``ServerStats``, the gateway's tenant ledgers, shard and
-  cache counters) into the registry; every scrape and every SLO snapshot
+  owners keep (``ServerStats``, the gateway's tenant ledgers, cache
+  counters) into the registry; every scrape and every SLO snapshot
   is taken right after it.  :func:`scrape` is the one-call
   gateway/server exposition.
 * :mod:`repro.obs.httpd` — optional stdlib ``GET /metrics`` endpoint.

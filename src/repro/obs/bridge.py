@@ -1,7 +1,7 @@
 """Bridge collectors: the serving objects' own counts, exported at scrape time.
 
 Each count the serving stack keeps has exactly one owner — the server's
-counters and per-shard counters (:class:`~repro.serving.ServerStats`),
+counters (:class:`~repro.serving.ServerStats`),
 the encoding memo's hits and misses (read into ``ServerStats``), the
 gateway's per-tenant ledgers (:class:`~repro.serving.TenantStats`) or a
 session's Augmenter cache (:class:`~repro.cache.stats.CacheStats`) — and
@@ -31,7 +31,7 @@ __all__ = ["export_stats", "export_sessions", "collect", "scrape"]
 
 
 def export_stats(stats, registry: MetricsRegistry) -> None:
-    """Export a ``ServerStats`` snapshot (shards + tenants included)."""
+    """Export a ``ServerStats`` snapshot (tenants included)."""
     counter, gauge = registry.counter, registry.gauge
     counter("repro_server_queries_total",
             "Queries answered by the server.").set(stats.queries)
@@ -69,20 +69,6 @@ def export_stats(stats, registry: MetricsRegistry) -> None:
     gauge("repro_cache_stale_evictions",
           "Augmenter cache entries the live sessions dropped as "
           "graph-stale.").set(stats.stale_evictions)
-
-    shard_labels = ("shard",)
-    requests = counter("repro_shard_requests_total",
-                       "Datapoints routed to each shard.", shard_labels)
-    halo = counter("repro_shard_halo_fetches_total",
-                   "Cross-shard ghost-row fetches per shard.", shard_labels)
-    busy = counter("repro_shard_worker_busy_seconds_total",
-                   "Worker seconds spent on each shard's tasks.",
-                   shard_labels)
-    for counters in stats.shards:
-        shard = str(counters.shard_id)
-        requests.set(counters.requests, shard=shard)
-        halo.set(counters.halo_fetches, shard=shard)
-        busy.set(counters.worker_busy_s, shard=shard)
 
     tenant_labels = ("tenant", "priority")
     submitted = counter("repro_gateway_submitted_total",

@@ -1,11 +1,11 @@
 """``repro metrics`` — live exposition demo of the observability layer.
 
 Runs a small seeded multi-tenant burst through the full serving stack —
-gateway admission → deadline batching → sharded encode → per-query
+gateway admission → deadline batching → micro-batch encode → per-query
 predict — with tracing enabled, then prints the Prometheus text
 exposition covering every layer (tenant ledgers, session cache sums,
-shard counters, kernel stage histograms) plus the per-stage latency
-breakdown of one sampled trace.
+kernel stage histograms) plus the per-stage latency breakdown of one
+sampled trace.
 
 After the burst, a durability mini-cycle runs against the same registry
 — WAL-logged update → snapshot → warm-start recovery → a 2-replica
@@ -173,7 +173,7 @@ def metrics_main(argv: list[str] | None = None) -> int:
 
     async def burst(store_dir: str) -> tuple:
         server = PromptServer(model, dataset, max_batch_size=8, rng=0,
-                              num_shards=2, registry=registry)
+                              registry=registry)
         gateway = ServingGateway(server, auto_drain=False,
                                  trace_every=args.trace_every,
                                  registry=registry)

@@ -3,8 +3,8 @@
 One :class:`MetricsRegistry` serves every layer of the stack — gateway
 queue waits, server batch histograms, kernel stage profiles, durability
 counters — and one scrape reads them all.  It is not the owner of the
-counts the serving objects keep (tenant ledgers, server and shard
-counters, cache counters): registries are shared by several servers and
+counts the serving objects keep (tenant ledgers, server counters, cache
+counters): registries are shared by several servers and
 gateways, so :mod:`repro.obs.bridge` exports those counts into it at
 scrape time instead.  Two properties drive the design:
 
@@ -116,7 +116,7 @@ class Counter(_Instrument):
         """Export a monotonic count its owner keeps elsewhere.
 
         Used by the bridge collectors that export the serving objects'
-        own counts (``ServerStats``/``TenantLedger``/shard counters) at
+        own counts (``ServerStats``/``TenantLedger``/cache counters) at
         scrape time.
         """
         key = self._key(labels)

@@ -1,8 +1,8 @@
 """Request tracing: per-stage spans with deterministic 1-in-N sampling.
 
 A :class:`TraceContext` follows one request through the stack — gateway
-admission, class-queue wait, micro-batch encode, shard fan-out, per-query
-predict — collecting named :class:`Span` durations.  Two properties keep
+admission, class-queue wait, micro-batch encode, per-query predict —
+collecting named :class:`Span` durations.  Two properties keep
 tracing safe to leave on in the serving path:
 
 * **Bit-identity.**  Sampling is a counter (`every`-th submit), not a
@@ -125,7 +125,7 @@ def batch_scope(traces: list):
     """Attach every :func:`span` in the block to ``traces``.
 
     The server's batch tick opens one scope over the whole-batch encode
-    (each traced request in the batch shares the encode/shard spans) and
+    (each traced request in the batch shares the encode spans) and
     a per-request scope around each predict call.  ``None`` entries are
     tolerated so callers can pass ``[request.trace]`` unconditionally.
     """
@@ -143,7 +143,7 @@ def span(stage: str):
     """Time a block: feed its self time to the stage histogram + traces.
 
     The single profiling hook shared by the sampler, the arena batcher,
-    the fused forward, the shard fan-out, and the serving loop — so
+    the fused forward and the serving loop — so
     ``repro bench``, live scrapes, and sampled traces all read the same
     numbers.  The recorded value is the block's duration minus the spans
     nested in it on this thread.

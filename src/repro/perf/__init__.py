@@ -2,8 +2,8 @@
 
 This subsystem pins the repo's perf trajectory the way the test suite pins
 behaviour: :mod:`repro.perf.hotpaths` defines paired microbenchmarks
-(per-query vs. micro-batched serving QPS, plus the shard, mutation and
-gateway profiles), :mod:`repro.perf.microbench` provides the calibrated
+(per-query vs. micro-batched serving QPS, plus the mutation and gateway
+profiles), :mod:`repro.perf.microbench` provides the calibrated
 best-of-N timer, and ``repro bench`` (:func:`bench_main`) runs
 everything, writes ``BENCH_hotpaths.json``, and — given ``--baseline`` —
 fails when any speedup ratio regresses beyond the tolerance, or when a
@@ -166,7 +166,7 @@ def bench_main(argv: list[str] | None = None) -> int:
         sections = {name: {"benchmarks": r["benchmarks"]}
                     for name, r in results.items()}
         # Merge with the sections already recorded in the output file —
-        # running one profile (e.g. --profile shard) must not drop the
+        # running one profile (e.g. --profile mutate) must not drop the
         # others' committed baselines.
         if os.path.exists(args.output):
             try:

@@ -1,4 +1,4 @@
-"""Hot-path microbenchmarks: serving QPS, sharding, mutation, gateway.
+"""Hot-path microbenchmarks: serving QPS, mutation, gateway.
 
 Each benchmark times the *same work* through two paths, so the reported
 number is a hardware-portable **speedup ratio** rather than an absolute
@@ -13,16 +13,6 @@ Benchmarked pairs
 -----------------
 * ``serving_microbatch`` — end-to-end :class:`~repro.serving.PromptServer`
   queries/sec, per-query serving vs. cross-session micro-batching.
-
-The ``shard`` profile benchmarks the horizontal-scale subsystem instead
-(``repro bench --profile shard``):
-
-* ``shard_partition`` — greedy vs. hash partition wall-clock;
-* ``shard_sampling`` — monolithic CSR sampling vs. the K-shard
-  :class:`~repro.shard.ShardedGraphStore` (bit-identical outputs; the
-  ratio tracks the halo-resolution overhead);
-* ``shard_halo_cache`` / ``shard_batched_frontier_qps`` — the halo row
-  cache and the batched frontier prefetch.
 
 The ``mutate`` profile benchmarks the live-update subsystem
 (``repro bench --profile mutate``):
@@ -61,11 +51,10 @@ SCHEMA_VERSION = 1
 #: ``quick`` the CI smoke scale, ``smoke`` a seconds-fast scale for the
 #: test suite.
 #:
-#: The shard and mutation sampling benchmarks run on a *dense* uniform
-#: multigraph (mean degree in the hundreds) with production-sized node
-#: caps: the paper picks random walks precisely because exact expansion
-#: explodes on large dense source graphs, so that is where halo and
-#: overlay read costs show.
+#: The mutation sampling benchmarks run on a *dense* uniform multigraph
+#: (mean degree in the hundreds) with production-sized node caps: the
+#: paper picks random walks precisely because exact expansion explodes on
+#: large dense source graphs, so that is where overlay read costs show.
 PROFILES = {
     "full": dict(nodes=4000, edges=24000, relations=8, feature_dim=32,
                  max_nodes=48, hidden_dim=32,
@@ -79,13 +68,6 @@ PROFILES = {
                   max_nodes=24, hidden_dim=16,
                   serve_sessions=2, serve_queries=3, serve_batch=4,
                   num_ways=3, min_runtime_s=0.01),
-    # Horizontal-scale subsystem (runs the shard benchmarks only).
-    # ``serve_batch`` is the number of concurrent sessions whose
-    # frontiers one batched prefetch pulls.
-    "shard": dict(sample_nodes=4000, sample_edges=400_000,
-                  sample_calls=24, bfs_hops=2, bfs_cap=256,
-                  rw_hops=3, rw_cap=1024,
-                  shard_k=2, serve_batch=32, min_runtime_s=0.05),
     # Live-update subsystem (runs the mutation benchmarks only).  The
     # apply benchmark cycles one batch of adds followed by the matching
     # removes, so the live edge set — and therefore the work per timed
@@ -169,121 +151,6 @@ def _serving_benchmark(graph, p: dict) -> dict:
         "batch_size": p["serve_batch"],
         "sessions": p["serve_sessions"],
     }}
-
-
-def _shard_benchmarks(p: dict) -> dict:
-    """Partition time, cross-shard sampling overhead, halo caching."""
-    from ..shard import ShardedGraphStore, partition_graph
-
-    dense = _dense_sampling_graph(p)
-    dense.undirected_adjacency  # CSR build outside the timed region
-    K = p["shard_k"]
-    out: dict = {"shard_partition": {}}
-    for strategy in ("greedy", "hash"):
-        measured = time_callable(
-            lambda strategy=strategy: partition_graph(dense, K, strategy),
-            min_runtime_s=p["min_runtime_s"], repeats=3)
-        out["shard_partition"][f"{strategy}_s"] = measured.per_call_s
-    out["shard_partition"]["num_shards"] = K
-    out["shard_partition"]["edges"] = dense.num_edges
-
-    # Cross-shard sampling: the K-shard store's halo resolution vs. the
-    # monolithic CSR, same seeds and draws (outputs are bit-identical —
-    # the equivalence suite asserts it; this pins what it costs).
-    view = ShardedGraphStore.from_graph(dense, K, "greedy").view()
-    rng_np = np.random.default_rng(1)
-    seeds = rng_np.integers(0, dense.num_nodes, size=p["sample_calls"])
-
-    def run(graph, sampler, hops, cap):
-        rng = np.random.default_rng(0)
-
-        def call():
-            for seed in seeds:
-                sampler(graph, np.array([seed]), hops, cap, rng)
-        return call
-
-    for name, sampler, hops, cap in (
-            ("shard_sampling_bfs", bfs_neighborhood,
-             p["bfs_hops"], p["bfs_cap"]),
-            ("shard_sampling_random_walk", random_walk_neighborhood,
-             p["rw_hops"], p["rw_cap"])):
-        mono = time_callable(run(dense, sampler, hops, cap),
-                             min_runtime_s=p["min_runtime_s"], repeats=5)
-        sharded = time_callable(run(view, sampler, hops, cap),
-                                min_runtime_s=p["min_runtime_s"], repeats=5)
-        # speedup < 1 is expected: this ratio tracks halo overhead, and
-        # the regression check guards it from silently getting worse.
-        out[name] = _pair(mono.per_call_s, sharded.per_call_s,
-                          "monolithic_s", "sharded_s")
-        out[name]["num_shards"] = K
-
-    # Halo row cache: repeated expansion of the same frontier with the
-    # cache disabled (every remote row re-pulled and re-translated per
-    # call) vs. warm (hits answered from the contiguous ghost-row
-    # buffer).  Read-transparent — the equivalence suite asserts the
-    # rows match; this ratio pins the payoff (speedup > 1 expected).
-    store = ShardedGraphStore.from_graph(dense, K, "greedy")
-    frontier = rng_np.integers(0, dense.num_nodes, size=p["bfs_cap"])
-
-    def expand():
-        store.gather_neighbors(frontier)
-
-    store.cache_enabled = False
-    uncached = time_callable(expand, min_runtime_s=p["min_runtime_s"],
-                             repeats=5)
-    store.cache_enabled = True
-    store.reset_counters()
-    expand()  # warm fill outside the timed region
-    cached = time_callable(expand, min_runtime_s=p["min_runtime_s"],
-                           repeats=5)
-    stats = store.cache_stats()
-    halo = _pair(uncached.per_call_s, cached.per_call_s,
-                 "uncached_s", "cached_s")
-    halo["num_shards"] = K
-    halo["frontier_rows"] = int(frontier.size)
-    halo["hit_rate"] = (stats["hits"]
-                        / max(stats["hits"] + stats["misses"], 1))
-    out["shard_halo_cache"] = halo
-
-    # Batched frontier expansion: a micro-batch of concurrent sessions,
-    # each holding its own frontier.  Per-session, every session pays its
-    # own store round-trip (one gather per session — the pre-batching
-    # serving path); batched, one grouped prefetch pulls the union of all
-    # frontiers in a single round-trip per shard, which is what the
-    # router now does ahead of sampling.
-    sessions = p["serve_batch"]
-    rows_per_session = max(1, p["bfs_cap"] // sessions)
-    session_frontiers = [
-        rng_np.integers(0, dense.num_nodes, size=rows_per_session)
-        for _ in range(sessions)
-    ]
-    union = np.concatenate(session_frontiers)
-
-    def per_session():
-        for session_frontier in session_frontiers:
-            store.gather_neighbors(session_frontier)
-
-    def batched():
-        store._cache_reset(store.num_nodes)  # force a cold prefetch
-        store.prefetch_rows(union)
-
-    store.cache_enabled = False
-    per = time_callable(per_session, min_runtime_s=p["min_runtime_s"],
-                        repeats=5)
-    store.cache_enabled = True
-    bat = time_callable(batched, min_runtime_s=p["min_runtime_s"],
-                        repeats=5)
-    frontier_qps = _pair(per.per_call_s, bat.per_call_s,
-                         "per_session_s", "batched_s")
-    frontier_qps["num_shards"] = K
-    frontier_qps["batch_sessions"] = sessions
-    frontier_qps["frontier_rows"] = int(union.size)
-    frontier_qps["batches_per_sec"] = (1.0 / bat.per_call_s
-                                       if bat.per_call_s > 0
-                                       else float("inf"))
-    out["shard_batched_frontier_qps"] = frontier_qps
-
-    return out
 
 
 def _mutation_benchmarks(p: dict) -> dict:
@@ -451,9 +318,7 @@ def run_benchmarks(profile: str = "full") -> dict:
                          f"use one of {sorted(PROFILES)}")
     p = PROFILES[profile]
     benchmarks: dict = {}
-    if profile == "shard":
-        benchmarks.update(_shard_benchmarks(p))
-    elif profile == "mutate":
+    if profile == "mutate":
         benchmarks.update(_mutation_benchmarks(p))
     elif profile == "gateway":
         benchmarks.update(_gateway_benchmarks(p))

@@ -12,7 +12,7 @@ every live session" into "warm-start and provably serve the same answers":
   with idempotent, torn-tail-tolerant replay;
 * :func:`write_snapshot` / :func:`load_snapshot`
   (:mod:`repro.persist.snapshot`) — checksummed full-edge-id-space graph
-  snapshots (plus the shard owner map) written atomically;
+  snapshots written atomically;
 * :class:`SessionManifest` / :class:`SessionManifestStore`
   (:mod:`repro.persist.manifest`) — the durable per-session record
   (tenant, priority, episode, open order) a restart re-opens from;

@@ -3,11 +3,11 @@
 A snapshot is the full edge-id-space state of one
 :class:`~repro.graph.graph.Graph` — ``src``/``dst``/``rel`` *including
 tombstoned slots* plus the ``edge_alive`` mask — together with node
-features/labels, relation features, the graph's epoch ``version``, and
-optionally the shard owner map.  Persisting the whole id space (not just
-live edges) is load-bearing: datapoints and datasets reference edges by
-stable id, so a snapshot that renumbered ids would dangle every
-edge-classification episode that survives the restart.
+features/labels, relation features and the graph's epoch ``version``.
+Persisting the whole id space (not just live edges) is load-bearing:
+datapoints and datasets reference edges by stable id, so a snapshot that
+renumbered ids would dangle every edge-classification episode that
+survives the restart.
 
 Restore rebuilds the graph and re-marks it mutated (when its version is
 nonzero), so the lazily built adjacency comes up as a
@@ -42,8 +42,7 @@ SNAPSHOT_SCHEMA = 1
 _CHECKSUM_KEY = "__checksum__"
 
 
-def _snapshot_arrays(graph: Graph, wal_seq: int,
-                     owner: np.ndarray | None) -> dict:
+def _snapshot_arrays(graph: Graph, wal_seq: int) -> dict:
     alive = graph.edge_alive
     arrays = {
         "schema": np.array([SNAPSHOT_SCHEMA], dtype=np.int64),
@@ -61,21 +60,17 @@ def _snapshot_arrays(graph: Graph, wal_seq: int,
         arrays["node_labels"] = graph.node_labels
     if graph.relation_features is not None:
         arrays["relation_features"] = graph.relation_features
-    if owner is not None:
-        arrays["owner"] = np.asarray(owner, dtype=np.int64)
     return arrays
 
 
-def write_snapshot(path: str, graph: Graph, wal_seq: int = 0,
-                   owner: np.ndarray | None = None) -> int:
+def write_snapshot(path: str, graph: Graph, wal_seq: int = 0) -> int:
     """Write a checksummed snapshot of ``graph`` atomically to ``path``.
 
     ``wal_seq`` records the WAL high-water mark whose effects the snapshot
-    contains (the next log sequence number at snapshot time); ``owner``
-    optionally persists the shard owner map so a sharded restart rebuilds
-    the same partition.  Returns the snapshot's graph version.
+    contains (the next log sequence number at snapshot time).  Returns the
+    snapshot's graph version.
     """
-    arrays = _snapshot_arrays(graph, wal_seq, owner)
+    arrays = _snapshot_arrays(graph, wal_seq)
     arrays[_CHECKSUM_KEY] = np.array([checksum_arrays(arrays)],
                                      dtype=np.uint64)
     buffer = io.BytesIO()
@@ -85,14 +80,18 @@ def write_snapshot(path: str, graph: Graph, wal_seq: int = 0,
     return graph.version
 
 
-def load_snapshot(path: str) -> tuple[Graph, int, np.ndarray | None]:
-    """Load and verify a snapshot; returns ``(graph, wal_seq, owner)``.
+def load_snapshot(path: str) -> tuple[Graph, int]:
+    """Load and verify a snapshot; returns ``(graph, wal_seq)``.
 
     Raises :class:`CorruptArtifactError` when the file is truncated,
     unreadable as an archive, from an unknown schema, or fails its
     checksum.  The returned graph reads bit-identically to the state the
     snapshot captured (mutated graphs come back as delta overlays over
     the same live edge list, version preserved).
+
+    The checksum covers every array in the archive, read or not: a
+    snapshot from an older build may also hold an ``owner`` array (a
+    retired shard owner map), which verifies and is then ignored.
     """
     try:
         with np.load(path) as archive:
@@ -134,5 +133,4 @@ def load_snapshot(path: str) -> tuple[Graph, int, np.ndarray | None]:
     # overlays, whose rows are bit-identical to the crashed process's.
     if version > 0:
         graph._mutated = True
-    owner = arrays.get("owner")
-    return graph, wal_seq, owner
+    return graph, wal_seq

@@ -2,7 +2,7 @@
 
 Layout (all writes atomic, all reads checksum-verified)::
 
-    <dir>/snapshot.npz   — latest graph snapshot (+ optional owner map)
+    <dir>/snapshot.npz   — latest graph snapshot
     <dir>/wal.jsonl      — GraphUpdate log since (and across) snapshots
     <dir>/sessions/      — one manifest per open session
 
@@ -22,8 +22,6 @@ from __future__ import annotations
 
 import os
 import time
-
-import numpy as np
 
 from ..graph.delta import GraphUpdate
 from ..graph.graph import Graph
@@ -64,11 +62,10 @@ class PersistentStore:
     def has_snapshot(self) -> bool:
         return os.path.exists(self.snapshot_path)
 
-    def initialize(self, graph: Graph,
-                   owner: np.ndarray | None = None) -> None:
+    def initialize(self, graph: Graph) -> None:
         """Write the baseline snapshot once (no-op when one exists)."""
         if not self.has_snapshot():
-            self.save_snapshot(graph, owner=owner)
+            self.save_snapshot(graph)
 
     def log_update(self, update: GraphUpdate, base_version: int) -> int:
         """Durably append one update record; call *before* applying."""
@@ -76,8 +73,7 @@ class PersistentStore:
         self._m_appends.inc()
         return seq
 
-    def save_snapshot(self, graph: Graph,
-                      owner: np.ndarray | None = None) -> int:
+    def save_snapshot(self, graph: Graph) -> int:
         """Checkpoint the (quiescent) graph; compacts the WAL behind it.
 
         Every update the graph has absorbed is in the snapshot, so log
@@ -85,33 +81,35 @@ class PersistentStore:
         dropped atomically.  Returns the snapshot's graph version.
         """
         version = write_snapshot(self.snapshot_path, graph,
-                                 wal_seq=self.wal._next_seq, owner=owner)
+                                 wal_seq=self.wal._next_seq)
         self.wal.compact(min_base_version=graph.version)
         self._m_snapshots.inc()
         return version
 
     # ------------------------------------------------------------------
-    def load_graph(self) -> tuple[Graph, np.ndarray | None]:
-        """Snapshot only, no replay — the base a sharded restore partitions
-        before routing the replay through graph *and* shard store."""
+    def load_graph(self) -> Graph:
+        """Snapshot only, no replay — the base a server restore builds on
+        before it routes the replay through its own update path."""
         if not self.has_snapshot():
             raise CorruptArtifactError(
                 f"persistent store {self.directory} has no snapshot — "
                 f"initialize() it from a seed graph first")
-        graph, _, owner = load_snapshot(self.snapshot_path)
-        return graph, owner
+        graph, _ = load_snapshot(self.snapshot_path)
+        return graph
 
     def replay_records(self, graph: Graph, apply=None) -> int:
         """Replay the WAL onto ``graph`` in order; returns records applied.
 
         ``apply`` optionally intercepts each replayed update —
-        ``apply(graph, update)`` — so callers that must mirror the replay
-        into a second structure (the sharded store) see every mutation in
-        order; default is ``graph.apply_updates``.  Replay is idempotent:
-        records the graph has already absorbed (``base_version`` below the
-        graph's version) are skipped, so duplicate delivery — or replaying
-        over a snapshot that already contains a prefix of the log — is a
-        no-op for those records.
+        ``apply(graph, update)`` — so a caller can route the replay
+        through its own update path and see every mutation in order
+        (:meth:`~repro.serving.PromptServer.restore` replays through
+        ``update_graph``, which also invalidates what each update
+        changed); default is ``graph.apply_updates``.  Replay is
+        idempotent: records the graph has already absorbed
+        (``base_version`` below the graph's version) are skipped, so
+        duplicate delivery — or replaying over a snapshot that already
+        contains a prefix of the log — is a no-op for those records.
         """
         replayed = 0
         for record in self.wal.records():
@@ -129,13 +127,13 @@ class PersistentStore:
         self._m_replayed.inc(replayed)
         return replayed
 
-    def recover(self, apply=None) -> tuple[Graph, np.ndarray | None, int]:
-        """Snapshot-load + WAL-replay; returns (graph, owner, replayed)."""
+    def recover(self, apply=None) -> tuple[Graph, int]:
+        """Snapshot-load + WAL-replay; returns (graph, replayed)."""
         start = time.perf_counter()
-        graph, owner = self.load_graph()
+        graph = self.load_graph()
         replayed = self.replay_records(graph, apply=apply)
         self.record_recovery_seconds(time.perf_counter() - start)
-        return graph, owner, replayed
+        return graph, replayed
 
     def record_recovery_seconds(self, seconds: float) -> None:
         """Observe one recovery's wall time (used by server-level restores

@@ -12,10 +12,6 @@ pipeline:
 * :class:`PromptServer` — ``open_session`` / ``submit`` / ``drain`` façade
   over its own queue, and ``serve`` for a batch another queue released;
   warm-startable from the shared disk artifact cache;
-* :class:`ShardRouter` — constructed when the server is given
-  ``num_shards > 1``: partitions the graph (:mod:`repro.shard`), encodes
-  each micro-batch one shard slice at a time, and merges rows back in
-  submission order — bit-identical results;
 * :class:`ServingGateway` (:mod:`repro.serving.gateway`) — the async
   multi-tenant front door: per-tenant rate limiting and quotas, a bounded
   admission queue with class-aware load shedding (typed
@@ -44,7 +40,6 @@ from .qos import (
     Unavailable,
 )
 from .replicaset import ReplicaSet
-from .router import ShardRouter
 from .scheduler import MicroBatchScheduler, PendingRequest
 from .server import PromptServer, ServeResult, ServerStats
 from .session import SessionState, SessionStats, SessionStore
@@ -61,7 +56,6 @@ __all__ = [
     "ServeResult",
     "ServerStats",
     "ServingGateway",
-    "ShardRouter",
     "SessionState",
     "SessionStats",
     "SessionStore",

@@ -493,7 +493,7 @@ class ServingGateway:
 
         Under the swap lock: every admitted in-flight request is drained
         through the *pre-mutation* graph, then the server absorbs the
-        update (shard rebuilds, session epoch invalidation).  Requests
+        update (memo eviction, session epoch invalidation).  Requests
         admitted while the swap holds the lock simply queue behind it.
         ``log=False`` skips the WAL append — for callers (the replica
         set) that logged the update once already and are fanning it out.

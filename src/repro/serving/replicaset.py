@@ -39,11 +39,20 @@ import numpy as np
 from ..graph.delta import AppliedUpdate, GraphUpdate
 from ..obs.metrics import MetricsRegistry, get_registry
 from ..persist import PersistentStore, episode_from_jsonable
-from ..shard.partition import _splitmix64
 from .gateway import ServingGateway
 from .qos import UNAVAILABLE_FAILOVER, Priority
 
 __all__ = ["ReplicaSet"]
+
+_U64 = np.uint64
+
+
+def _splitmix64(values: np.ndarray) -> np.ndarray:
+    """Deterministic 64-bit mix (splitmix64 finalizer), vectorized."""
+    z = values.astype(_U64) + _U64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> _U64(27))) * _U64(0x94D049BB133111EB)
+    return z ^ (z >> _U64(31))
 
 
 class ReplicaSet:

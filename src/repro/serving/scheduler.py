@@ -28,28 +28,9 @@ import time
 from collections import deque
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..graph.datapoints import Datapoint
 
-__all__ = ["PendingRequest", "MicroBatchScheduler", "batch_seed_nodes"]
-
-
-def batch_seed_nodes(batch) -> np.ndarray:
-    """All seed nodes of one micro-batch, concatenated (with duplicates).
-
-    Accepts :class:`PendingRequest` entries or bare datapoints.  This is
-    the batched-frontier handle: the shard router feeds it to
-    :meth:`~repro.shard.ShardedGraphStore.prefetch_rows` so a single
-    shard round-trip warms the halo cache for every concurrent session's
-    first expansion, instead of each session fetching its own seeds.
-    """
-    seeds = [np.asarray(getattr(item, "datapoint", item).nodes,
-                        dtype=np.int64).reshape(-1)
-             for item in batch]
-    if not seeds:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(seeds)
+__all__ = ["PendingRequest", "MicroBatchScheduler"]
 
 
 @dataclass(frozen=True)

@@ -42,14 +42,8 @@ rows and splices them into the pool — byte-identical to a full re-encode
 by the same batch invariance.
 
 The drain loop itself stays synchronous and deterministic (that is what
-keeps the batching policy testable).  Constructed with ``num_shards > 1``,
-the server routes every micro-batch through a :class:`ShardRouter` — the
-graph is split into shards (:mod:`repro.shard`), each batch is encoded
-one shard slice at a time, and the rows are merged back in submission
-order.  Sharded sampling is bit-identical to the monolithic sampler and
-encoder rows do not depend on their batch, so sharded serving returns
-exactly the same predictions and confidences.  ``clock`` is injectable
-for TTL tests.
+keeps the batching policy testable).  ``clock`` is injectable for TTL
+tests.
 """
 
 from __future__ import annotations
@@ -82,10 +76,8 @@ from ..persist import (
     episode_from_jsonable,
     episode_to_jsonable,
 )
-from ..shard import PARTITION_STRATEGIES, ShardCounters
 from .memo import EncodingMemo, UpdateFootprint
 from .qos import Priority
-from .router import ShardRouter
 from .scheduler import MicroBatchScheduler, PendingRequest
 from .session import SessionState, SessionStore, index_node_sets
 
@@ -140,11 +132,6 @@ class ServeResult:
 class ServerStats:
     """Snapshot of server-level counters across all sessions.
 
-    ``shards`` holds one :class:`~repro.shard.ShardCounters` per shard
-    (``requests`` routed, ``halo_fetches`` across shard boundaries,
-    ``worker_busy_s`` spent encoding) when the server runs sharded;
-    empty on the monolithic path.
-
     ``encoded_subgraphs`` counts the requests of every released
     micro-batch, expired sessions' included — not encodes: the encoding
     memo answers some of them without encoding.  ``memo_hits`` and
@@ -161,7 +148,6 @@ class ServerStats:
     sessions_opened: int = 0
     sessions_evicted: int = 0
     sessions_expired: int = 0
-    shards: tuple[ShardCounters, ...] = ()
     #: Per-tenant QoS ledgers (admitted/shed counts, QPS, queue-wait
     #: percentiles, deadline misses).  Filled by
     #: :class:`~repro.serving.ServingGateway`; empty when the server
@@ -184,11 +170,6 @@ class ServerStats:
         """Average requests per released micro-batch."""
         return self.encoded_subgraphs / self.batches if self.batches else 0.0
 
-    @property
-    def halo_fetches(self) -> int:
-        """Total cross-shard row fetches (0 when unsharded)."""
-        return sum(c.halo_fetches for c in self.shards)
-
 
 class PromptServer:
     """Multi-session online GraphPrompter inference over one dataset.
@@ -204,18 +185,10 @@ class PromptServer:
                  result_buffer_size: int = 4096,
                  rng: np.random.Generator | int | None = None,
                  clock=time.monotonic,
-                 num_shards: int = 1,
-                 shard_strategy: str = "greedy",
                  registry: MetricsRegistry | None = None,
-                 persist: PersistentStore | None = None,
-                 shard_owner: np.ndarray | None = None):
+                 persist: PersistentStore | None = None):
         if result_buffer_size < 1:
             raise ValueError("result_buffer_size must be at least 1")
-        if num_shards < 1:
-            raise ValueError("num_shards must be at least 1")
-        if shard_strategy not in PARTITION_STRATEGIES:
-            raise ValueError(f"unknown shard strategy {shard_strategy!r}; "
-                             f"use one of {PARTITION_STRATEGIES}")
         model.eval()
         self.model = model
         self.dataset = dataset
@@ -229,15 +202,6 @@ class PromptServer:
         # Serving requires order-independent subgraphs: the same query must
         # encode identically whether it rides a batch of 1 or 16.
         self.pipeline.generator.deterministic = True
-        # One shard keeps the monolithic hot path.
-        self.router: ShardRouter | None = None
-        if num_shards > 1:
-            self.router = ShardRouter(
-                model, dataset.graph, num_shards=num_shards,
-                strategy=shard_strategy, owner=shard_owner)
-            # Candidate pools and query batches both flow through
-            # encode_points — route them all through the shards.
-            self.pipeline.point_encoder = self.router.encode_points
         self.scheduler = MicroBatchScheduler(max_batch_size=max_batch_size,
                                              clock=clock)
         # One encoding per datapoint across sessions.  A sampled node set
@@ -265,7 +229,7 @@ class PromptServer:
         self.persist = persist
         self._session_open_index = 0
         if persist is not None:
-            persist.initialize(dataset.graph, owner=self._owner_map())
+            persist.initialize(dataset.graph)
             self._session_open_index = persist.sessions.next_open_index()
         #: WAL records re-applied by the most recent :meth:`restore`.
         self.last_recovery_replayed = 0
@@ -292,7 +256,6 @@ class PromptServer:
             sessions_opened=self._sessions_opened,
             sessions_evicted=self.sessions.evicted_total,
             sessions_expired=self.sessions.expired_total,
-            shards=self.router.stats() if self.router is not None else (),
             graph_version=self.dataset.graph.version,
             graph_updates=self._graph_updates,
             sessions_invalidated=self._sessions_invalidated,
@@ -300,10 +263,6 @@ class PromptServer:
             stale_evictions=sum(
                 state.augmenter.stats().stale_evictions
                 for state in self.sessions.states()))
-
-    def _owner_map(self) -> np.ndarray | None:
-        """Current shard-owner map (``None`` on the monolithic path)."""
-        return self.router.store.owner if self.router is not None else None
 
     # ------------------------------------------------------------------
     # Session lifecycle
@@ -405,14 +364,14 @@ class PromptServer:
                      log: bool = True) -> AppliedUpdate:
         """Apply one live mutation batch and invalidate what it changed.
 
-        The graph (and, when sharded, the owner shards) absorbs the
-        update in place.  Its :class:`~repro.serving.memo.UpdateFootprint`
-        — the touched-node mask and the changed-edge lookup — is built
-        once and decides for the memo and every session alike: the
-        encoding memo drops, and every session marks stale, the entries
-        and pool candidates whose encodings read something the update
-        changed (a touched row their sampler read, or an added or removed
-        edge with both ends in their node set).  A session whose pool or
+        The graph absorbs the update in place.  Its
+        :class:`~repro.serving.memo.UpdateFootprint` — the touched-node
+        mask and the changed-edge lookup — is built once and decides for
+        the memo and every session alike: the encoding memo drops, and
+        every session marks stale, the entries and pool candidates whose
+        encodings read something the update changed (a touched row their
+        sampler read, or an added or removed edge with both ends in their
+        node set).  A session whose pool or
         answered queries hold any touched node is marked stale and
         refreshed — its stale candidates re-encoded, Augmenter cache
         purged — before its next prediction.  Everything else keeps its
@@ -434,8 +393,6 @@ class PromptServer:
             self.persist.log_update(update,
                                     base_version=self.dataset.graph.version)
         applied = self.dataset.graph.apply_updates(update)
-        if self.router is not None:
-            self.router.apply_updates(applied)
         footprint = UpdateFootprint(
             self.dataset.graph, applied,
             self.pipeline.generator.reads_only_seed_rows)
@@ -448,7 +405,7 @@ class PromptServer:
         return applied
 
     def save_snapshot(self) -> int:
-        """Checkpoint the current graph (and owner map) into the store.
+        """Checkpoint the current graph into the store.
 
         Compacts the WAL behind the snapshot.  Call between update
         batches (the drain loop is synchronous, so any point outside
@@ -459,14 +416,13 @@ class PromptServer:
             raise RuntimeError(
                 "save_snapshot requires a PersistentStore (pass persist= "
                 "to the server)")
-        return self.persist.save_snapshot(self.dataset.graph,
-                                          owner=self._owner_map())
+        return self.persist.save_snapshot(self.dataset.graph)
 
     def reload_model(self, state_dict: dict) -> None:
         """Swap in new model weights and re-anchor every live session.
 
-        Order matters: weights load in place (the pipeline and the shard
-        router share the model object), the encoding memo is emptied of
+        Order matters: weights load in place (the pipeline shares the
+        model object), the encoding memo is emptied of
         old-weight rows, and then every open session re-anchors — every
         candidate marked stale, so the one refresh path re-encodes the
         whole pool under the new weights and purges the Augmenter cache
@@ -647,8 +603,8 @@ class PromptServer:
         # Hot path: every live query's subgraph — across sessions — in one
         # disjoint-union GNN pass, assembled into the server's reusable
         # arena buffers (no per-batch allocation); datapoints the memo
-        # holds skip it.  The batch scope attaches the encode/shard-stage
-        # spans to every traced request riding this batch.
+        # holds skip it.  The batch scope attaches the encode-stage spans
+        # to every traced request riding this batch.
         row = dict(zip(live, range(len(live))))
         if live:
             traces = [batch[i].trace for i in live
@@ -740,13 +696,11 @@ class PromptServer:
 
         The durable trio is rehydrated in order:
 
-        1. **snapshot** — the graph (and, when the dead server was
-           sharded, its owner map, so the restored partition is the same
-           partition, not a fresh strategy assignment);
+        1. **snapshot** — the graph;
         2. **WAL replay** — every update logged after the snapshot is
            re-applied through :meth:`update_graph` (``log=False``), which
-           routes each mutation through the graph *and* the shard store
-           exactly as live traffic did;
+           applies each mutation and invalidates exactly as live traffic
+           did;
         3. **session manifests** — sessions re-open in their original
            open order (reproducing the per-open RNG draw sequence) with
            their recorded tenant/priority.
@@ -756,10 +710,9 @@ class PromptServer:
         replay count lands in ``last_recovery_replayed``.
         """
         start = time.perf_counter()
-        graph, owner = persist.load_graph()
+        graph = persist.load_graph()
         dataset = Dataset(graph, task, name=name)
-        server = cls(model, dataset, persist=persist, shard_owner=owner,
-                     **server_kwargs)
+        server = cls(model, dataset, persist=persist, **server_kwargs)
         replayed = persist.replay_records(
             graph,
             apply=lambda _graph, update: server.update_graph(update,

@@ -10,8 +10,8 @@ now runs vectorized.  They exist only to be compared against:
 * :func:`induced_subgraph_loop` — per-row induction (one
   ``neighbor_edges`` call, one ``np.isin`` and one dict lookup per node);
   :func:`repro.graph.subgraph.induced_subgraph` must return the same
-  :class:`~repro.graph.subgraph.Subgraph` field for field, and advance
-  overlay read counters and halo-fetch counters the same way;
+  :class:`~repro.graph.subgraph.Subgraph` field for field, and settle
+  the overlay's written rows the same way;
 * :func:`from_subgraphs_concat` — list-append + ``np.concatenate`` batch
   assembly; :meth:`repro.gnn.SubgraphBatch.from_subgraphs` must be
   byte-identical to it;

@@ -335,13 +335,13 @@ class TestLayerGradients:
 
 def test_import_does_not_load_scipy_sparse():
     """``nn`` is thinly-wrapped numpy: importing the package (and its
-    serving and sharding layers) pulls in no sparse-matrix library."""
+    serving layer) pulls in no sparse-matrix library."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    probe = ("import sys, repro, repro.core, repro.gnn, repro.serving, "
-             "repro.shard; print('scipy.sparse' in sys.modules)")
+    probe = ("import sys, repro, repro.core, repro.gnn, repro.serving; "
+             "print('scipy.sparse' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"

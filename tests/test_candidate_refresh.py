@@ -15,9 +15,9 @@ things that must hold for that to be exact:
   non-seed member to a node outside every set re-encodes nothing, and a
   self-loop at a non-seed member stales every candidate holding it;
 * after any stream of updates — with new nodes, self-loops, duplicate
-  edges and an auto-compaction, on one shard and on two, for both
-  samplers at one and two hops — every refreshed pool equals a full
-  re-encode on the live graph, by bytes.
+  edges and an auto-compaction, for both samplers at one and two hops —
+  every refreshed pool equals a full re-encode on the live graph, by
+  bytes.
 """
 
 from __future__ import annotations
@@ -39,9 +39,8 @@ from repro.serving import PromptServer
 from reference_paths import encoding_is_stale
 
 
-def _server(num_shards: int = 1, compact_threshold: float = 0.25,
-            seed: int = 0, num_hops: int = 1,
-            sampling_method: str = "random_walk"):
+def _server(compact_threshold: float = 0.25, seed: int = 0,
+            num_hops: int = 1, sampling_method: str = "random_walk"):
     graph = synthetic_knowledge_graph(300, 3, 900, feature_dim=6, rng=seed)
     dataset = Dataset(graph, EDGE_TASK, rng=0)
     config = GraphPrompterConfig(hidden_dim=8, max_subgraph_nodes=8,
@@ -52,8 +51,7 @@ def _server(num_shards: int = 1, compact_threshold: float = 0.25,
     model = GraphPrompterModel(graph.feature_dim, graph.num_relations,
                                config)
     model.eval()
-    return PromptServer(model, dataset, max_batch_size=8, rng=0,
-                        num_shards=num_shards)
+    return PromptServer(model, dataset, max_batch_size=8, rng=0)
 
 
 def _episodes(server, count: int, seed: int = 0) -> dict:
@@ -326,19 +324,16 @@ def _assert_refreshes_equal_full_reencodes(server, seed: int) -> None:
     assert 0 < refreshes < 8 * pool_rows
 
 
-@pytest.mark.parametrize("num_shards", [1, 2])
 @pytest.mark.parametrize("seed", [0, 1])
-def test_per_candidate_refresh_equals_full_reencode(num_shards, seed):
+def test_per_candidate_refresh_equals_full_reencode(seed):
     _assert_refreshes_equal_full_reencodes(
-        _server(num_shards=num_shards, compact_threshold=0.05, seed=seed),
-        seed)
+        _server(compact_threshold=0.05, seed=seed), seed)
 
 
-@pytest.mark.parametrize("num_shards", [1, 2])
 @pytest.mark.parametrize("sampling_method", ["random_walk", "bfs"])
 @pytest.mark.parametrize("num_hops", [1, 2])
 def test_refresh_equals_full_reencode_for_every_sampler(
-        num_hops, sampling_method, num_shards):
+        num_hops, sampling_method):
     _assert_refreshes_equal_full_reencodes(
-        _server(num_shards=num_shards, compact_threshold=0.05, seed=2,
-                num_hops=num_hops, sampling_method=sampling_method), 2)
+        _server(compact_threshold=0.05, seed=2, num_hops=num_hops,
+                sampling_method=sampling_method), 2)

@@ -839,12 +839,9 @@ class TestGracefulSwap:
             cold_preds.extend(r.prediction for r in cold.drain())
         assert [r.prediction for r in post] == cold_preds
 
-    @pytest.mark.parametrize("num_shards", [1, 2])
-    def test_reload_model_hot_swap_matches_cold_server(self, served,
-                                                       num_shards):
-        """After a weight hot-swap, answers equal a cold monolithic
-        server built with the new weights (sessions re-anchored, caches
-        purged) — through the shard router too."""
+    def test_reload_model_hot_swap_matches_cold_server(self, served):
+        """After a weight hot-swap, answers equal a cold server built
+        with the new weights (sessions re-anchored, caches purged)."""
         dataset, config, model = served
         episode = sample_episode(dataset, num_ways=3, num_queries=6, rng=22)
 
@@ -862,7 +859,7 @@ class TestGracefulSwap:
 
         async def main():
             server = PromptServer(swap_model, dataset, max_batch_size=4,
-                                  rng=0, num_shards=num_shards)
+                                  rng=0)
             gateway = ServingGateway(server, auto_drain=False,
                                      max_batch_size=4)
             gateway.open_session("t", "s", episode)
@@ -897,28 +894,6 @@ class TestStatsWiring:
         dataset, config, model = served
         server = PromptServer(model, dataset, rng=0)
         assert server.stats.tenants == ()
-
-    def test_gateway_stats_shard_attribution(self, served):
-        """Gateway stats carry the server's shard counters next to the
-        tenant ledgers."""
-        dataset, config, model = served
-        episode = sample_episode(dataset, num_ways=3, num_queries=4, rng=33)
-
-        async def main():
-            server = PromptServer(model, dataset, rng=0, num_shards=2)
-            gateway = ServingGateway(server, auto_drain=False)
-            gateway.open_session("t", "s", episode)
-            for q in range(4):
-                gateway.submit_nowait("s", episode.queries[q])
-            await gateway.flush()
-            stats = gateway.stats
-            await gateway.close()
-            return stats
-
-        stats = run(main())
-        assert len(stats.shards) == 2
-        tenant = stats.tenants[0]
-        assert tenant.completed == 4
 
 
 # ----------------------------------------------------------------------

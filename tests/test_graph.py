@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.datasets.synthetic import synthetic_knowledge_graph
 from repro.graph import (
     CSRAdjacency,
     EdgeInput,
@@ -228,6 +229,38 @@ class TestRandomWalkSampler:
         b = random_walk_neighborhood(g, np.array([3]), 2,
                                      rng=np.random.default_rng(7))
         np.testing.assert_array_equal(a, b)
+
+
+class TestScratchCheckout:
+
+    def test_concurrent_borrowers_get_distinct_masks(self):
+        graph = synthetic_knowledge_graph(50, 3, 200, feature_dim=4, rng=0)
+        adj = graph.undirected_adjacency
+        first = adj.visited_scratch()
+        second = adj.visited_scratch()
+        assert first is not second
+        first[3] = True   # a dirty mask must not leak to the next borrower
+        first[3] = False
+        adj.release_scratch(first)
+        adj.release_scratch(second)
+        assert adj.visited_scratch() is second
+        assert adj.visited_scratch() is first
+
+    def test_interleaved_sampling_is_isolated(self):
+        # A sampler borrowing the scratch while another borrow is live
+        # must not corrupt the outer borrower's visited state.
+        graph = synthetic_knowledge_graph(60, 3, 300, feature_dim=4, rng=1)
+        adj = graph.undirected_adjacency
+        outer = adj.visited_scratch()
+        outer[:10] = True
+        result = bfs_neighborhood(graph, np.array([0]), 2, 16,
+                                  np.random.default_rng(0))
+        fresh = bfs_neighborhood(graph, np.array([0]), 2, 16,
+                                 np.random.default_rng(0))
+        assert np.array_equal(result, fresh)
+        assert outer[:10].all() and not outer[10:].any()
+        outer[:10] = False
+        adj.release_scratch(outer)
 
 
 class TestSampleDataGraph:

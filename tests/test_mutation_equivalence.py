@@ -10,13 +10,11 @@ bit-identical to a from-scratch rebuild over the live edge list:
   ``gather_neighbor_edges`` → ``rel``),
 * both samplers and their legacy references with matched RNG streams,
 * subgraph induction (``sample_data_graph`` content equality, and the
-  batched inducer against the per-row loop oracle on the same surface),
-* the K-shard store (K ∈ {1, 2, 4}) fed the same updates through
-  ``ShardedGraphStore.apply_updates``.
+  batched inducer against the per-row loop oracle on the same surface).
 
-Batched induction must also settle the overlay's written rows, and
-advance the sharded store's halo-fetch count, exactly as the per-row
-loop does; reads of the overlay's row windows must leave it unchanged.
+Batched induction must also settle the overlay's written rows exactly as
+the per-row loop does; reads of the overlay's row windows must leave it
+unchanged.
 
 Plus regression tests for the ``visited_scratch`` free-list across
 ``add_nodes`` / ``compact`` (masks sized to the old graph must be retired,
@@ -34,14 +32,12 @@ from repro.graph.sampling import (
     sample_data_graph,
 )
 from repro.graph.subgraph import induced_subgraph
-from repro.shard import ShardedGraphStore
 from reference_paths import bfs_legacy, induced_subgraph_loop, random_walk_legacy
 
 #: Each sampler followed by its legacy reference; every call takes its own
 #: draw from the trial RNG, in this order.
 SAMPLERS = (bfs_neighborhood, bfs_legacy,
             random_walk_neighborhood, random_walk_legacy)
-SHARD_KS = (1, 2, 4)
 
 
 # ----------------------------------------------------------------------
@@ -221,56 +217,6 @@ def test_mutation_script_matches_rebuild(kind, variant, seed):
         assert_induction_equal(graph, ref, rng, context)
 
 
-@pytest.mark.parametrize("strategy", ["greedy", "hash"])
-@pytest.mark.parametrize("seed", range(3))
-def test_sharded_mutation_matches_rebuild(strategy, seed):
-    rng = np.random.default_rng([7, seed])
-    graph = make_base_graph("dense", rng)
-    stores = {k: ShardedGraphStore.from_graph(graph, k, strategy)
-              for k in SHARD_KS}
-    for step in range(5):
-        _, _, _, live = graph.live_edges()
-        update = GraphUpdate(
-            add_src=rng.integers(0, graph.num_nodes, size=6),
-            add_dst=rng.integers(0, graph.num_nodes, size=6),
-            add_rel=rng.integers(0, graph.num_relations, size=6),
-            remove_edges=rng.choice(live, size=min(4, live.size),
-                                    replace=False),
-            add_node_features=(rng.normal(size=(1, graph.feature_dim))
-                               if step == 2 else None),
-            add_node_labels=[1] if step == 2 else None)
-        applied = graph.apply_updates(update)
-        for k, store in stores.items():
-            store.apply_updates(applied)
-        if step == 3:
-            graph.compact()  # compaction changes no reads: stores unaware
-        ref = graph.rebuild()
-        for k, store in stores.items():
-            context = f"{strategy}/{seed} step {step} K={k}"
-            view = store.view()
-            assert store.num_nodes == ref.num_nodes
-            assert np.array_equal(store.degree(), ref.degree()), context
-            for node in range(ref.num_nodes):
-                assert np.array_equal(store.neighbors(node),
-                                      ref.neighbors(node)), (context, node)
-                dsts, eids = store.neighbor_edges(node)
-                ref_dsts, ref_eids = ref.adjacency.neighbor_edges(node)
-                assert np.array_equal(dsts, ref_dsts), (context, node)
-                assert np.array_equal(store.rel[eids],
-                                      ref.rel[ref_eids]), (context, node)
-            frontier = rng.integers(0, ref.num_nodes, size=11)
-            assert np.array_equal(
-                store.gather_neighbors(frontier),
-                ref.undirected_adjacency.gather_neighbors(frontier)), context
-            assert_directed_gather_equal(view, ref, frontier, context)
-            assert np.array_equal(store.gather_node_features(frontier),
-                                  ref.node_features[frontier]), context
-            assert_sampling_equal(view, ref, np.random.default_rng(
-                [seed, step, k]), context)
-            assert_induction_equal(view, ref, np.random.default_rng(
-                [seed, step, k, 1]), context)
-
-
 def _mutated_twins(seed: int, writes: int) -> list[Graph]:
     """Two identical mutated graphs (same script, same overlay state),
     each left with ``writes`` write batches that no read has settled."""
@@ -317,47 +263,6 @@ def test_induction_advances_overlay_counters_like_the_loop(seed, writes):
         assert store_state(fast.adjacency) == store_state(slow.adjacency), step
     stats = fast.adjacency.overlay_stats()
     assert stats["rebuilds"] > 0 and stats["garbage_slots"] > 0
-
-
-@pytest.mark.parametrize("num_shards", [2, 4])
-def test_sharded_induction_counts_halo_like_the_loop(num_shards):
-    """One grouped gather per owner shard still counts one halo fetch per
-    remote row, as the per-row fetches did."""
-    rng = np.random.default_rng(33)
-    graph = make_base_graph("dense", rng)
-    store = ShardedGraphStore.from_graph(graph, num_shards, "greedy")
-    view = store.view()
-    total = 0
-    for home in range(num_shards):
-        store.home_shard = home
-        node_set = rng.choice(graph.num_nodes, size=12, replace=False)
-        store.reset_counters()
-        got = induced_subgraph(view, node_set, node_set[:1])
-        fetched = store.halo_fetches
-        store.reset_counters()
-        want = induced_subgraph_loop(view, node_set, node_set[:1])
-        assert fetched == store.halo_fetches, home
-        assert np.array_equal(got.src, want.src)
-        assert np.array_equal(got.rel, want.rel)
-        total += fetched
-    assert total > 0
-
-
-def test_sharded_update_rebuilds_only_touched_shards():
-    rng = np.random.default_rng(11)
-    graph = make_base_graph("dense", rng)
-    store = ShardedGraphStore.from_graph(graph, 4, "greedy")
-    before = list(store.shards)
-    # Touch a single node pair owned by (at most) two shards.
-    applied = graph.apply_updates(GraphUpdate(add_src=[0], add_dst=[1]))
-    rebuilt = set(store.apply_updates(applied).tolist())
-    expected = {int(store.owner[0]), int(store.owner[1])}
-    assert rebuilt == expected
-    for k in range(4):
-        same = store.shards[k] is before[k]
-        assert same == (k not in rebuilt)
-    # Replaying the same receipt is a no-op.
-    assert store.apply_updates(applied).size == 0
 
 
 def test_edge_ids_stable_across_removal_and_compact():
@@ -436,22 +341,6 @@ def test_sampling_concurrently_across_compact():
     new_adj.release_scratch(mask)
 
 
-def test_sharded_scratch_retired_after_node_growth():
-    rng = np.random.default_rng(2)
-    graph = make_base_graph("dense", rng)
-    store = ShardedGraphStore.from_graph(graph, 2, "greedy")
-    mask = store.visited_scratch()
-    store.release_scratch(mask)  # parked at the old size
-    applied = graph.apply_updates(GraphUpdate(
-        add_node_features=rng.normal(size=(2, graph.feature_dim)),
-        add_node_labels=[0, 0],
-        add_src=[0], add_dst=[1]))
-    store.apply_updates(applied)
-    grown = store.visited_scratch()
-    assert grown.size == store.num_nodes == graph.num_nodes
-    store.release_scratch(grown)
-
-
 def test_delta_overlay_fraction_and_auto_compact():
     rng = np.random.default_rng(4)
     graph = make_base_graph("dense", rng)
@@ -482,7 +371,7 @@ def test_gather_fast_path_used_on_clean_frontiers():
 
 
 # ----------------------------------------------------------------------
-# Row windows (settle, rebuild, repack, compaction) and the halo row cache
+# Row windows (settle, rebuild, repack, compaction)
 # ----------------------------------------------------------------------
 def store_state(adj: DeltaAdjacency) -> tuple:
     """Everything a read could change: the stats, every row window and
@@ -695,35 +584,6 @@ def test_compact_returns_to_an_aliased_store():
         assert stats["side_slots"] == stats["garbage_slots"] == 0
         assert stats["dirty_rows"] == 0
     assert_reads_equal(graph, graph.rebuild(), "compacted")
-
-
-@pytest.mark.parametrize("num_shards", [2, 4])
-def test_halo_cache_cycle_matches_rebuild(num_shards):
-    """Warm-read / mutate / invalidate cycles: cache-served reads stay
-    bit-identical to a from-scratch rebuild at every step."""
-    rng = np.random.default_rng(27)
-    graph = make_base_graph("dense", rng)
-    store = ShardedGraphStore.from_graph(graph, num_shards, "greedy")
-    for cycle in range(3):
-        frontier = np.arange(graph.num_nodes, dtype=np.int64)
-        store.gather_neighbors(frontier)   # cold: fills the cache
-        warm = store.gather_neighbors(frontier)
-        ref = graph.rebuild()
-        assert np.array_equal(
-            warm, ref.undirected_adjacency.gather_neighbors(frontier))
-        stats = store.cache_stats()
-        assert stats["hits"] >= graph.num_nodes
-        assert stats["invalidations"] == cycle
-        assert_sampling_equal(store.view(), ref,
-                              np.random.default_rng([cycle, num_shards]),
-                              f"cycle {cycle}")
-        _, _, _, live = graph.live_edges()
-        applied = graph.apply_updates(GraphUpdate(
-            add_src=rng.integers(0, graph.num_nodes, size=4),
-            add_dst=rng.integers(0, graph.num_nodes, size=4),
-            remove_edges=rng.choice(live, size=2, replace=False)))
-        store.apply_updates(applied)  # flushes the cache
-        assert store.cache_stats()["cached_rows"] == 0
 
 
 def test_remove_unknown_and_duplicate_edges_raise():

@@ -300,7 +300,7 @@ def _run_burst(model, dataset, *, trace_every, registry, queries=6):
 
     async def run():
         server = PromptServer(model, dataset, max_batch_size=4, rng=0,
-                              num_shards=2, registry=registry)
+                              registry=registry)
         gateway = ServingGateway(server, auto_drain=False,
                                  trace_every=trace_every,
                                  registry=registry)
@@ -339,9 +339,8 @@ class TestGatewayObservability:
         for trace in done:
             stages = trace.stage_seconds()
             for stage in ("admission", "sample", "batch_assembly",
-                          "forward", "shard_encode", "encode", "predict",
-                          "select", "task_gnn", "augment", "queue_wait",
-                          "total"):
+                          "forward", "encode", "predict", "select",
+                          "task_gnn", "augment", "queue_wait", "total"):
                 assert stage in stages, (
                     f"{trace.trace_id} missing {stage}: {stages}")
             assert trace.meta["outcome"] == "ok"
@@ -382,12 +381,9 @@ class TestGatewayObservability:
                 "repro_server_encode_memo_misses_total",
                 "repro_sessions_live",
                 "repro_session_cache_hits",
-                # shard layer
-                'repro_shard_requests_total{shard="0"}',
                 # kernel stage histograms
                 'repro_stage_seconds_bucket{stage="sample"',
                 'repro_stage_seconds_bucket{stage="forward"',
-                'repro_stage_seconds_bucket{stage="shard_encode"',
         ):
             assert name in text, f"scrape missing {name}"
 

@@ -59,8 +59,8 @@ class TestRunBenchmarks:
         assert set(parsed["benchmarks"]) == EXPECTED_BENCHMARKS
 
     def test_profiles_cover_expected_scales(self):
-        assert set(PROFILES) == {"full", "quick", "smoke", "shard",
-                                 "mutate", "gateway"}
+        assert set(PROFILES) == {"full", "quick", "smoke", "mutate",
+                                 "gateway"}
         assert (PROFILES["full"]["edges"]
                 > PROFILES["quick"]["edges"]
                 > PROFILES["smoke"]["edges"])
@@ -101,7 +101,7 @@ class TestCheckRegression:
         assert len(failures) == 1
         assert "encoding_fast" in failures[0]
         # Rows recorded without a speedup are not gated.
-        baseline["benchmarks"]["shard_partition"] = {"greedy_s": 0.1}
+        baseline["benchmarks"]["mutation_compact"] = {"compact_s": 0.1}
         assert len(check_regression(current, baseline)) == 1
 
     def test_tolerance_validated(self):

@@ -7,6 +7,7 @@ import os
 import signal
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,12 +26,14 @@ from repro.nn import load_state, save_state
 from repro.obs import MetricsRegistry
 from repro.obs.metrics import scoped_registry
 from repro.persist import (
+    SNAPSHOT_SCHEMA,
     CorruptArtifactError,
     PersistentStore,
     SessionManifest,
     SessionManifestStore,
     WriteAheadLog,
     atomic_write,
+    checksum_arrays,
     load_snapshot,
     write_snapshot,
 )
@@ -42,6 +45,7 @@ from repro.serving import (
     ServingGateway,
     Unavailable,
 )
+from repro.serving.replicaset import _splitmix64
 
 SRC_ROOT = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src")
@@ -230,17 +234,65 @@ class TestSnapshot:
     def test_round_trip_after_mutation(self, tmp_path):
         graph = small_graph()
         graph.apply_updates(seeded_update(graph, 1, num_new_nodes=2))
-        owner = np.arange(graph.num_nodes, dtype=np.int64) % 2
         path = str(tmp_path / "snap.npz")
-        write_snapshot(path, graph, wal_seq=3, owner=owner)
-        restored, wal_seq, restored_owner = load_snapshot(path)
+        write_snapshot(path, graph, wal_seq=3)
+        restored, wal_seq = load_snapshot(path)
         assert wal_seq == 3
         assert restored.version == graph.version
-        np.testing.assert_array_equal(restored_owner, owner)
         np.testing.assert_array_equal(restored.node_features,
                                       graph.node_features)
         for a, b in zip(restored.live_edges(), graph.live_edges()):
             np.testing.assert_array_equal(a, b)
+
+    def test_snapshot_with_legacy_owner_map_loads(self, tmp_path):
+        """Snapshots from builds that persisted a shard owner map still
+        load: the checksum covers the extra ``owner`` array, so the file
+        verifies, and the loader ignores the array."""
+        graph = small_graph()
+        graph.apply_updates(seeded_update(graph, 1, num_new_nodes=2))
+        owner = np.arange(graph.num_nodes, dtype=np.int64) % 2
+
+        def legacy_arrays(owner_map):
+            # The archive layout such a build wrote, owner map included.
+            arrays = {
+                "schema": np.array([SNAPSHOT_SCHEMA], dtype=np.int64),
+                "meta": np.array([graph.num_nodes, graph.num_relations,
+                                  graph.version, 3], dtype=np.int64),
+                "name": np.frombuffer(graph.name.encode(),
+                                      dtype=np.uint8).copy(),
+                "src": graph.src, "dst": graph.dst, "rel": graph.rel,
+                "edge_alive": graph.edge_alive,
+                "node_features": graph.node_features,
+                "owner": owner_map,
+            }
+            if graph.node_labels is not None:
+                arrays["node_labels"] = graph.node_labels
+            if graph.relation_features is not None:
+                arrays["relation_features"] = graph.relation_features
+            return arrays
+
+        def write(path, arrays, checksum):
+            np.savez(path, __checksum__=np.array([checksum],
+                                                 dtype=np.uint64), **arrays)
+
+        arrays = legacy_arrays(owner)
+        path = str(tmp_path / "legacy.npz")
+        write(path, arrays, checksum_arrays(arrays))
+        restored, wal_seq = load_snapshot(path)
+        assert wal_seq == 3
+        assert restored.version == graph.version
+        np.testing.assert_array_equal(restored.node_features,
+                                      graph.node_features)
+        for a, b in zip(restored.live_edges(), graph.live_edges()):
+            np.testing.assert_array_equal(a, b)
+
+        # The owner map stays under the checksum: one changed after the
+        # file was written fails verification.
+        tampered = str(tmp_path / "tampered.npz")
+        write(tampered, legacy_arrays(owner[::-1].copy()),
+              checksum_arrays(arrays))
+        with pytest.raises(CorruptArtifactError, match="checksum"):
+            load_snapshot(tampered)
 
     def test_corruption_raises_typed_error(self, tmp_path):
         graph = small_graph()
@@ -319,7 +371,7 @@ class TestPersistentStoreReplay:
             # The same update delivered twice (e.g. a retried producer).
             store.log_update(update, base_version=graph.version)
             store.log_update(update, base_version=graph.version)
-            recovered, _, replayed = store.recover()
+            recovered, replayed = store.recover()
         assert replayed == 1  # the duplicate is skipped, not re-applied
         reference = small_graph()
         reference.apply_updates(seeded_update(reference, 1))
@@ -332,7 +384,7 @@ class TestPersistentStoreReplay:
         store = PersistentStore(str(tmp_path / "store"))
         store.initialize(graph)
         store.log_update(seeded_update(graph, 1), base_version=0)
-        recovered, _, replayed = store.recover()
+        recovered, replayed = store.recover()
         assert replayed == 1
         # Replaying the whole log again over the same graph applies none.
         assert store.replay_records(recovered) == 0
@@ -355,7 +407,7 @@ class TestPersistentStoreReplay:
         assert len(store.wal) == 1
         store.save_snapshot(graph)
         assert len(store.wal) == 0  # absorbed records dropped
-        recovered, _, replayed = store.recover()
+        recovered, replayed = store.recover()
         assert replayed == 0 and recovered.version == graph.version
 
 
@@ -402,7 +454,7 @@ class TestKillNineRecovery:
             env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == -signal.SIGKILL, proc.stderr[-2000:]
 
-        recovered, _, replayed = PersistentStore(store_dir).recover()
+        recovered, replayed = PersistentStore(store_dir).recover()
         assert replayed == 2  # u1 and the durable-but-unapplied u2
 
         reference = synthetic_knowledge_graph(120, 5, 600, rng=0,
@@ -463,10 +515,9 @@ def touching_update(graph, episodes, seed):
 
 
 class TestServerRecovery:
-    @pytest.mark.parametrize("num_shards", [1, 2])
-    def test_restore_is_bit_identical(self, served, tmp_path, num_shards):
+    def test_restore_is_bit_identical(self, served, tmp_path):
         config, model = served
-        kwargs = dict(max_batch_size=4, rng=11, num_shards=num_shards)
+        kwargs = dict(max_batch_size=4, rng=11)
 
         def timeline(server, episodes):
             """Rounds 0-1 around one applied update; returns the update
@@ -530,8 +581,34 @@ class TestServerRecovery:
 
 
 # ----------------------------------------------------------------------
-# ReplicaSet failover
+# ReplicaSet routing and failover
 # ----------------------------------------------------------------------
+class TestReplicaSetHomeReplica:
+    def test_splitmix64_first_output(self):
+        """The first SplitMix64 output for seed 0."""
+        assert int(_splitmix64(np.array([0], dtype=np.uint64))[0]) == (
+            0xE220A8397B1DCDAF)
+
+    @pytest.mark.parametrize("num_replicas, homes", [
+        (2, {"tenant-0": 0, "tenant-1": 0, "tenant-2": 0, "alpha": 0,
+             "beta": 1}),
+        (3, {"tenant-0": 2, "tenant-1": 2, "tenant-2": 1, "alpha": 0,
+             "beta": 0}),
+        (4, {"tenant-0": 2, "tenant-1": 2, "tenant-2": 2, "alpha": 0,
+             "beta": 3}),
+    ])
+    def test_home_replica_is_pinned(self, num_replicas, homes):
+        """Tenant placement is a pure hash of the tenant id: these homes
+        must not move, or a restarted fleet routes tenants elsewhere."""
+        def factory(replica_id):
+            return SimpleNamespace(server=SimpleNamespace(persist=None),
+                                   closed=False)
+
+        rs = ReplicaSet(factory, num_replicas=num_replicas)
+        assert {tenant: rs.home_replica(tenant)
+                for tenant in homes} == homes
+
+
 class TestReplicaSetFailover:
     def test_kill_settles_inflight_and_survivor_serves(self, served,
                                                        tmp_path):

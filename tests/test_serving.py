@@ -358,6 +358,22 @@ class TestPromptServer:
         again = ExperimentContext(pretrain_steps=5, use_disk_cache=True)
         assert again.pretrained_state("wiki", config) is not None
 
+    @pytest.mark.parametrize("kwarg, value", [
+        ("num_workers", 2),
+        ("worker_backend", "process"),
+        ("num_shards", 2),
+        ("shard_strategy", "hash"),
+        ("shard_owner", np.zeros(4, dtype=np.int64)),
+    ])
+    def test_server_rejects_retired_worker_kwargs(self, served, kwarg,
+                                                  value):
+        """Every encode runs in-process on the server's own model, on the
+        one monolithic path: the retired worker-pool and sharding knobs
+        fail loudly instead of being ignored."""
+        dataset, config, model = served
+        with pytest.raises(TypeError, match=kwarg):
+            PromptServer(model, dataset, **{kwarg: value})
+
 
 #: Malformed candidates, each planted at index 2 of an episode's pool.
 BAD_CANDIDATES = ("node-out-of-range", "negative-node", "node-on-edge-task",
@@ -745,45 +761,3 @@ class TestGraphMutationServing:
         assert server.stats.graph_updates == 3
         # Component-B mutations never invalidate the component-A session.
         assert server.stats.sessions_invalidated == 0
-
-    def test_sharded_mutating_server_matches_monolithic(self):
-        """Updates routed through the shard layer change nothing: the
-        K-shard mutable server predicts exactly like the monolithic one
-        before and after the same update batch."""
-        from repro.graph import GraphUpdate
-
-        config = GraphPrompterConfig(hidden_dim=8, mutable_graph=True)
-        graph = synthetic_knowledge_graph(150, 3, 900, feature_dim=6, rng=0)
-        model = GraphPrompterModel(graph.feature_dim, graph.num_relations,
-                                   config)
-        model.eval()
-        base_dataset = Dataset(graph, EDGE_TASK, rng=0)
-        episodes = [sample_episode(base_dataset, num_ways=3, num_queries=4,
-                                   rng=50 + i) for i in range(2)]
-        rng = np.random.default_rng(4)
-        update = GraphUpdate(
-            add_src=rng.integers(0, graph.num_nodes, 12),
-            add_dst=rng.integers(0, graph.num_nodes, 12),
-            add_rel=rng.integers(0, graph.num_relations, 12),
-            remove_edges=rng.choice(graph.num_edges, 8, replace=False))
-
-        outputs = {}
-        for num_shards in (1, 2):
-            dataset = Dataset(graph.rebuild(), EDGE_TASK, rng=0)
-            server = PromptServer(model, dataset, max_batch_size=4, rng=0,
-                                  num_shards=num_shards)
-            results = []
-            for i, episode in enumerate(episodes):
-                server.open_session(f"s{i}", episode)
-            for q in range(2):
-                for i, episode in enumerate(episodes):
-                    server.submit(f"s{i}", episode.queries[q])
-            results.extend(server.drain())
-            server.update_graph(update)
-            for q in range(2, 4):
-                for i, episode in enumerate(episodes):
-                    server.submit(f"s{i}", episode.queries[q])
-            results.extend(server.drain())
-            outputs[num_shards] = [(r.session_id, r.prediction)
-                                   for r in results]
-        assert outputs[2] == outputs[1]
