@@ -267,10 +267,8 @@ class Graph:
         count = int(features.shape[0])
         if count == 0:
             return _EMPTY
-        self._promote_overlays()
-        first = self.num_nodes
-        self.num_nodes += count
-        self.node_features = np.concatenate([self.node_features, features])
+        # Validate before the first write: a rejected batch leaves the
+        # graph as it was.
         if self.node_labels is not None:
             if node_labels is None:
                 labels = np.zeros(count, dtype=np.int64)
@@ -278,6 +276,11 @@ class Graph:
                 labels = np.asarray(node_labels, dtype=np.int64).reshape(-1)
                 if labels.shape != (count,):
                     raise ValueError("node_labels must be (count,)")
+        self._promote_overlays()
+        first = self.num_nodes
+        self.num_nodes += count
+        self.node_features = np.concatenate([self.node_features, features])
+        if self.node_labels is not None:
             self.node_labels = np.concatenate([self.node_labels, labels])
         for adj in (self._adj, self._undirected_adj):
             if isinstance(adj, DeltaAdjacency):

@@ -1,5 +1,7 @@
 """Tests for the command-line experiment runner."""
 
+import pytest
+
 import repro.cli
 from repro.cli import EXPERIMENTS, build_parser, main
 from repro.experiments import TableResult
@@ -36,6 +38,17 @@ class TestMain:
     def test_unknown_experiment(self, capsys):
         assert main(["table99"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
+
+    def test_retired_sharded_bench_is_unknown(self, capsys):
+        assert "serve-bench-sharded" not in EXPERIMENTS
+        assert main(["serve-bench-sharded", "--fast"]) == 2
+        assert "unknown experiment" in capsys.readouterr().err
+
+    def test_bench_refuses_retired_shard_profile(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", "--profile", "shard"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'shard'" in capsys.readouterr().err
 
     def test_runs_table2_fast(self, capsys):
         code = main(["table2", "--fast", "--no-disk-cache",

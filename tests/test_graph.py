@@ -5,11 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.datasets.synthetic import synthetic_knowledge_graph
+from repro.datasets.synthetic import (
+    synthetic_citation_graph,
+    synthetic_knowledge_graph,
+)
 from repro.graph import (
     CSRAdjacency,
+    DeltaAdjacency,
     EdgeInput,
     Graph,
+    GraphUpdate,
     NodeInput,
     Subgraph,
     bfs_neighborhood,
@@ -261,6 +266,208 @@ class TestScratchCheckout:
         assert outer[:10].all() and not outer[10:].any()
         outer[:10] = False
         adj.release_scratch(outer)
+
+    @pytest.mark.parametrize("surface", ["csr", "overlay"])
+    @pytest.mark.parametrize("sampler", [bfs_neighborhood,
+                                         random_walk_neighborhood],
+                             ids=["bfs", "random_walk"])
+    def test_failed_sample_returns_a_clean_mask(self, sampler, surface):
+        """A sampler that raises mid-walk still clears every entry it set
+        and hands its mask back, on the CSR and on the delta overlay."""
+        graph = synthetic_knowledge_graph(60, 3, 300, feature_dim=4, rng=2)
+        if surface == "overlay":
+            graph.apply_updates(GraphUpdate(add_src=[0], add_dst=[1]))
+        adj = graph.undirected_adjacency
+        assert isinstance(adj, DeltaAdjacency) == (surface == "overlay")
+        mask = adj.visited_scratch()
+        adj.release_scratch(mask)
+        seeds = np.array([0, 5])
+        # The first draw comes after the first hop marked nodes: BFS draws
+        # when its second frontier overflows the cap, the walk per hop.
+        with pytest.raises(RuntimeError, match="draw budget"):
+            sampler(graph, seeds, 3, 40, ExhaustingRNG(0, budget=0))
+        assert adj.visited_scratch() is mask
+        assert not mask.any()
+        adj.release_scratch(mask)
+        np.testing.assert_array_equal(
+            sampler(graph, seeds, 3, 40, np.random.default_rng(1)),
+            sampler(graph.rebuild(), seeds, 3, 40,
+                    np.random.default_rng(1)))
+
+
+class ExhaustingRNG:
+    """Draws like a seeded generator until ``budget`` draws are spent,
+    then raises: a sampler that fails partway through."""
+
+    def __init__(self, seed: int, budget: int):
+        self._rng = np.random.default_rng(seed)
+        self._budget = budget
+
+    def _spend(self) -> None:
+        if self._budget == 0:
+            raise RuntimeError("draw budget spent")
+        self._budget -= 1
+
+    def integers(self, *args, **kwargs):
+        self._spend()
+        return self._rng.integers(*args, **kwargs)
+
+    def choice(self, *args, **kwargs):
+        self._spend()
+        return self._rng.choice(*args, **kwargs)
+
+
+# ----------------------------------------------------------------------
+# Writes: validation at the boundary, and the receipt of an update
+# ----------------------------------------------------------------------
+def _labelled_graph() -> Graph:
+    return synthetic_citation_graph(40, 3, feature_dim=4, rng=0)
+
+
+def _graph_state(graph: Graph) -> tuple:
+    return (graph.version, graph.num_nodes, graph.num_edges,
+            graph.node_features.shape, graph.node_labels.shape)
+
+
+#: Writes the graph must refuse, each with the message it raises.
+BAD_WRITES = {
+    "features-wrong-width": (
+        lambda g: g.add_nodes(np.zeros((2, 5))), "node_features"),
+    "features-one-dimensional": (
+        lambda g: g.add_nodes(np.zeros(4)), "node_features"),
+    "labels-wrong-length": (
+        lambda g: g.add_nodes(np.zeros((2, 4)), [0, 1, 2]), "node_labels"),
+    "endpoint-lengths-differ": (
+        lambda g: g.add_edges([0, 1], [2]), "length mismatch"),
+    "endpoint-past-last-node": (
+        lambda g: g.add_edges([0], [g.num_nodes]), "out of range"),
+    "negative-endpoint": (
+        lambda g: g.add_edges([-1], [0]), "out of range"),
+    "relation-length-differs": (
+        lambda g: g.add_edges([0, 1], [2, 3], rel=[0]), "rel length"),
+    "relation-past-last-id": (
+        lambda g: g.add_edges([0], [1], rel=[g.num_relations]),
+        "num_relations"),
+}
+
+
+class TestGraphWrites:
+
+    @pytest.mark.parametrize("case", sorted(BAD_WRITES))
+    def test_rejected_write_leaves_graph_unchanged(self, case):
+        write, message = BAD_WRITES[case]
+        graph = _labelled_graph()
+        graph.undirected_adjacency  # built: a write would wrap it in place
+        before = _graph_state(graph)
+        with pytest.raises(ValueError, match=message):
+            write(graph)
+        assert _graph_state(graph) == before
+        # Nothing was half-written: the graph still reads whole.
+        ref = graph.rebuild()
+        assert np.array_equal(graph.degree(), ref.degree())
+
+    @pytest.mark.parametrize("write", [
+        lambda g: g.add_nodes(np.zeros((0, 4))),
+        lambda g: g.add_edges([], []),
+    ], ids=["no-nodes", "no-edges"])
+    def test_empty_write_is_a_no_op(self, write):
+        graph = _labelled_graph()
+        before = _graph_state(graph)
+        assert write(graph).size == 0
+        assert _graph_state(graph) == before
+
+    def test_new_nodes_default_to_class_zero(self):
+        graph = _labelled_graph()
+        labels = graph.node_labels.copy()
+        new = graph.add_nodes(np.ones((2, 4)))
+        assert new.tolist() == [40, 41]
+        assert np.array_equal(graph.node_labels, np.append(labels, [0, 0]))
+        assert np.array_equal(graph.node_features[new], np.ones((2, 4)))
+
+
+#: Update batches that reach different write paths of ``apply_updates``.
+UPDATE_SHAPES = ("add-edges", "remove-edges", "new-nodes-only",
+                 "new-nodes-wired", "self-loops-and-parallels", "mixed")
+
+
+def shaped_update(graph: Graph, shape: str,
+                  rng: np.random.Generator) -> GraphUpdate:
+    n = graph.num_nodes
+    src, dst, rel, live = graph.live_edges()
+    ends = dict(add_src=rng.integers(0, n, size=6),
+                add_dst=rng.integers(0, n, size=6),
+                add_rel=rng.integers(0, graph.num_relations, size=6))
+    new_nodes = dict(
+        add_node_features=rng.normal(size=(2, graph.feature_dim)))
+    if shape == "add-edges":
+        return GraphUpdate(**ends)
+    if shape == "remove-edges":
+        return GraphUpdate(remove_edges=rng.choice(live, size=6,
+                                                   replace=False))
+    if shape == "new-nodes-only":
+        return GraphUpdate(**new_nodes)
+    if shape == "new-nodes-wired":
+        # The batch's own new nodes are endpoints of its new edges.
+        return GraphUpdate(add_src=[n, n + 1, n],
+                           add_dst=rng.integers(0, n, size=3),
+                           add_rel=[0, 0, 0], **new_nodes)
+    if shape == "self-loops-and-parallels":
+        u, i = int(rng.integers(n)), int(rng.integers(live.size))
+        return GraphUpdate(add_src=[u, src[i], src[i]],
+                           add_dst=[u, dst[i], dst[i]],
+                           add_rel=[0, rel[i], rel[i]])
+    # "mixed": every stage in one batch.
+    return GraphUpdate(remove_edges=rng.choice(live, size=3, replace=False),
+                       **ends, **new_nodes)
+
+
+def _rows(graph: Graph, node: int) -> tuple:
+    """What a sampler or an inducer reads of one node: its undirected row,
+    its directed row and that row's relations."""
+    dsts, eids = graph.adjacency.neighbor_edges(node)
+    return (graph.neighbors(node).tolist(), dsts.tolist(),
+            graph.rel[eids].tolist())
+
+
+class TestUpdateReceipt:
+    """Every cache keys invalidation on ``AppliedUpdate.touched_nodes``: it
+    must name each row an update changed, new nodes included."""
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("shape", UPDATE_SHAPES)
+    def test_touched_nodes_name_every_changed_row(self, shape, seed):
+        graph = synthetic_knowledge_graph(60, 3, 240, feature_dim=4,
+                                          rng=seed)
+        graph.undirected_adjacency  # the update writes through an overlay
+        rng = np.random.default_rng([seed, UPDATE_SHAPES.index(shape)])
+        update = shaped_update(graph, shape, rng)
+        before, version = graph.rebuild(), graph.version
+        applied = graph.apply_updates(update)
+        after = graph.rebuild()
+
+        removed = np.asarray(update.remove_edges, dtype=np.int64)
+        new_nodes = set(range(before.num_nodes, after.num_nodes))
+        endpoints = set(np.concatenate([
+            np.asarray(update.add_src, dtype=np.int64),
+            np.asarray(update.add_dst, dtype=np.int64),
+            graph.src[removed], graph.dst[removed]]).tolist())
+        touched = applied.touched_nodes
+        assert np.array_equal(touched, np.unique(touched))
+        assert set(touched.tolist()) == endpoints | new_nodes
+        changed = new_nodes | {node for node in range(before.num_nodes)
+                               if _rows(before, node) != _rows(after, node)}
+        assert changed <= set(touched.tolist())
+        if shape != "mixed":  # no write in these batches undoes another
+            assert changed == set(touched.tolist())
+
+        assert applied.version == graph.version > version
+        np.testing.assert_array_equal(graph.src[applied.new_edge_ids],
+                                      np.asarray(update.add_src))
+        np.testing.assert_array_equal(graph.dst[applied.new_edge_ids],
+                                      np.asarray(update.add_dst))
+        np.testing.assert_array_equal(applied.removed_edge_ids, removed)
+        if removed.size:
+            assert not graph.edge_alive[removed].any()
 
 
 class TestSampleDataGraph:

@@ -19,8 +19,11 @@ from repro.core import (
     Pretrainer,
     sample_episode,
 )
-from repro.datasets import Dataset, EDGE_TASK
-from repro.datasets.synthetic import synthetic_knowledge_graph
+from repro.datasets import Dataset, EDGE_TASK, NODE_TASK
+from repro.datasets.synthetic import (
+    synthetic_citation_graph,
+    synthetic_knowledge_graph,
+)
 from repro.graph import GraphUpdate
 from repro.nn import load_state, save_state
 from repro.obs import MetricsRegistry
@@ -230,6 +233,39 @@ class TestWriteAheadLog:
 # ----------------------------------------------------------------------
 # Snapshots
 # ----------------------------------------------------------------------
+def legacy_snapshot_arrays(graph, wal_seq, owner) -> dict:
+    """The archive layout of builds that persisted a shard owner map,
+    ``owner`` array included (checksum not yet added)."""
+    arrays = {
+        "schema": np.array([SNAPSHOT_SCHEMA], dtype=np.int64),
+        "meta": np.array([graph.num_nodes, graph.num_relations,
+                          graph.version, wal_seq], dtype=np.int64),
+        "name": np.frombuffer(graph.name.encode(), dtype=np.uint8).copy(),
+        "src": graph.src, "dst": graph.dst, "rel": graph.rel,
+        "edge_alive": (graph.edge_alive if graph.edge_alive is not None
+                       else np.ones(0, dtype=bool)),
+        "node_features": graph.node_features,
+        "owner": owner,
+    }
+    if graph.node_labels is not None:
+        arrays["node_labels"] = graph.node_labels
+    if graph.relation_features is not None:
+        arrays["relation_features"] = graph.relation_features
+    return arrays
+
+
+def save_snapshot_arrays(path, arrays, checksum) -> None:
+    np.savez(path, __checksum__=np.array([checksum], dtype=np.uint64),
+             **arrays)
+
+
+def snapshot_arrays(path) -> dict:
+    """A snapshot file's arrays, its checksum entry left out."""
+    with np.load(path) as archive:
+        return {key: archive[key] for key in archive.files
+                if key != "__checksum__"}
+
+
 class TestSnapshot:
     def test_round_trip_after_mutation(self, tmp_path):
         graph = small_graph()
@@ -251,33 +287,9 @@ class TestSnapshot:
         graph = small_graph()
         graph.apply_updates(seeded_update(graph, 1, num_new_nodes=2))
         owner = np.arange(graph.num_nodes, dtype=np.int64) % 2
-
-        def legacy_arrays(owner_map):
-            # The archive layout such a build wrote, owner map included.
-            arrays = {
-                "schema": np.array([SNAPSHOT_SCHEMA], dtype=np.int64),
-                "meta": np.array([graph.num_nodes, graph.num_relations,
-                                  graph.version, 3], dtype=np.int64),
-                "name": np.frombuffer(graph.name.encode(),
-                                      dtype=np.uint8).copy(),
-                "src": graph.src, "dst": graph.dst, "rel": graph.rel,
-                "edge_alive": graph.edge_alive,
-                "node_features": graph.node_features,
-                "owner": owner_map,
-            }
-            if graph.node_labels is not None:
-                arrays["node_labels"] = graph.node_labels
-            if graph.relation_features is not None:
-                arrays["relation_features"] = graph.relation_features
-            return arrays
-
-        def write(path, arrays, checksum):
-            np.savez(path, __checksum__=np.array([checksum],
-                                                 dtype=np.uint64), **arrays)
-
-        arrays = legacy_arrays(owner)
+        arrays = legacy_snapshot_arrays(graph, 3, owner)
         path = str(tmp_path / "legacy.npz")
-        write(path, arrays, checksum_arrays(arrays))
+        save_snapshot_arrays(path, arrays, checksum_arrays(arrays))
         restored, wal_seq = load_snapshot(path)
         assert wal_seq == 3
         assert restored.version == graph.version
@@ -289,10 +301,30 @@ class TestSnapshot:
         # The owner map stays under the checksum: one changed after the
         # file was written fails verification.
         tampered = str(tmp_path / "tampered.npz")
-        write(tampered, legacy_arrays(owner[::-1].copy()),
-              checksum_arrays(arrays))
+        save_snapshot_arrays(
+            tampered, legacy_snapshot_arrays(graph, 3, owner[::-1].copy()),
+            checksum_arrays(arrays))
         with pytest.raises(CorruptArtifactError, match="checksum"):
             load_snapshot(tampered)
+
+    def test_snapshot_without_checksum_is_refused(self, tmp_path):
+        path = str(tmp_path / "snap.npz")
+        write_snapshot(path, small_graph())
+        arrays = snapshot_arrays(path)
+        np.savez(path, **arrays)
+        with pytest.raises(CorruptArtifactError, match="no checksum"):
+            load_snapshot(path)
+
+    def test_snapshot_from_another_schema_is_refused(self, tmp_path):
+        """A verified file is still refused when this build does not read
+        its schema."""
+        path = str(tmp_path / "snap.npz")
+        write_snapshot(path, small_graph())
+        arrays = snapshot_arrays(path)
+        arrays["schema"] = np.array([SNAPSHOT_SCHEMA + 1], dtype=np.int64)
+        save_snapshot_arrays(path, arrays, checksum_arrays(arrays))
+        with pytest.raises(CorruptArtifactError, match="schema"):
+            load_snapshot(path)
 
     def test_corruption_raises_typed_error(self, tmp_path):
         graph = small_graph()
@@ -396,6 +428,26 @@ class TestPersistentStoreReplay:
         store.log_update(seeded_update(graph, 1), base_version=7)
         with pytest.raises(CorruptArtifactError):
             store.recover()
+
+    def test_legacy_snapshot_recovers_with_replay(self, tmp_path):
+        """A store whose snapshot an older build wrote, owner map and all,
+        still recovers: the snapshot loads and the log replays over it."""
+        graph = small_graph()
+        store = PersistentStore(str(tmp_path / "store"))
+        arrays = legacy_snapshot_arrays(
+            graph, 0, np.zeros(graph.num_nodes, dtype=np.int64))
+        save_snapshot_arrays(store.snapshot_path, arrays,
+                             checksum_arrays(arrays))
+        update = seeded_update(graph, 1, num_new_nodes=2)
+        store.log_update(update, base_version=graph.version)
+        recovered, replayed = store.recover()
+        assert replayed == 1
+        graph.apply_updates(update)
+        assert recovered.version == graph.version
+        np.testing.assert_array_equal(recovered.node_features,
+                                      graph.node_features)
+        for a, b in zip(recovered.live_edges(), graph.live_edges()):
+            np.testing.assert_array_equal(a, b)
 
     def test_snapshot_compacts_wal(self, tmp_path):
         graph = small_graph()
@@ -578,6 +630,109 @@ class TestServerRecovery:
         with pytest.raises(CorruptArtifactError):
             PromptServer.restore(model, PersistentStore(store.directory),
                                  EDGE_TASK, rng=1)
+
+
+    def test_save_snapshot_requires_a_store(self, served):
+        config, model = served
+        dataset, _ = fresh_workload(config)
+        server = PromptServer(model, dataset, rng=1)
+        with pytest.raises(RuntimeError, match="PersistentStore"):
+            server.save_snapshot()
+
+    def test_save_snapshot_checkpoints_and_compacts(self, served, tmp_path):
+        """A server checkpoint holds every applied update, so the log
+        behind it is dropped and a recovery replays nothing."""
+        config, model = served
+        dataset, episodes = fresh_workload(config)
+        store = PersistentStore(str(tmp_path / "store"))
+        server = PromptServer(model, dataset, persist=store, rng=1)
+        graph = server.dataset.graph
+        for seed in (5, 6):
+            server.update_graph(touching_update(graph, episodes, seed))
+        assert len(store.wal) == 2
+        assert server.save_snapshot() == graph.version
+        assert len(store.wal) == 0
+        recovered, replayed = PersistentStore(store.directory).recover()
+        assert replayed == 0 and recovered.version == graph.version
+        for a, b in zip(recovered.live_edges(), graph.live_edges()):
+            np.testing.assert_array_equal(a, b)
+
+    def test_node_task_server_restores(self, tmp_path):
+        """A node-classification server's snapshot keeps the node labels,
+        its log keeps an update's new labels and its manifests keep node
+        datapoints: the restored server answers as the live one does."""
+        graph = synthetic_citation_graph(200, 3, feature_dim=6, rng=0)
+        dataset = Dataset(graph, NODE_TASK, rng=0)
+        config = GraphPrompterConfig(hidden_dim=8, max_subgraph_nodes=8,
+                                     mutable_graph=True)
+        model = GraphPrompterModel(graph.feature_dim, graph.num_relations,
+                                   config)
+        model.eval()
+        episodes = [sample_episode(dataset, num_ways=3, num_queries=4,
+                                   rng=i) for i in range(2)]
+        store = PersistentStore(str(tmp_path / "store"))
+        live = PromptServer(model, dataset, persist=store, max_batch_size=4,
+                            rng=3)
+        for i, episode in enumerate(episodes):
+            live.open_session(f"s{i}", episode)
+        update = seeded_update(graph, 2, num_new_nodes=1)
+        live.update_graph(GraphUpdate(
+            add_src=update.add_src, add_dst=update.add_dst,
+            add_rel=update.add_rel, remove_edges=update.remove_edges,
+            add_node_features=update.add_node_features,
+            add_node_labels=[2]))
+        assert graph.node_labels[-1] == 2
+
+        restored = PromptServer.restore(
+            model, PersistentStore(store.directory), NODE_TASK,
+            max_batch_size=4, rng=3)
+        assert restored.last_recovery_replayed == 1
+        np.testing.assert_array_equal(restored.dataset.graph.node_labels,
+                                      graph.node_labels)
+        answers = {}
+        for name, server in (("live", live), ("restored", restored)):
+            for q in range(4):
+                for i, episode in enumerate(episodes):
+                    server.submit(f"s{i}", episode.queries[q])
+            answers[name] = [(r.session_id, r.prediction, r.confidence)
+                             for r in server.drain()]
+        assert answers["restored"] == answers["live"]
+
+
+class TestSessionManifestLifecycle:
+    """A persisted server keeps one manifest per open session: a session
+    that is closed, evicted or expired takes its manifest with it, so a
+    restore never re-opens a session the live server had dropped."""
+
+    @pytest.mark.parametrize("leave", ["close", "evict", "expire"])
+    def test_departed_session_leaves_no_manifest(self, served, tmp_path,
+                                                 leave):
+        config, model = served
+        dataset, episodes = fresh_workload(config, num_sessions=3)
+        now = [0.0]
+        store = PersistentStore(str(tmp_path / "store"))
+        server = PromptServer(
+            model, dataset, persist=store, rng=1,
+            session_capacity=2 if leave == "evict" else 8,
+            session_ttl_s=10.0 if leave == "expire" else None,
+            clock=lambda: now[0])
+        server.open_session("s0", episodes[0])
+        now[0] = 5.0
+        server.open_session("s1", episodes[1])
+        if leave == "close":
+            server.close_session("s0")
+        elif leave == "evict":
+            server.open_session("s2", episodes[2])  # s0 is least recent
+        else:
+            now[0] = 12.0  # s0 idle past its TTL, s1 not
+            assert server.step() == []
+        kept = ["s1", "s2"] if leave == "evict" else ["s1"]
+        assert sorted(s.session_id for s in server.sessions.states()) == kept
+        assert [m.session_id for m in store.sessions.load_all()] == kept
+        restored = PromptServer.restore(
+            model, PersistentStore(store.directory), EDGE_TASK, rng=1)
+        assert sorted(s.session_id
+                      for s in restored.sessions.states()) == kept
 
 
 # ----------------------------------------------------------------------

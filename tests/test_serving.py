@@ -374,6 +374,26 @@ class TestPromptServer:
         with pytest.raises(TypeError, match=kwarg):
             PromptServer(model, dataset, **{kwarg: value})
 
+    @pytest.mark.parametrize("kwarg, value", [
+        ("max_batch_size", 0),
+        ("max_batch_size", -3),
+        ("session_capacity", 0),
+        ("session_capacity", -3),
+        ("session_ttl_s", 0.0),
+        ("session_ttl_s", -1.0),
+        ("result_buffer_size", 0),
+        ("result_buffer_size", -3),
+    ])
+    def test_server_rejects_non_positive_sizes(self, served, tmp_path,
+                                               kwarg, value):
+        """Sizes are checked at construction, before the server touches
+        its store: a refused server leaves no snapshot behind."""
+        dataset, config, model = served
+        persist = PersistentStore(str(tmp_path / "store"))
+        with pytest.raises(ValueError, match="must be"):
+            PromptServer(model, dataset, persist=persist, **{kwarg: value})
+        assert not persist.has_snapshot()
+
 
 #: Malformed candidates, each planted at index 2 of an episode's pool.
 BAD_CANDIDATES = ("node-out-of-range", "negative-node", "node-on-edge-task",
