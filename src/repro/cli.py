@@ -7,10 +7,6 @@ from the shell and prints the reproduced table::
     python -m repro fig5 --fast
     python -m repro all --fast
     python -m repro list
-
-plus the perf-regression harness (its own flag set, see ``repro bench -h``)::
-
-    python -m repro bench --quick --baseline BENCH_hotpaths.json
 """
 
 from __future__ import annotations
@@ -82,8 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "experiment",
-        help="experiment id (see 'list'), 'all', 'list', 'bench', "
-             "'metrics', or 'serve-bench-scenarios'",
+        help="experiment id (see 'list'), 'all', 'list', 'metrics', "
+             "or 'serve-bench-scenarios'",
     )
     parser.add_argument(
         "--fast", action="store_true",
@@ -102,12 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "bench":
-        # The perf harness has its own flag set (--quick/--baseline/...);
-        # dispatch before the experiment parser sees the arguments.
-        from .perf import bench_main
-
-        return bench_main(argv[1:])
     if argv and argv[0] == "metrics":
         # Observability driver (own flags, see 'repro metrics -h'): runs
         # an instrumented burst and prints Prometheus text exposition.
@@ -125,8 +115,6 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.experiment == "list":
         entries = dict(EXPERIMENTS)
-        entries["bench"] = (None,
-                            "hot-path microbenchmarks + perf-regression check")
         entries["metrics"] = (None,
                               "instrumented burst -> Prometheus exposition")
         entries["serve-bench-scenarios"] = (

@@ -27,12 +27,10 @@ SLOs (zero shed, bounded p95 wait) while the batch/background classes
 absorb the shedding — the bench *raises* if that inversion ever breaks.
 
 ``BENCH_scenarios.json`` pins per-scenario baselines (trace fingerprint,
-admitted/shed split, QPS, SLO verdict) per ``fast``/``full`` profile;
-:func:`check_scenarios` gates against it with explicit
-``ENVIRONMENT-SKIPPED`` lines for host-class-sensitive entries (QPS,
-SLO latency verdicts) when ``cpu_count`` differs from the recording
-host — the deterministic entries (fingerprints, admission counts) are
-gated everywhere.
+admitted/shed split, SLO verdict) per ``fast``/``full`` profile, and
+:func:`check_scenarios` gates against it on every host.  The recorded
+timing fields (QPS, elapsed time, queue-wait quantiles) are not gated:
+throughput is perfbench's claim, and a same-run ratio would gate noise.
 """
 
 from __future__ import annotations
@@ -83,10 +81,6 @@ __all__ = [
 ]
 
 BASELINE_SCHEMA = 1
-
-#: Gate fields that depend on host speed — environment-skipped when the
-#: baseline host class (its cpu_count) differs from the current one.
-_ENVIRONMENT_KEYS = ("cpu_count",)
 
 PRIORITY_MAP = {
     "interactive": Priority.INTERACTIVE,
@@ -365,10 +359,6 @@ def run_scenario(model, dataset, scenario: Scenario, seed: int = 0,
     return result
 
 
-def _env() -> dict:
-    return {"cpu_count": os.cpu_count() or 1}
-
-
 def _baseline_entry(scenario: Scenario, result: dict,
                     relax: float) -> dict:
     verdict = result["verdict"]
@@ -388,7 +378,6 @@ def _baseline_entry(scenario: Scenario, result: dict,
         "relax": relax,
         "trace_fingerprint": result["fingerprint"],
         "admitted_fingerprint": result["admitted_fingerprint"],
-        "env": _env(),
     }
 
 
@@ -437,14 +426,12 @@ def run_matrix(context: ExperimentContext, names: list[str] | None = None,
     return entries, verdicts, proms, table
 
 
-def check_scenarios(current: dict, baseline: dict, tolerance: float = 1.5,
-                    skipped: list | None = None) -> list[str]:
+def check_scenarios(current: dict, baseline: dict) -> list[str]:
     """Per-scenario regression gates vs. a ``BENCH_scenarios.json`` section.
 
-    Deterministic fields (trace fingerprint, offered/admitted/shed
-    counts) are gated on every host.  Host-speed-sensitive fields (QPS
-    ratio, SLO verdict) are environment-skipped — recorded in
-    ``skipped`` — when the entry's recorded host class differs.
+    Gated on every host: the trace fingerprint, the offered/admitted/shed
+    counts, and the SLO verdict (a scenario whose baseline held its SLOs
+    must hold them again).  Timing fields are recorded, never gated.
     """
     failures: list[str] = []
     for name, base in sorted(baseline.items()):
@@ -469,25 +456,6 @@ def check_scenarios(current: dict, baseline: dict, tolerance: float = 1.5,
                 f"scenarios/{name}: shed split {now['shed']} != "
                 f"baseline {base['shed']} — deterministic shedding "
                 f"changed")
-        base_env = base.get("env", {})
-        host_env = _env()
-        mismatched = [key for key in _ENVIRONMENT_KEYS
-                      if base_env.get(key) != host_env.get(key)]
-        if mismatched:
-            if skipped is not None:
-                details = ", ".join(
-                    f"{key} baseline={base_env.get(key)} "
-                    f"host={host_env.get(key)}" for key in mismatched)
-                skipped.append(
-                    f"scenarios/{name}: qps + slo_ok gates skipped — "
-                    f"host class differs ({details})")
-            continue
-        floor = base["qps"] / tolerance
-        if now["qps"] < floor:
-            failures.append(
-                f"scenarios/{name}: qps {now['qps']:.1f} below floor "
-                f"{floor:.1f} (baseline {base['qps']:.1f} / tolerance "
-                f"{tolerance})")
         if base.get("slo_ok") and not now.get("slo_ok"):
             failures.append(
                 f"scenarios/{name}: SLO verdict regressed to VIOLATED "
@@ -528,9 +496,6 @@ def build_scenarios_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--baseline", default=None,
         help="gate against this BENCH_scenarios.json (exit 1 on failure)")
-    parser.add_argument(
-        "--tolerance", type=float, default=1.5,
-        help="allowed QPS slack vs. the baseline (default: %(default)s)")
     parser.add_argument(
         "--prom-dir", default=None,
         help="write per-scenario Prometheus snapshots into this directory")
@@ -578,8 +543,8 @@ def scenarios_main(argv: list[str] | None = None) -> int:
         merged.update(entries)
         sections[profile] = {"scenarios": merged}
         payload = {"schema": BASELINE_SCHEMA, "profiles": sections}
-        # Atomic merge-write, like BENCH_hotpaths.json: CI gates on this
-        # file, so an interrupted run must never tear it.
+        # Atomic merge-write: CI gates on this file, so an interrupted
+        # run must never tear it.
         from ..persist import atomic_write
 
         with atomic_write(args.output) as handle:
@@ -591,13 +556,7 @@ def scenarios_main(argv: list[str] | None = None) -> int:
         with open(args.baseline, "r", encoding="utf-8") as handle:
             baseline = json.load(handle)
         section = baseline.get("profiles", {}).get(profile, {})
-        skipped: list[str] = []
-        failures = check_scenarios(entries,
-                                   section.get("scenarios", {}),
-                                   tolerance=args.tolerance,
-                                   skipped=skipped)
-        for line in skipped:
-            print(f"ENVIRONMENT-SKIPPED: {line}")
+        failures = check_scenarios(entries, section.get("scenarios", {}))
         if failures:
             print("SCENARIO REGRESSIONS vs baseline "
                   f"{args.baseline} [{profile}]:", file=sys.stderr)
@@ -605,5 +564,5 @@ def scenarios_main(argv: list[str] | None = None) -> int:
                 print(f"  {line}", file=sys.stderr)
             return 1
         print(f"[all scenario gates passed vs {args.baseline} "
-              f"({profile}); {len(skipped)} environment-skipped]")
+              f"({profile})]")
     return 0

@@ -99,8 +99,9 @@ class GraphUpdate:
     """One batch of live-graph mutations, applied in the order
     *add nodes → add edges → remove edges* (so added edges may reference
     nodes added by the same update, and removals may target ids that
-    existed before the update).  Validation errors raise mid-batch with
-    the earlier stages applied — validate ids upstream when that matters.
+    existed before the update or that it adds).  The whole batch is
+    validated before its first write (:meth:`Graph.check_update`): a
+    refused batch raises ``ValueError`` and changes nothing.
     """
 
     add_src: tuple | np.ndarray = ()

@@ -261,21 +261,10 @@ class Graph:
         given.  New nodes start isolated — wire them with
         :meth:`add_edges`.
         """
-        features = np.asarray(node_features, dtype=np.float64)
-        if features.ndim != 2 or features.shape[1] != self.feature_dim:
-            raise ValueError("node_features must be (count, feature_dim)")
+        features, labels = self._checked_nodes(node_features, node_labels)
         count = int(features.shape[0])
         if count == 0:
             return _EMPTY
-        # Validate before the first write: a rejected batch leaves the
-        # graph as it was.
-        if self.node_labels is not None:
-            if node_labels is None:
-                labels = np.zeros(count, dtype=np.int64)
-            else:
-                labels = np.asarray(node_labels, dtype=np.int64).reshape(-1)
-                if labels.shape != (count,):
-                    raise ValueError("node_labels must be (count,)")
         self._promote_overlays()
         first = self.num_nodes
         self.num_nodes += count
@@ -290,23 +279,9 @@ class Graph:
 
     def add_edges(self, src, dst, rel=None) -> np.ndarray:
         """Append live edges; returns their (stable) edge ids."""
-        src = np.asarray(src, dtype=np.int64).reshape(-1)
-        dst = np.asarray(dst, dtype=np.int64).reshape(-1)
-        if src.shape != dst.shape:
-            raise ValueError("src/dst length mismatch")
+        src, dst, rel = self._checked_edges(src, dst, rel, self.num_nodes)
         if src.size == 0:
             return _EMPTY
-        if (src.min() < 0 or src.max() >= self.num_nodes
-                or dst.min() < 0 or dst.max() >= self.num_nodes):
-            raise ValueError("edge endpoint out of range")
-        if rel is None:
-            rel = np.zeros(src.size, dtype=np.int64)
-        else:
-            rel = np.asarray(rel, dtype=np.int64).reshape(-1)
-            if rel.shape != src.shape:
-                raise ValueError("rel length must equal the number of edges")
-            if rel.size and (rel.min() < 0 or rel.max() >= self.num_relations):
-                raise ValueError("relation id exceeds num_relations")
         self._promote_overlays()
         first = self.num_edges
         eids = np.arange(first, first + src.size, dtype=np.int64)
@@ -333,14 +308,9 @@ class Graph:
     def remove_edges(self, edge_ids) -> None:
         """Tombstone live edges by id (ids stay allocated, never served)."""
         ids = np.asarray(edge_ids, dtype=np.int64).reshape(-1)
+        self._check_removals(ids, self.num_edges)
         if ids.size == 0:
             return
-        if ids.min() < 0 or ids.max() >= self.num_edges:
-            raise ValueError("edge id out of range")
-        if np.unique(ids).size != ids.size:
-            raise ValueError("duplicate edge id in removal batch")
-        if self.edge_alive is not None and not self.edge_alive[ids].all():
-            raise ValueError("edge already removed")
         self._promote_overlays()
         if self.edge_alive is None:
             self.edge_alive = np.ones(self.num_edges, dtype=bool)
@@ -358,15 +328,92 @@ class Graph:
         self.version += 1
         self._auto_compact()
 
+    # Each write validates before its first change, so a refused batch
+    # leaves the graph as it was.  The edge and removal rules take the
+    # node or edge count to check against, so check_update can count
+    # what the earlier stages of the same batch add.
+    def _checked_nodes(self, node_features, node_labels):
+        """``(features, labels)`` of an :meth:`add_nodes` batch; ``labels``
+        is ``None`` when the graph carries none or the batch is empty."""
+        features = np.asarray(node_features, dtype=np.float64)
+        if features.ndim != 2 or features.shape[1] != self.feature_dim:
+            raise ValueError("node_features must be (count, feature_dim)")
+        count = int(features.shape[0])
+        if not count or self.node_labels is None:
+            return features, None
+        if node_labels is None:
+            return features, np.zeros(count, dtype=np.int64)
+        labels = np.asarray(node_labels, dtype=np.int64).reshape(-1)
+        if labels.shape != (count,):
+            raise ValueError("node_labels must be (count,)")
+        return features, labels
+
+    def _checked_edges(self, src, dst, rel, num_nodes: int):
+        """``(src, dst, rel)`` of an :meth:`add_edges` batch whose
+        endpoints must lie below ``num_nodes``."""
+        src = np.asarray(src, dtype=np.int64).reshape(-1)
+        dst = np.asarray(dst, dtype=np.int64).reshape(-1)
+        if src.shape != dst.shape:
+            raise ValueError("src/dst length mismatch")
+        if src.size == 0:
+            return src, dst, rel
+        if (src.min() < 0 or src.max() >= num_nodes
+                or dst.min() < 0 or dst.max() >= num_nodes):
+            raise ValueError("edge endpoint out of range")
+        if rel is None:
+            return src, dst, np.zeros(src.size, dtype=np.int64)
+        rel = np.asarray(rel, dtype=np.int64).reshape(-1)
+        if rel.shape != src.shape:
+            raise ValueError("rel length must equal the number of edges")
+        if rel.size and (rel.min() < 0 or rel.max() >= self.num_relations):
+            raise ValueError("relation id exceeds num_relations")
+        return src, dst, rel
+
+    def _check_removals(self, ids: np.ndarray, num_edges: int) -> None:
+        """Refuse a :meth:`remove_edges` batch unless its ids are distinct
+        live edges below ``num_edges``; ids at or past :attr:`num_edges`
+        name edges the same batch adds, which are live."""
+        if ids.size == 0:
+            return
+        if ids.min() < 0 or ids.max() >= num_edges:
+            raise ValueError("edge id out of range")
+        if np.unique(ids).size != ids.size:
+            raise ValueError("duplicate edge id in removal batch")
+        if (self.edge_alive is not None
+                and not self.edge_alive[ids[ids < self.num_edges]].all()):
+            raise ValueError("edge already removed")
+
+    def check_update(self, update: GraphUpdate) -> None:
+        """Raise ``ValueError`` when :meth:`apply_updates` would refuse
+        ``update``; writes nothing.
+
+        The batch is checked as it applies: edge endpoints may name the
+        nodes it adds, and removals may name the edges it adds.
+        """
+        num_nodes = self.num_nodes
+        if update.add_node_features is not None:
+            features, _ = self._checked_nodes(update.add_node_features,
+                                              update.add_node_labels)
+            num_nodes += features.shape[0]
+        add_src = np.asarray(update.add_src, dtype=np.int64).reshape(-1)
+        add_dst = np.asarray(update.add_dst, dtype=np.int64).reshape(-1)
+        if add_src.size:
+            self._checked_edges(add_src, add_dst, update.add_rel, num_nodes)
+        self._check_removals(
+            np.asarray(update.remove_edges, dtype=np.int64).reshape(-1),
+            self.num_edges + add_src.size)
+
     def apply_updates(self, update: GraphUpdate) -> AppliedUpdate:
         """Apply one mutation batch; returns the invalidation receipt.
 
-        Order: nodes are added first (so new edges may land on them),
-        then edges are added, then removals are applied.  The built
-        overlays then rebuild every row the batch wrote (see
-        :meth:`DeltaAdjacency.settle`), so the batch's whole cost is paid
-        here rather than by the first read after it.
+        The whole batch is checked first (:meth:`check_update`), so a
+        refused batch changes nothing.  Order: nodes are added first (so
+        new edges may land on them), then edges are added, then removals
+        are applied.  The built overlays then rebuild every row the batch
+        wrote (see :meth:`DeltaAdjacency.settle`), so the batch's whole
+        cost is paid here rather than by the first read after it.
         """
+        self.check_update(update)
         compactions = self._compactions
         new_nodes = _EMPTY
         if update.add_node_features is not None:

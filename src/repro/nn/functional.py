@@ -10,7 +10,6 @@ __all__ = [
     "softmax",
     "log_softmax",
     "cross_entropy",
-    "nll_loss",
     "mse_loss",
     "binary_cross_entropy",
     "l2_normalize",
@@ -48,13 +47,6 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     rows = np.arange(labels.shape[0])
     picked = log_probs[rows, labels]
     return -picked.mean()
-
-
-def nll_loss(log_probs: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean negative log-likelihood for pre-computed log-probabilities."""
-    labels = np.asarray(labels, dtype=np.int64)
-    rows = np.arange(labels.shape[0])
-    return -log_probs[rows, labels].mean()
 
 
 def mse_loss(prediction: Tensor, target) -> Tensor:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["xavier_uniform", "xavier_normal", "kaiming_uniform", "zeros", "normal"]
+__all__ = ["xavier_uniform", "zeros", "normal"]
 
 
 def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
@@ -13,22 +13,6 @@ def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
     bound = float(np.sqrt(6.0 / (fan_in + fan_out)))
     if shape is None:
         shape = (fan_in, fan_out)
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def xavier_normal(rng: np.random.Generator, fan_in: int, fan_out: int,
-                  shape: tuple[int, ...] | None = None) -> np.ndarray:
-    """Glorot normal initialisation: N(0, 2/(fan_in+fan_out))."""
-    std = float(np.sqrt(2.0 / (fan_in + fan_out)))
-    if shape is None:
-        shape = (fan_in, fan_out)
-    return rng.normal(0.0, std, size=shape)
-
-
-def kaiming_uniform(rng: np.random.Generator, fan_in: int,
-                    shape: tuple[int, ...]) -> np.ndarray:
-    """He uniform initialisation for ReLU networks."""
-    bound = float(np.sqrt(6.0 / fan_in))
     return rng.uniform(-bound, bound, size=shape)
 
 

@@ -143,10 +143,9 @@ def span(stage: str):
     """Time a block: feed its self time to the stage histogram + traces.
 
     The single profiling hook shared by the sampler, the arena batcher,
-    the fused forward and the serving loop — so
-    ``repro bench``, live scrapes, and sampled traces all read the same
-    numbers.  The recorded value is the block's duration minus the spans
-    nested in it on this thread.
+    the fused forward and the serving loop — so live scrapes and sampled
+    traces read the same numbers.  The recorded value is the block's
+    duration minus the spans nested in it on this thread.
     """
     registry = get_registry()
     traces = getattr(_ACTIVE, "traces", [])

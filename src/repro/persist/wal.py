@@ -193,28 +193,6 @@ class WriteAheadLog:
             records.append(record)
         return records
 
-    def replay(self, graph) -> int:
-        """Apply every not-yet-applied record to ``graph``, in order.
-
-        Records whose ``base_version`` is behind the graph's current
-        version are skipped (already applied — duplicate delivery or a
-        snapshot that contains them); a record *ahead* of the graph means
-        a missing prefix and raises.  Returns the number applied.
-        Idempotent: replaying the same log twice applies nothing new.
-        """
-        applied = 0
-        for record in self.records():
-            if record.base_version < graph.version:
-                continue
-            if record.base_version > graph.version:
-                raise CorruptArtifactError(
-                    f"WAL {self.path}: record seq={record.seq} expects "
-                    f"graph version {record.base_version} but the graph "
-                    f"is at {graph.version} — snapshot/log mismatch")
-            graph.apply_updates(record.update)
-            applied += 1
-        return applied
-
     # ------------------------------------------------------------------
     def _decode(self, raw: bytes) -> WalRecord | None:
         try:

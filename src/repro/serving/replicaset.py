@@ -37,6 +37,7 @@ import zlib
 import numpy as np
 
 from ..graph.delta import AppliedUpdate, GraphUpdate
+from ..graph.graph import Graph
 from ..obs.metrics import MetricsRegistry, get_registry
 from ..persist import PersistentStore, episode_from_jsonable
 from .gateway import ServingGateway
@@ -171,11 +172,11 @@ class ReplicaSet:
     # ------------------------------------------------------------------
     # Updates + lifecycle
     # ------------------------------------------------------------------
-    def _graph_version(self) -> int:
+    def _graph(self) -> Graph:
         healthy = self.healthy_replicas()
         if not healthy:
             raise RuntimeError("no healthy replica available")
-        return self.replicas[healthy[0]].server.dataset.graph.version
+        return self.replicas[healthy[0]].server.dataset.graph
 
     async def update_graph(self, update: GraphUpdate) -> AppliedUpdate:
         """Apply one live mutation fleet-wide: log once, fan out.
@@ -183,10 +184,13 @@ class ReplicaSet:
         Every healthy replica drains its in-flight requests and absorbs
         the update (``log=False`` — the shared WAL already has it), so
         the fleet stays version-aligned and a cold restart replays the
-        same history exactly once.
+        same history exactly once.  A batch the graph refuses raises
+        ``ValueError`` before it is logged.
         """
         if self.store is not None:
-            self.store.log_update(update, base_version=self._graph_version())
+            graph = self._graph()
+            graph.check_update(update)
+            self.store.log_update(update, base_version=graph.version)
         applied = None
         for gateway in self.replicas:
             if not gateway.closed:

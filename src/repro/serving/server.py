@@ -384,12 +384,15 @@ class PromptServer:
         mid-append tears the log's tail, which replay drops: either way
         durability and memory agree.  ``log=False`` is the replay path
         itself (re-applying an already-logged record must not re-log it).
+        A batch the graph refuses raises ``ValueError`` before it is
+        logged, and changes nothing.
         """
         if not self._mutable:
             raise RuntimeError(
                 "live graph updates require mutable_graph=True in the "
                 "model config")
         if self.persist is not None and log:
+            self.dataset.graph.check_update(update)
             self.persist.log_update(update,
                                     base_version=self.dataset.graph.version)
         applied = self.dataset.graph.apply_updates(update)

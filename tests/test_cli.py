@@ -39,16 +39,19 @@ class TestMain:
         assert main(["table99"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
 
-    def test_retired_sharded_bench_is_unknown(self, capsys):
-        assert "serve-bench-sharded" not in EXPERIMENTS
-        assert main(["serve-bench-sharded", "--fast"]) == 2
+    @pytest.mark.parametrize("argv", [["serve-bench-sharded", "--fast"],
+                                      ["bench"]],
+                             ids=["serve-bench-sharded", "bench"])
+    def test_retired_sharded_bench_is_unknown(self, argv, capsys):
+        assert argv[0] not in EXPERIMENTS
+        assert main(argv) == 2
         assert "unknown experiment" in capsys.readouterr().err
 
-    def test_bench_refuses_retired_shard_profile(self, capsys):
-        with pytest.raises(SystemExit) as exit_info:
-            main(["bench", "--profile", "shard"])
-        assert exit_info.value.code == 2
-        assert "invalid choice: 'shard'" in capsys.readouterr().err
+    def test_list_names_no_bench_harness(self, capsys):
+        main(["list"])
+        lines = [line.split()[0] for line in
+                 capsys.readouterr().out.strip().splitlines()]
+        assert not [name for name in lines if name.startswith("bench")]
 
     def test_runs_table2_fast(self, capsys):
         code = main(["table2", "--fast", "--no-disk-cache",

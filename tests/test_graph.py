@@ -124,6 +124,17 @@ class TestGraph:
             Graph(2, np.array([0]), np.array([1]),
                   node_labels=np.array([0]))
 
+    @pytest.mark.parametrize("arrays, message", [
+        (dict(src=[0, 1], dst=[1]), "src/dst length mismatch"),
+        (dict(src=[0, 1], dst=[1, 2], rel=[0]), "rel length"),
+        (dict(src=[0], dst=[1], num_relations=2,
+              relation_features=np.zeros((3, 4))), "relation_features"),
+    ], ids=["endpoint-lengths-differ", "relation-length-differs",
+            "relation-feature-rows"])
+    def test_inconsistent_arrays_refused(self, arrays, message):
+        with pytest.raises(ValueError, match=message):
+            Graph(3, **arrays)
+
 
 class TestSubgraph:
     def test_induced_keeps_internal_edges(self):
@@ -325,8 +336,9 @@ def _labelled_graph() -> Graph:
 
 
 def _graph_state(graph: Graph) -> tuple:
+    alive = None if graph.edge_alive is None else graph.edge_alive.tobytes()
     return (graph.version, graph.num_nodes, graph.num_edges,
-            graph.node_features.shape, graph.node_labels.shape)
+            graph.node_features.shape, graph.node_labels.shape, alive)
 
 
 #: Writes the graph must refuse, each with the message it raises.
@@ -348,6 +360,18 @@ BAD_WRITES = {
     "relation-past-last-id": (
         lambda g: g.add_edges([0], [1], rel=[g.num_relations]),
         "num_relations"),
+    # apply_updates batches whose earlier stages alone would apply.
+    "update-endpoint-past-new-nodes": (
+        lambda g: g.apply_updates(GraphUpdate(
+            add_node_features=np.zeros((1, 4)), add_src=[0],
+            add_dst=[g.num_nodes + 1])), "out of range"),
+    "update-removal-repeated-after-add": (
+        lambda g: g.apply_updates(GraphUpdate(
+            add_src=[0], add_dst=[1], remove_edges=[1, 1])), "duplicate"),
+    "update-removal-past-new-edges": (
+        lambda g: g.apply_updates(GraphUpdate(
+            add_src=[0], add_dst=[1], remove_edges=[g.num_edges + 1])),
+        "out of range"),
 }
 
 
@@ -375,6 +399,71 @@ class TestGraphWrites:
         before = _graph_state(graph)
         assert write(graph).size == 0
         assert _graph_state(graph) == before
+
+    def test_empty_removal_is_a_no_op(self):
+        """Removing no edges writes nothing: no version bump, and the
+        built view stays a plain CSR (the graph is not promoted)."""
+        graph = _labelled_graph()
+        graph.undirected_adjacency
+        before = _graph_state(graph)
+        graph.remove_edges([])
+        assert _graph_state(graph) == before
+        assert isinstance(graph.undirected_adjacency, CSRAdjacency)
+
+    def test_graph_without_edges_takes_writes(self):
+        """Views built over no edges promote and compact like any other:
+        edges added and then all removed read as a rebuild does."""
+        graph = Graph(4, [], [], node_features=np.eye(4))
+        graph.adjacency, graph.undirected_adjacency  # built while edgeless
+
+        def reads_as_rebuild():
+            ref = graph.rebuild()
+            for node in range(graph.num_nodes):
+                assert np.array_equal(graph.neighbors(node),
+                                      ref.neighbors(node))
+                assert np.array_equal(graph.adjacency.neighbors(node),
+                                      ref.adjacency.neighbors(node))
+
+        assert graph.add_edges([0, 1, 3], [1, 2, 0]).tolist() == [0, 1, 2]
+        reads_as_rebuild()
+        graph.remove_edges([0, 1, 2])
+        graph.compact()  # rebuilds both views from no live edge
+        reads_as_rebuild()
+        assert graph.num_live_edges == 0
+        assert graph.degree().tolist() == [0, 0, 0, 0]
+        assert graph.undirected_adjacency.gather_neighbors([]).size == 0
+
+    @pytest.mark.parametrize("query", [
+        lambda adj: adj.neighbor_edges(0),
+        lambda adj: adj.gather_neighbor_edges(np.array([0, 1])),
+    ], ids=["one-row", "batched"])
+    def test_only_the_directed_overlay_answers_edge_queries(self, query):
+        """A two-lane row holds each edge once per direction, so edge-id
+        queries are refused there and answered by the directed view."""
+        graph = _labelled_graph()
+        graph.adjacency, graph.undirected_adjacency
+        new = graph.add_edges([0], [1])
+        with pytest.raises(TypeError, match="directed-view"):
+            query(graph.undirected_adjacency)
+        dsts, eids = query(graph.adjacency)[:2]
+        assert new[0] in eids.tolist()
+        assert dsts[eids.tolist().index(new[0])] == 1
+
+    def test_update_may_remove_an_edge_it_adds(self):
+        graph = _labelled_graph()
+        graph.remove_edges([0])
+        n, m = graph.num_nodes, graph.num_edges
+        before = _graph_state(graph)
+        with pytest.raises(ValueError, match="already removed"):
+            graph.apply_updates(GraphUpdate(add_src=[0], add_dst=[1],
+                                            remove_edges=[m, 0]))
+        assert _graph_state(graph) == before
+        update = GraphUpdate(add_node_features=np.ones((1, 4)),
+                             add_src=[0], add_dst=[n], remove_edges=[m])
+        graph.check_update(update)
+        assert graph.apply_updates(update).new_edge_ids.tolist() == [m]
+        assert graph.num_nodes == n + 1 and not graph.edge_alive[m]
+        assert graph.degree(n) == 0
 
     def test_new_nodes_default_to_class_zero(self):
         graph = _labelled_graph()

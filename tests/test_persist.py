@@ -230,6 +230,26 @@ class TestWriteAheadLog:
             list(wal.records())
 
 
+    def test_compact_keeps_records_from_the_version_on(self, tmp_path):
+        graph = small_graph()
+        wal = WriteAheadLog(str(tmp_path / "wal.jsonl"))
+        updates = [seeded_update(graph, seed) for seed in (1, 2, 3)]
+        for version, update in enumerate(updates):
+            wal.append(update, base_version=version)
+        assert wal.compact(min_base_version=1) == 2
+        # A fresh handle reads the kept records with their checksums
+        # intact, and numbers its next append past them.
+        fresh = WriteAheadLog(wal.path)
+        records = fresh.records()
+        assert [(r.seq, r.base_version) for r in records] == [(1, 1), (2, 2)]
+        for record, update in zip(records, updates[1:]):
+            np.testing.assert_array_equal(record.update.add_dst,
+                                          update.add_dst)
+            np.testing.assert_array_equal(record.update.remove_edges,
+                                          update.remove_edges)
+        assert fresh.append(updates[0], base_version=3) == 3
+
+
 # ----------------------------------------------------------------------
 # Snapshots
 # ----------------------------------------------------------------------
@@ -632,6 +652,29 @@ class TestServerRecovery:
                                  EDGE_TASK, rng=1)
 
 
+    def test_refused_update_is_not_logged(self, served, tmp_path):
+        """A batch the graph refuses leaves the graph, the WAL, the memo
+        and the session as they were, and the store still restores."""
+        config, model = served
+        dataset, episodes = fresh_workload(config, num_sessions=1)
+        store = PersistentStore(str(tmp_path / "store"))
+        server = PromptServer(model, dataset, persist=store, rng=1)
+        server.open_session("s0", episodes[0])
+        graph = server.dataset.graph
+        seed = int(episodes[0].candidates[0].nodes[0])
+        before = (graph.version, graph.num_edges, len(store.wal),
+                  len(server.memo))
+        with pytest.raises(ValueError, match="duplicate"):
+            server.update_graph(GraphUpdate(
+                add_src=[seed], add_dst=[seed], remove_edges=[0, 0]))
+        assert (graph.version, graph.num_edges, len(store.wal),
+                len(server.memo)) == before
+        assert not server.sessions.get("s0").stale
+        restored = PromptServer.restore(
+            model, PersistentStore(store.directory), EDGE_TASK, rng=1)
+        assert restored.last_recovery_replayed == 0
+        assert restored.dataset.graph.version == graph.version
+
     def test_save_snapshot_requires_a_store(self, served):
         config, model = served
         dataset, _ = fresh_workload(config)
@@ -763,6 +806,13 @@ class TestReplicaSetHomeReplica:
         assert {tenant: rs.home_replica(tenant)
                 for tenant in homes} == homes
 
+    def test_needs_at_least_one_replica(self):
+        def factory(replica_id):
+            raise AssertionError("no replica may be built")
+
+        with pytest.raises(ValueError, match="at least 1"):
+            ReplicaSet(factory, num_replicas=0)
+
 
 class TestReplicaSetFailover:
     def test_kill_settles_inflight_and_survivor_serves(self, served,
@@ -810,6 +860,72 @@ class TestReplicaSetFailover:
 
         asyncio.run(main())
 
+    def test_submit_follows_the_tenant_through_failover(self, served,
+                                                        tmp_path):
+        """``submit`` routes by the session's tenant: to its home replica,
+        then, once that replica is killed, to the survivor, which re-opens
+        the session from the shared manifests and answers as the home
+        replica did.  Leaving ``async with`` closes every replica."""
+        config, model = served
+        store = PersistentStore(str(tmp_path / "store"))
+        _, episodes = fresh_workload(config, num_sessions=1)
+        query = episodes[0].queries[0]
+
+        def factory(replica_id):
+            dataset, _ = fresh_workload(config)
+            server = PromptServer(model, dataset, max_batch_size=4,
+                                  rng=11, persist=store)
+            return ServingGateway(server, max_wait_s=0.0)
+
+        async def main():
+            async with ReplicaSet(factory, num_replicas=2,
+                                  store=store) as rs:
+                rs.open_session("alpha", "alpha-s", episodes[0])
+                home = rs.route("alpha")
+                first = await asyncio.wait_for(
+                    rs.submit("alpha-s", query), timeout=60)
+                rs.kill(home)
+                second = await asyncio.wait_for(
+                    rs.submit("alpha-s", query), timeout=60)
+                assert first.ok and second.ok
+                assert second.prediction == first.prediction
+                assert "alpha-s" in rs.replicas[1 - home].server.sessions
+                with pytest.raises(KeyError):
+                    await rs.submit("never-opened", query)
+            assert rs.healthy_replicas() == []
+
+        asyncio.run(main())
+
+    @pytest.mark.parametrize("persisted", [True, False],
+                             ids=["shared-store", "in-memory"])
+    def test_fleet_with_no_healthy_replica_refuses_work(self, served,
+                                                       tmp_path, persisted):
+        config, model = served
+        store = (PersistentStore(str(tmp_path / "store")) if persisted
+                 else None)
+
+        def factory(replica_id):
+            dataset, _ = fresh_workload(config)
+            server = PromptServer(model, dataset, max_batch_size=4,
+                                  rng=11, persist=store)
+            return ServingGateway(server, auto_drain=False)
+
+        async def main():
+            rs = ReplicaSet(factory, num_replicas=2, store=store)
+            graph = rs.replicas[0].server.dataset.graph
+            version = graph.version
+            for replica_id in range(2):
+                rs.kill(replica_id)
+            with pytest.raises(RuntimeError, match="no healthy replica"):
+                rs.route("alpha")
+            with pytest.raises(RuntimeError, match="no healthy replica"):
+                await rs.update_graph(GraphUpdate(add_src=[0], add_dst=[1]))
+            assert graph.version == version
+            if store is not None:
+                assert len(store.wal) == 0
+
+        asyncio.run(main())
+
     def test_update_logged_once_and_fanned_out(self, served, tmp_path):
         config, model = served
         store = PersistentStore(str(tmp_path / "store"))
@@ -833,3 +949,25 @@ class TestReplicaSetFailover:
 
         asyncio.run(main())
 
+    def test_refused_update_is_not_logged(self, served, tmp_path):
+        config, model = served
+        store = PersistentStore(str(tmp_path / "store"))
+
+        def factory(replica_id):
+            dataset, _ = fresh_workload(config)
+            server = PromptServer(model, dataset, max_batch_size=4,
+                                  rng=11, persist=store)
+            return ServingGateway(server, auto_drain=False)
+
+        async def main():
+            rs = ReplicaSet(factory, num_replicas=2, store=store)
+            versions = [g.server.dataset.graph.version for g in rs.replicas]
+            with pytest.raises(ValueError, match="duplicate"):
+                await rs.update_graph(GraphUpdate(
+                    add_src=[0], add_dst=[1], remove_edges=[0, 0]))
+            assert len(store.wal) == 0
+            assert [g.server.dataset.graph.version
+                    for g in rs.replicas] == versions
+            await rs.close()
+
+        asyncio.run(main())

@@ -176,3 +176,28 @@ class TestModels:
             WorkloadGenerator(ARRIVALS[0], TENANTS, num_queries=0)
         with pytest.raises(ValueError):
             list(make_trace(ARRIVALS[0], QUERIES[0], seed=0).ticks(0.0))
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: TenantSpec("x", "batch", sessions=0),
+         "at least one session"),
+        (lambda: ZipfTenants(()), "at least one tenant"),
+        (lambda: ZipfTenants((TenantSpec("a", "batch"),), skew=-0.5),
+         "skew must be non-negative"),
+        (lambda: ZipfQueries(skew=-0.5), "skew must be non-negative"),
+        (lambda: FlashCrowdQueries(base=UniformQueries(), window=(0.0, 1.0),
+                                   hot_weight=0.0), "hot_weight"),
+        (lambda: FlashCrowdQueries(base=UniformQueries(), window=(0.0, 1.0),
+                                   hot_query=-1), "hot_query"),
+        (lambda: MarkovModulatedArrivals(base_qps=10.0, burst_qps=0.0),
+         "rates must be positive"),
+        (lambda: DiurnalArrivals(base_qps=0.0), "base_qps must be positive"),
+        (lambda: DiurnalArrivals(base_qps=5.0, period_s=0.0),
+         "period_s must be positive"),
+    ], ids=["tenant-without-sessions", "no-tenants", "negative-tenant-skew",
+            "negative-query-skew", "zero-hot-weight", "negative-hot-query",
+            "zero-burst-rate", "zero-diurnal-rate", "zero-diurnal-period"])
+    def test_each_rule_refuses_its_input(self, build, message):
+        """Every model checks its own fields at construction, so a bad
+        scenario fails where it is declared rather than mid-trace."""
+        with pytest.raises(ValueError, match=message):
+            build()
